@@ -189,13 +189,16 @@ def lbasis(F: FieldContext, G: Divisor) -> list[RationalFunction]:
         for t in range(G.degree() + 1):
             num = polys.mul(F, Z, tuple([0] * t + [1]))
             out.append(RationalFunction.make(F, num, N))
-    assert len(out) == rr_dim(G)
+    if len(out) != rr_dim(G):
+        raise RuntimeError(f"basis has {len(out)} functions, "
+                           f"not l(G) = {rr_dim(G)}")
     for f in out:
         places = set(G.support()) | {O}
         places |= {finite(b) for b in range(F.order)
                    if polys.evaluate(F, f.den, b) == 0}
         for p in places:
-            assert f.valuation(p) + G.coeff(p) >= 0, (f, p)
+            if f.valuation(p) + G.coeff(p) < 0:
+                raise RuntimeError(f"basis function {f} is not in L(G) at {p}")
     return out
 
 
@@ -265,12 +268,14 @@ def residues(F: FieldContext, points: Sequence[int],
     rs = []
     for u in pts:
         v = polys.evaluate(F, hp, u)
-        assert v != 0
+        if v == 0:
+            raise RuntimeError(f"h' vanishes at the simple root {u}")
         rs.append(F.inv(v))
     total = 0
     for r in rs:
         total = F.add(total, r)
-    assert total == 0, "residue theorem violated"
+    if total != 0:
+        raise RuntimeError("residue theorem violated")
     scale = 1
     if not all(F.is_norm(r) for r in rs):
         r0 = rs[0]
@@ -724,7 +729,8 @@ def extend_evaluation_set(F: FieldContext, points: Sequence[int],
             break
         b1, b2, conj = found
         pts = pts + (b1, b2)
-        assert _derivative_norm_condition(F, pts), \
-            "grown set violates the derivative-norm condition"
+        if not _derivative_norm_condition(F, pts):
+            raise RuntimeError(
+                "grown set violates the derivative-norm condition")
         steps.append(GrowthStep((b1, b2), conj, pts))
     return GrowthResult(tuple(int(u) for u in points), steps, status)

@@ -190,13 +190,18 @@ def cmd_quantum_params(args) -> int:
     if args.from_report:
         with open(args.from_report, "r", encoding="utf-8") as fh:
             body = json.load(fh)["report"]
+        if body["verdict"] == "FAIL":
+            raise ValueError(f"{args.from_report}: report verdict is FAIL "
+                             f"(first failure: {body.get('first_failure')}); "
+                             "no parameters are derived from a refuted code")
         q = prime_factors(body["field"]["p"])[0] ** (body["field"]["m"] // 2)
         n = body["code"]["n"]
         k = body["code"]["k"]
         hull = body["hull"].get("dim_gram", body["hull"].get("dim_measured"))
     else:
         if None in (args.n, args.k, args.hull_dim, args.q):
-            raise SystemExit(2)
+            raise ValueError("quantum params needs --q, --n, --k and "
+                             "--hull-dim, or --from REPORT")
         q, n, k, hull = args.q, args.n, args.k, args.hull_dim
     ing = quantum.mds_ingredient(q, n, k, hull)
     base = quantum.eaqecc_from_code(ing)
@@ -281,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="cap on hull-intersection work (codeword count)")
         p.add_argument("--distance-budget", type=int, default=10 ** 6,
-                       help="cap on distance enumeration (codeword count)")
+                       help="cap on distance enumeration, counted as the "
+                            "order^k messages of the code although only the "
+                            "(order^k - 1)/(order - 1) normalised ones are "
+                            "visited")
         p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("field", help="build and describe a field")

@@ -144,7 +144,9 @@ def cyclic_from_defining_set(n: int, q: int, D: Sequence[int]) -> CyclicCode:
     for i in range(k):
         rows[i, i:i + len(g)] = g
     code = LinearCode.from_rows(base, rows, n=n)
-    assert code.k == k
+    if code.k != k:
+        raise RuntimeError(
+            f"generator polynomial spans dimension {code.k}, not {k}")
     return CyclicCode(n=n, q=q, defining_set=D, base=base, splitting=split,
                       beta=beta, generator_poly=g, code=code)
 
@@ -281,12 +283,16 @@ def eqtr_codeword(q: int, k: int, params: EqtrParams) -> np.ndarray:
     out = np.concatenate([c, [F2.neg(total)]]).astype(np.int32)
     # invariants: the appended coordinate equals theta_{q-1,q-1} and the
     # vector satisfies the parity rows of E(D[k,k-1]) but not all of E(D[k,k])
-    assert out[-1] == params.diag.get(q - 1, 0) % F2.order
-    assert all(F2.in_subfield(int(v)) for v in out)
+    if out[-1] != params.diag.get(q - 1, 0) % F2.order:
+        raise RuntimeError("appended coordinate differs from theta_{q-1,q-1}")
+    if not all(F2.in_subfield(int(v)) for v in out):
+        raise RuntimeError("vector leaves the subfield GF(q)")
     Hsmall = extended_parity_rows(q, defining_set_dkl(q, k, k - 1))
-    assert _annihilates(F2, Hsmall, out), "vector escapes E(D[k,k-1])"
+    if not _annihilates(F2, Hsmall, out):
+        raise RuntimeError("vector escapes E(D[k,k-1])")
     Hbig = extended_parity_rows(q, defining_set_dkl(q, k, k))
-    assert not _annihilates(F2, Hbig, out), "vector fell into E(D[k,k])"
+    if _annihilates(F2, Hbig, out):
+        raise RuntimeError("vector fell into E(D[k,k])")
     return out
 
 

@@ -460,7 +460,9 @@ class FieldContext:
         q = self.q
         j = (int(self.log[x]) // (q + 1)) % (q - 1) if q > 1 else 0
         a = self.alpha_pow(j)
-        assert self.pow(a, q + 1) == x
+        if self.pow(a, q + 1) != x:
+            raise RuntimeError(
+                f"norm solution {a} does not satisfy a^(q+1) = {x}")
         return a
 
     def to_subfield(self, x: int) -> int:

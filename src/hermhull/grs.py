@@ -78,7 +78,8 @@ class GrsSpec:
 
     def code(self) -> LinearCode:
         c = LinearCode.from_rows(self.field, self.generator(), n=self.n)
-        assert c.k == self.k
+        if c.k != self.k:
+            raise RuntimeError(f"GRS generator has rank {c.k}, not {self.k}")
         c.set_structural_distance(self.n - self.k + 1)
         return c
 
@@ -327,7 +328,8 @@ def construct_family(family: str, q: int, field: Optional[FieldContext] = None,
                                        F2.alpha_pow(-(l * m * (q + 1)))))
                   for l in B)
     spec = GrsSpec(F2, b, a, k)
-    assert spec.n == n, (spec.n, n)
+    if spec.n != n:
+        raise RuntimeError(f"family {family} built length {spec.n}, not {n}")
     sub = GrsSpec(F2, b, a, info["subcode_dim"])
     claim = GrsHullClaim(
         family=family, q=q,
@@ -499,7 +501,8 @@ def puncture_from_p_codeword(q: int, x: np.ndarray, k: int, ell: int,
     spec_l = GrsSpec(F2, b, a, ell)
     code_k = spec_k.code()
     subrows = spec_l.generator()
-    assert all(code_k.contains(r) for r in subrows)
-    assert _hermitian_orthogonal_to(code_k, subrows), \
-        "punctured subcode escaped the Hermitian hull"
+    if not all(code_k.contains(r) for r in subrows):
+        raise RuntimeError("punctured subcode is not contained in the code")
+    if not _hermitian_orthogonal_to(code_k, subrows):
+        raise RuntimeError("punctured subcode escaped the Hermitian hull")
     return spec_k, spec_l

@@ -18,7 +18,7 @@ from .gf import FieldContext
 #: default cap on full-message-space enumeration (number of codewords)
 DEFAULT_BUDGET = 10 ** 8
 
-#: max entries of a single enumeration block (codewords x length)
+#: max codewords in a single enumeration block
 _BLOCK_CODEWORDS = 1 << 18
 
 
@@ -258,10 +258,13 @@ class LinearCode:
     # -- metric --------------------------------------------------------------
 
     def min_distance(self, budget: int = DEFAULT_BUDGET) -> int:
-        """Exact minimum weight by full message-space enumeration.
+        """Exact minimum weight by projective enumeration.
 
-        Raises BudgetExceededError when order^k exceeds the budget; callers
-        then fall back to structural arguments.
+        Visits the (order^k - 1)/(order - 1) messages whose first nonzero
+        coordinate is 1, since scaling a codeword keeps its weight.  The
+        budget still counts the full message space: BudgetExceededError is
+        raised when order^k exceeds it, and callers then fall back to
+        structural arguments.
         """
         if self._d is not None:
             return self._d
@@ -274,14 +277,20 @@ class LinearCode:
         return self.min_distance(budget) == self.n - self.k + 1
 
     def weight_distribution(self, budget: int = 1 << 20) -> np.ndarray:
-        """Counts of codeword weights 0..n (full enumeration, small codes)."""
+        """Counts of codeword weights 0..n, for small codes.
+
+        Counts the projective walk and scales by order - 1; the budget
+        counts the full message space order^k.
+        """
         F = self.field
         if F.order ** self.k > budget:
             raise BudgetExceededError("weight distribution enumeration too large")
         counts = np.zeros(self.n + 1, dtype=np.int64)
-        for block, _ in _enumerate_blocks(F, self.gen):
+        for block in _projective_blocks(F, self.gen):
             w = np.count_nonzero(block, axis=1)
             counts += np.bincount(w, minlength=self.n + 1)
+        counts *= F.order - 1
+        counts[0] = 1
         return counts
 
     def cached_distance(self) -> Optional[int]:
@@ -298,11 +307,12 @@ def _row_multiples(F: FieldContext, row: np.ndarray) -> np.ndarray:
     return F.mul_arr(lams[:, None], row[None, :])
 
 
-def _enumerate_blocks(F: FieldContext, gen: np.ndarray):
-    """Yield (block, prefix_is_zero) covering all messages exactly once.
+def _enumerate_blocks(F: FieldContext, gen: np.ndarray, offset: np.ndarray):
+    """Yield blocks of vectors covering offset + span(gen) exactly once.
 
-    Within a block the first row is the zero-suffix combination, so the all
-    zero codeword appears exactly at (prefix zero, block row 0).
+    The trailing rows of gen are expanded into one table of at most
+    _BLOCK_CODEWORDS vectors; each block is that table shifted by one
+    combination of the leading rows.
     """
     k, n = gen.shape
     order = F.order
@@ -311,20 +321,20 @@ def _enumerate_blocks(F: FieldContext, gen: np.ndarray):
     while s < k and size * order <= _BLOCK_CODEWORDS:
         size *= order
         s += 1
-    suffix = np.zeros((1, n), dtype=np.int32)
+    suffix = offset[None, :]
     for r in range(k - s, k):
         tab = _row_multiples(F, gen[r])
         suffix = F.add_arr(suffix[:, None, :], tab[None, :, :]).reshape(-1, n)
     prefix_rows = [_row_multiples(F, gen[r]) for r in range(k - s)]
     if not prefix_rows:
-        yield suffix, True
+        yield suffix
         return
     idx = [0] * len(prefix_rows)
     partial = [np.zeros(n, dtype=np.int32)]
     for t, tab in enumerate(prefix_rows):
         partial.append(F.add_arr(partial[-1], tab[0]))
     while True:
-        yield F.add_arr(suffix, partial[-1][None, :]), all(i == 0 for i in idx)
+        yield F.add_arr(suffix, partial[-1][None, :])
         d = len(idx) - 1
         while d >= 0 and idx[d] == order - 1:
             idx[d] = 0
@@ -337,20 +347,30 @@ def _enumerate_blocks(F: FieldContext, gen: np.ndarray):
             partial[t + 1] = F.add_arr(partial[t], prefix_rows[t][idx[t]])
 
 
+def _projective_blocks(F: FieldContext, gen: np.ndarray):
+    """Yield blocks covering each nonzero codeword up to scaling exactly once.
+
+    The messages visited are those whose first nonzero coordinate is 1:
+    for each row i, the codewords gen[i] + span(gen[i+1:]).  That is
+    (order^k - 1)/(order - 1) codewords; every other nonzero codeword is
+    a nonzero multiple of one of them and has the same weight.
+    """
+    for i in range(gen.shape[0]):
+        yield from _enumerate_blocks(F, gen[i + 1:], offset=gen[i])
+
+
 def _enumerate_min_weight(F: FieldContext, gen: np.ndarray, budget: int) -> int:
     k, n = gen.shape
+    # the budget counts the full message space, not the projective part
+    # walked, so the same codes pass this gate as under a full sweep
     if F.order ** k > budget:
         raise BudgetExceededError(
             f"enumerating {F.order}^{k} codewords exceeds budget {budget}")
     best = n + 1
-    for block, prefix_zero in _enumerate_blocks(F, gen):
-        w = np.count_nonzero(block, axis=1)
-        if prefix_zero:
-            w = w[1:]  # drop the all-zero codeword
-        if w.size:
-            m = int(w.min())
-            if m < best:
-                best = m
-                if best == 1:
-                    break
+    for block in _projective_blocks(F, gen):
+        m = int(np.count_nonzero(block, axis=1).min())
+        if m < best:
+            best = m
+            if best == 1:
+                break
     return best

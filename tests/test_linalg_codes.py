@@ -213,3 +213,77 @@ def test_contains(F9):
     C = LinearCode.from_rows(F9, [[1, 0, 1], [0, 1, 2]])
     assert C.contains(np.array([1, 1, F9.add(1, 2)]))
     assert not C.contains(np.array([1, 0, 0]))
+
+
+# ----------------------------------------------------------------------
+# projective enumeration against brute force over the whole row space
+# ----------------------------------------------------------------------
+
+def brute_force_weights(F, C):
+    counts = np.zeros(C.n + 1, dtype=np.int64)
+    for v in enumerate_row_space(F, C.gen):
+        counts[np.count_nonzero(v)] += 1
+    return counts
+
+
+def assert_matches_brute_force(F, C):
+    counts = brute_force_weights(F, C)
+    assert np.array_equal(C.weight_distribution(), counts)
+    assert C.min_distance() == int(np.flatnonzero(counts[1:])[0]) + 1
+
+
+WALKER_CASES = [("F4", 6, 1), ("F4", 7, 3), ("F4", 8, 4),
+                ("F9", 5, 1), ("F9", 6, 2), ("F9", 7, 3),
+                ("F16", 4, 1), ("F16", 6, 2), ("F16", 6, 3)]
+
+
+@pytest.mark.parametrize("field, n, k", WALKER_CASES)
+def test_walker_matches_brute_force_random(request, field, n, k):
+    F = request.getfixturevalue(field)
+    rng = np.random.default_rng(100 + 10 * n + k)
+    for _ in range(3):
+        assert_matches_brute_force(F, random_code(F, n, k, rng))
+
+
+@pytest.mark.parametrize("field", ["F4", "F9", "F16"])
+def test_walker_weight_one_and_zero_column(request, field):
+    F = request.getfixturevalue(field)
+    rng = np.random.default_rng(11)
+    base = random_code(F, 6, 2, rng).gen
+    # d = 1: a unit vector on the last coordinate, reached only as a
+    # combination of the canonical rows, so the early exit is exercised
+    unit = np.zeros((1, 6), dtype=np.int32)
+    unit[0, 5] = 1
+    C = LinearCode.from_rows(F, np.vstack([base, unit]))
+    assert_matches_brute_force(F, C)
+    assert C.min_distance() == 1
+    # an all-zero column lowers no weight and is never a pivot
+    Z = np.insert(base, 2, 0, axis=1)
+    assert_matches_brute_force(F, LinearCode.from_rows(F, Z))
+
+
+def test_walker_multi_block_prefix_path(F4, F9, monkeypatch):
+    from hermhull import linalg_codes
+    monkeypatch.setattr(linalg_codes, "_BLOCK_CODEWORDS", 81)
+    rng = np.random.default_rng(12)
+    # the first row's tail fills 9 blocks from one prefix row over GF(9),
+    # and 16 blocks from two prefix rows over GF(4), so prefix digits carry
+    for F, n, k, nblocks in ((F9, 7, 4, 9), (F4, 9, 6, 16)):
+        C = random_code(F, n, k, rng)
+        blocks = list(linalg_codes._enumerate_blocks(F, C.gen[1:], C.gen[0]))
+        assert len(blocks) == nblocks
+        assert_matches_brute_force(F, C)
+
+
+@pytest.mark.parametrize("field, k", [("F4", 3), ("F9", 3), ("F16", 2)])
+def test_projective_blocks_visit_each_point_once(request, field, k):
+    from hermhull.linalg_codes import _projective_blocks
+    F = request.getfixturevalue(field)
+    C = random_code(F, 5, k, np.random.default_rng(13))
+    visited = np.vstack(list(_projective_blocks(F, C.gen)))
+    assert visited.shape[0] == (F.order ** k - 1) // (F.order - 1)
+    multiples = {tuple(F.mul_arr(np.array(lam), v))
+                 for v in visited for lam in range(1, F.order)}
+    nonzero = enumerate_row_space(F, C.gen) - {(0,) * C.n}
+    assert len(multiples) == len(nonzero) == visited.shape[0] * (F.order - 1)
+    assert multiples == nonzero

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -198,3 +199,43 @@ def test_cli_threads_deterministic(capsys, monkeypatch):
     rc2, out2 = run_cli(capsys, "grs", "sweep", "--q", "3",
                         "--distance-budget", "10000")
     assert rc1 == rc2 == 0 and out1 == out2
+
+
+def test_cli_quantum_params_refuses_failed_report(tmp_path, capsys):
+    # CON3E at q = 11, z = 3, f = 2 is refuted by its Gram rank
+    rc, out = run_cli(capsys, "grs", "construct", "--family", "CON3E",
+                      "--q", "11", "--z", "3", "--f", "2", "--k", "33")
+    assert rc == 1 and json.loads(out)["report"]["verdict"] == "FAIL"
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    rc = cli.run(["quantum", "params", "--from", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "FAIL" in captured.err
+
+
+def test_cli_quantum_params_missing_arguments(capsys):
+    rc = cli.run(["quantum", "params", "--q", "7", "--n", "49"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--hull-dim" in captured.err
+
+
+#: sha256 of the stdout of ``verify-all --q Q``; a change that alters report
+#: bodies on purpose updates these and records why
+GOLDEN_VERIFY_ALL = {
+    3: "6c7074dc8e6de5f5f00a26e056de7c7c02b936d787f55d0f1e1a0ad1b4489319",
+    4: "ee3dfb5a645cf00990ef1111cb9b6bfa3538ec505957e1d6c59330ec0bec71ea",
+    5: "fd9a11f446cb192b0eb2a46332a4e9887b14e92a342485a256f3d5755a5d9dd7",
+    7: "94d9e41fe451053614a84ce729ae82d263b5b2e6059071872da66a3c9d84d0a1",
+}
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_VERIFY_ALL))
+def test_cli_verify_all_golden_bodies(capsys, q):
+    rc, out = run_cli(capsys, "verify-all", "--q", str(q))
+    assert rc == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_VERIFY_ALL[q]
