@@ -2,8 +2,9 @@
 
 Subcommands: field | grs | cyclic | ag | quantum | verify-all.  Output is
 deterministic JSON (sorted keys, no timestamps; wall-clock timings only
-with --timings) or markdown/csv for tables.  Exit status: 2 on argument
-errors, 1 when any verification verdict is FAIL, 0 otherwise.
+with --timings) or markdown/csv for tables.  Exit status: 3 on an
+internal fault (a RuntimeError such as a failed invariant check), 2 on
+argument errors, 1 when any verification verdict is FAIL, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from . import ag, cyclic, grs, quantum
-from .gf import make_field, prime_factors, quadratic_field
+from .gf import make_field, prime_power, quadratic_field
 from .linalg_codes import DEFAULT_BUDGET
 from .report import ConstructionReport, code_to_json
 
@@ -55,10 +56,7 @@ def _field_for(q: int, modulus_text: Optional[str]):
     mod = _parse_modulus(modulus_text)
     if mod is None:
         return quadratic_field(q)
-    p = prime_factors(q)[0]
-    e = 0
-    while p ** e < q:
-        e += 1
+    p, e = prime_power(q)
     return make_field(p, 2 * e, mod)
 
 
@@ -189,12 +187,18 @@ def cmd_ag_grow(args) -> int:
 def cmd_quantum_params(args) -> int:
     if args.from_report:
         with open(args.from_report, "r", encoding="utf-8") as fh:
-            body = json.load(fh)["report"]
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or "report" not in payload:
+            raise ValueError(f"{args.from_report}: expected a single report "
+                             'shaped {"report": {...}}, as printed by "grs '
+                             'construct" or "ag build"; sweep and verify-all '
+                             "output holds many reports")
+        body = payload["report"]
         if body["verdict"] == "FAIL":
             raise ValueError(f"{args.from_report}: report verdict is FAIL "
                              f"(first failure: {body.get('first_failure')}); "
                              "no parameters are derived from a refuted code")
-        q = prime_factors(body["field"]["p"])[0] ** (body["field"]["m"] // 2)
+        q = body["field"]["p"] ** (body["field"]["m"] // 2)
         n = body["code"]["n"]
         k = body["code"]["k"]
         hull = body["hull"].get("dim_gram", body["hull"].get("dim_measured"))
@@ -383,6 +387,9 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

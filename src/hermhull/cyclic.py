@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import polys
-from .gf import FieldContext, make_field, prime_factors, quadratic_field
+from .gf import FieldContext, make_field, prime_power, quadratic_field
 from .linalg_codes import LinearCode, nullspace
 
 
@@ -37,14 +37,7 @@ def _ord_mod(q: int, n: int) -> int:
 
 def base_field(q: int) -> FieldContext:
     """Canonical GF(q) context for a prime power q."""
-    fs = prime_factors(q)
-    if len(fs) != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    p = fs[0]
-    e = 0
-    while p ** e < q:
-        e += 1
-    return make_field(p, e)
+    return make_field(*prime_power(q))
 
 
 def cyclotomic_coset(n: int, q: int, i: int) -> tuple[int, ...]:

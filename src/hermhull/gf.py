@@ -21,8 +21,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-# Pairwise add/mul lookup tables are built for fields up to this order;
-# larger fields fall back to digit/log arithmetic (still vectorised).
+# Pairwise lookup tables (mul, and add in odd characteristic) are built for
+# fields up to this order; larger fields use digit/log arithmetic (still
+# vectorised).  Addition in characteristic 2 is XOR at every order.
 _TABLE_LIMIT = 1024
 
 # Hard ceiling from the artifact contract: no fields beyond 2^16 elements.
@@ -65,6 +66,19 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e for a prime power q; ValueError otherwise."""
+    fs = prime_factors(q)
+    if len(fs) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    p = fs[0]
+    e = 0
+    while q > 1:
+        q //= p
+        e += 1
+    return p, e
 
 
 # ----------------------------------------------------------------------
@@ -215,6 +229,10 @@ class FieldContext:
     Do not instantiate directly: use :func:`make_field`, which caches
     contexts so that the subfield of GF(q^2) is the same object as an
     independently requested GF(q).
+
+    ``zlog`` and ``zexp`` multiply in the log domain with zero included:
+    x * y = zexp[zlog[x] + zlog[y]] for all x, y, and zexp[zlog[x] + j] =
+    x * alpha^j for 0 <= j < order - 1.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], _token=None):
@@ -265,17 +283,30 @@ class FieldContext:
 
     def _build_arith_tables(self):
         order, p, m = self.order, self.p, self.m
-        # digit matrix: row v = base-p digits of v
+        # digit matrix: row v = base-p digits of v (int32: p may exceed 2^15)
         vs = np.arange(order)
-        digs = np.empty((order, m), dtype=np.int16)
+        digs = np.empty((order, m), dtype=np.int32)
         for i in range(m):
             digs[:, i] = (vs // (p ** i)) % p
         self._digits = digs
         self._pw = np.array(self._pp, dtype=np.int64)
 
+        # log-domain products: x*y = zexp[zlog[x] + zlog[y]].  zlog[0] is a
+        # sentinel above every sum of two true logs, and zexp is exp twice
+        # over followed by a zero tail long enough for any sum that involves
+        # the sentinel, so no mask and no modulo are needed
+        n1 = order - 1
+        self.zlog = self.log.copy()
+        self.zlog[0] = 2 * n1
+        self.zexp = np.zeros(4 * n1 + 1, dtype=np.int32)
+        self.zexp[:2 * n1] = np.tile(self.exp, 2)
+
+        self._add_t = None
+        self._mul_t = None
         if order <= _TABLE_LIMIT:
-            s = (digs[:, None, :] + digs[None, :, :]) % p
-            self._add_t = (s @ self._pw).astype(np.int32)
+            if p != 2:
+                s = (digs[:, None, :] + digs[None, :, :]) % p
+                self._add_t = (s @ self._pw).astype(np.int32)
             lg = self.log
             a = np.arange(order)
             la, lb = np.meshgrid(lg, lg, indexing="ij")
@@ -283,9 +314,6 @@ class FieldContext:
             prod[0, :] = 0
             prod[:, 0] = 0
             self._mul_t = prod.astype(np.int32)
-        else:
-            self._add_t = None
-            self._mul_t = None
 
         negd = (-digs) % p
         self._neg_t = (negd @ self._pw).astype(np.int32)
@@ -343,7 +371,7 @@ class FieldContext:
         if self._add_t is not None:
             return int(self._add_t[x, y])
         if self.p == 2:
-            return x ^ y
+            return int(x) ^ int(y)
         return int(((self._digits[x] + self._digits[y]) % self.p) @ self._pw)
 
     def sub(self, x: int, y: int) -> int:
@@ -404,10 +432,20 @@ class FieldContext:
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self._mul_t is not None:
             return self._mul_t[a, b]
-        a = np.asarray(a)
-        b = np.asarray(b)
-        out = self.exp[(self.log[a] + self.log[b]) % (self.order - 1)]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return self.zexp[self.zlog[a] + self.zlog[b]]
+
+    @functools.cached_property
+    def mul_matrices(self) -> np.ndarray:
+        """(order, m, m) float64: row r of entry x is the digit vector of
+        x * p^r, so digits(y) @ mul_matrices[x] = digits(x * y) (mod p).
+
+        Multiplication by x is GF(p)-linear on digit vectors; these are its
+        matrices in the polynomial basis.  Built once, on first use.
+        """
+        basis = np.array(self._pp, dtype=np.int32)
+        xs = np.arange(self.order, dtype=np.int32)
+        prods = self.mul_arr(xs[:, None], basis[None, :])
+        return self._digits[prods].astype(np.float64)
 
     def neg_arr(self, a: np.ndarray) -> np.ndarray:
         return self._neg_t[a]
@@ -553,13 +591,5 @@ def make_field(p: int, m: int, modulus: Optional[Iterable[int]] = None) -> Field
 
 def quadratic_field(q: int) -> FieldContext:
     """GF(q^2) with its canonical GF(q) subfield, for a prime power q."""
-    fs = prime_factors(q)
-    if len(fs) != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    p = fs[0]
-    e = 0
-    qq = q
-    while qq > 1:
-        qq //= p
-        e += 1
+    p, e = prime_power(q)
     return make_field(p, 2 * e)

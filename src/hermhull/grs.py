@@ -404,7 +404,7 @@ def verify_claim(code: LinearCode, claim: GrsHullClaim,
                   note=f"{F2.order}^{k} parity solve skipped over budget {budget}")
 
     subrows = claim.subcode.generator()
-    contained = (all(code.contains(r) for r in subrows)
+    contained = (code.contains_rows(subrows)
                  and _hermitian_orthogonal_to(code, subrows))
     rep.check("subcode_in_hull", STATUS_PASS if contained else STATUS_FAIL,
               expected=True, measured=contained,
@@ -501,7 +501,7 @@ def puncture_from_p_codeword(q: int, x: np.ndarray, k: int, ell: int,
     spec_l = GrsSpec(F2, b, a, ell)
     code_k = spec_k.code()
     subrows = spec_l.generator()
-    if not all(code_k.contains(r) for r in subrows):
+    if not code_k.contains_rows(subrows):
         raise RuntimeError("punctured subcode is not contained in the code")
     if not _hermitian_orthogonal_to(code_k, subrows):
         raise RuntimeError("punctured subcode escaped the Hermitian hull")

@@ -21,6 +21,19 @@ DEFAULT_BUDGET = 10 ** 8
 #: max codewords in a single enumeration block
 _BLOCK_CODEWORDS = 1 << 18
 
+#: max entries of one chunk of the a x b x c product tensor in mat_mul;
+#: 256 KB of int32 stays in L2, and larger chunks measured slower
+_MAT_MUL_CHUNK = 1 << 16
+
+#: max multiply-adds of one float64 matrix product in mat_mul.  OpenBLAS
+#: runs products below about 2^20 on the calling thread; these matrices are
+#: small, and threaded runs of them measured several times slower, as the
+#: workers are woken again for every product
+_BLAS_CHUNK = 1 << 18
+
+#: float64 represents every integer below this exactly
+_FLOAT_EXACT = 1 << 53
+
 
 class BudgetExceededError(RuntimeError):
     """Full enumeration would exceed the caller's codeword budget."""
@@ -43,12 +56,15 @@ def rref(F: FieldContext, M: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row echelon form with leftmost-pivot tie-breaking.
 
     Returns (R, rank, pivot_columns).  Pivot entries are 1 and pivot
-    columns are cleared above and below.
+    columns are cleared above and below.  The elimination works in the log
+    domain (see ``FieldContext.zlog``) and only on the columns from the
+    pivot onward: the pivot row is zero to their left.
     """
     R = np.array(M, dtype=np.int32, copy=True)
     if R.ndim != 2:
         raise ValueError("matrix must be 2-d")
     rows, cols = R.shape
+    n1 = F.order - 1
     pivots: list[int] = []
     row = 0
     for col in range(cols):
@@ -60,15 +76,18 @@ def rref(F: FieldContext, M: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
         pr = row + int(nz[0])
         if pr != row:
             R[[row, pr]] = R[[pr, row]]
-        pv = int(R[row, col])
-        if pv != 1:
-            R[row] = F.mul_arr(R[row], np.array(F.inv(pv)))
+        lrow = F.zlog[R[row, col:]]
+        lpv = int(lrow[0])
+        if lpv:
+            R[row, col:] = F.zexp[lrow + (n1 - lpv)]
+            lrow = F.zlog[R[row, col:]]
         colvals = R[:, col].copy()
         colvals[row] = 0
-        mask = colvals != 0
-        if mask.any():
-            factors = F.neg_arr(colvals[mask])
-            R[mask] = F.add_arr(R[mask], F.mul_arr(factors[:, None], R[row][None, :]))
+        mask = np.flatnonzero(colvals)
+        if mask.size:
+            lfac = F.zlog[F.neg_arr(colvals[mask])]
+            R[mask, col:] = F.add_arr(R[mask, col:],
+                                      np.take(F.zexp, lfac[:, None] + lrow))
         pivots.append(col)
         row += 1
     return R, row, pivots
@@ -79,24 +98,51 @@ def nullspace(F: FieldContext, M: np.ndarray) -> np.ndarray:
     M = np.asarray(M)
     n = M.shape[1]
     R, rank, pivots = rref(F, M)
-    free = [c for c in range(n) if c not in set(pivots)]
-    basis = np.zeros((len(free), n), dtype=np.int32)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[bi, pc] = F.neg(int(R[i, fc]))
+    free = np.setdiff1d(np.arange(n), pivots)
+    basis = np.zeros((free.size, n), dtype=np.int32)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = F.neg_arr(R[:rank, free].T)
     return basis
 
 
 def mat_mul(F: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The matrix product A B over F, with no loop over the inner index.
+
+    Characteristic 2: every product is one lookup in the log domain and the
+    sums are XOR reductions, over chunks of at most about _MAT_MUL_CHUNK
+    products.  Odd characteristic: multiplication by an element is GF(p)-
+    linear on digit vectors, so A B is the float64 product
+    digits(A) (a x bm) @ mul_matrices(B) (bm x cm), reduced mod p, taken
+    in row chunks of at most about _BLAS_CHUNK multiply-adds.  Every sum
+    there is below b m (p-1)^2, which must stay under 2^53 to be exact.
+    """
     A = np.asarray(A)
     B = np.asarray(B)
     if A.shape[1] != B.shape[0]:
         raise ValueError("inner dimensions differ")
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)
-    for t in range(A.shape[1]):
-        out = F.add_arr(out, F.mul_arr(A[:, t][:, None], B[t, :][None, :]))
-    return out
+    (a, b), c = A.shape, B.shape[1]
+    if F.p == 2:
+        la = F.zlog[A][:, :, None]
+        lb = F.zlog[B][None, :, :]
+        out = np.empty((a, c), dtype=np.int32)
+        step = max(1, _MAT_MUL_CHUNK // max(1, b * c))
+        for i in range(0, a, step):
+            out[i:i + step] = np.bitwise_xor.reduce(
+                np.take(F.zexp, la[i:i + step] + lb), axis=1)
+        return out
+    p, m = F.p, F.m
+    if b * m * (p - 1) ** 2 >= _FLOAT_EXACT:
+        raise RuntimeError(
+            f"GF({F.order}) product with inner dimension {b} exceeds exact "
+            "float64 range")
+    digits = F._digits[A].reshape(a, b * m).astype(np.float64)
+    blocks = F.mul_matrices[B].transpose(0, 2, 1, 3).reshape(b * m, c * m)
+    sums = np.empty((a, c * m))
+    step = max(1, _BLAS_CHUNK // max(1, b * c * m * m))
+    for i in range(0, a, step):
+        np.matmul(digits[i:i + step], blocks, out=sums[i:i + step])
+    sums = sums.astype(np.int64) % p
+    return (sums.reshape(a, c, m) @ F._pw).astype(np.int32)
 
 
 def conjugate(F: FieldContext, M: np.ndarray) -> np.ndarray:
@@ -180,22 +226,29 @@ class LinearCode:
         return f"LinearCode[{self.n}, {self.k}{d}] over {self.field!r}"
 
     def contains(self, v: Sequence[int]) -> bool:
-        v = np.array(v, dtype=np.int32)
+        v = np.asarray(v, dtype=np.int32)
         if v.shape != (self.n,):
             raise ValueError("vector length mismatch")
-        F = self.field
-        pivots = [int(np.argmax(row != 0)) for row in self.gen]
-        for i, pc in enumerate(pivots):
-            c = int(v[pc])
-            if c:
-                v = F.add_arr(v, F.mul_arr(np.array(F.neg(c)), self.gen[i]))
-        return not v.any()
+        return self.contains_rows(v[None, :])
+
+    def contains_rows(self, V) -> bool:
+        """Do all rows of V lie in the code?
+
+        The generator is in RREF, so a codeword is determined by its entries
+        at the pivot columns: V is inside exactly when V[:, pivots] @ gen
+        gives V back.  One mat_mul tests every row.
+        """
+        V = np.asarray(V, dtype=np.int32)
+        if V.ndim != 2 or V.shape[1] != self.n:
+            raise ValueError("vector length mismatch")
+        pivots = np.argmax(self.gen != 0, axis=1)
+        return np.array_equal(mat_mul(self.field, V[:, pivots], self.gen), V)
 
     def is_subcode_of(self, other: "LinearCode") -> bool:
         _check_same_field(self, other)
         if self.n != other.n:
             raise ValueError("length mismatch")
-        return all(other.contains(row) for row in self.gen)
+        return other.contains_rows(self.gen)
 
     # -- duals and hulls ---------------------------------------------------
 
@@ -249,10 +302,8 @@ class LinearCode:
         F = self.field
         if self.k == 0:
             return LinearCode.zero(F, self.n + 1)
-        sums = np.zeros(self.k, dtype=np.int32)
-        for j in range(self.n):
-            sums = F.add_arr(sums, self.gen[:, j])
-        ext = np.hstack([self.gen, F.neg_arr(sums)[:, None]])
+        sums = mat_mul(F, self.gen, np.ones((self.n, 1), dtype=np.int32))
+        ext = np.hstack([self.gen, F.neg_arr(sums)])
         return LinearCode.from_rows(F, ext, n=self.n + 1)
 
     # -- metric --------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 
 from hermhull import gf
 from hermhull.gf import (NotPrimitiveError, ReducibleModulusError,
-                         conway_polynomial, make_field, quadratic_field)
+                         conway_polynomial, make_field, prime_power,
+                         quadratic_field)
 
 
 def test_conway_pinned_values():
@@ -219,3 +220,45 @@ def test_context_cache_identity():
     assert make_field(3, 2) is make_field(3, 2)
     assert quadratic_field(3) is make_field(3, 2)
     assert quadratic_field(4).subfield is make_field(2, 2)
+
+
+def test_prime_power():
+    assert prime_power(2) == (2, 1)
+    assert prime_power(9) == (3, 2)
+    assert prime_power(256) == (2, 8)
+    assert prime_power(121) == (11, 2)
+    for q in (-4, 0, 1, 6, 12, 100):
+        with pytest.raises(ValueError, match="not a prime power"):
+            prime_power(q)
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 8), (2, 13), (3, 4), (3, 8)])
+def test_log_domain_products_match_mul(p, m):
+    F = make_field(p, m)
+    xs = np.arange(F.order)
+    if F.order > 256:
+        xs = np.r_[0, 1, np.random.default_rng(4).integers(2, F.order, 60)]
+    got = F.zexp[F.zlog[xs][:, None] + F.zlog[xs][None, :]]
+    want = [[F.mul(int(x), int(y)) for y in xs] for x in xs]
+    assert np.array_equal(got, want)
+
+
+def test_characteristic_two_adds_by_xor():
+    # no pairwise add table in characteristic 2, at any order
+    F = quadratic_field(16)
+    assert F._add_t is None and F._mul_t is not None
+    a = np.arange(F.order, dtype=np.int32)
+    assert np.array_equal(F.add_arr(a[:, None], a[None, :]),
+                          a[:, None] ^ a[None, :])
+    assert F.add(np.int32(200), 77) == 200 ^ 77
+    assert type(F.add(np.int32(200), 77)) is int
+
+
+def test_prime_field_beyond_int16():
+    # elements of GF(65521) need 16 bits as digits; arithmetic stays exact
+    F = make_field(65521, 1)
+    assert F.add(40000, 30000) == 70000 % 65521
+    assert F.neg(40000) == 65521 - 40000
+    assert F.mul(40000, 3) == 120000 % 65521
+    a = np.array([40000, 65520, 0], dtype=np.int32)
+    assert np.array_equal(F.add_arr(a, a), (2 * a.astype(np.int64)) % 65521)

@@ -287,3 +287,136 @@ def test_projective_blocks_visit_each_point_once(request, field, k):
     nonzero = enumerate_row_space(F, C.gen) - {(0,) * C.n}
     assert len(multiples) == len(nonzero) == visited.shape[0] * (F.order - 1)
     assert multiples == nonzero
+
+
+# ----------------------------------------------------------------------
+# dense kernels against scalar references built from F.add / F.mul
+# ----------------------------------------------------------------------
+
+#: every table size and both characteristics, up to GF(1024) (the largest
+#: order with tables), one field above the limit in each characteristic,
+#: and a prime field whose elements need more than 15 bits
+KERNEL_FIELDS = [(2, 2), (3, 2), (3, 4), (11, 2), (2, 8), (2, 10),
+                 (2, 12), (3, 8), (65521, 1)]
+
+
+@pytest.fixture(scope="module", params=KERNEL_FIELDS,
+                ids=[f"GF({p}^{m})" for p, m in KERNEL_FIELDS])
+def KF(request):
+    return make_field(*request.param)
+
+
+def sparse_random(F, shape, rng):
+    """Random field elements with about a third of them zero."""
+    M = rng.integers(1, F.order, size=shape)
+    M[rng.random(shape) < 0.35] = 0
+    return M.astype(np.int32)
+
+
+def ref_mat_mul(F, A, B):
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = 0
+            for t in range(A.shape[1]):
+                acc = F.add(acc, F.mul(int(A[i, t]), int(B[t, j])))
+            out[i, j] = acc
+    return out
+
+
+def ref_rref(F, M):
+    """Scalar Gauss-Jordan elimination with leftmost pivots."""
+    rows, cols = M.shape
+    R = [[int(x) for x in r] for r in M]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, rows) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = F.inv(R[r][c])
+        R[r] = [F.mul(inv, x) for x in R[r]]
+        for i in range(rows):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+    return np.array(R, dtype=np.int32).reshape(rows, cols), len(pivots), pivots
+
+
+@pytest.mark.parametrize("a, b, c", [(5, 7, 4), (1, 9, 1), (4, 1, 6),
+                                     (0, 3, 4), (3, 0, 4), (3, 4, 0)])
+def test_mat_mul_matches_scalar_reference(KF, a, b, c):
+    rng = np.random.default_rng(a * 100 + b * 10 + c)
+    A = sparse_random(KF, (a, b), rng)
+    B = sparse_random(KF, (b, c), rng)
+    out = mat_mul(KF, A, B)
+    assert out.shape == (a, c) and out.dtype == np.int32
+    assert np.array_equal(out, ref_mat_mul(KF, A, B))
+
+
+@pytest.mark.parametrize("chunk", [20, 70])
+def test_mat_mul_chunked_matches_reference(F16, F49, monkeypatch, chunk):
+    from hermhull import linalg_codes
+    # chunk 20 holds less than one output row in both paths (one row a
+    # chunk); 70 holds two rows: b c = 30 products, b c m^2 = 120 float ops
+    monkeypatch.setattr(linalg_codes, "_MAT_MUL_CHUNK", chunk)
+    monkeypatch.setattr(linalg_codes, "_BLAS_CHUNK", 4 * chunk)
+    rng = np.random.default_rng(21)
+    for F in (F16, F49):
+        A = sparse_random(F, (7, 6), rng)
+        B = sparse_random(F, (6, 5), rng)
+        assert np.array_equal(mat_mul(F, A, B), ref_mat_mul(F, A, B))
+
+
+def test_mat_mul_exactness_guard():
+    # b m (p-1)^2 reaches 2^53 one step above b = 2^53 // 65520^2
+    F = make_field(65521, 1)
+    b = (1 << 53) // (65520 ** 2) + 1
+    with pytest.raises(RuntimeError, match="exact"):
+        mat_mul(F, np.zeros((1, b), dtype=np.int32),
+                np.zeros((b, 1), dtype=np.int32))
+
+
+@pytest.mark.parametrize("rows, cols, rank", [(5, 8, 3), (6, 6, 6), (4, 9, 4),
+                                              (3, 5, 0), (0, 4, 0)])
+def test_rref_matches_scalar_reference(KF, rows, cols, rank):
+    rng = np.random.default_rng(rows * 100 + cols * 10 + rank)
+    # a product of random factors, so most draws have rank below min(rows, cols)
+    M = ref_mat_mul(KF, sparse_random(KF, (rows, rank), rng),
+                    sparse_random(KF, (rank, cols), rng))
+    R, r, piv = rref(KF, M)
+    R0, r0, piv0 = ref_rref(KF, M)
+    assert (r, piv) == (r0, piv0)
+    assert np.array_equal(R, R0)
+
+
+def test_contains_rows_matches_reference(KF):
+    rng = np.random.default_rng(22)
+    C = random_code(KF, 7, 3, rng)
+    inside = ref_mat_mul(KF, sparse_random(KF, (4, 3), rng), C.gen)
+    assert C.contains_rows(inside)
+    assert C.contains_rows(np.zeros((0, 7), dtype=np.int32))
+    for _ in range(3):
+        v = sparse_random(KF, (1, 7), rng)
+        expect = ref_rref(KF, np.vstack([C.gen, v]))[1] == C.k
+        assert C.contains_rows(v) == expect == C.contains(v[0])
+        assert C.contains_rows(np.vstack([inside, v])) == expect
+    # a unit vector on a non-pivot column has zero pivot entries but is not 0
+    pivots = set(np.argmax(C.gen != 0, axis=1).tolist())
+    e = np.zeros((1, 7), dtype=np.int32)
+    e[0, min(set(range(7)) - pivots)] = 1
+    assert not C.contains_rows(e)
+    assert not C.contains_rows(np.vstack([inside, e]))
+
+
+def test_contains_rows_zero_code(KF):
+    Z = LinearCode.zero(KF, 5)
+    assert Z.contains_rows(np.zeros((3, 5), dtype=np.int32))
+    v = np.zeros((2, 5), dtype=np.int32)
+    v[1, 4] = 1
+    assert not Z.contains_rows(v)
+    assert Z.is_subcode_of(LinearCode.full(KF, 5))
+    with pytest.raises(ValueError):
+        Z.contains_rows(np.zeros((1, 4), dtype=np.int32))

@@ -223,6 +223,39 @@ def test_cli_quantum_params_missing_arguments(capsys):
     assert "--hull-dim" in captured.err
 
 
+def test_cli_quantum_params_refuses_multi_report_output(tmp_path, capsys):
+    rc, out = run_cli(capsys, "verify-all", "--q", "2")
+    assert rc == 0 and set(json.loads(out)) == {"summary", "reports"}
+    path = tmp_path / "sweep.json"
+    path.write_text(out)
+    rc = cli.run(["quantum", "params", "--from", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert '{"report": {...}}' in captured.err
+
+
+def test_cli_internal_fault_exit_3(capsys, monkeypatch):
+    from hermhull.gf import FieldContext
+
+    def broken(self, a, b):
+        raise RuntimeError("kernel invariant violated")
+
+    monkeypatch.setattr(FieldContext, "mul_arr", broken)
+    rc = cli.run(["grs", "construct", "--family", "CON1", "--q", "3"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: kernel invariant violated\n"
+
+
+def test_cli_field_modulus_needs_prime_power(capsys):
+    rc = cli.run(["ag", "grow", "--q", "6", "--field-modulus", "1,1,1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "not a prime power" in captured.err
+
+
 #: sha256 of the stdout of ``verify-all --q Q``; a change that alters report
 #: bodies on purpose updates these and records why
 GOLDEN_VERIFY_ALL = {
