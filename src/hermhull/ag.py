@@ -2,9 +2,11 @@
 
 Divisors live on the projective line: finite places P_beta (one per field
 element) plus the pole place O of 1/x.  Riemann-Roch collapses to a closed
-form (canonical divisor -2*O), which drives explicit bases of L(G),
-evaluation codes, and the residues of the differential dx/h(x) used to
-scale two-point codes so that their Hermitian hulls become MDS codes of
+form (canonical divisor -2*O), which drives explicit bases of L(G) and
+evaluation codes; these stay as the reference the two-point construction
+is tested against.  Two-point codes are built directly as GRS rows plus
+one pole row, scaled by the residues of the differential dx/h(x)
+(computed as log sums) so that their Hermitian hulls become MDS codes of
 controlled dimension.
 """
 
@@ -18,10 +20,11 @@ import numpy as np
 
 from . import polys, quantum
 from .gf import FieldContext, quadratic_field
+from .grs import GrsSpec
 from .linalg_codes import (DEFAULT_BUDGET, LinearCode, conjugate,
                            gram_matrix, mat_mul, matrix_rank, rref)
 from .report import (STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED,
-                     STATUS_STRUCTURAL, ConstructionReport)
+                     ConstructionReport)
 
 
 @dataclass(frozen=True, order=True)
@@ -144,9 +147,6 @@ class RationalFunction:
         return (polys.root_multiplicity(F, self.num, place.beta)
                 - polys.root_multiplicity(F, self.den, place.beta))
 
-    def is_zero(self) -> bool:
-        return not self.num
-
 
 def rr_dim(G: Divisor) -> int:
     """dim L(G) on the genus-0 line: 0 for negative degree, else deg + 1."""
@@ -242,11 +242,21 @@ class DifferentialData:
 
     field: FieldContext
     points: tuple[int, ...]
-    h: tuple
     residues: tuple[int, ...]
     scale: int
     scaled_residues: tuple[int, ...]
     witnesses: tuple[int, ...]  # empty when the residues are not norms
+
+
+def _hprime(F: FieldContext, pts: Sequence[int]) -> np.ndarray:
+    """h'(u_i) = prod_{j != i} (u_i - u_j) for h = prod (x - u), as one
+    log-domain sum per row of the n x n difference matrix; 0 at a repeated
+    point."""
+    u = np.asarray(pts, dtype=np.int32)
+    d = F.add_arr(u[:, None], F.neg_arr(u)[None, :])
+    np.fill_diagonal(d, 1)
+    logs = F.log[d].astype(np.int64).sum(axis=1) % (F.order - 1)
+    return np.where((d == 0).any(axis=1), 0, F.exp[logs])
 
 
 def residues(F: FieldContext, points: Sequence[int],
@@ -263,14 +273,10 @@ def residues(F: FieldContext, points: Sequence[int],
         raise ValueError("need at least two points")
     if len(set(pts)) != len(pts):
         raise ValueError("repeated evaluation point (h' would vanish)")
-    h = polys.from_roots(F, pts)
-    hp = polys.derivative(F, h)
-    rs = []
-    for u in pts:
-        v = polys.evaluate(F, hp, u)
-        if v == 0:
-            raise RuntimeError(f"h' vanishes at the simple root {u}")
-        rs.append(F.inv(v))
+    hp = _hprime(F, pts)
+    if not hp.all():
+        raise RuntimeError("h' vanishes at a simple root")
+    rs = F.inv_arr(hp).tolist()
     total = 0
     for r in rs:
         total = F.add(total, r)
@@ -281,14 +287,14 @@ def residues(F: FieldContext, points: Sequence[int],
         r0 = rs[0]
         fixable = all(F.in_subfield(F.div(r, r0)) for r in rs)
         if not (normalize and fixable):
-            return DifferentialData(F, pts, h, tuple(rs), 1, tuple(rs), ())
+            return DifferentialData(F, pts, tuple(rs), 1, tuple(rs), ())
         inv0 = F.inv(r0)
         cands = [F.mul(inv0, F.from_subfield(s))
                  for s in range(1, F.subfield.order)]
         scale = min(cands, key=F.log_of)
     scaled = tuple(F.mul(scale, r) for r in rs)
     wits = tuple(F.solve_norm(r) for r in scaled)
-    return DifferentialData(F, pts, h, tuple(rs), scale, scaled, wits)
+    return DifferentialData(F, pts, tuple(rs), scale, scaled, wits)
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +302,8 @@ def residues(F: FieldContext, points: Sequence[int],
 # ----------------------------------------------------------------------
 
 def evaluation_set(family: str, q: int, s: Optional[int] = None,
-                   t: Optional[int] = None, n0: Optional[int] = None) -> tuple[int, ...]:
+                   t: Optional[int] = None, n0: Optional[int] = None,
+                   field: Optional[FieldContext] = None) -> tuple[int, ...]:
     """The evaluation sets behind the three two-point families.
 
     COR1: the (s-1)-th roots of unity plus 0 (needs (s-1) | q^2-1, s != q^2).
@@ -305,9 +312,10 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
     COR3: t+1 multiplicative cosets of the n0-th roots of unity whose
           representative powers land in GF(q)^*, plus 0.
     Every returned set is verified: distinct points whose dx/h residues are
-    (up to the canonical constant) in GF(q)^*.
+    (up to the canonical constant) in GF(q)^*.  ``field`` overrides the
+    default GF(q^2) context, as in ``grs.construct_family``.
     """
-    F = quadratic_field(q)
+    F = quadratic_field(q, field)
     N = q * q - 1
     if family == "COR1":
         if s is None or s < 2 or s == q * q or N % (s - 1) != 0:
@@ -396,6 +404,37 @@ class TwoPointResult:
     report: ConstructionReport
 
 
+def _scaled_rows(F: FieldContext, points: Sequence[int], k: int,
+                 p: Optional[int]):
+    """Check the inputs and return (pts, p, diff, rows): the natural basis
+    1, x, ..., x^k, 1/(x-p) of L(kO + P) evaluated on the points and scaled
+    by the norm witnesses a.
+
+    On the genus-0 line C_L(D, kO + P) is GRS_{k+2}(u, 1/(u-p)), so the
+    rows are those of GRS_{k+1}(u, a) over the single pole row a/(u-p);
+    rows[:k+1] span a.C_L(D, kO) and rows[[0, k+1]] span a.C_L(D, P).
+    """
+    if F.subfield is None:
+        raise ValueError("two-point codes need a quadratic extension")
+    pts = tuple(int(u) for u in points)
+    n = len(pts)
+    if not 0 <= k <= (n - 2) // (F.q + 1):
+        raise ValueError(f"need 0 <= k <= (n-2)/(q+1) = {(n - 2) // (F.q + 1)}")
+    diff = residues(F, pts)
+    if not diff.witnesses:
+        raise ValueError("residues are outside GF(q)^* even after constant "
+                         "rescaling; construction hypotheses violated")
+    if p is None:
+        p = default_extra_point(F, pts)
+    if p in pts:
+        raise ValueError("the extra place must avoid the evaluation set")
+    a = np.array(diff.witnesses, dtype=np.int32)
+    u = np.array(pts, dtype=np.int32)
+    pole = F.mul_arr(a, F.inv_arr(F.add_arr(u, F.neg(p))))
+    rows = np.vstack([GrsSpec(F, pts, diff.witnesses, k + 1).generator(), pole])
+    return pts, p, diff, rows
+
+
 def two_point_code(F: FieldContext, points: Sequence[int], k: int,
                    p: Optional[int] = None,
                    distance_budget: int = DEFAULT_BUDGET,
@@ -407,26 +446,8 @@ def two_point_code(F: FieldContext, points: Sequence[int], k: int,
     assumed: either the code is Hermitian self-orthogonal, or its hull has
     dimension k and is checked to be MDS within budget.
     """
-    if F.subfield is None:
-        raise ValueError("two-point codes need a quadratic extension")
-    q = F.q
-    pts = tuple(int(u) for u in points)
-    n = len(pts)
-    if not 0 <= k <= (n - 2) // (q + 1):
-        raise ValueError(f"need 0 <= k <= (n-2)/(q+1) = {(n - 2) // (q + 1)}")
-    diff = residues(F, pts)
-    if not diff.witnesses:
-        raise ValueError("residues are outside GF(q)^* even after constant "
-                         "rescaling; construction hypotheses violated")
-    if p is None:
-        p = default_extra_point(F, pts)
-    if p in pts:
-        raise ValueError("the extra place must avoid the evaluation set")
-    a = np.array(diff.witnesses, dtype=np.int32)
-
-    G2 = Divisor.of((O, k), (finite(p), 1))
-    ev = evaluation_code(F, pts, G2)
-    scaled = F.mul_arr(ev.rows, a[None, :])
+    pts, p, diff, scaled = _scaled_rows(F, points, k, p)
+    q, n = F.q, len(pts)
     code = LinearCode.from_rows(F, scaled, n=n)
 
     rep = ConstructionReport(
@@ -445,8 +466,7 @@ def two_point_code(F: FieldContext, points: Sequence[int], k: int,
               expected=True, measured=self_orth_part)
 
     # branch test: is a . C_L(D, P) inside the Hermitian dual of the code?
-    evP = evaluation_code(F, pts, Divisor.of((finite(p), 1)))
-    rowsP = F.mul_arr(evP.rows, a[None, :])
+    rowsP = scaled[[0, k + 1]]
     in_dual = not mat_mul(F, code.gen, conjugate(F, rowsP).T).any()
     branch = 1 if in_dual else 2
 
@@ -495,6 +515,19 @@ def two_point_code(F: FieldContext, points: Sequence[int], k: int,
                           branch, hull, rep)
 
 
+def two_point_family(family: str, F: FieldContext, k: int,
+                     p: Optional[int] = None,
+                     distance_budget: int = DEFAULT_BUDGET,
+                     **params) -> TwoPointResult:
+    """``two_point_code`` on the ``family`` evaluation set with parameters
+    ``params`` (s, t, n0), its report labelled with the family and them."""
+    U = evaluation_set(family, F.q, field=F, **params)
+    res = two_point_code(F, U, k, p=p, distance_budget=distance_budget)
+    res.report.construction["family"] = family
+    res.report.construction["parameters"] |= params
+    return res
+
+
 def extended_two_point(F: FieldContext, points: Sequence[int], k: int,
                        p: Optional[int] = None,
                        distance_budget: int = DEFAULT_BUDGET,
@@ -509,25 +542,10 @@ def extended_two_point(F: FieldContext, points: Sequence[int], k: int,
     admissible input; pass ``require_base=False`` to build and measure
     the extended two-point code anyway.
     """
-    if F.subfield is None:
-        raise ValueError("two-point codes need a quadratic extension")
-    q = F.q
-    pts = tuple(int(u) for u in points)
-    n = len(pts)
-    if not 0 <= k <= (n - 2) // (q + 1):
-        raise ValueError(f"need 0 <= k <= (n-2)/(q+1) = {(n - 2) // (q + 1)}")
-    diff = residues(F, pts)
-    if not diff.witnesses:
-        raise ValueError("residues are outside GF(q)^* even after constant "
-                         "rescaling; construction hypotheses violated")
-    if p is None:
-        p = default_extra_point(F, pts)
-    if p in pts:
-        raise ValueError("the extra place must avoid the evaluation set")
-    a = np.array(diff.witnesses, dtype=np.int32)
+    pts, p, diff, scaled = _scaled_rows(F, points, k, p)
+    q, n = F.q, len(pts)
 
-    ev0 = evaluation_code(F, pts, Divisor.one_point(k))
-    base = LinearCode.from_rows(F, F.mul_arr(ev0.rows, a[None, :]), n=n)
+    base = LinearCode.from_rows(F, scaled[:k + 1], n=n)
     ext_base = base.extend_sum_zero()
     problems = []
     if (ext_base.n, ext_base.k) != (n + 1, k + 1):
@@ -541,9 +559,6 @@ def extended_two_point(F: FieldContext, points: Sequence[int], k: int,
         raise ValueError("base extended code fails its precondition: "
                          + "; ".join(problems))
 
-    G2 = Divisor.of((O, k), (finite(p), 1))
-    ev = evaluation_code(F, pts, G2)
-    scaled = F.mul_arr(ev.rows, a[None, :])
     code = LinearCode.from_rows(F, scaled, n=n).extend_sum_zero()
 
     rep = ConstructionReport(
@@ -557,9 +572,7 @@ def extended_two_point(F: FieldContext, points: Sequence[int], k: int,
     rep.check_eq("code_length", n + 1, code.n)
     rep.check_eq("code_dimension", k + 2, code.k)
 
-    evP = evaluation_code(F, pts, Divisor.of((finite(p), 1)))
-    extP = LinearCode.from_rows(F, F.mul_arr(evP.rows, a[None, :]),
-                                n=n).extend_sum_zero()
+    extP = LinearCode.from_rows(F, scaled[[0, k + 1]], n=n).extend_sum_zero()
     in_dual = not mat_mul(F, code.gen, conjugate(F, extP.gen).T).any()
     branch = 1 if in_dual else 2
 
@@ -668,9 +681,7 @@ class GrowthResult:
 
 
 def _derivative_norm_condition(F: FieldContext, pts: Sequence[int]) -> bool:
-    h = polys.from_roots(F, pts)
-    hp = polys.derivative(F, h)
-    return all(F.is_norm(polys.evaluate(F, hp, u)) for u in pts)
+    return all(F.is_norm(int(v)) for v in _hprime(F, pts))
 
 
 def extend_evaluation_set(F: FieldContext, points: Sequence[int],

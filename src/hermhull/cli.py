@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from . import ag, cyclic, grs, quantum
@@ -39,13 +37,6 @@ def _to_markdown(payload) -> str:
     return "```\n" + json.dumps(payload, sort_keys=True, indent=2) + "\n```"
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HERMHULL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _parse_modulus(text: Optional[str]):
     if text is None:
         return None
@@ -60,9 +51,34 @@ def _field_for(q: int, modulus_text: Optional[str]):
     return make_field(p, 2 * e, mod)
 
 
+def _set_logs(F, points) -> list:
+    """Sorted discrete logs of a point set, "zero" last if 0 is in it."""
+    return sorted(F.log_of(u) for u in points if u) + \
+        (["zero"] if 0 in points else [])
+
+
 def _emit_report(rep: ConstructionReport, args) -> int:
     print(rep.to_json(include_timings=getattr(args, "timings", False)))
     return 1 if rep.verdict == "FAIL" else 0
+
+
+def _emit_reports(reports, args) -> int:
+    """Print many reports under a verdict summary; 1 if any is FAIL."""
+    bodies = [r.to_canonical_dict() for r in reports]
+    summary = {
+        "q": args.q,
+        "total": len(bodies),
+        "pass": sum(b["verdict"] == "PASS" for b in bodies),
+        "partial": sum(b["verdict"] == "PARTIAL" for b in bodies),
+        "fail": sum(b["verdict"] == "FAIL" for b in bodies),
+    }
+    print(_dump({"summary": summary, "reports": bodies}, args.format))
+    return 1 if summary["fail"] else 0
+
+
+def _grs_reports(args, families=grs.FAMILIES) -> list[ConstructionReport]:
+    return [rep for _, rep in grs.sweep(args.q, families, budget=args.budget,
+                                        distance_budget=args.distance_budget)]
 
 
 # ----------------------------------------------------------------------
@@ -98,32 +114,7 @@ def cmd_grs_construct(args) -> int:
 
 def cmd_grs_sweep(args) -> int:
     families = args.families.split(",") if args.families else grs.FAMILIES
-    jobs = [(family, params)
-            for family in families
-            for params in grs.family_parameter_grid(family, args.q)]
-
-    def run(job):
-        family, params = job
-        code, claim = grs.construct_family(family, args.q, **params)
-        return claim, grs.verify_claim(code, claim, budget=args.budget,
-                                       distance_budget=args.distance_budget)
-
-    nthreads = _threads()
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-    bodies = [r.to_canonical_dict() for _, r in results]
-    summary = {
-        "q": args.q,
-        "total": len(bodies),
-        "pass": sum(b["verdict"] == "PASS" for b in bodies),
-        "partial": sum(b["verdict"] == "PARTIAL" for b in bodies),
-        "fail": sum(b["verdict"] == "FAIL" for b in bodies),
-    }
-    print(_dump({"summary": summary, "reports": bodies}, args.format))
-    return 1 if summary["fail"] else 0
+    return _emit_reports(_grs_reports(args, families), args)
 
 
 def cmd_cyclic_dkl(args) -> int:
@@ -150,15 +141,12 @@ def cmd_ag_build(args) -> int:
     else:
         fam_kwargs["n0"] = args.n0
         fam_kwargs["t"] = args.t
-    U = ag.evaluation_set(args.family, args.q, **fam_kwargs)
     p = F.alpha_pow(args.p_log) if args.p_log is not None else None
-    res = ag.two_point_code(F, U, args.k, p=p,
-                            distance_budget=args.distance_budget)
+    res = ag.two_point_family(args.family, F, args.k, p=p,
+                              distance_budget=args.distance_budget,
+                              **fam_kwargs)
     rep = res.report
-    rep.construction["family"] = args.family
-    rep.construction["parameters"] |= fam_kwargs
-    rep.construction["evaluation_set"] = sorted(
-        F.log_of(u) for u in U if u) + (["zero"] if 0 in U else [])
+    rep.construction["evaluation_set"] = _set_logs(F, res.points)
     if args.include_code:
         rep.code = rep.code | {"detail": code_to_json(res.code)}
     return _emit_report(rep, args)
@@ -176,8 +164,7 @@ def cmd_ag_grow(args) -> int:
             "pair_logs": [F.log_of(b) for b in step.pair],
             "conjugate": step.conjugate,
             "size": len(step.points),
-            "set_logs": sorted(F.log_of(u) for u in step.points if u)
-                        + (["zero"] if 0 in step.points else []),
+            "set_logs": _set_logs(F, step.points),
         } for step in res.steps],
     }
     print(_dump(payload, args.format))
@@ -243,32 +230,15 @@ def cmd_quantum_tables(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    bodies = []
-    for family in grs.FAMILIES:
-        for params in grs.family_parameter_grid(family, args.q):
-            code, claim = grs.construct_family(family, args.q, **params)
-            rep = grs.verify_claim(code, claim, budget=args.budget,
-                                   distance_budget=args.distance_budget)
-            bodies.append(rep.to_canonical_dict())
+    reports = _grs_reports(args)
     F = quadratic_field(args.q)
     for family in ("COR1", "COR2", "COR3"):
         for params in ag.family_parameter_grid(family, args.q):
             kwargs = {k: v for k, v in params.items() if k in ("s", "t", "n0")}
-            U = ag.evaluation_set(family, args.q, **kwargs)
-            res = ag.two_point_code(F, U, params["k"],
-                                    distance_budget=args.distance_budget)
-            res.report.construction["family"] = family
-            res.report.construction["parameters"] |= kwargs
-            bodies.append(res.report.to_canonical_dict())
-    summary = {
-        "q": args.q,
-        "total": len(bodies),
-        "pass": sum(b["verdict"] == "PASS" for b in bodies),
-        "partial": sum(b["verdict"] == "PARTIAL" for b in bodies),
-        "fail": sum(b["verdict"] == "FAIL" for b in bodies),
-    }
-    print(_dump({"summary": summary, "reports": bodies}, args.format))
-    return 1 if summary["fail"] else 0
+            reports.append(ag.two_point_family(
+                family, F, params["k"], distance_budget=args.distance_budget,
+                **kwargs).report)
+    return _emit_reports(reports, args)
 
 
 # ----------------------------------------------------------------------

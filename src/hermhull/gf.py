@@ -589,7 +589,16 @@ def make_field(p: int, m: int, modulus: Optional[Iterable[int]] = None) -> Field
     return ctx
 
 
-def quadratic_field(q: int) -> FieldContext:
-    """GF(q^2) with its canonical GF(q) subfield, for a prime power q."""
+def quadratic_field(q: int, field: Optional[FieldContext] = None) -> FieldContext:
+    """GF(q^2) with its canonical GF(q) subfield, for a prime power q.
+
+    A given ``field`` overrides the default context; it must still be a
+    quadratic extension with q^2 elements.
+    """
+    if field is not None:
+        if field.order != q * q or field.subfield is None:
+            raise ValueError(f"field override must be a quadratic extension "
+                             f"with {q * q} elements")
+        return field
     p, e = prime_power(q)
     return make_field(p, 2 * e)

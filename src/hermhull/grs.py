@@ -92,10 +92,6 @@ class GrsSpec:
                 "b": vector_to_logs(F, self.b), "a": vector_to_logs(F, self.a)}
 
 
-def grs_code(spec: GrsSpec) -> LinearCode:
-    return spec.code()
-
-
 def natural_gram(spec: GrsSpec) -> np.ndarray:
     return gram_matrix(spec.field, spec.generator())
 
@@ -298,10 +294,7 @@ def construct_family(family: str, q: int, field: Optional[FieldContext] = None,
     quadratic extension of the right size).
     """
     info = claim_arithmetic(family, q, **params)
-    F2 = field if field is not None else quadratic_field(q)
-    if F2.order != q * q or F2.subfield is None:
-        raise ValueError(f"field override must be a quadratic extension "
-                         f"with {q * q} elements")
+    F2 = quadratic_field(q, field)
     k, n = info["k"], info["n"]
     neg1 = F2.neg(1)
 

@@ -8,8 +8,10 @@ discrete-log exponents with -1 for the zero element.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -24,10 +26,6 @@ STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_STRUCTURAL = "structural"
 STATUS_SKIPPED = "skipped"
-
-
-def elem_to_log(F: FieldContext, x: int) -> int:
-    return F.log_of(x)
 
 
 def vector_to_logs(F: FieldContext, v) -> list[int]:
@@ -137,52 +135,10 @@ class ConstructionReport:
                           separators=(",", ": ") if indent else (",", ":"))
 
 
-_CHECK_SCHEMA = {
-    "type": "object",
-    "required": ["name", "status"],
-    "properties": {
-        "name": {"type": "string"},
-        "status": {"enum": [STATUS_PASS, STATUS_FAIL, STATUS_STRUCTURAL,
-                            STATUS_SKIPPED]},
-        "expected": {},
-        "measured": {},
-        "note": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": "hermhull-report/1",
-    "type": "object",
-    "required": ["report"],
-    "properties": {
-        "report": {
-            "type": "object",
-            "required": ["schema", "construction", "field", "code", "hull",
-                         "checks", "quantum", "verdict"],
-            "properties": {
-                "schema": {"const": "hermhull-report/1"},
-                "construction": {"type": "object"},
-                "field": {
-                    "type": "object",
-                    "required": ["p", "m", "modulus"],
-                    "properties": {
-                        "p": {"type": "integer"},
-                        "m": {"type": "integer"},
-                        "modulus": {"type": "array", "items": {"type": "integer"}},
-                    },
-                },
-                "code": {"type": "object"},
-                "hull": {"type": "object"},
-                "checks": {"type": "array", "items": _CHECK_SCHEMA},
-                "quantum": {"type": "array", "items": {"type": "object"}},
-                "verdict": {"enum": [PASS, FAIL, PARTIAL]},
-                "first_failure": {"type": "string"},
-            },
-            "additionalProperties": False,
-        },
-        "timings": {"type": "object"},
-    },
-    "additionalProperties": False,
-}
+@functools.cache
+def report_schema() -> dict:
+    """The JSON Schema of a ``{"report": ..., "timings": ...}`` payload, as
+    shipped in ``report_schema.json``; read on first use and shared by
+    every caller, so treat it as read-only."""
+    path = Path(__file__).with_name("report_schema.json")
+    return json.loads(path.read_text(encoding="utf-8"))

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -314,3 +317,130 @@ def test_family_parameter_grid_cor(F25):
     assert {"t": 4, "n": 20, "k": 3} in grid2
     grid3 = ag.family_parameter_grid("COR3", 5)
     assert {"n0": 6, "t": 1, "n": 13, "k": 1} in grid3
+
+
+# ----------------------------------------------------------------------
+# two-point rows from GRS rows, residues from log sums
+# ----------------------------------------------------------------------
+
+def _cor_sets(q):
+    """The distinct evaluation sets of ``family_parameter_grid`` at q, each
+    with the largest k of its grid entries."""
+    out = {}
+    for family in ("COR1", "COR2", "COR3"):
+        for params in ag.family_parameter_grid(family, q):
+            kw = tuple((n, params[n]) for n in ("s", "t", "n0") if n in params)
+            key = (family, kw)
+            out[key] = max(out.get(key, 0), params["k"])
+    return [(family, dict(kw), k) for (family, kw), k in out.items()]
+
+
+def _translate_off_zero(F, U):
+    # residues depend only on differences, so U + c keeps them; c is chosen
+    # so that 0 = u + c has no solution in U
+    c = F.neg(default_extra_point(F, U))
+    return tuple(F.add(u, c) for u in U)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_scaled_rows_are_scaled_evaluation_rows(q):
+    F = quadratic_field(q)
+    cases = 0
+    for family, kw, kmax in _cor_sets(q):
+        U = evaluation_set(family, q, **kw)
+        shifted = _translate_off_zero(F, U)
+        assert 0 in U and 0 not in shifted
+        for pts in (U, shifted):
+            last_free = max(set(range(F.order)) - set(pts))
+            for k in range(kmax + 1):
+                for p in (None, last_free):
+                    got_pts, got_p, diff, rows = ag._scaled_rows(F, pts, k, p)
+                    assert got_pts == pts
+                    assert got_p == (default_extra_point(F, pts)
+                                     if p is None else p)
+                    a = np.array(diff.witnesses, dtype=np.int32)[None, :]
+                    G = Divisor.of((O, k), (finite(got_p), 1))
+                    ref = F.mul_arr(evaluation_code(F, pts, G).rows, a)
+                    assert rows.dtype == ref.dtype
+                    assert np.array_equal(rows, ref)
+                    one = evaluation_code(F, pts, Divisor.one_point(k)).rows
+                    assert np.array_equal(rows[:k + 1], F.mul_arr(one, a))
+                    refP = evaluation_code(F, pts,
+                                           Divisor.of((finite(got_p), 1))).rows
+                    assert np.array_equal(rows[[0, k + 1]], F.mul_arr(refP, a))
+                    cases += 1
+    assert cases >= 8
+
+
+def _hprime_by_polys(F, pts):
+    hp = polys.derivative(F, polys.from_roots(F, pts))
+    return [polys.evaluate(F, hp, u) for u in pts]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_residues_match_polynomial_derivative(q):
+    F = quadratic_field(q)
+    sets = [evaluation_set(family, q, **kw) for family, kw, _ in _cor_sets(q)]
+    assert sets
+    for U in sets + [_translate_off_zero(F, U) for U in sets]:
+        hp = _hprime_by_polys(F, U)
+        assert ag._hprime(F, U).tolist() == hp
+        assert ag._derivative_norm_condition(F, U) == \
+            all(F.is_norm(v) for v in hp)
+        raw = residues(F, U, normalize=False)
+        assert raw.residues == tuple(F.inv(v) for v in hp)
+        dd = residues(F, U)
+        assert dd.witnesses
+        assert dd.scaled_residues == tuple(F.mul(dd.scale, r)
+                                           for r in raw.residues)
+        assert all(F.pow(a, q + 1) == r
+                   for a, r in zip(dd.witnesses, dd.scaled_residues))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_hprime_random_multisets(q):
+    # repeated points give h' = 0 exactly where the polynomial has a
+    # multiple root
+    F = quadratic_field(q)
+    rng = np.random.default_rng(q)
+    for _ in range(30):
+        size = int(rng.integers(2, min(F.order, 12) + 1))
+        pts = [int(x) for x in rng.integers(0, F.order, size=size)]
+        assert ag._hprime(F, pts).tolist() == _hprime_by_polys(F, pts)
+
+
+#: sha256 of the canonical report body of ``extended_two_point(...,
+#: require_base=False)`` on the family set, as built by the evaluation-code
+#: rows before they came from GRS rows
+GOLDEN_EXTENDED = [
+    ("COR1", 3, {"s": 5}, 0,
+     "ea796decb01ca653c7be95c447c25483de59a0977dd8fc8d1c8d440766091d97"),
+    ("COR1", 4, {"s": 6}, 0,
+     "71be6dd7851c381c76810dd1a918ef4419a17a385ecec7a19b5c03788bf216b5"),
+    ("COR1", 5, {"s": 13}, 0,
+     "d14d9bd9569c33eb5c23e3be72003534f404e307f9597dd7069fa698e3cae67c"),
+    ("COR1", 5, {"s": 13}, 1,
+     "933793a9e5c5870704050c59843abc1fb914c3b250cfa2a5d91bb1a39a4f5341"),
+    ("COR1", 8, {"s": 22}, 1,
+     "a247e98eb80066a7844e5d9af2219082fd5d9774dda801eb5425ef2b7fa20cb4"),
+    ("COR2", 3, {"t": 2}, 1,
+     "82eb6683767be1627d6aae798ec9b88822fbeed1c6833ac4a9c7a060405bbcc4"),
+    ("COR2", 4, {"t": 3}, 2,
+     "ad7fad2f939112fb6787eed641696da8164883997b97738f0f97ed86bb574925"),
+    ("COR2", 7, {"t": 4}, 3,
+     "1b761daecd51e51fb25090b295b49c29103eae57ab8b2eedb67b2c22c1d2b89b"),
+    ("COR3", 5, {"n0": 6, "t": 1}, 1,
+     "521dd478c475c04dfed832aa6e64f7439c390b22a8e6e375b7dd8711ac947de2"),
+]
+
+
+@pytest.mark.parametrize("family, q, params, k, digest", GOLDEN_EXTENDED)
+def test_extended_two_point_reports_pinned(family, q, params, k, digest):
+    F = quadratic_field(q)
+    res = extended_two_point(F, evaluation_set(family, q, **params), k,
+                             require_base=False)
+    body = res.report.to_canonical_dict()
+    assert body["verdict"] == "FAIL"
+    assert body["first_failure"] == "base_extension_self_orthogonal"
+    assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() \
+        == digest

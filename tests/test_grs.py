@@ -7,7 +7,7 @@ from hermhull import cyclic, grs
 from hermhull.cyclic import EqtrParams, eqtr_codeword
 from hermhull.gf import quadratic_field
 from hermhull.grs import (GrsSpec, claim_arithmetic, construct_family,
-                          family_parameter_grid, grs_code, natural_gram,
+                          family_parameter_grid, natural_gram,
                           puncture_from_p_codeword, verify_claim)
 from hermhull.linalg_codes import LinearCode, conjugate, mat_mul, matrix_rank
 
@@ -25,11 +25,11 @@ def test_grs_spec_validation(F9):
 
 def test_grs_code_edges(F9):
     b = tuple(grs_b_full(F9)[:5])
-    full = grs_code(GrsSpec(F9, b, (1,) * 5, 5))
+    full = GrsSpec(F9, b, (1,) * 5, 5).code()
     assert full == LinearCode.full(F9, 5)
-    rep = grs_code(GrsSpec(F9, b, (1,) * 5, 1))
+    rep = GrsSpec(F9, b, (1,) * 5, 1).code()
     assert rep.min_distance() == 5
-    C = grs_code(GrsSpec(F9, tuple(grs_b_full(F9)), (1,) * 9, 2))
+    C = GrsSpec(F9, tuple(grs_b_full(F9)), (1,) * 9, 2).code()
     assert C.cached_distance() == 8
 
 

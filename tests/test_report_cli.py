@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 
 import numpy as np
 import pytest
@@ -9,8 +8,8 @@ import jsonschema
 
 from hermhull import cli, report
 from hermhull.grs import construct_family, verify_claim
-from hermhull.report import (REPORT_SCHEMA, ConstructionReport, code_to_json,
-                             logs_to_vector, vector_to_logs)
+from hermhull.report import (ConstructionReport, code_to_json,
+                             logs_to_vector, report_schema, vector_to_logs)
 
 
 def make_report():
@@ -41,7 +40,7 @@ def test_canonical_json_deterministic():
 
 def test_report_validates_against_schema():
     payload = json.loads(make_report().to_json())
-    jsonschema.validate(payload, REPORT_SCHEMA)
+    jsonschema.validate(payload, report_schema())
 
 
 def test_two_point_report_validates_against_schema():
@@ -51,16 +50,7 @@ def test_two_point_report_validates_against_schema():
     U = ag.evaluation_set("COR1", 5, s=13)
     res = ag.two_point_code(F, U, 1)
     payload = json.loads(res.report.to_json(include_timings=True))
-    jsonschema.validate(payload, REPORT_SCHEMA)
-
-
-def test_schema_file_in_sync():
-    import hermhull
-    path = os.path.join(os.path.dirname(hermhull.__file__),
-                        "report_schema.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        on_disk = json.load(fh)
-    assert on_disk == REPORT_SCHEMA
+    jsonschema.validate(payload, report_schema())
 
 
 def test_log_serialization_round_trip(F9):
@@ -158,6 +148,42 @@ def test_cli_ag_build(capsys):
     assert body["code"]["n"] == 10
 
 
+def _cor_logs(F, U):
+    return sorted(F.log_of(u) for u in U if u) + (["zero"] if 0 in U else [])
+
+
+@pytest.mark.parametrize("q, modulus, family, params", [
+    (3, "2,1,1", "COR1", {"s": 5}),
+    (3, "2,1,1", "COR2", {"t": 2}),
+    (4, "1,0,0,1,1", "COR2", {"t": 2}),
+    (4, "1,0,0,1,1", "COR1", {"s": 6}),
+])
+def test_cli_ag_build_field_modulus(capsys, q, modulus, family, params):
+    # the evaluation set is built in the requested field, not in the
+    # default Conway field and then reread in the requested one
+    from hermhull import ag
+    from hermhull.gf import make_field, prime_power
+    p, e = prime_power(q)
+    F = make_field(p, 2 * e, [int(c) for c in modulus.split(",")])
+    argv = ["ag", "build", "--family", family, "--q", str(q), "--k", "0",
+            "--field-modulus", modulus]
+    for name, value in params.items():
+        argv += [f"--{name}", str(value)]
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    body = json.loads(out)["report"]
+    assert body["verdict"] == "PASS"
+    assert body["field"]["modulus"] == [int(c) for c in modulus.split(",")]
+    U = ag.evaluation_set(family, q, field=F, **params)
+    assert body["construction"]["evaluation_set"] == _cor_logs(F, U)
+    if family == "COR1":   # (s-1)-th roots of unity in F, plus 0
+        assert all(F.pow(u, params["s"] - 1) == 1 for u in U if u)
+    else:                  # {c*alpha + v : c < t, v in GF(q)} in F
+        assert set(U) == {F.add(F.mul(F.from_subfield(c), F.alpha),
+                                F.from_subfield(v))
+                          for c in range(params["t"]) for v in range(q)}
+
+
 def test_cli_ag_grow(capsys):
     rc, out = run_cli(capsys, "ag", "grow", "--q", "5", "--steps", "2")
     assert rc == 0
@@ -190,15 +216,6 @@ def test_cli_quantum_tables_csv(capsys):
     rc, out = run_cli(capsys, "quantum", "tables", "--q", "7", "--format", "csv")
     assert rc == 0
     assert "table3_new,49,25,15,4,7" in out
-
-
-def test_cli_threads_deterministic(capsys, monkeypatch):
-    rc1, out1 = run_cli(capsys, "grs", "sweep", "--q", "3",
-                        "--distance-budget", "10000")
-    monkeypatch.setenv("HERMHULL_THREADS", "4")
-    rc2, out2 = run_cli(capsys, "grs", "sweep", "--q", "3",
-                        "--distance-budget", "10000")
-    assert rc1 == rc2 == 0 and out1 == out2
 
 
 def test_cli_quantum_params_refuses_failed_report(tmp_path, capsys):
@@ -263,6 +280,8 @@ GOLDEN_VERIFY_ALL = {
     4: "ee3dfb5a645cf00990ef1111cb9b6bfa3538ec505957e1d6c59330ec0bec71ea",
     5: "fd9a11f446cb192b0eb2a46332a4e9887b14e92a342485a256f3d5755a5d9dd7",
     7: "94d9e41fe451053614a84ce729ae82d263b5b2e6059071872da66a3c9d84d0a1",
+    8: "f3e24b023c815c3f2c59d2bfe5d12f080d4d500e7f007ba5c46bb6f3dab9b89f",
+    9: "296590df993ab0cc9eb0500bd7cf963934a5a9130331bcd16de22ebecfae1ec4",
 }
 
 
