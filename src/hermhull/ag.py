@@ -293,7 +293,7 @@ def residues(F: FieldContext, points: Sequence[int],
                  for s in range(1, F.subfield.order)]
         scale = min(cands, key=F.log_of)
     scaled = tuple(F.mul(scale, r) for r in rs)
-    wits = tuple(F.solve_norm(r) for r in scaled)
+    wits = tuple(F.solve_norm_arr(np.array(scaled)).tolist())
     return DifferentialData(F, pts, tuple(rs), scale, scaled, wits)
 
 
@@ -303,7 +303,8 @@ def residues(F: FieldContext, points: Sequence[int],
 
 def evaluation_set(family: str, q: int, s: Optional[int] = None,
                    t: Optional[int] = None, n0: Optional[int] = None,
-                   field: Optional[FieldContext] = None) -> tuple[int, ...]:
+                   field: Optional[FieldContext] = None,
+                   with_residues: bool = False):
     """The evaluation sets behind the three two-point families.
 
     COR1: the (s-1)-th roots of unity plus 0 (needs (s-1) | q^2-1, s != q^2).
@@ -313,7 +314,9 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
           representative powers land in GF(q)^*, plus 0.
     Every returned set is verified: distinct points whose dx/h residues are
     (up to the canonical constant) in GF(q)^*.  ``field`` overrides the
-    default GF(q^2) context, as in ``grs.construct_family``.
+    default GF(q^2) context, as in ``grs.construct_family``.  Returns the
+    points, or with ``with_residues`` the pair (points, DifferentialData)
+    so that ``two_point_code`` need not compute the residues again.
     """
     F = quadratic_field(q, field)
     N = q * q - 1
@@ -346,9 +349,10 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
         raise ValueError(f"unknown family {family!r}")
     if len(set(pts)) != len(pts):
         raise ValueError("internal: generated points collide")
-    if not residues(F, pts).witnesses:
+    diff = residues(F, pts)
+    if not diff.witnesses:
         raise ValueError("residue condition failed on the generated set")
-    return tuple(pts)
+    return (diff.points, diff) if with_residues else diff.points
 
 
 def family_parameter_grid(family: str, q: int) -> list[dict]:
@@ -405,10 +409,11 @@ class TwoPointResult:
 
 
 def _scaled_rows(F: FieldContext, points: Sequence[int], k: int,
-                 p: Optional[int]):
+                 p: Optional[int], diff: Optional[DifferentialData] = None):
     """Check the inputs and return (pts, p, diff, rows): the natural basis
     1, x, ..., x^k, 1/(x-p) of L(kO + P) evaluated on the points and scaled
-    by the norm witnesses a.
+    by the norm witnesses a.  A given ``diff`` must hold the residues of
+    exactly these points; otherwise they are computed here.
 
     On the genus-0 line C_L(D, kO + P) is GRS_{k+2}(u, 1/(u-p)), so the
     rows are those of GRS_{k+1}(u, a) over the single pole row a/(u-p);
@@ -420,7 +425,10 @@ def _scaled_rows(F: FieldContext, points: Sequence[int], k: int,
     n = len(pts)
     if not 0 <= k <= (n - 2) // (F.q + 1):
         raise ValueError(f"need 0 <= k <= (n-2)/(q+1) = {(n - 2) // (F.q + 1)}")
-    diff = residues(F, pts)
+    if diff is None:
+        diff = residues(F, pts)
+    elif diff.field is not F or diff.points != pts:
+        raise ValueError("residue data belongs to another evaluation set")
     if not diff.witnesses:
         raise ValueError("residues are outside GF(q)^* even after constant "
                          "rescaling; construction hypotheses violated")
@@ -438,15 +446,17 @@ def _scaled_rows(F: FieldContext, points: Sequence[int], k: int,
 def two_point_code(F: FieldContext, points: Sequence[int], k: int,
                    p: Optional[int] = None,
                    distance_budget: int = DEFAULT_BUDGET,
-                   hull_distance_budget: int = 10 ** 6) -> TwoPointResult:
+                   hull_distance_budget: int = 10 ** 6,
+                   diff: Optional[DifferentialData] = None) -> TwoPointResult:
     """Scaled evaluation code on G = kO + P with an MDS Hermitian hull.
 
     The scaling solves a_i^(q+1) = Res_i(dx/h) (after the canonical
     constant rescale when needed).  The two branches are detected, never
     assumed: either the code is Hermitian self-orthogonal, or its hull has
-    dimension k and is checked to be MDS within budget.
+    dimension k and is checked to be MDS within budget.  ``diff`` passes
+    on residues already computed for these points (``evaluation_set``).
     """
-    pts, p, diff, scaled = _scaled_rows(F, points, k, p)
+    pts, p, diff, scaled = _scaled_rows(F, points, k, p, diff)
     q, n = F.q, len(pts)
     code = LinearCode.from_rows(F, scaled, n=n)
 
@@ -521,8 +531,9 @@ def two_point_family(family: str, F: FieldContext, k: int,
                      **params) -> TwoPointResult:
     """``two_point_code`` on the ``family`` evaluation set with parameters
     ``params`` (s, t, n0), its report labelled with the family and them."""
-    U = evaluation_set(family, F.q, field=F, **params)
-    res = two_point_code(F, U, k, p=p, distance_budget=distance_budget)
+    U, diff = evaluation_set(family, F.q, field=F, with_residues=True, **params)
+    res = two_point_code(F, U, k, p=p, distance_budget=distance_budget,
+                         diff=diff)
     res.report.construction["family"] = family
     res.report.construction["parameters"] |= params
     return res

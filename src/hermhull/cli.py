@@ -181,14 +181,23 @@ def cmd_quantum_params(args) -> int:
                              'construct" or "ag build"; sweep and verify-all '
                              "output holds many reports")
         body = payload["report"]
-        if body["verdict"] == "FAIL":
-            raise ValueError(f"{args.from_report}: report verdict is FAIL "
-                             f"(first failure: {body.get('first_failure')}); "
-                             "no parameters are derived from a refuted code")
-        q = body["field"]["p"] ** (body["field"]["m"] // 2)
-        n = body["code"]["n"]
-        k = body["code"]["k"]
-        hull = body["hull"].get("dim_gram", body["hull"].get("dim_measured"))
+        try:
+            if body["verdict"] == "FAIL":
+                raise ValueError(
+                    f"{args.from_report}: report verdict is FAIL (first "
+                    f"failure: {body.get('first_failure')}); no parameters "
+                    "are derived from a refuted code")
+            q = body["field"]["p"] ** (body["field"]["m"] // 2)
+            n = body["code"]["n"]
+            k = body["code"]["k"]
+            h = body["hull"]
+            hull = h["dim_gram"] if "dim_gram" in h else h["dim_measured"]
+        except KeyError as exc:
+            raise ValueError(f"{args.from_report}: report lacks the key "
+                             f"{exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"{args.from_report}: malformed report "
+                             f"({exc})") from None
     else:
         if None in (args.n, args.k, args.hull_dim, args.q):
             raise ValueError("quantum params needs --q, --n, --k and "

@@ -487,21 +487,28 @@ class FieldContext:
         return x != 0 and int(self._powq_t[x]) == x
 
     def solve_norm(self, x: int) -> int:
-        """The canonical a with a^(q+1) = x, for x in GF(q)^*.
+        """The canonical a with a^(q+1) = x, for x in GF(q)^*; see
+        :meth:`solve_norm_arr`."""
+        return int(self.solve_norm_arr(np.array([x]))[0])
+
+    def solve_norm_arr(self, x: np.ndarray) -> np.ndarray:
+        """Entry-wise canonical a with a^(q+1) = x, for x in GF(q)^*.
 
         Deterministic choice: a = alpha^j with j the smallest nonnegative
         solution of (q+1) j = log(x)  (mod q^2 - 1).
         """
         self._require_quadratic()
-        if not self.is_norm(x):
+        x = np.asarray(x)
+        if x.size and (x.min() < 0 or x.max() >= self.order
+                       or (x == 0).any() or (self._powq_t[x] != x).any()):
             raise ValueError("norm equation a^(q+1) = x needs x in GF(q)^*")
         q = self.q
-        j = (int(self.log[x]) // (q + 1)) % (q - 1) if q > 1 else 0
-        a = self.alpha_pow(j)
-        if self.pow(a, q + 1) != x:
-            raise RuntimeError(
-                f"norm solution {a} does not satisfy a^(q+1) = {x}")
-        return a
+        j = (self.log[x] // (q + 1)) % (q - 1)
+        bad = self.exp[(j * (q + 1)) % (self.order - 1)] != x
+        if bad.any():
+            raise RuntimeError(f"norm solution {self.exp[j][bad][0]} does not "
+                               f"satisfy a^(q+1) = {x[bad][0]}")
+        return self.exp[j]
 
     def to_subfield(self, x: int) -> int:
         """Rewrite a subfield-valued element in the subfield's own context."""

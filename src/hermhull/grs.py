@@ -56,8 +56,12 @@ class GrsSpec:
             raise ValueError("b and a must have equal length")
         if len(set(self.b)) != len(self.b):
             raise ValueError("evaluation points must be distinct")
-        if any(x == 0 for x in self.a):
+        if 0 in self.a:
             raise ValueError("scaling entries must be nonzero")
+        entries = self.b + self.a
+        if entries and not 0 <= min(entries) <= max(entries) < self.field.order:
+            raise ValueError(f"entries must be field elements in "
+                             f"[0, {self.field.order})")
         if not 0 <= self.k <= len(self.b):
             raise ValueError("dimension out of range")
 
@@ -66,15 +70,19 @@ class GrsSpec:
         return len(self.b)
 
     def generator(self) -> np.ndarray:
-        """The natural k x n generator: row i is (a_j b_j^i)_j, with 0^0 = 1."""
+        """The natural k x n generator: row i is (a_j b_j^i)_j, with 0^0 = 1.
+
+        One log-domain power table: entry (i, j) is zexp[i log b_j mod
+        (order - 1) + log a_j], and 0^i for i >= 1 points into the zero
+        tail of ``zexp``.
+        """
         F = self.field
-        G = np.zeros((self.k, self.n), dtype=np.int32)
-        if self.k == 0:
-            return G
-        G[0] = self.a
-        for i in range(1, self.k):
-            G[i] = F.mul_arr(G[i - 1], np.array(self.b, dtype=np.int32))
-        return G
+        n1 = F.order - 1
+        lb = F.log[np.asarray(self.b, dtype=np.int64)]
+        i = np.arange(self.k, dtype=np.int64)[:, None]
+        e = (i * lb) % n1 + F.log[np.asarray(self.a, dtype=np.int64)]
+        e[1:, lb < 0] = 2 * n1
+        return F.zexp[e]
 
     def code(self) -> LinearCode:
         c = LinearCode.from_rows(self.field, self.generator(), n=self.n)
@@ -93,7 +101,29 @@ class GrsSpec:
 
 
 def natural_gram(spec: GrsSpec) -> np.ndarray:
-    return gram_matrix(spec.field, spec.generator())
+    """The Hermitian Gram matrix of ``spec.generator()``.
+
+    Entry (i, l) is sum_j N_j b_j^(i + q l) with N_j = a_j^(q+1): a power
+    sum S[t] at t = (i + q l) mod (q^2 - 1) over the nonzero points, plus
+    N_j at (0, 0) for a zero point.  In characteristic 2 S is taken at the
+    distinct t only and XOR-reduced once; in odd characteristic the digit
+    product of ``gram_matrix`` is cheaper.
+    """
+    F, k = spec.field, spec.k
+    if F.p != 2:
+        return gram_matrix(F, spec.generator())
+    n1 = F.order - 1
+    b = np.asarray(spec.b, dtype=np.int64)
+    lnorm = F.log[np.asarray(spec.a, dtype=np.int64)] * (F.q + 1) % n1
+    nz = b != 0
+    i = np.arange(k, dtype=np.int64)
+    ts, where = np.unique((i[:, None] + F.q * i[None, :]).ravel() % n1,
+                          return_inverse=True)
+    e = ts[:, None] * F.log[b[nz]] % n1 + lnorm[nz]
+    gram = np.bitwise_xor.reduce(F.zexp[e], axis=1)[where].reshape(k, k)
+    if k and not nz.all():
+        gram[0, 0] ^= F.exp[lnorm[~nz][0]]
+    return gram
 
 
 @dataclass
@@ -274,14 +304,12 @@ def family_parameter_grid(family: str, q: int,
 # builders
 # ----------------------------------------------------------------------
 
-def _coset_exponents(q: int, s: int) -> list[int]:
+def _coset_exponents(q: int, s: int) -> np.ndarray:
     """{i + j(q-1)/s : i in [1, (q-1)/s - 1], j in [0, (q+1)s - 1]}, sorted.
 
     Exactly the exponents l in [0, q^2-2] with l not divisible by (q-1)/s.
     """
-    step = (q - 1) // s
-    out = [i + step * j for j in range((q + 1) * s) for i in range(1, step)]
-    return sorted(out)
+    return np.flatnonzero(np.arange(q * q - 1) % ((q - 1) // s))
 
 
 def construct_family(family: str, q: int, field: Optional[FieldContext] = None,
@@ -295,31 +323,28 @@ def construct_family(family: str, q: int, field: Optional[FieldContext] = None,
     """
     info = claim_arithmetic(family, q, **params)
     F2 = quadratic_field(q, field)
-    k, n = info["k"], info["n"]
-    neg1 = F2.neg(1)
-
+    k, n, N = info["k"], info["n"], q * q - 1
     if family in ("CON1", "CON1E"):
-        b = tuple(F2.alpha_pow(i) for i in range(q * q - 1)) + (0,)
-        a = (1,) * (q * q)
+        b = np.append(F2.exp, 0)
+        a = np.ones(q * q, dtype=np.int32)
     elif family in ("CON2", "CON2E"):
         e = (k - 1) if family == "CON2" else (q - params["f"] - 1)
-        b = tuple(F2.alpha_pow(i) for i in range(q * q - 1))
-        a = tuple(F2.alpha_pow(-(i * e)) for i in range(q * q - 1))
-    elif family in ("CON3", "CON3E"):
-        e = (k - 1) if family == "CON3" else (q - params["f"] - 1)
+        b = F2.exp
+        a = F2.exp[-np.arange(N) * e % N]
+    else:
+        e = (k - 1) if family in ("CON3", "CON4") else (q - params["f"] - 1)
         B = _coset_exponents(q, info["s"])
-        b = tuple(F2.alpha_pow(l) for l in B) + (0,)
-        a = tuple(F2.solve_norm(F2.add(F2.alpha_pow(-(l * e * (q + 1))), neg1))
-                  for l in B) + (F2.solve_norm(neg1),)
-    else:  # CON4 / CON4E
-        e = (k - 1) if family == "CON4" else (q - params["f"] - 1)
-        m = params["m"]
-        s = info["s"]
-        B = _coset_exponents(q, s)
-        b = tuple(F2.alpha_pow(l) for l in B)
-        a = tuple(F2.solve_norm(F2.sub(F2.alpha_pow(-(l * e * (q + 1))),
-                                       F2.alpha_pow(-(l * m * (q + 1)))))
-                  for l in B)
+        b = F2.exp[B]
+        # CON3: a^(q+1) = alpha^{-l e (q+1)} - 1 at the coset points and -1
+        # at the appended zero; CON4: alpha^{-l e (q+1)} - alpha^{-l m (q+1)}
+        second = (np.ones_like(B) if family in ("CON3", "CON3E")
+                  else F2.exp[-B * params["m"] * (q + 1) % N])
+        a = F2.solve_norm_arr(F2.add_arr(F2.exp[-B * e * (q + 1) % N],
+                                         F2.neg_arr(second)))
+        if family in ("CON3", "CON3E"):
+            b = np.append(b, 0)
+            a = np.append(a, F2.solve_norm(F2.neg(1)))
+    b, a = tuple(b.tolist()), tuple(a.tolist())
     spec = GrsSpec(F2, b, a, k)
     if spec.n != n:
         raise RuntimeError(f"family {family} built length {spec.n}, not {n}")
@@ -478,7 +503,7 @@ def puncture_from_p_codeword(q: int, x: np.ndarray, k: int, ell: int,
         raise ValueError(f"vector must have length {q * q}")
     if not all(F2.in_subfield(int(v)) for v in x):
         raise ValueError("vector entries must lie in GF(q)")
-    nz = [i for i in range(q * q) if x[i]]
+    nz = np.flatnonzero(x)
     m = len(nz)
     if m < k:
         raise ValueError(f"weight {m} below the target dimension {k}")
@@ -487,9 +512,8 @@ def puncture_from_p_codeword(q: int, x: np.ndarray, k: int, ell: int,
         if not cyclic._annihilates(F2, H, x):
             raise ValueError("vector is not in the extended cyclic code "
                              f"for (k, ell) = ({k}, {ell})")
-    b_full = [F2.alpha_pow(i) for i in range(q * q - 1)] + [0]
-    b = tuple(b_full[i] for i in nz)
-    a = tuple(F2.solve_norm(int(x[i])) for i in nz)
+    b = tuple(np.append(F2.exp, 0)[nz].tolist())
+    a = tuple(F2.solve_norm_arr(x[nz]).tolist())
     spec_k = GrsSpec(F2, b, a, k)
     spec_l = GrsSpec(F2, b, a, ell)
     code_k = spec_k.code()

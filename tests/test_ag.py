@@ -372,6 +372,34 @@ def test_scaled_rows_are_scaled_evaluation_rows(q):
     assert cases >= 8
 
 
+def test_two_point_family_computes_residues_once(monkeypatch):
+    F = quadratic_field(5)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return residues(*args, **kwargs)
+
+    monkeypatch.setattr(ag, "residues", counted)
+    res = ag.two_point_family("COR2", F, 1, t=3)
+    assert len(calls) == 1 and tuple(calls[0]) == res.points
+    U, diff = evaluation_set("COR2", 5, t=3, with_residues=True)
+    assert U == res.points and diff == res.diff
+    assert evaluation_set("COR2", 5, t=3) == U
+
+
+def test_scaled_rows_rejects_residues_of_other_points():
+    F = quadratic_field(5)
+    U, diff = evaluation_set("COR2", 5, t=3, with_residues=True)
+    rows = ag._scaled_rows(F, U, 1, None, diff)[3]
+    assert np.array_equal(rows, ag._scaled_rows(F, U, 1, None)[3])
+    V, other = evaluation_set("COR2", 5, t=2, with_residues=True)
+    with pytest.raises(ValueError, match="another evaluation set"):
+        two_point_code(F, U, 1, diff=other)
+    with pytest.raises(ValueError, match="another evaluation set"):
+        two_point_code(F, U[::-1], 1, diff=diff)
+
+
 def _hprime_by_polys(F, pts):
     hp = polys.derivative(F, polys.from_roots(F, pts))
     return [polys.evaluate(F, hp, u) for u in pts]

@@ -136,6 +136,26 @@ def test_solve_norm_examples(F9, F25):
         F9.solve_norm(F9.alpha)  # not in the subfield
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16])
+def test_solve_norm_arr_matches_scalar_and_brute_force(q):
+    F = quadratic_field(q)
+    xs = np.array([x for x in F.nonzero_elements() if F.in_subfield(x)])
+    assert len(xs) == q - 1
+    got = F.solve_norm_arr(xs)
+    assert got.tolist() == [F.solve_norm(int(x)) for x in xs]
+    # reference: the first j >= 0 with (alpha^j)^(q+1) = x
+    norms = F.exp[np.arange(F.order - 1) * (q + 1) % (F.order - 1)]
+    first = {}
+    for j, v in enumerate(norms.tolist()):
+        first.setdefault(v, j)
+    assert got.tolist() == [F.alpha_pow(first[int(x)]) for x in xs]
+    assert F.solve_norm_arr(xs[:0]).shape == (0,)
+    outside = [x for x in F.nonzero_elements() if not F.in_subfield(x)]
+    for bad in ([0], xs.tolist() + [0], outside[:1], [-1], [F.order]):
+        with pytest.raises(ValueError):
+            F.solve_norm_arr(np.array(bad))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
 def test_is_norm_matches_brute_force(q):
     F = quadratic_field(q)

@@ -5,11 +5,12 @@ import pytest
 
 from hermhull import cyclic, grs
 from hermhull.cyclic import EqtrParams, eqtr_codeword
-from hermhull.gf import quadratic_field
+from hermhull.gf import make_field, quadratic_field
 from hermhull.grs import (GrsSpec, claim_arithmetic, construct_family,
                           family_parameter_grid, natural_gram,
                           puncture_from_p_codeword, verify_claim)
-from hermhull.linalg_codes import LinearCode, conjugate, mat_mul, matrix_rank
+from hermhull.linalg_codes import (LinearCode, conjugate, gram_matrix, mat_mul,
+                                   matrix_rank)
 
 from conftest import grs_b_full
 
@@ -21,6 +22,37 @@ def test_grs_spec_validation(F9):
         GrsSpec(F9, (1, 2), (1, 0), 1)        # zero scale
     with pytest.raises(ValueError):
         GrsSpec(F9, (1, 2), (1, 1), 3)        # k > n
+    for b, a in [((-1, 2), (1, 1)), ((1, 9), (1, 1)), ((1, 2), (1, -2)),
+                 ((1, 2), (9, 1))]:
+        with pytest.raises(ValueError, match="field elements"):
+            GrsSpec(F9, b, a, 1)              # outside [0, order)
+
+
+def recursion_generator(spec):
+    """Reference generator: row 0 is a, row i is row i-1 times b (mul_arr)."""
+    G = np.zeros((spec.k, spec.n), dtype=np.int32)
+    if spec.k:
+        G[0] = spec.a
+        b = np.array(spec.b, dtype=np.int32)
+        for i in range(1, spec.k):
+            G[i] = spec.field.mul_arr(G[i - 1], b)
+    return G
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 16])
+@pytest.mark.parametrize("zero", [False, True])
+def test_generator_matches_row_recursion(q, zero):
+    F = quadratic_field(q)
+    rng = np.random.default_rng(q)
+    b = rng.permutation(np.arange(1, F.order))[:min(F.order - 1, 40)]
+    if zero:
+        b[len(b) // 2] = 0
+    a = rng.integers(1, F.order, size=len(b))
+    for k in sorted({0, 1, 2, len(b) // 2, len(b)}):
+        spec = GrsSpec(F, tuple(b.tolist()), tuple(a.tolist()), k)
+        G = spec.generator()
+        assert G.shape == (k, len(b))
+        assert np.array_equal(G, recursion_generator(spec)), (k, zero)
 
 
 def test_grs_code_edges(F9):
@@ -122,6 +154,37 @@ def test_gram_structure_con1e():
                   for x in range(1, z + 1) for y in range(1, z + 1)}
         nz = {(i, j): int(v) for (i, j), v in np.ndenumerate(G) if v}
         assert nz == expect
+
+
+def _assert_gram_matches(family, q, params, field=None):
+    _, claim = construct_family(family, q, field=field, **params)
+    spec = claim.spec
+    want = gram_matrix(spec.field, recursion_generator(spec))
+    assert np.array_equal(natural_gram(spec), want), (family, q, params)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_natural_gram_matches_gram_matrix_on_every_family(q):
+    count = 0
+    for family in grs.FAMILIES:
+        for params in family_parameter_grid(family, q, conservative=False):
+            _assert_gram_matches(family, q, params)
+            count += 1
+    assert count > 0
+
+
+def test_natural_gram_matches_gram_matrix_q16_wide():
+    for family in ("CON1E", "CON4E"):
+        for params in family_parameter_grid(family, 16, conservative=False):
+            _assert_gram_matches(family, 16, params)
+
+
+def test_natural_gram_under_a_non_conway_modulus():
+    F = make_field(2, 4, (1, 0, 0, 1, 1))
+    assert F is not quadratic_field(4)
+    for family in grs.FAMILIES:
+        for params in family_parameter_grid(family, 4, conservative=False):
+            _assert_gram_matches(family, 4, params, field=F)
 
 
 def test_gram_rank_branches_con3e_con4e():

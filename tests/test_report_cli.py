@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jsonschema
 
+import hermhull
 from hermhull import cli, report
 from hermhull.grs import construct_family, verify_claim
 from hermhull.report import (ConstructionReport, code_to_json,
@@ -252,6 +257,36 @@ def test_cli_quantum_params_refuses_multi_report_output(tmp_path, capsys):
     assert '{"report": {...}}' in captured.err
 
 
+@pytest.mark.parametrize("body,missing", [
+    ({"verdict": "PASS"}, "'field'"),
+    ({"field": {"p": 3, "m": 2}}, "'verdict'"),
+    ({"verdict": "PASS", "field": {"p": 3, "m": 2}, "code": {"n": 9, "k": 3},
+      "hull": {}}, "'dim_measured'"),
+    (["not", "a", "report"], "malformed report"),
+])
+def test_cli_quantum_params_malformed_report_exit_2(tmp_path, capsys, body,
+                                                    missing):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"report": body}))
+    rc = cli.run(["quantum", "params", "--from", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert missing in captured.err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(hermhull.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "hermhull", "field",
+                           "--p", "2", "--m", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, out = run_cli(capsys, "field", "--p", "2", "--m", "2")
+    assert rc == 0 and proc.stdout == out
+
+
 def test_cli_internal_fault_exit_3(capsys, monkeypatch):
     from hermhull.gf import FieldContext
 
@@ -291,3 +326,16 @@ def test_cli_verify_all_golden_bodies(capsys, q):
     assert rc == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_VERIFY_ALL[q]
+
+
+#: sha256 of the stdout of ``grs sweep --q 16 --families CON1E,CON4E``, the
+#: widest characteristic-2 generators (k up to 127, n = 256)
+GOLDEN_SWEEP_Q16_WIDE = \
+    "79a77e9c4f49019dfdce146cbf15222f072448508bca6a16bcd4671ac5720761"
+
+
+def test_cli_grs_sweep_q16_wide_golden_body(capsys):
+    rc, out = run_cli(capsys, "grs", "sweep", "--q", "16",
+                      "--families", "CON1E,CON4E")
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SWEEP_Q16_WIDE
