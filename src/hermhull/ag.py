@@ -303,8 +303,7 @@ def residues(F: FieldContext, points: Sequence[int],
 
 def evaluation_set(family: str, q: int, s: Optional[int] = None,
                    t: Optional[int] = None, n0: Optional[int] = None,
-                   field: Optional[FieldContext] = None,
-                   with_residues: bool = False):
+                   field: Optional[FieldContext] = None) -> DifferentialData:
     """The evaluation sets behind the three two-point families.
 
     COR1: the (s-1)-th roots of unity plus 0 (needs (s-1) | q^2-1, s != q^2).
@@ -315,8 +314,8 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
     Every returned set is verified: distinct points whose dx/h residues are
     (up to the canonical constant) in GF(q)^*.  ``field`` overrides the
     default GF(q^2) context, as in ``grs.construct_family``.  Returns the
-    points, or with ``with_residues`` the pair (points, DifferentialData)
-    so that ``two_point_code`` need not compute the residues again.
+    residue data of the set, whose ``points`` are the set; the two-point
+    constructions take it as it is.
     """
     F = quadratic_field(q, field)
     N = q * q - 1
@@ -352,7 +351,7 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
     diff = residues(F, pts)
     if not diff.witnesses:
         raise ValueError("residue condition failed on the generated set")
-    return (diff.points, diff) if with_residues else diff.points
+    return diff
 
 
 def family_parameter_grid(family: str, q: int) -> list[dict]:
@@ -408,12 +407,11 @@ class TwoPointResult:
     report: ConstructionReport
 
 
-def _scaled_rows(F: FieldContext, points: Sequence[int], k: int,
-                 p: Optional[int], diff: Optional[DifferentialData] = None):
-    """Check the inputs and return (pts, p, diff, rows): the natural basis
-    1, x, ..., x^k, 1/(x-p) of L(kO + P) evaluated on the points and scaled
-    by the norm witnesses a.  A given ``diff`` must hold the residues of
-    exactly these points; otherwise they are computed here.
+def _scaled_rows(F: FieldContext, diff: DifferentialData, k: int,
+                 p: Optional[int]):
+    """Check the inputs and return (pts, p, rows): the natural basis
+    1, x, ..., x^k, 1/(x-p) of L(kO + P) evaluated on the points of
+    ``diff`` and scaled by its norm witnesses a.
 
     On the genus-0 line C_L(D, kO + P) is GRS_{k+2}(u, 1/(u-p)), so the
     rows are those of GRS_{k+1}(u, a) over the single pole row a/(u-p);
@@ -421,14 +419,12 @@ def _scaled_rows(F: FieldContext, points: Sequence[int], k: int,
     """
     if F.subfield is None:
         raise ValueError("two-point codes need a quadratic extension")
-    pts = tuple(int(u) for u in points)
+    if diff.field is not F:
+        raise ValueError("the evaluation set lies in another field")
+    pts = diff.points
     n = len(pts)
     if not 0 <= k <= (n - 2) // (F.q + 1):
         raise ValueError(f"need 0 <= k <= (n-2)/(q+1) = {(n - 2) // (F.q + 1)}")
-    if diff is None:
-        diff = residues(F, pts)
-    elif diff.field is not F or diff.points != pts:
-        raise ValueError("residue data belongs to another evaluation set")
     if not diff.witnesses:
         raise ValueError("residues are outside GF(q)^* even after constant "
                          "rescaling; construction hypotheses violated")
@@ -440,23 +436,23 @@ def _scaled_rows(F: FieldContext, points: Sequence[int], k: int,
     u = np.array(pts, dtype=np.int32)
     pole = F.mul_arr(a, F.inv_arr(F.add_arr(u, F.neg(p))))
     rows = np.vstack([GrsSpec(F, pts, diff.witnesses, k + 1).generator(), pole])
-    return pts, p, diff, rows
+    return pts, p, rows
 
 
-def two_point_code(F: FieldContext, points: Sequence[int], k: int,
+def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
                    p: Optional[int] = None,
                    distance_budget: int = DEFAULT_BUDGET,
-                   hull_distance_budget: int = 10 ** 6,
-                   diff: Optional[DifferentialData] = None) -> TwoPointResult:
+                   hull_distance_budget: int = 10 ** 6) -> TwoPointResult:
     """Scaled evaluation code on G = kO + P with an MDS Hermitian hull.
 
-    The scaling solves a_i^(q+1) = Res_i(dx/h) (after the canonical
-    constant rescale when needed).  The two branches are detected, never
-    assumed: either the code is Hermitian self-orthogonal, or its hull has
-    dimension k and is checked to be MDS within budget.  ``diff`` passes
-    on residues already computed for these points (``evaluation_set``).
+    ``diff`` is the evaluation set with its residues, as ``evaluation_set``
+    or ``residues`` return it.  The scaling solves a_i^(q+1) = Res_i(dx/h)
+    (after the canonical constant rescale when needed).  The two branches
+    are detected, never assumed: either the code is Hermitian
+    self-orthogonal, or its hull has dimension k and is checked to be MDS
+    within budget.
     """
-    pts, p, diff, scaled = _scaled_rows(F, points, k, p, diff)
+    pts, p, scaled = _scaled_rows(F, diff, k, p)
     q, n = F.q, len(pts)
     code = LinearCode.from_rows(F, scaled, n=n)
 
@@ -531,19 +527,19 @@ def two_point_family(family: str, F: FieldContext, k: int,
                      **params) -> TwoPointResult:
     """``two_point_code`` on the ``family`` evaluation set with parameters
     ``params`` (s, t, n0), its report labelled with the family and them."""
-    U, diff = evaluation_set(family, F.q, field=F, with_residues=True, **params)
-    res = two_point_code(F, U, k, p=p, distance_budget=distance_budget,
-                         diff=diff)
+    U = evaluation_set(family, F.q, field=F, **params)
+    res = two_point_code(F, U, k, p=p, distance_budget=distance_budget)
     res.report.construction["family"] = family
     res.report.construction["parameters"] |= params
     return res
 
 
-def extended_two_point(F: FieldContext, points: Sequence[int], k: int,
+def extended_two_point(F: FieldContext, diff: DifferentialData, k: int,
                        p: Optional[int] = None,
                        distance_budget: int = DEFAULT_BUDGET,
                        require_base: bool = True) -> TwoPointResult:
-    """Sum-zero extensions of the scaled one- and two-point codes.
+    """Sum-zero extensions of the scaled one- and two-point codes on the
+    evaluation set ``diff`` (as for ``two_point_code``).
 
     Precondition, verified rather than assumed: the extended scaled
     one-point code must be Hermitian self-orthogonal with parameters
@@ -553,7 +549,7 @@ def extended_two_point(F: FieldContext, points: Sequence[int], k: int,
     admissible input; pass ``require_base=False`` to build and measure
     the extended two-point code anyway.
     """
-    pts, p, diff, scaled = _scaled_rows(F, points, k, p)
+    pts, p, scaled = _scaled_rows(F, diff, k, p)
     q, n = F.q, len(pts)
 
     base = LinearCode.from_rows(F, scaled[:k + 1], n=n)

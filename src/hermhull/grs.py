@@ -34,8 +34,8 @@ import numpy as np
 
 from . import cyclic, quantum
 from .gf import FieldContext, quadratic_field
-from .linalg_codes import (DEFAULT_BUDGET, LinearCode, conjugate,
-                           gram_matrix, mat_mul, matrix_rank)
+from .linalg_codes import (_MAT_MUL_CHUNK, DEFAULT_BUDGET, LinearCode,
+                           conjugate, gram_matrix, mat_mul, matrix_rank)
 from .report import (STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED,
                      STATUS_STRUCTURAL, ConstructionReport, vector_to_logs)
 
@@ -58,8 +58,8 @@ class GrsSpec:
             raise ValueError("evaluation points must be distinct")
         if 0 in self.a:
             raise ValueError("scaling entries must be nonzero")
-        entries = self.b + self.a
-        if entries and not 0 <= min(entries) <= max(entries) < self.field.order:
+        if self.n and not (0 <= min(min(self.b), min(self.a)) and
+                           max(max(self.b), max(self.a)) < self.field.order):
             raise ValueError(f"entries must be field elements in "
                              f"[0, {self.field.order})")
         if not 0 <= self.k <= len(self.b):
@@ -106,7 +106,8 @@ def natural_gram(spec: GrsSpec) -> np.ndarray:
     Entry (i, l) is sum_j N_j b_j^(i + q l) with N_j = a_j^(q+1): a power
     sum S[t] at t = (i + q l) mod (q^2 - 1) over the nonzero points, plus
     N_j at (0, 0) for a zero point.  In characteristic 2 S is taken at the
-    distinct t only and XOR-reduced once; in odd characteristic the digit
+    distinct t only and XOR-reduced, over blocks of at most about
+    _MAT_MUL_CHUNK terms as in ``mat_mul``; in odd characteristic the digit
     product of ``gram_matrix`` is cheaper.
     """
     F, k = spec.field, spec.k
@@ -119,8 +120,13 @@ def natural_gram(spec: GrsSpec) -> np.ndarray:
     i = np.arange(k, dtype=np.int64)
     ts, where = np.unique((i[:, None] + F.q * i[None, :]).ravel() % n1,
                           return_inverse=True)
-    e = ts[:, None] * F.log[b[nz]] % n1 + lnorm[nz]
-    gram = np.bitwise_xor.reduce(F.zexp[e], axis=1)[where].reshape(k, k)
+    lb, ln = F.log[b[nz]], lnorm[nz]
+    sums = np.empty(ts.size, dtype=F.zexp.dtype)
+    step = max(1, _MAT_MUL_CHUNK // max(1, lb.size))
+    for r in range(0, ts.size, step):
+        e = ts[r:r + step, None] * lb % n1 + ln
+        sums[r:r + step] = np.bitwise_xor.reduce(F.zexp[e], axis=1)
+    gram = sums[where].reshape(k, k)
     if k and not nz.all():
         gram[0, 0] ^= F.exp[lnorm[~nz][0]]
     return gram

@@ -10,7 +10,7 @@ from hermhull.ag import (Divisor, O, RationalFunction, default_extra_point,
                          evaluation_set, extend_evaluation_set,
                          extended_two_point, finite, lbasis, residues, rr_dim,
                          scale_for_hull, scale_sweep, two_point_code)
-from hermhull.gf import quadratic_field
+from hermhull.gf import make_field, quadratic_field
 from hermhull.grs import GrsSpec
 
 
@@ -127,7 +127,7 @@ def test_residues_errors_and_theorem(F25):
 
 def test_residue_normalization_path(F25):
     # two additive cosets over odd q: raw residues share a non-norm factor
-    U = evaluation_set("COR2", 5, t=2)
+    U = evaluation_set("COR2", 5, t=2).points
     raw = residues(F25, U, normalize=False)
     assert not raw.witnesses
     dd = residues(F25, U)
@@ -142,7 +142,7 @@ def test_residue_normalization_path(F25):
 
 
 def test_evaluation_set_cor1(F25):
-    U = evaluation_set("COR1", 5, s=13)
+    U = evaluation_set("COR1", 5, s=13).points
     assert len(U) == 13 and 0 in U
     roots = [u for u in U if u]
     assert all(F25.pow(u, 12) == 1 for u in roots)
@@ -157,7 +157,7 @@ def test_evaluation_set_cor1(F25):
 
 
 def test_evaluation_set_cor2(F9):
-    U = evaluation_set("COR2", 3, t=2)
+    U = evaluation_set("COR2", 3, t=2).points
     assert len(U) == 6
     # {u*alpha + v : u in {0, 1}, v in GF(3)}
     want = {F9.add(F9.mul(c, F9.alpha), v) for c in (0, 1) for v in (0, 1, 2)}
@@ -167,9 +167,9 @@ def test_evaluation_set_cor2(F9):
 
 
 def test_evaluation_set_cor3(F25):
-    U = evaluation_set("COR3", 5, n0=6, t=1)
+    U = evaluation_set("COR3", 5, n0=6, t=1).points
     assert len(U) == 13 and 0 in U
-    U2 = evaluation_set("COR3", 5, n0=6, t=2)
+    U2 = evaluation_set("COR3", 5, n0=6, t=2).points
     assert len(U2) == 19
     with pytest.raises(ValueError):
         evaluation_set("COR3", 5, n0=6, t=3)
@@ -209,10 +209,12 @@ def test_two_point_errors(F25):
     with pytest.raises(ValueError, match="0 <= k"):
         two_point_code(F25, U, 2)
     with pytest.raises(ValueError, match="extra place"):
-        two_point_code(F25, U, 1, p=U[0])
+        two_point_code(F25, U, 1, p=U.points[0])
+    with pytest.raises(ValueError, match="another field"):
+        two_point_code(make_field(5, 2, (2, 1, 1)), U, 1)
     # a set violating the residue-norm condition
-    bad = [0, 1, F25.alpha]
-    assert not residues(F25, bad).witnesses
+    bad = residues(F25, [0, 1, F25.alpha])
+    assert not bad.witnesses
     with pytest.raises(ValueError, match="construction hypotheses"):
         two_point_code(F25, bad, 0)
 
@@ -347,14 +349,15 @@ def test_scaled_rows_are_scaled_evaluation_rows(q):
     F = quadratic_field(q)
     cases = 0
     for family, kw, kmax in _cor_sets(q):
-        U = evaluation_set(family, q, **kw)
+        U = evaluation_set(family, q, **kw).points
         shifted = _translate_off_zero(F, U)
         assert 0 in U and 0 not in shifted
         for pts in (U, shifted):
+            diff = residues(F, pts)
             last_free = max(set(range(F.order)) - set(pts))
             for k in range(kmax + 1):
                 for p in (None, last_free):
-                    got_pts, got_p, diff, rows = ag._scaled_rows(F, pts, k, p)
+                    got_pts, got_p, rows = ag._scaled_rows(F, diff, k, p)
                     assert got_pts == pts
                     assert got_p == (default_extra_point(F, pts)
                                      if p is None else p)
@@ -383,21 +386,8 @@ def test_two_point_family_computes_residues_once(monkeypatch):
     monkeypatch.setattr(ag, "residues", counted)
     res = ag.two_point_family("COR2", F, 1, t=3)
     assert len(calls) == 1 and tuple(calls[0]) == res.points
-    U, diff = evaluation_set("COR2", 5, t=3, with_residues=True)
-    assert U == res.points and diff == res.diff
-    assert evaluation_set("COR2", 5, t=3) == U
-
-
-def test_scaled_rows_rejects_residues_of_other_points():
-    F = quadratic_field(5)
-    U, diff = evaluation_set("COR2", 5, t=3, with_residues=True)
-    rows = ag._scaled_rows(F, U, 1, None, diff)[3]
-    assert np.array_equal(rows, ag._scaled_rows(F, U, 1, None)[3])
-    V, other = evaluation_set("COR2", 5, t=2, with_residues=True)
-    with pytest.raises(ValueError, match="another evaluation set"):
-        two_point_code(F, U, 1, diff=other)
-    with pytest.raises(ValueError, match="another evaluation set"):
-        two_point_code(F, U[::-1], 1, diff=diff)
+    U = evaluation_set("COR2", 5, t=3)
+    assert U == residues(F, U.points) == res.diff
 
 
 def _hprime_by_polys(F, pts):
@@ -408,7 +398,8 @@ def _hprime_by_polys(F, pts):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_residues_match_polynomial_derivative(q):
     F = quadratic_field(q)
-    sets = [evaluation_set(family, q, **kw) for family, kw, _ in _cor_sets(q)]
+    sets = [evaluation_set(family, q, **kw).points
+            for family, kw, _ in _cor_sets(q)]
     assert sets
     for U in sets + [_translate_off_zero(F, U) for U in sets]:
         hp = _hprime_by_polys(F, U)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,11 @@ def test_grs_spec_validation(F9):
                  ((1, 2), (9, 1))]:
         with pytest.raises(ValueError, match="field elements"):
             GrsSpec(F9, b, a, 1)              # outside [0, order)
+        with pytest.raises(ValueError, match="field elements"):
+            GrsSpec(F9, list(b), a, 1)        # any sequences, mixed
+        with pytest.raises(ValueError, match="field elements"):
+            GrsSpec(F9, np.array(b), np.array(a), 1)
+    assert GrsSpec(F9, [1, 2], (1, 8), 1).n == 2
 
 
 def recursion_generator(spec):
@@ -177,6 +183,33 @@ def test_natural_gram_matches_gram_matrix_q16_wide():
     for family in ("CON1E", "CON4E"):
         for params in family_parameter_grid(family, 16, conservative=False):
             _assert_gram_matches(family, 16, params)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_natural_gram_in_blocks(monkeypatch, chunk):
+    # blocks of one or a few power sums, with a ragged last block
+    monkeypatch.setattr(grs, "_MAT_MUL_CHUNK", chunk)
+    for q in (2, 4, 8):
+        for family in grs.FAMILIES:
+            for params in family_parameter_grid(family, q, conservative=False):
+                _assert_gram_matches(family, q, params)
+
+
+def test_natural_gram_large_q_stays_in_blocks():
+    # the CON1 points of GF(128^2): n = 16384, and k = 16 already has 256
+    # distinct exponents i + ql, so one unblocked T x n' exponent array
+    # would take about 32 MB
+    F = quadratic_field(128)
+    b = tuple(np.append(F.exp[:F.order - 1], 0).tolist())
+    spec = GrsSpec(F, b, (1,) * F.order, 16)
+    tracemalloc.start()
+    try:
+        got = natural_gram(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, gram_matrix(F, spec.generator()))
+    assert peak < 8 * 2 ** 20
 
 
 def test_natural_gram_under_a_non_conway_modulus():

@@ -179,7 +179,7 @@ def test_cli_ag_build_field_modulus(capsys, q, modulus, family, params):
     body = json.loads(out)["report"]
     assert body["verdict"] == "PASS"
     assert body["field"]["modulus"] == [int(c) for c in modulus.split(",")]
-    U = ag.evaluation_set(family, q, field=F, **params)
+    U = ag.evaluation_set(family, q, field=F, **params).points
     assert body["construction"]["evaluation_set"] == _cor_logs(F, U)
     if family == "COR1":   # (s-1)-th roots of unity in F, plus 0
         assert all(F.pow(u, params["s"] - 1) == 1 for u in U if u)
