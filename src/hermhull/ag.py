@@ -276,25 +276,25 @@ def residues(F: FieldContext, points: Sequence[int],
     hp = _hprime(F, pts)
     if not hp.all():
         raise RuntimeError("h' vanishes at a simple root")
-    rs = F.inv_arr(hp).tolist()
-    total = 0
-    for r in rs:
-        total = F.add(total, r)
-    if total != 0:
+    rs = F.inv_arr(hp)
+    raw = tuple(rs.tolist())
+    # the field sum is zero iff every base-p digit sums to 0 mod p
+    if (F._digits[rs].sum(axis=0) % F.p).any():
         raise RuntimeError("residue theorem violated")
+    # GF(q)^* = <alpha^(q+1)>: the norms, and the ratios that the constant
+    # rescale can fix, are the logs divisible by q + 1
+    F._require_quadratic()
+    lr = F.log[rs].astype(np.int64) % (F.q + 1)
     scale = 1
-    if not all(F.is_norm(r) for r in rs):
-        r0 = rs[0]
-        fixable = all(F.in_subfield(F.div(r, r0)) for r in rs)
-        if not (normalize and fixable):
-            return DifferentialData(F, pts, tuple(rs), 1, tuple(rs), ())
-        inv0 = F.inv(r0)
-        cands = [F.mul(inv0, F.from_subfield(s))
-                 for s in range(1, F.subfield.order)]
-        scale = min(cands, key=F.log_of)
-    scaled = tuple(F.mul(scale, r) for r in rs)
-    wits = tuple(F.solve_norm_arr(np.array(scaled)).tolist())
-    return DifferentialData(F, pts, tuple(rs), scale, scaled, wits)
+    if lr.any():
+        if not (normalize and (lr == lr[0]).all()):
+            return DifferentialData(F, pts, raw, 1, raw, ())
+        # the constants are r_0^-1 GF(q)^*, the logs -log r_0 + (q+1)t; the
+        # smallest is -log r_0 mod (q+1)
+        scale = int(F.exp[-lr[0] % (F.q + 1)])
+    scaled = F.mul_arr(np.int32(scale), rs)
+    wits = tuple(F.solve_norm_arr(scaled).tolist())
+    return DifferentialData(F, pts, raw, scale, tuple(scaled.tolist()), wits)
 
 
 # ----------------------------------------------------------------------
@@ -407,16 +407,11 @@ class TwoPointResult:
     report: ConstructionReport
 
 
-def _scaled_rows(F: FieldContext, diff: DifferentialData, k: int,
-                 p: Optional[int]):
-    """Check the inputs and return (pts, p, rows): the natural basis
-    1, x, ..., x^k, 1/(x-p) of L(kO + P) evaluated on the points of
-    ``diff`` and scaled by its norm witnesses a.
-
-    On the genus-0 line C_L(D, kO + P) is GRS_{k+2}(u, 1/(u-p)), so the
-    rows are those of GRS_{k+1}(u, a) over the single pole row a/(u-p);
-    rows[:k+1] span a.C_L(D, kO) and rows[[0, k+1]] span a.C_L(D, P).
-    """
+def check_two_point_input(F: FieldContext, diff: DifferentialData, k: int,
+                          p: Optional[int] = None) -> int:
+    """Check the inputs of a two-point code on the evaluation set ``diff``
+    and return its extra place: p, or ``default_extra_point`` when p is
+    None.  Raises ValueError on an input the construction does not admit."""
     if F.subfield is None:
         raise ValueError("two-point codes need a quadratic extension")
     if diff.field is not F:
@@ -432,6 +427,21 @@ def _scaled_rows(F: FieldContext, diff: DifferentialData, k: int,
         p = default_extra_point(F, pts)
     if p in pts:
         raise ValueError("the extra place must avoid the evaluation set")
+    return p
+
+
+def _scaled_rows(F: FieldContext, diff: DifferentialData, k: int,
+                 p: Optional[int]):
+    """Check the inputs and return (pts, p, rows): the natural basis
+    1, x, ..., x^k, 1/(x-p) of L(kO + P) evaluated on the points of
+    ``diff`` and scaled by its norm witnesses a.
+
+    On the genus-0 line C_L(D, kO + P) is GRS_{k+2}(u, 1/(u-p)), so the
+    rows are those of GRS_{k+1}(u, a) over the single pole row a/(u-p);
+    rows[:k+1] span a.C_L(D, kO) and rows[[0, k+1]] span a.C_L(D, P).
+    """
+    p = check_two_point_input(F, diff, k, p)
+    pts = diff.points
     a = np.array(diff.witnesses, dtype=np.int32)
     u = np.array(pts, dtype=np.int32)
     pole = F.mul_arr(a, F.inv_arr(F.add_arr(u, F.neg(p))))

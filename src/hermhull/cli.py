@@ -3,13 +3,16 @@
 Subcommands: field | grs | cyclic | ag | quantum | verify-all.  Output is
 deterministic JSON (sorted keys, no timestamps; wall-clock timings only
 with --timings) or markdown/csv for tables.  Exit status: 3 on an
-internal fault (a RuntimeError such as a failed invariant check), 2 on
-argument errors, 1 when any verification verdict is FAIL, 0 otherwise.
+internal fault (a RuntimeError such as a failed invariant check, or any
+ValueError raised once verification has started), 2 on errors in the
+arguments, the field or modulus, or the construction input, 1 when any
+verification verdict is FAIL, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional
@@ -57,6 +60,17 @@ def _set_logs(F, points) -> list:
         (["zero"] if 0 in points else [])
 
 
+@contextlib.contextmanager
+def _verifying():
+    """Run a step whose inputs are already checked: a ValueError raised in
+    it is an internal fault, such as a field mismatch, not bad input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise RuntimeError(f"{type(exc).__name__} during verification: "
+                           f"{exc}") from exc
+
+
 def _emit_report(rep: ConstructionReport, args) -> int:
     print(rep.to_json(include_timings=getattr(args, "timings", False)))
     return 1 if rep.verdict == "FAIL" else 0
@@ -77,8 +91,16 @@ def _emit_reports(reports, args) -> int:
 
 
 def _grs_reports(args, families=grs.FAMILIES) -> list[ConstructionReport]:
-    return [rep for _, rep in grs.sweep(args.q, families, budget=args.budget,
-                                        distance_budget=args.distance_budget)]
+    """Verify the grids of ``families`` at ``args.q``; the family names and
+    q are checked first, and every instance of a grid is admissible."""
+    for family in families:
+        if family not in grs.FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+    quadratic_field(args.q)
+    with _verifying():
+        return [rep for _, rep in grs.sweep(
+            args.q, families, budget=args.budget,
+            distance_budget=args.distance_budget)]
 
 
 # ----------------------------------------------------------------------
@@ -105,8 +127,9 @@ def cmd_grs_construct(args) -> int:
              if args.field_modulus else None)
     code, claim = grs.construct_family(args.family, args.q, field=field,
                                        **params)
-    rep = grs.verify_claim(code, claim, budget=args.budget,
-                           distance_budget=args.distance_budget)
+    with _verifying():
+        rep = grs.verify_claim(code, claim, budget=args.budget,
+                               distance_budget=args.distance_budget)
     if args.include_code:
         rep.code = rep.code | {"detail": code_to_json(code)}
     return _emit_report(rep, args)
@@ -142,10 +165,14 @@ def cmd_ag_build(args) -> int:
         fam_kwargs["n0"] = args.n0
         fam_kwargs["t"] = args.t
     p = F.alpha_pow(args.p_log) if args.p_log is not None else None
-    res = ag.two_point_family(args.family, F, args.k, p=p,
-                              distance_budget=args.distance_budget,
-                              **fam_kwargs)
+    U = ag.evaluation_set(args.family, F.q, field=F, **fam_kwargs)
+    p = ag.check_two_point_input(F, U, args.k, p)
+    with _verifying():
+        res = ag.two_point_code(F, U, args.k, p=p,
+                                distance_budget=args.distance_budget)
     rep = res.report
+    rep.construction["family"] = args.family
+    rep.construction["parameters"] |= fam_kwargs
     rep.construction["evaluation_set"] = _set_logs(F, res.points)
     if args.include_code:
         rep.code = rep.code | {"detail": code_to_json(res.code)}
@@ -241,12 +268,14 @@ def cmd_quantum_tables(args) -> int:
 def cmd_verify_all(args) -> int:
     reports = _grs_reports(args)
     F = quadratic_field(args.q)
-    for family in ("COR1", "COR2", "COR3"):
-        for params in ag.family_parameter_grid(family, args.q):
-            kwargs = {k: v for k, v in params.items() if k in ("s", "t", "n0")}
-            reports.append(ag.two_point_family(
-                family, F, params["k"], distance_budget=args.distance_budget,
-                **kwargs).report)
+    with _verifying():
+        for family in ("COR1", "COR2", "COR3"):
+            for params in ag.family_parameter_grid(family, args.q):
+                kwargs = {k: v for k, v in params.items()
+                          if k in ("s", "t", "n0")}
+                reports.append(ag.two_point_family(
+                    family, F, params["k"],
+                    distance_budget=args.distance_budget, **kwargs).report)
     return _emit_reports(reports, args)
 
 

@@ -76,18 +76,56 @@ class GrsSpec:
         (order - 1) + log a_j], and 0^i for i >= 1 points into the zero
         tail of ``zexp``.
         """
+        return self._rows(np.arange(self.k, dtype=np.int64))
+
+    def _rows(self, i: np.ndarray) -> np.ndarray:
+        """Rows (a_j b_j^i)_j of the natural generator at the exponents i."""
         F = self.field
         n1 = F.order - 1
         lb = F.log[np.asarray(self.b, dtype=np.int64)]
-        i = np.arange(self.k, dtype=np.int64)[:, None]
-        e = (i * lb) % n1 + F.log[np.asarray(self.a, dtype=np.int64)]
-        e[1:, lb < 0] = 2 * n1
+        e = (i[:, None] * lb) % n1 + F.log[np.asarray(self.a, dtype=np.int64)]
+        e[(i > 0)[:, None] & (lb < 0)[None, :]] = 2 * n1
         return F.zexp[e]
 
+    def systematic(self) -> np.ndarray:
+        """The canonical RREF [I | A] of ``generator()``, with no elimination.
+
+        A GRS code is MDS, so its pivots are columns 0..k-1 and
+        A[i, j] = (a_j / a_i) prod_{l < k, l != i} (b_j - b_l) / (b_i - b_l),
+        a generalized Cauchy matrix (Roth and Seroussi, IEEE T-IT 31(6),
+        1985).  Its logs are sums over the k x n difference matrix
+        d[l, j] = b_j - b_l: the numerator of row i is column j of d less
+        entry (i, j), and the denominator D_i = prod_{l != i} (b_i - b_l) is
+        column i of d, as in ``ag._hprime``.
+        """
+        F, k, n = self.field, self.k, self.n
+        b = np.asarray(self.b, dtype=np.int32)
+        d = F.add_arr(b[None, :], F.neg_arr(b[:k])[:, None])
+        np.fill_diagonal(d, 1)
+        if not d.all():
+            raise RuntimeError("a GRS point difference b_j - b_l (l < k) "
+                               "vanishes; the Vandermonde block is singular")
+        ld = F.log[d].astype(np.int64)
+        col = ld.sum(axis=0)
+        la = F.log[np.asarray(self.a, dtype=np.int64)] + col
+        e = la[None, k:] - ld[:, k:] - la[:k, None]
+        out = np.zeros((k, n), dtype=np.int32)
+        out[:, :k] = np.eye(k, dtype=np.int32)
+        out[:, k:] = F.exp[e % (F.order - 1)]
+        return out
+
     def code(self) -> LinearCode:
-        c = LinearCode.from_rows(self.field, self.generator(), n=self.n)
-        if c.k != self.k:
-            raise RuntimeError(f"GRS generator has rank {c.k}, not {self.k}")
+        """The code held in its closed-form canonical form.
+
+        Rows 0 and k - 1 of ``generator()`` are checked to lie in it: a
+        single wrong entry A[i, j] moves the combination that gives row 0
+        at column j by a_i times the error.
+        """
+        c = LinearCode(self.field, self.n, self.systematic())
+        if self.k and not c.contains_rows(
+                self._rows(np.array([0, self.k - 1]))):
+            raise RuntimeError("closed-form systematic generator does not "
+                               "span the GRS generator rows")
         c.set_structural_distance(self.n - self.k + 1)
         return c
 

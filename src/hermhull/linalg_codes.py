@@ -95,13 +95,18 @@ def rref(F: FieldContext, M: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
 
 def nullspace(F: FieldContext, M: np.ndarray) -> np.ndarray:
     """Basis (as rows) of the right kernel {x : M x^T = 0}."""
-    M = np.asarray(M)
-    n = M.shape[1]
     R, rank, pivots = rref(F, M)
+    return _kernel_of_rref(F, R[:rank], pivots)
+
+
+def _kernel_of_rref(F: FieldContext, R: np.ndarray, pivots) -> np.ndarray:
+    """Right kernel of a full-rank RREF matrix R with the given pivots: one
+    row per free column f, with 1 at f and -R[:, f] at the pivots."""
+    n = R.shape[1]
     free = np.setdiff1d(np.arange(n), pivots)
     basis = np.zeros((free.size, n), dtype=np.int32)
     basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = F.neg_arr(R[:rank, free].T)
+    basis[:, pivots] = F.neg_arr(R[:, free].T)
     return basis
 
 
@@ -241,8 +246,11 @@ class LinearCode:
         V = np.asarray(V, dtype=np.int32)
         if V.ndim != 2 or V.shape[1] != self.n:
             raise ValueError("vector length mismatch")
-        pivots = np.argmax(self.gen != 0, axis=1)
-        return np.array_equal(mat_mul(self.field, V[:, pivots], self.gen), V)
+        return np.array_equal(mat_mul(self.field, V[:, self._pivots()],
+                                      self.gen), V)
+
+    def _pivots(self) -> np.ndarray:
+        return np.argmax(self.gen != 0, axis=1)
 
     def is_subcode_of(self, other: "LinearCode") -> bool:
         _check_same_field(self, other)
@@ -252,9 +260,17 @@ class LinearCode:
 
     # -- duals and hulls ---------------------------------------------------
 
+    def parity_rows(self) -> np.ndarray:
+        """A parity-check matrix read off the canonical generator.
+
+        The generator is [I | A] up to column order, so the rows of
+        [-A^T | I], with I at the non-pivot columns, span the Euclidean dual.
+        Equal to ``nullspace(field, gen)``, with no elimination.
+        """
+        return _kernel_of_rref(self.field, self.gen, self._pivots())
+
     def euclidean_dual(self) -> "LinearCode":
-        return LinearCode.from_rows(self.field, nullspace(self.field, self.gen),
-                                    n=self.n)
+        return LinearCode.from_rows(self.field, self.parity_rows(), n=self.n)
 
     def hermitian_dual(self) -> "LinearCode":
         F = self.field
@@ -264,7 +280,7 @@ class LinearCode:
     def hermitian_hull(self) -> "LinearCode":
         """Hull = C intersect C-perp-H, via one stacked parity solve."""
         F = self.field
-        parity_c = nullspace(F, self.gen)          # x in C  <=>  H_C x = 0
+        parity_c = self.parity_rows()              # x in C  <=>  H_C x = 0
         parity_h = conjugate(F, self.gen)          # x in C^perpH <=> G^(q) x = 0
         stacked = np.vstack([parity_c, parity_h]) if parity_c.size else parity_h
         return LinearCode.from_rows(F, nullspace(F, stacked), n=self.n)

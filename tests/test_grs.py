@@ -4,14 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hermhull import cyclic, grs
+from hermhull import cyclic, grs, linalg_codes
 from hermhull.cyclic import EqtrParams, eqtr_codeword
 from hermhull.gf import make_field, quadratic_field
 from hermhull.grs import (GrsSpec, claim_arithmetic, construct_family,
                           family_parameter_grid, natural_gram,
                           puncture_from_p_codeword, verify_claim)
 from hermhull.linalg_codes import (LinearCode, conjugate, gram_matrix, mat_mul,
-                                   matrix_rank)
+                                   matrix_rank, rref)
 
 from conftest import grs_b_full
 
@@ -69,6 +69,80 @@ def test_grs_code_edges(F9):
     assert rep.min_distance() == 5
     C = GrsSpec(F9, tuple(grs_b_full(F9)), (1,) * 9, 2).code()
     assert C.cached_distance() == 8
+
+
+def _assert_systematic_is_rref(spec):
+    R, rank, pivots = rref(spec.field, spec.generator())
+    assert rank == spec.k and pivots == list(range(spec.k))
+    assert np.array_equal(spec.systematic(), R[:spec.k]), (spec.n, spec.k)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_systematic_matches_rref_on_every_family(q):
+    count = 0
+    for family in grs.FAMILIES:
+        for params in family_parameter_grid(family, q, conservative=False):
+            _, claim = construct_family(family, q, **params)
+            _assert_systematic_is_rref(claim.spec)
+            _assert_systematic_is_rref(claim.subcode)
+            count += 1
+    assert count > 0
+
+
+def test_systematic_matches_rref_q16_wide():
+    for family in ("CON1E", "CON4E"):
+        for params in family_parameter_grid(family, 16):
+            _, claim = construct_family(family, 16, **params)
+            _assert_systematic_is_rref(claim.spec)
+            _assert_systematic_is_rref(claim.subcode)
+
+
+def test_systematic_edges_under_a_non_conway_modulus():
+    F = make_field(2, 4, (1, 0, 0, 1, 1))
+    rng = np.random.default_rng(6)
+    for zero_at in (None, 0, 3, 9):
+        b = rng.permutation(np.arange(1, F.order))[:10]
+        if zero_at is not None:
+            b[zero_at] = 0
+        a = rng.integers(1, F.order, size=10)
+        for k in (0, 1, 2, 5, 9, 10):
+            spec = GrsSpec(F, tuple(b.tolist()), tuple(a.tolist()), k)
+            _assert_systematic_is_rref(spec)
+            C = spec.code()
+            assert C == LinearCode.from_rows(F, spec.generator(), n=10)
+            assert C.cached_distance() == 10 - k + 1
+    assert GrsSpec(F, (1, 2, 3), (1, 1, 1), 0).systematic().shape == (0, 3)
+    assert np.array_equal(GrsSpec(F, (0, 5, 7), (4, 1, 9), 3).systematic(),
+                          np.eye(3, dtype=np.int32))
+
+
+def test_code_rejects_a_corrupted_systematic_entry(monkeypatch):
+    F = quadratic_field(4)
+    spec = GrsSpec(F, tuple(grs_b_full(F)), (1,) + tuple(range(1, 16)), 5)
+    closed_form = GrsSpec.systematic
+    for i, j in [(0, 5), (2, 11), (4, 15)]:
+        def corrupted(self, i=i, j=j):
+            S = closed_form(self)
+            S[i, j] = F.add(int(S[i, j]), 1)
+            return S
+        monkeypatch.setattr(GrsSpec, "systematic", corrupted)
+        with pytest.raises(RuntimeError, match="closed-form"):
+            spec.code()
+    monkeypatch.setattr(GrsSpec, "systematic", closed_form)
+    assert spec.code().k == 5
+
+
+def test_code_runs_no_elimination(monkeypatch):
+    def no_rref(*args, **kwargs):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(linalg_codes, "rref", no_rref)
+    for family, q, params in [("CON1E", 4, {"z": 1, "k": 4}),
+                              ("CON3", 5, {"k": 3}),
+                              ("CON2E", 7, {"z": 1, "f": 1, "k": 7})]:
+        code, claim = construct_family(family, q, **params)
+        assert code.k == claim.spec.k
+        assert claim.subcode.code().k == claim.subcode.k
 
 
 def test_generator_is_scaled_vandermonde(F25):

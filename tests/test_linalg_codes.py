@@ -420,3 +420,22 @@ def test_contains_rows_zero_code(KF):
     assert Z.is_subcode_of(LinearCode.full(KF, 5))
     with pytest.raises(ValueError):
         Z.contains_rows(np.zeros((1, 4), dtype=np.int32))
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (2, 4)])
+def test_parity_rows_match_nullspace(p, m):
+    F = make_field(p, m)
+    rng = np.random.default_rng(p * m)
+    codes = [LinearCode.zero(F, 6), LinearCode.full(F, 6)]
+    codes += [random_code(F, 8, k, rng) for k in (1, 3, 5, 8)]
+    # pivots that are not leading: zero and repeated columns before them
+    M = sparse_random(F, (3, 9), rng)
+    M[:, [0, 4]] = 0
+    M[:, 2] = M[:, 1]
+    codes.append(LinearCode.from_rows(F, M, n=9))
+    for C in codes:
+        H = C.parity_rows()
+        assert np.array_equal(H, nullspace(F, C.gen)), (C.n, C.k)
+        assert H.shape == (C.n - C.k, C.n)
+        assert not mat_mul(F, C.gen, H.T).any()
+    assert list(np.argmax(codes[-1].gen != 0, axis=1)) != list(range(codes[-1].k))

@@ -301,6 +301,39 @@ def test_cli_internal_fault_exit_3(capsys, monkeypatch):
     assert captured.err == "internal error: kernel invariant violated\n"
 
 
+def test_cli_value_error_in_verification_exit_3(capsys, monkeypatch):
+    from hermhull import ag, grs
+
+    def broken(*args, **kwargs):
+        raise ValueError("inner dimensions differ")
+
+    monkeypatch.setattr(grs, "verify_claim", broken)
+    rc = cli.run(["grs", "construct", "--family", "CON1", "--q", "3"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == ("internal error: ValueError during "
+                            "verification: inner dimensions differ\n")
+    assert cli.run(["grs", "sweep", "--q", "3", "--families", "CON1"]) == 3
+    monkeypatch.setattr(ag, "two_point_code", broken)
+    assert cli.run(["ag", "build", "--family", "COR2", "--q", "5",
+                    "--k", "1", "--t", "3"]) == 3
+    capsys.readouterr()
+
+
+def test_cli_construction_input_errors_exit_2(capsys):
+    # rejected before verification starts: a bad family, a bad q, a k or
+    # extra place the two-point construction does not admit
+    assert cli.run(["grs", "sweep", "--q", "3", "--families", "CON9"]) == 2
+    assert cli.run(["verify-all", "--q", "6"]) == 2
+    assert cli.run(["ag", "build", "--family", "COR2", "--q", "5",
+                    "--k", "9", "--t", "3"]) == 2
+    assert cli.run(["ag", "build", "--family", "COR2", "--q", "5",
+                    "--k", "1", "--t", "3", "--p-log", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown family 'CON9'" in err and "not a prime power" in err
+    assert "need 0 <= k" in err and "extra place" in err
+
+
 def test_cli_field_modulus_needs_prime_power(capsys):
     rc = cli.run(["ag", "grow", "--q", "6", "--field-modulus", "1,1,1"])
     captured = capsys.readouterr()
