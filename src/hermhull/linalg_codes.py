@@ -99,11 +99,18 @@ def nullspace(F: FieldContext, M: np.ndarray) -> np.ndarray:
     return _kernel_of_rref(F, R[:rank], pivots)
 
 
+def _free_columns(n: int, pivots) -> np.ndarray:
+    """The columns among 0..n-1 that are not pivots, in increasing order."""
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    return np.flatnonzero(free)
+
+
 def _kernel_of_rref(F: FieldContext, R: np.ndarray, pivots) -> np.ndarray:
     """Right kernel of a full-rank RREF matrix R with the given pivots: one
     row per free column f, with 1 at f and -R[:, f] at the pivots."""
     n = R.shape[1]
-    free = np.setdiff1d(np.arange(n), pivots)
+    free = _free_columns(n, pivots)
     basis = np.zeros((free.size, n), dtype=np.int32)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = F.neg_arr(R[:, free].T)
@@ -273,17 +280,33 @@ class LinearCode:
         return LinearCode.from_rows(self.field, self.parity_rows(), n=self.n)
 
     def hermitian_dual(self) -> "LinearCode":
+        """C-perp-H = conj(C-perp): the conjugated parity rows span it."""
         F = self.field
-        return LinearCode.from_rows(F, nullspace(F, conjugate(F, self.gen)),
+        return LinearCode.from_rows(F, conjugate(F, self.parity_rows()),
                                     n=self.n)
 
     def hermitian_hull(self) -> "LinearCode":
-        """Hull = C intersect C-perp-H, via one stacked parity solve."""
+        """Hull = C intersect C-perp-H, via one stacked parity solve.
+
+        The stacked matrix is [P; conj(G)], with P = [-A^T | I] the parity
+        rows, whose identity sits on the code's free (non-pivot) columns.
+        Its columns are solved free columns first, pivot columns last: P is
+        then already reduced on the leading columns, so each of those pivot
+        steps updates only the k rows of conj(G) instead of nearly all n
+        (the fill-reducing order of Markowitz 1957).  The kernel is the same
+        up to the column permutation; it is scattered back to the natural
+        coordinates and canonicalised.
+        """
         F = self.field
+        pivots = self._pivots()
+        order = np.concatenate([_free_columns(self.n, pivots), pivots])
         parity_c = self.parity_rows()              # x in C  <=>  H_C x = 0
         parity_h = conjugate(F, self.gen)          # x in C^perpH <=> G^(q) x = 0
-        stacked = np.vstack([parity_c, parity_h]) if parity_c.size else parity_h
-        return LinearCode.from_rows(F, nullspace(F, stacked), n=self.n)
+        stacked = np.vstack([parity_c, parity_h])
+        kernel_perm = nullspace(F, stacked[:, order])
+        kernel = np.empty_like(kernel_perm)
+        kernel[:, order] = kernel_perm
+        return LinearCode.from_rows(F, kernel, n=self.n)
 
     def gram(self) -> np.ndarray:
         return gram_matrix(self.field, self.gen)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from hermhull.gf import make_field
-from hermhull.linalg_codes import (BudgetExceededError, FieldMismatchError,
-                                   LinearCode, gram_matrix, mat_mul,
-                                   matrix_rank, nullspace, rref)
+from hermhull import ag, grs, linalg_codes
+from hermhull.gf import FieldContext, make_field, quadratic_field
+from hermhull.linalg_codes import (DEFAULT_BUDGET, BudgetExceededError,
+                                   FieldMismatchError, LinearCode, conjugate,
+                                   gram_matrix, mat_mul, matrix_rank,
+                                   nullspace, rref)
 
 from conftest import grs_b_full, random_code
 
@@ -263,7 +265,6 @@ def test_walker_weight_one_and_zero_column(request, field):
 
 
 def test_walker_multi_block_prefix_path(F4, F9, monkeypatch):
-    from hermhull import linalg_codes
     monkeypatch.setattr(linalg_codes, "_BLOCK_CODEWORDS", 81)
     rng = np.random.default_rng(12)
     # the first row's tail fills 9 blocks from one prefix row over GF(9),
@@ -358,7 +359,6 @@ def test_mat_mul_matches_scalar_reference(KF, a, b, c):
 
 @pytest.mark.parametrize("chunk", [20, 70])
 def test_mat_mul_chunked_matches_reference(F16, F49, monkeypatch, chunk):
-    from hermhull import linalg_codes
     # chunk 20 holds less than one output row in both paths (one row a
     # chunk); 70 holds two rows: b c = 30 products, b c m^2 = 120 float ops
     monkeypatch.setattr(linalg_codes, "_MAT_MUL_CHUNK", chunk)
@@ -439,3 +439,131 @@ def test_parity_rows_match_nullspace(p, m):
         assert H.shape == (C.n - C.k, C.n)
         assert not mat_mul(F, C.gen, H.T).any()
     assert list(np.argmax(codes[-1].gen != 0, axis=1)) != list(range(codes[-1].k))
+
+
+# ----------------------------------------------------------------------
+# Hermitian dual and hull against natural-order eliminations
+# ----------------------------------------------------------------------
+
+def ref_hermitian_dual(C):
+    F = C.field
+    return LinearCode.from_rows(F, nullspace(F, conjugate(F, C.gen)), n=C.n)
+
+
+def ref_hermitian_hull(C):
+    """The stacked parity solve [P; conj(G)] in natural column order."""
+    F = C.field
+    stacked = np.vstack([C.parity_rows(), conjugate(F, C.gen)])
+    return LinearCode.from_rows(F, nullspace(F, stacked), n=C.n)
+
+
+def codes_for_duality(F, n, rng):
+    """Random [n, k] codes for k in {0, 1, n//2, n-1, n}, and codes whose
+    pivots are not the leading columns (zero and repeated columns)."""
+    codes = [LinearCode.zero(F, n), LinearCode.full(F, n)]
+    codes += [random_code(F, n, k, rng) for k in (1, n // 2, n - 1)]
+    for k in (1, n // 2, n - 1):
+        M = sparse_random(F, (k, n), rng)
+        M[:, [0, n // 2]] = 0
+        M[:, 2] = M[:, 1]
+        codes.append(LinearCode.from_rows(F, M, n=n))
+    return codes
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_hermitian_dual_is_conjugated_parity(q):
+    F = quadratic_field(q)
+    rng = np.random.default_rng(40 + q)
+    codes = codes_for_duality(F, 9, rng)
+    assert any(list(C._pivots()) != list(range(C.k)) for C in codes)
+    for C in codes:
+        D = C.hermitian_dual()
+        assert D == ref_hermitian_dual(C), (C.n, C.k)
+        assert D.k == C.n - C.k
+        assert not mat_mul(F, C.gen, conjugate(F, D.gen).T).any()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_hermitian_hull_matches_natural_order_solve(q):
+    F = quadratic_field(q)
+    rng = np.random.default_rng(50 + q)
+    codes = codes_for_duality(F, 10, rng)
+    # self-orthogonal: the first q-1 evaluation rows on all of GF(q^2)
+    b = np.array(grs_b_full(F), dtype=np.int32)
+    ev = [np.ones(F.order, dtype=np.int32)]
+    for _ in range(q - 2):
+        ev.append(F.mul_arr(ev[-1], b))
+    so = LinearCode.from_rows(F, ev, n=F.order)
+    # complementary dual: unit vectors, whose Gram matrix is the identity
+    lcd = LinearCode.from_rows(F, [[0, 0, 0, 1, 0], [0, 1, 0, 0, 0]], n=5)
+    for C in codes + [so, lcd]:
+        hull = C.hermitian_hull()
+        assert hull == ref_hermitian_hull(C), (C.n, C.k)
+        assert hull.k == C.hull_dim_via_gram()
+    assert so.hermitian_hull() == so and so.k == q - 1
+    assert lcd.hermitian_hull().k == 0
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_hermitian_hull_on_every_two_point_instance(q):
+    F = quadratic_field(q)
+    count = 0
+    for family in ("COR1", "COR2", "COR3"):
+        for params in ag.family_parameter_grid(family, q):
+            kw = {n: params[n] for n in ("s", "t", "n0") if n in params}
+            diff = ag.evaluation_set(family, q, field=F, **kw)
+            _, _, rows = ag._scaled_rows(F, diff, params["k"], None)
+            C = LinearCode.from_rows(F, rows)
+            assert C.hermitian_hull() == ref_hermitian_hull(C), (family, params)
+            count += 1
+    assert count > 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_hermitian_hull_on_every_grs_instance_in_budget(q):
+    count = 0
+    for family in grs.FAMILIES:
+        for params in grs.family_parameter_grid(family, q):
+            C, _ = grs.construct_family(family, q, **params)
+            if C.field.order ** C.k > DEFAULT_BUDGET:
+                continue
+            assert C.hermitian_hull() == ref_hermitian_hull(C), (family, params)
+            count += 1
+    assert count > 0
+
+
+def test_hermitian_hull_elimination_work_is_bounded(monkeypatch):
+    """The free-first stacked solve of the [110, 11] COR2 code (t = 10,
+    k = 9) over GF(121) adds at most dim * n^2 field elements; the
+    leftmost-first order of the same solve adds 654,486 in its nullspace
+    alone."""
+    F = quadratic_field(11)
+    diff = ag.evaluation_set("COR2", 11, t=10, field=F)
+    C = LinearCode.from_rows(F, ag._scaled_rows(F, diff, 9, None)[2])
+    assert (C.n, C.k) == (110, 11)
+    added = [0]
+    add_arr = FieldContext.add_arr
+
+    def counting(self, a, b):
+        added[0] += np.broadcast(np.asarray(a), np.asarray(b)).size
+        return add_arr(self, a, b)
+
+    monkeypatch.setattr(FieldContext, "add_arr", counting)
+    hull = C.hermitian_hull()
+    assert added[0] <= C.k * C.n ** 2
+    monkeypatch.undo()
+    assert hull == ref_hermitian_hull(C)
+
+
+def test_hermitian_hull_uses_no_gram_product(F16, monkeypatch):
+    """The stacked solve stays independent of the Gram-rank method."""
+
+    def refuse(*args):
+        raise AssertionError("hermitian_hull must not multiply matrices")
+
+    C = random_code(F16, 9, 4, np.random.default_rng(60))
+    monkeypatch.setattr(linalg_codes, "mat_mul", refuse)
+    monkeypatch.setattr(linalg_codes, "gram_matrix", refuse)
+    hull = C.hermitian_hull()
+    monkeypatch.undo()
+    assert hull == ref_hermitian_hull(C)

@@ -361,6 +361,22 @@ def test_cli_verify_all_golden_bodies(capsys, q):
     assert digest == GOLDEN_VERIFY_ALL[q]
 
 
+#: the same for q = 11 and 13, whose grids carry the CON3E FAIL reports of
+#: the refuted (z, f) = (3, 2) hull claim, so the command exits 1
+GOLDEN_VERIFY_ALL_WITH_FAILS = {
+    11: "7bd1d20d7477662d28ec6a649784623c8f50b62f50bee25c76ad16d815530895",
+    13: "1d2f186c1b55bd2a15d7fcc0fb9e8c283c85257501563e32babcf3e10e0b8496",
+}
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_VERIFY_ALL_WITH_FAILS))
+def test_cli_verify_all_golden_bodies_with_fails(capsys, q):
+    rc, out = run_cli(capsys, "verify-all", "--q", str(q))
+    assert rc == 1
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_VERIFY_ALL_WITH_FAILS[q]
+
+
 #: sha256 of the stdout of ``grs sweep --q 16 --families CON1E,CON4E``, the
 #: widest characteristic-2 generators (k up to 127, n = 256)
 GOLDEN_SWEEP_Q16_WIDE = \
