@@ -21,8 +21,8 @@ import numpy as np
 from . import polys, quantum
 from .gf import FieldContext, quadratic_field
 from .grs import GrsSpec
-from .linalg_codes import (DEFAULT_BUDGET, LinearCode, conjugate,
-                           gram_matrix, mat_mul, matrix_rank, rref)
+from .linalg_codes import LinearCode, gram_matrix, matrix_rank, rref
+from .linalg_codes import mat_mul  # noqa: F401 -- perfbench wraps ag.mat_mul
 from .report import (STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED,
                      ConstructionReport)
 
@@ -248,15 +248,27 @@ class DifferentialData:
     witnesses: tuple[int, ...]  # empty when the residues are not norms
 
 
-def _hprime(F: FieldContext, pts: Sequence[int]) -> np.ndarray:
-    """h'(u_i) = prod_{j != i} (u_i - u_j) for h = prod (x - u), as one
-    log-domain sum per row of the n x n difference matrix; 0 at a repeated
-    point."""
+def _differences(F: FieldContext, xs: Sequence[int],
+                 pts: Sequence[int]) -> np.ndarray:
+    """The len(xs) x len(pts) matrix of differences x_i - u_j."""
     u = np.asarray(pts, dtype=np.int32)
-    d = F.add_arr(u[:, None], F.neg_arr(u)[None, :])
-    np.fill_diagonal(d, 1)
+    return F.add_arr(np.asarray(xs, dtype=np.int32)[:, None],
+                     F.neg_arr(u)[None, :])
+
+
+def _row_products(F: FieldContext, d: np.ndarray) -> np.ndarray:
+    """The product of each row of d, as one log-domain sum per row; 0 for a
+    row that holds a 0."""
     logs = F.log[d].astype(np.int64).sum(axis=1) % (F.order - 1)
     return np.where((d == 0).any(axis=1), 0, F.exp[logs])
+
+
+def _hprime(F: FieldContext, pts: Sequence[int]) -> np.ndarray:
+    """h'(u_i) = prod_{j != i} (u_i - u_j) for h = prod (x - u), over the
+    rows of the n x n difference matrix; 0 at a repeated point."""
+    d = _differences(F, pts, pts)
+    np.fill_diagonal(d, 1)
+    return _row_products(F, d)
 
 
 def residues(F: FieldContext, points: Sequence[int],
@@ -400,8 +412,8 @@ class TwoPointResult:
     p: int
     diff: DifferentialData
     code: LinearCode
-    scaled_rows: np.ndarray       # k+2 natural generator rows, scaled
-    one_point_rows: np.ndarray    # the k+1 rows spanning the self-orthogonal part
+    scaled_rows: np.ndarray       # k+2 natural generator rows, scaled; the
+                                  # first k+1 span the self-orthogonal part
     branch: int                   # 1: self-orthogonal, 2: hull of dimension k
     hull: LinearCode
     report: ConstructionReport
@@ -430,40 +442,30 @@ def check_two_point_input(F: FieldContext, diff: DifferentialData, k: int,
     return p
 
 
-def _scaled_rows(F: FieldContext, diff: DifferentialData, k: int,
-                 p: Optional[int]):
-    """Check the inputs and return (pts, p, rows): the natural basis
-    1, x, ..., x^k, 1/(x-p) of L(kO + P) evaluated on the points of
-    ``diff`` and scaled by its norm witnesses a.
-
-    On the genus-0 line C_L(D, kO + P) is GRS_{k+2}(u, 1/(u-p)), so the
-    rows are those of GRS_{k+1}(u, a) over the single pole row a/(u-p);
-    rows[:k+1] span a.C_L(D, kO) and rows[[0, k+1]] span a.C_L(D, P).
-    """
-    p = check_two_point_input(F, diff, k, p)
-    pts = diff.points
-    a = np.array(diff.witnesses, dtype=np.int32)
-    u = np.array(pts, dtype=np.int32)
-    pole = F.mul_arr(a, F.inv_arr(F.add_arr(u, F.neg(p))))
-    rows = np.vstack([GrsSpec(F, pts, diff.witnesses, k + 1).generator(), pole])
-    return pts, p, rows
-
-
 def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
                    p: Optional[int] = None,
-                   distance_budget: int = DEFAULT_BUDGET,
-                   hull_distance_budget: int = 10 ** 6) -> TwoPointResult:
+                   distance_budget: int = 10 ** 6) -> TwoPointResult:
     """Scaled evaluation code on G = kO + P with an MDS Hermitian hull.
 
     ``diff`` is the evaluation set with its residues, as ``evaluation_set``
     or ``residues`` return it.  The scaling solves a_i^(q+1) = Res_i(dx/h)
-    (after the canonical constant rescale when needed).  The two branches
-    are detected, never assumed: either the code is Hermitian
-    self-orthogonal, or its hull has dimension k and is checked to be MDS
-    within budget.
+    (after the canonical constant rescale when needed).  On the genus-0
+    line C_L(D, kO + P) is GRS_{k+2}(u, 1/(u-p)), so the natural rows are
+    those of GRS_{k+1}(u, a) over the single pole row a/(u-p); rows[:k+1]
+    span a.C_L(D, kO) and rows[[0, k+1]] span a.C_L(D, P).  The two
+    branches are detected, never assumed: either the code is Hermitian
+    self-orthogonal, or its hull has dimension k and is checked to be MDS.
+    ``distance_budget`` caps both enumerations, of the code and of its hull,
+    counted as order^dim messages.
     """
-    pts, p, scaled = _scaled_rows(F, diff, k, p)
+    p = check_two_point_input(F, diff, k, p)
+    pts = diff.points
     q, n = F.q, len(pts)
+    u = np.array(pts, dtype=np.int32)
+    pole = F.mul_arr(np.array(diff.witnesses, dtype=np.int32),
+                     F.inv_arr(F.add_arr(u, F.neg(p))))
+    scaled = np.vstack([GrsSpec(F, pts, diff.witnesses, k + 1).generator(),
+                        pole])
     code = LinearCode.from_rows(F, scaled, n=n)
 
     rep = ConstructionReport(
@@ -477,16 +479,14 @@ def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
     # the one-point part a . C_L(D, kO) should be Hermitian self-orthogonal;
     # its Gram matrix is the leading block of the code's
     gram = gram_matrix(F, scaled)
-    one_rows = scaled[:k + 1]
     self_orth_part = not gram[:k + 1, :k + 1].any()
     rep.check("one_point_self_orthogonal",
               STATUS_PASS if self_orth_part else STATUS_FAIL,
               expected=True, measured=self_orth_part)
 
-    # branch test: is a . C_L(D, P) inside the Hermitian dual of the code?
-    rowsP = scaled[[0, k + 1]]
-    in_dual = not mat_mul(F, code.gen, conjugate(F, rowsP).T).any()
-    branch = 1 if in_dual else 2
+    # branch test: a . C_L(D, P), spanned by rows 0 and k+1, lies in the
+    # Hermitian dual of the code exactly when those Gram columns vanish
+    branch = 2 if gram[:, [0, k + 1]].any() else 1
 
     hull = code.hermitian_hull()
     gram_dim = code.k - matrix_rank(F, gram)
@@ -516,8 +516,8 @@ def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
 
     mds_status = "n/a"
     if branch == 2 and hull.k > 0:
-        if F.order ** hull.k <= hull_distance_budget:
-            dh = hull.min_distance(hull_distance_budget)
+        if F.order ** hull.k <= distance_budget:
+            dh = hull.min_distance(distance_budget)
             okm = rep.check_eq("hull_mds", n - hull.k + 1, dh,
                                note="enumerated hull distance")
             mds_status = "enumerated" if okm else "failed"
@@ -529,13 +529,13 @@ def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
     if rep.verdict != "FAIL":
         ing = quantum.mds_ingredient(q, n, code.k, hull.k)
         rep.quantum = quantum.chain_to_json(ing)
-    return TwoPointResult(F, pts, k, p, diff, code, scaled, one_rows,
-                          branch, hull, rep)
+    return TwoPointResult(F, pts, k, p, diff, code, scaled, branch, hull,
+                          rep)
 
 
 def two_point_family(family: str, F: FieldContext, k: int,
                      p: Optional[int] = None,
-                     distance_budget: int = DEFAULT_BUDGET,
+                     distance_budget: int = 10 ** 6,
                      **params) -> TwoPointResult:
     """``two_point_code`` on the ``family`` evaluation set with parameters
     ``params`` (s, t, n0), its report labelled with the family and them."""
@@ -544,75 +544,6 @@ def two_point_family(family: str, F: FieldContext, k: int,
     res.report.construction["family"] = family
     res.report.construction["parameters"] |= params
     return res
-
-
-def extended_two_point(F: FieldContext, diff: DifferentialData, k: int,
-                       p: Optional[int] = None,
-                       distance_budget: int = DEFAULT_BUDGET,
-                       require_base: bool = True) -> TwoPointResult:
-    """Sum-zero extensions of the scaled one- and two-point codes on the
-    evaluation set ``diff`` (as for ``two_point_code``).
-
-    Precondition, verified rather than assumed: the extended scaled
-    one-point code must be Hermitian self-orthogonal with parameters
-    [n+1, k+1, n-k+1].  The sum-zero pairing forces the appended
-    coordinate of a self-orthogonal extension to vanish identically,
-    which caps its distance at n-k, so the precondition fails for every
-    admissible input; pass ``require_base=False`` to build and measure
-    the extended two-point code anyway.
-    """
-    pts, p, scaled = _scaled_rows(F, diff, k, p)
-    q, n = F.q, len(pts)
-
-    base = LinearCode.from_rows(F, scaled[:k + 1], n=n)
-    ext_base = base.extend_sum_zero()
-    problems = []
-    if (ext_base.n, ext_base.k) != (n + 1, k + 1):
-        problems.append(f"parameters [{ext_base.n}, {ext_base.k}]")
-    if not ext_base.is_hermitian_self_orthogonal():
-        problems.append("not Hermitian self-orthogonal")
-    elif F.order ** ext_base.k <= distance_budget \
-            and ext_base.min_distance(distance_budget) != n - k + 1:
-        problems.append(f"distance {ext_base.min_distance()} != {n - k + 1}")
-    if problems and require_base:
-        raise ValueError("base extended code fails its precondition: "
-                         + "; ".join(problems))
-
-    code = LinearCode.from_rows(F, scaled, n=n).extend_sum_zero()
-
-    rep = ConstructionReport(
-        construction={"module": "ag", "family": "extended_two_point",
-                      "parameters": {"q": q, "n": n + 1, "k": k,
-                                     "p": F.log_of(p) if p else -1}},
-        field=F.describe())
-    rep.check("base_extension_self_orthogonal",
-              STATUS_PASS if not problems else STATUS_FAIL,
-              expected=True, measured=not problems, note="; ".join(problems))
-    rep.check_eq("code_length", n + 1, code.n)
-    rep.check_eq("code_dimension", k + 2, code.k)
-
-    extP = LinearCode.from_rows(F, scaled[[0, k + 1]], n=n).extend_sum_zero()
-    in_dual = not mat_mul(F, code.gen, conjugate(F, extP.gen).T).any()
-    branch = 1 if in_dual else 2
-
-    hull = code.hermitian_hull()
-    if branch == 1:
-        rep.check_eq("self_orthogonal_hull", code.k, hull.k,
-                     note="branch 1: the extension is Hermitian self-orthogonal")
-    else:
-        rep.check_eq("hull_dim", k, hull.k, note="branch 2")
-    d_val = None
-    d_kind = "bound"
-    if F.order ** code.k <= distance_budget:
-        d_val = code.min_distance(distance_budget)
-        rep.check_eq("code_distance", n - k, d_val, note="enumerated")
-        d_kind = "enumerated"
-    rep.code = {"n": n + 1, "k": code.k, "d": d_val, "d_bound": n - k,
-                "d_kind": d_kind}
-    rep.hull = {"dim_claimed": k, "dim_measured": hull.k, "branch": branch,
-                "mds": "n/a"}
-    return TwoPointResult(F, pts, k, p, diff, code, scaled,
-                          code.gen[:k + 1], branch, hull, rep)
 
 
 # ----------------------------------------------------------------------
@@ -661,7 +592,7 @@ def scale_for_hull(result: TwoPointResult, ell: int,
         raise ValueError("scaling element must be nonzero with norm != -1")
     if ell > 0 and F.pow(alpha, F.q + 1) == 1:
         raise ValueError("norm-1 scaling cannot change the hull")
-    T, rank, pivots = rref(F, result.one_point_rows)
+    T, rank, pivots = rref(F, result.scaled_rows[:k + 1])
     if rank != k + 1:
         raise ValueError("self-orthogonal part has unexpected rank")
     a = np.ones(result.code.n, dtype=np.int32)
@@ -722,17 +653,19 @@ def extend_evaluation_set(F: FieldContext, points: Sequence[int],
     status = "ok"
     for _ in range(max_steps):
         found = None
-        f = polys.from_roots(F, pts)
         used = set(pts)
         nonmembers = [F.alpha_pow(e) for e in range(F.order - 1)
                       if F.alpha_pow(e) not in used]
         if 0 not in used:
             nonmembers.append(0)
+        # h(b) = prod (b - u) at every candidate b
+        h = dict(zip(nonmembers, _row_products(
+            F, _differences(F, nonmembers, pts)).tolist()))
 
         def pair_ok(b1: int, b2: int) -> bool:
             d12 = F.sub(b1, b2)
-            if not (F.is_norm(F.mul(polys.evaluate(F, f, b1), d12))
-                    and F.is_norm(F.mul(polys.evaluate(F, f, b2), F.neg(d12)))):
+            if not (F.is_norm(F.mul(h[b1], d12))
+                    and F.is_norm(F.mul(h[b2], F.neg(d12)))):
                 return False
             return all(F.is_norm(F.mul(F.sub(u, b1), F.sub(u, b2)))
                        for u in pts)

@@ -298,10 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="cap on hull-intersection work (codeword count)")
         p.add_argument("--distance-budget", type=int, default=10 ** 6,
-                       help="cap on distance enumeration, counted as the "
-                            "order^k messages of the code although only the "
-                            "(order^k - 1)/(order - 1) normalised ones are "
-                            "visited")
+                       help="cap on distance enumeration, of a code and of "
+                            "its hull, counted as the order^k messages of "
+                            "the code although only the (order^k - 1)/"
+                            "(order - 1) normalised ones are visited")
         p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("field", help="build and describe a field")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import polys
 from .gf import FieldContext, make_field, prime_power, quadratic_field
-from .linalg_codes import LinearCode, nullspace
+from .linalg_codes import LinearCode, mat_mul, nullspace
 
 
 def _ord_mod(q: int, n: int) -> int:
@@ -67,6 +67,7 @@ def defining_set_dkl(q: int, k: int, ell: int) -> tuple[int, ...]:
     [ell,k-1] x [0,ell-1], and [0,ell-1]^2 minus the integer 0; the integer
     q^2 - 1 (reached only when ell = k = q) reduces to the exponent 0.
     """
+    prime_power(q)
     if not 0 <= ell <= k <= q:
         raise ValueError("need 0 <= ell <= k <= q")
     n = q * q - 1
@@ -97,14 +98,17 @@ class CyclicCode:
 
     def parity_rows(self) -> np.ndarray:
         """Rows (beta^{ij})_j over the splitting field, one per coset leader."""
-        leaders = sorted({min(cyclotomic_coset(self.n, self.q, d))
-                          for d in self.defining_set})
-        S = self.splitting
-        rows = np.zeros((len(leaders), self.n), dtype=np.int32)
-        for r, i in enumerate(leaders):
-            for j in range(self.n):
-                rows[r, j] = S.alpha_pow((S.log_of(self.beta) * i * j))
-        return rows
+        return _leader_rows(self.splitting, self.beta, self.n, self.q,
+                            self.defining_set)
+
+
+def _leader_rows(F: FieldContext, beta: int, n: int, q: int,
+                 D: Sequence[int]) -> np.ndarray:
+    """Rows (beta^{ij})_{j<n} over F, one per q-cyclotomic coset leader i
+    of D, read off the exp table."""
+    leaders = sorted({min(cyclotomic_coset(n, q, d)) for d in D})
+    logs = np.outer(leaders, np.arange(n)).astype(np.int64) * F.log_of(beta)
+    return F.exp[logs % (F.order - 1)]
 
 
 def _splitting_field(q: int, n: int) -> tuple[FieldContext, FieldContext]:
@@ -150,14 +154,9 @@ def extended_parity_rows(q: int, D: Sequence[int]) -> np.ndarray:
     leader i, the row (1, beta^i, ..., beta^{i(n-1)}, 0)."""
     n = q * q - 1
     F2 = quadratic_field(q)
-    beta = F2.alpha_pow((F2.order - 1) // n)  # beta = alpha
-    leaders = sorted({min(cyclotomic_coset(n, q, d)) for d in set(D)})
-    rows = np.ones((1 + len(leaders), n + 1), dtype=np.int32)
-    for r, i in enumerate(leaders):
-        for j in range(n):
-            rows[1 + r, j] = F2.pow(beta, i * j)
-        rows[1 + r, n] = 0
-    return rows
+    rows = _leader_rows(F2, F2.alpha, n, q, D)  # beta = alpha
+    rows = np.hstack([rows, np.zeros((len(rows), 1), dtype=np.int32)])
+    return np.vstack([np.ones((1, n + 1), dtype=np.int32), rows])
 
 
 def ht_bound(n: int, D: Sequence[int]) -> int:
@@ -290,14 +289,7 @@ def eqtr_codeword(q: int, k: int, params: EqtrParams) -> np.ndarray:
 
 
 def _annihilates(F2: FieldContext, H: np.ndarray, v: np.ndarray) -> bool:
-    for row in H:
-        acc = 0
-        prods = F2.mul_arr(row, v)
-        for x in prods:
-            acc = F2.add(acc, int(x))
-        if acc:
-            return False
-    return True
+    return not mat_mul(F2, H, np.asarray(v)[:, None]).any()
 
 
 def rains_p(code_k: LinearCode, code_ell: Optional[LinearCode] = None,
@@ -349,25 +341,18 @@ def trace_code(q: int, n: int, D: Sequence[int]) -> LinearCode:
     gen_exps = [e for e in range(n) if e not in D]
     leaders = sorted({min(cyclotomic_coset(n, q, e)) for e in gen_exps})
     beta = split.alpha_pow((split.order - 1) // n)
+    project = (lambda w: w) if split is base else split.project_arr
     rows = []
     u = np.arange(n)
     for i in leaders:
         size = len(cyclotomic_coset(n, q, i))
         vals = split.exp[(-(u * i) * (split.log_of(beta))) % (split.order - 1)]
         if size == 1:
-            w = vals
-            rows.append([base_project(split, base, int(x)) for x in w])
+            rows.append(project(vals))
         elif size == 2:
             for theta in (1, split.alpha):
                 w = split.mul_arr(np.array(theta), vals)
-                tr = split.add_arr(w, split.pow_q_arr(w))
-                rows.append([base_project(split, base, int(x)) for x in tr])
+                rows.append(project(split.add_arr(w, split.pow_q_arr(w))))
         else:  # unreachable with ord <= 2
             raise ValueError("coset size exceeds the supported splitting degree")
     return LinearCode.from_rows(base, rows, n=n)
-
-
-def base_project(split: FieldContext, base: FieldContext, x: int) -> int:
-    if split is base:
-        return x
-    return split.to_subfield(x)

@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
+from .gf import prime_power
+
 
 @dataclass(frozen=True)
 class QuantumParams:
@@ -66,8 +68,9 @@ class ClassicalIngredient:
     dual_min_distance: Optional[int] = None
 
     def __post_init__(self):
-        if self.hull_dim > min(self.k, self.n - self.k):
-            raise ValueError("hull dimension exceeds min(k, n-k)")
+        prime_power(self.q)
+        if not 0 <= self.hull_dim <= min(self.k, self.n - self.k):
+            raise ValueError("hull dimension outside [0, min(k, n-k)]")
         if not 0 <= self.k <= self.n:
             raise ValueError("bad code dimension")
 
@@ -327,6 +330,7 @@ def table3_new_rows(q: int) -> list[dict]:
 
 
 def emit_tables(q: int) -> dict:
+    prime_power(q)
     return {
         "table1": table1_rows(q),
         "table2": table2_rows(q),

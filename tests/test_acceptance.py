@@ -118,8 +118,7 @@ def test_criterion_4_two_point_families(capsys):
                     U = ag.evaluation_set(family, q, **kwargs)
                     k = params["k"]
                     res = ag.two_point_code(F, U, k,
-                                            distance_budget=10 ** 8,
-                                            hull_distance_budget=10 ** 6)
+                                            distance_budget=10 ** 8)
                     n = len(U.points)
                     assert (res.code.n, res.code.k) == (n, k + 2)
                     assert res.report.verdict == "PASS", \
@@ -209,8 +208,7 @@ def test_criterion_5_twenty_point_golden_example(capsys):
 
         # canonical norm-witness pipeline on the same twenty points
         res = ag.two_point_code(F, ag.residues(F, U), 3, p=P,
-                                distance_budget=25 ** 5,
-                                hull_distance_budget=25 ** 3)
+                                distance_budget=25 ** 5)
         assert res.branch == 2 and res.hull.k == 3
         assert res.hull.min_distance() == 18
         assert res.report.verdict == "PASS"

@@ -1,17 +1,15 @@
-import hashlib
-import json
-
 import numpy as np
 import pytest
 
 from hermhull import ag, polys
 from hermhull.ag import (Divisor, O, RationalFunction, default_extra_point,
                          default_scaling_element, evaluation_code,
-                         evaluation_set, extend_evaluation_set,
-                         extended_two_point, finite, lbasis, residues, rr_dim,
-                         scale_for_hull, scale_sweep, two_point_code)
+                         evaluation_set, extend_evaluation_set, finite,
+                         lbasis, residues, rr_dim, scale_for_hull, scale_sweep,
+                         two_point_code)
 from hermhull.gf import make_field, quadratic_field
 from hermhull.grs import GrsSpec
+from hermhull.linalg_codes import conjugate, mat_mul
 
 
 def subfield_points(F):
@@ -227,19 +225,6 @@ def test_two_point_k0_boundary(F9):
     assert res.report.verdict == "PASS"
 
 
-def test_extended_two_point_precondition_unsatisfiable(F9):
-    # the sum-zero extension forces a zero appended coordinate on the
-    # self-orthogonal part, capping its distance below the requirement
-    U = evaluation_set("COR2", 3, t=2)
-    with pytest.raises(ValueError, match="precondition"):
-        extended_two_point(F9, U, 1)
-    res = extended_two_point(F9, U, 1, require_base=False)
-    assert (res.code.n, res.code.k) == (7, 3)
-    assert res.report.verdict == "FAIL"
-    assert res.report.first_failure == "base_extension_self_orthogonal"
-    assert res.hull.k in (res.code.k, 1, 0)
-
-
 def test_default_scaling_element():
     F49 = quadratic_field(7)
     v = default_scaling_element(F49)
@@ -357,8 +342,9 @@ def test_scaled_rows_are_scaled_evaluation_rows(q):
             last_free = max(set(range(F.order)) - set(pts))
             for k in range(kmax + 1):
                 for p in (None, last_free):
-                    got_pts, got_p, rows = ag._scaled_rows(F, diff, k, p)
-                    assert got_pts == pts
+                    res = two_point_code(F, diff, k, p, distance_budget=0)
+                    got_p, rows = res.p, res.scaled_rows
+                    assert res.points == pts
                     assert got_p == (default_extra_point(F, pts)
                                      if p is None else p)
                     a = np.array(diff.witnesses, dtype=np.int32)[None, :]
@@ -428,38 +414,51 @@ def test_hprime_random_multisets(q):
         assert ag._hprime(F, pts).tolist() == _hprime_by_polys(F, pts)
 
 
-#: sha256 of the canonical report body of ``extended_two_point(...,
-#: require_base=False)`` on the family set, as built by the evaluation-code
-#: rows before they came from GRS rows
-GOLDEN_EXTENDED = [
-    ("COR1", 3, {"s": 5}, 0,
-     "ea796decb01ca653c7be95c447c25483de59a0977dd8fc8d1c8d440766091d97"),
-    ("COR1", 4, {"s": 6}, 0,
-     "71be6dd7851c381c76810dd1a918ef4419a17a385ecec7a19b5c03788bf216b5"),
-    ("COR1", 5, {"s": 13}, 0,
-     "d14d9bd9569c33eb5c23e3be72003534f404e307f9597dd7069fa698e3cae67c"),
-    ("COR1", 5, {"s": 13}, 1,
-     "933793a9e5c5870704050c59843abc1fb914c3b250cfa2a5d91bb1a39a4f5341"),
-    ("COR1", 8, {"s": 22}, 1,
-     "a247e98eb80066a7844e5d9af2219082fd5d9774dda801eb5425ef2b7fa20cb4"),
-    ("COR2", 3, {"t": 2}, 1,
-     "82eb6683767be1627d6aae798ec9b88822fbeed1c6833ac4a9c7a060405bbcc4"),
-    ("COR2", 4, {"t": 3}, 2,
-     "ad7fad2f939112fb6787eed641696da8164883997b97738f0f97ed86bb574925"),
-    ("COR2", 7, {"t": 4}, 3,
-     "1b761daecd51e51fb25090b295b49c29103eae57ab8b2eedb67b2c22c1d2b89b"),
-    ("COR3", 5, {"n0": 6, "t": 1}, 1,
-     "521dd478c475c04dfed832aa6e64f7439c390b22a8e6e375b7dd8711ac947de2"),
-]
+# ----------------------------------------------------------------------
+# the refuted extension and the branch test
+# ----------------------------------------------------------------------
+
+def _grid_instances(F):
+    """(family, params, evaluation set) for every COR grid entry at F.q."""
+    for family in ("COR1", "COR2", "COR3"):
+        for params in ag.family_parameter_grid(family, F.q):
+            kw = {n: params[n] for n in ("s", "t", "n0") if n in params}
+            yield family, params, evaluation_set(family, F.q, field=F, **kw)
 
 
-@pytest.mark.parametrize("family, q, params, k, digest", GOLDEN_EXTENDED)
-def test_extended_two_point_reports_pinned(family, q, params, k, digest):
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_sum_zero_extension_of_the_one_point_code_is_refuted(q):
+    """Extending a self-orthogonal scaled one-point code GRS_{k+1}(u, a) by
+    a sum-zero coordinate cannot give a self-orthogonal [n+1, k+1, n-k+1]
+    code: when the extension is self-orthogonal its appended column is
+    zero, so its distance is at most n - k.  Checked on every COR grid
+    input, with no enumeration."""
     F = quadratic_field(q)
-    res = extended_two_point(F, evaluation_set(family, q, **params), k,
-                             require_base=False)
-    body = res.report.to_canonical_dict()
-    assert body["verdict"] == "FAIL"
-    assert body["first_failure"] == "base_extension_self_orthogonal"
-    assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() \
-        == digest
+    kinds = set()
+    for family, params, U in _grid_instances(F):
+        k = params["k"]
+        one_point = GrsSpec(F, U.points, U.witnesses, k + 1).code()
+        ext = one_point.extend_sum_zero()
+        assert (ext.n, ext.k) == (len(U.points) + 1, k + 1)
+        self_orth = ext.is_hermitian_self_orthogonal()
+        zero_column = not ext.gen[:, -1].any()
+        assert zero_column or not self_orth, (family, params)
+        kinds.add(self_orth)
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_branch_test_reads_the_gram_matrix(q):
+    """The branch read off Gram columns 0 and k+1 equals the product of the
+    reduced generator with conj(a . C_L(D, P)) on every grid instance."""
+    F = quadratic_field(q)
+    count = 0
+    for family, params, U in _grid_instances(F):
+        k = params["k"]
+        res = two_point_code(F, U, k, distance_budget=0)
+        rows_p = res.scaled_rows[[0, k + 1]]
+        in_dual = not mat_mul(F, res.code.gen, conjugate(F, rows_p).T).any()
+        assert res.branch == (1 if in_dual else 2), (family, params)
+        count += 1
+    assert count > 0
+

@@ -10,7 +10,7 @@ from hermhull.cyclic import (EqtrParams, cyclic_from_defining_set,
                              eqtr_codeword, extended_parity_rows, ht_bound,
                              index_set_T, rains_p, trace_code)
 from hermhull.gf import quadratic_field
-from hermhull.linalg_codes import LinearCode
+from hermhull.linalg_codes import LinearCode, nullspace
 
 from conftest import grs_b_full
 
@@ -261,7 +261,6 @@ def test_rains_basis_pairs_suffice(F9):
             w = F9.mul_arr(u, F9.pow_q_arr(v))
             rows.append(dec[w, 0])
             rows.append(dec[w, 1])
-    from hermhull.linalg_codes import nullspace
     basis = nullspace(Fq, np.array(rows, dtype=np.int32))
     assert LinearCode.from_rows(Fq, basis, n=7) == P_basis
 
@@ -271,3 +270,37 @@ def test_extended_parity_rows_shape():
     assert H.shape == (2, 9)          # all-ones row + one coset-leader row
     assert list(H[0]) == [1] * 9
     assert H[1, -1] == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_parity_rows_and_annihilation_match_scalar_loops(q):
+    # references: entry-wise powers of beta and a scalar sum per row
+    F2 = quadratic_field(q)
+    n = q * q - 1
+    rng = np.random.default_rng(q)
+    for k in range(1, q + 1):
+        D = defining_set_dkl(q, k, k - 1)
+        leaders = sorted({min(cyclotomic_coset(n, q, d)) for d in D})
+        H = extended_parity_rows(q, D)
+        assert H.shape == (1 + len(leaders), n + 1)
+        for r, i in enumerate(leaders):
+            assert H[1 + r].tolist() == \
+                [F2.pow(F2.alpha, i * j) for j in range(n)] + [0]
+        kernel = nullspace(F2, H)
+        for v in [rng.integers(0, F2.order, size=n + 1)] + list(kernel[:1]):
+            want = True
+            for row in H:
+                acc = 0
+                for x in F2.mul_arr(row, v):
+                    acc = F2.add(acc, int(x))
+                want = want and acc == 0
+            assert cyclic._annihilates(F2, H, v) == want
+
+
+def test_cyclic_parity_rows_match_scalar_powers():
+    for q, n, D in [(3, 8, (1, 3)), (3, 4, (1, 3)), (4, 5, (1, 4))]:
+        cc = cyclic_from_defining_set(n, q, D)
+        S, lb = cc.splitting, cc.splitting.log_of(cc.beta)
+        leaders = sorted({min(cyclotomic_coset(n, cc.q, d)) for d in D})
+        assert cc.parity_rows().tolist() == \
+            [[S.alpha_pow(lb * i * j) for j in range(n)] for i in leaders]

@@ -16,6 +16,43 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+#: module-level imports kept although the module never reads them:
+#: perfbench/tracer.py wraps ag.mat_mul by name
+UNREAD_IMPORTS_KEPT = {("ag", "mat_mul")}
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    """Names bound by module-level imports of ``path`` that nothing in the
+    module reads and that ``__all__`` does not export."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = {}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items()
+            if name not in read | exported
+            and (path.stem, name) not in UNREAD_IMPORTS_KEPT]
+
+
+def test_every_module_level_import_is_used():
+    root = pathlib.Path(hermhull.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        found += unused_imports(path)
+    assert found == []
+
+
 def test_benchmark_tracer_installs_and_uninstalls():
     # perfbench/tracer.py wraps functions by name, among them ag.lbasis and
     # ag.evaluation_code, which nothing in the package calls any more;

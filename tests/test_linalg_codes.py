@@ -512,7 +512,8 @@ def test_hermitian_hull_on_every_two_point_instance(q):
         for params in ag.family_parameter_grid(family, q):
             kw = {n: params[n] for n in ("s", "t", "n0") if n in params}
             diff = ag.evaluation_set(family, q, field=F, **kw)
-            _, _, rows = ag._scaled_rows(F, diff, params["k"], None)
+            rows = ag.two_point_code(F, diff, params["k"],
+                                     distance_budget=0).scaled_rows
             C = LinearCode.from_rows(F, rows)
             assert C.hermitian_hull() == ref_hermitian_hull(C), (family, params)
             count += 1
@@ -539,7 +540,8 @@ def test_hermitian_hull_elimination_work_is_bounded(monkeypatch):
     alone."""
     F = quadratic_field(11)
     diff = ag.evaluation_set("COR2", 11, t=10, field=F)
-    C = LinearCode.from_rows(F, ag._scaled_rows(F, diff, 9, None)[2])
+    C = LinearCode.from_rows(
+        F, ag.two_point_code(F, diff, 9, distance_budget=0).scaled_rows)
     assert (C.n, C.k) == (110, 11)
     added = [0]
     add_arr = FieldContext.add_arr

@@ -388,3 +388,100 @@ def test_cli_grs_sweep_q16_wide_golden_body(capsys):
                       "--families", "CON1E,CON4E")
     assert rc == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SWEEP_Q16_WIDE
+
+
+#: sha256 of the stdout of ``ag build ... --include-code`` and ``grs
+#: construct ... --include-code``: whole report bodies with the generator,
+#: over the three two-point families and hull outcomes "n/a", "enumerated"
+#: and "unverified"
+GOLDEN_INCLUDE_CODE = {
+    "ag build --family COR1 --q 4 --s 6 --k 0":
+        "aa274b3034e6717a8e34802c8ed3e00f88955b075dde5d49a9f8560588d024b5",
+    "ag build --family COR2 --q 4 --t 3 --k 2":
+        "1524f5430875634976a2ed397b58dfc5b8c9aee9c0e172a49cc5144d5be94bf3",
+    "ag build --family COR3 --q 4 --n0 5 --t 1 --k 1":
+        "9bb74ce6a098b0616111fc09411aaa42359e1102cd656df495b4fda6e6cef0f0",
+    "ag build --family COR1 --q 5 --s 13 --k 1":
+        "851ef8b7214f64ecfc92002052aedb51b80c444f6314a25d51d459bff8af6ad7",
+    "ag build --family COR2 --q 5 --t 4 --k 3":
+        "0e55fc9f01c222d6f6acd822d278ab51e821bbfba09aeab5a86f36c660e2f8d0",
+    "ag build --family COR3 --q 5 --n0 6 --t 2 --k 2":
+        "12486b325fa1a27ada1756a89e986d1ca8f926a9ef1dd2eacbc33125ff9568b9",
+    "ag build --family COR1 --q 8 --s 22 --k 2":
+        "071188f787c981e3050bab0266af7266b5ccd03d568e7903e8ee846e519512e6",
+    "ag build --family COR2 --q 8 --t 3 --k 1":
+        "52aa8d8e56bf6abff6ad7e22a50066afd61edc4175080d553b6f70a1ec6c7410",
+    "ag build --family COR3 --q 8 --n0 9 --t 4 --k 4":
+        "fee57f1a026a6f54c4d4ef21925fde75958bd271f1614e9c70ee9e6b2dd98167",
+    "ag build --family COR1 --q 9 --s 41 --k 3":
+        "89fd3135fa1f9e56fd51445b7ecaa9dc7f7956c6fadde69b663796bf53dd3271",
+    "ag build --family COR2 --q 9 --t 5 --k 4":
+        "ce1f9d8b17da82c6617f4c35b75af69200f2d1319d028c8526a3613441dbfa20",
+    "ag build --family COR3 --q 9 --n0 5 --t 4 --k 2":
+        "5ac39260523537a1813e4e8e6779504144cdc45dd55178a8fb159ce72c1ff967",
+    "grs construct --family CON1 --q 5":
+        "97405b308b0d8cf28f1fa042229fcb80a305f29e0767ffb9ecccba9583dce956",
+    "grs construct --family CON2E --q 7 --k 8 --z 1 --f 1":
+        "673e09f031685a6a889e47749f45d8bf32a1c470d4b8f5bca22b02f9b10ea269",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_INCLUDE_CODE), ids=lambda c:
+                         c.replace("--", "").replace(" ", "-"))
+def test_cli_include_code_golden_bodies(capsys, command):
+    rc, out = run_cli(capsys, *command.split(), "--include-code")
+    assert rc == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_INCLUDE_CODE[command]
+
+
+#: sha256 of the stdout of ``ag grow --q Q --steps 3``
+GOLDEN_AG_GROW = {
+    3: "4a5a09873d2d0e5de24f85178e4c472de42425c8253781f42f5433a0444c9fe8",
+    4: "78e7f467ee89b3566d7a5d240fa5e616cdf41fdfab8f74a9900577ead7f2f647",
+    5: "46900cf2912a955c578de9d7c0319db0b06c10a874186d4678ff9c873cb76f6c",
+    7: "e79eb450897cb83f2dbe2bc462324a38f695a0807d4b8699c57509d9bf149207",
+}
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_AG_GROW))
+def test_cli_ag_grow_golden_bodies(capsys, monkeypatch, q):
+    # the growth path takes h(b) from log sums, not from polynomials
+    def refuse(*args):
+        raise AssertionError("ag grow must not call polys")
+
+    from hermhull import polys
+    monkeypatch.setattr(polys, "from_roots", refuse)
+    monkeypatch.setattr(polys, "evaluate", refuse)
+    rc, out = run_cli(capsys, "ag", "grow", "--q", str(q), "--steps", "3")
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_AG_GROW[q]
+
+
+def test_cli_distance_budget_caps_two_point_hull_enumeration(capsys):
+    # the [20, 3] hull has 25^3 = 15,625 messages, over the budget of 10^4
+    rc, out = run_cli(capsys, "ag", "build", "--family", "COR2", "--q", "5",
+                      "--t", "4", "--k", "3", "--distance-budget", "10000")
+    assert rc == 0
+    body = json.loads(out)["report"]
+    checks = {c["name"]: c["status"] for c in body["checks"]}
+    assert checks["hull_mds"] == report.STATUS_SKIPPED
+    assert checks["code_distance"] == report.STATUS_SKIPPED
+    assert body["hull"]["mds"] == "unverified"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["quantum", "params", "--q", "6", "--n", "10", "--k", "3",
+      "--hull-dim", "1"], "not a prime power"),
+    (["quantum", "tables", "--q", "6"], "not a prime power"),
+    (["cyclic", "dkl", "--q", "6", "--k", "2", "--l", "1"],
+     "not a prime power"),
+    (["quantum", "params", "--q", "7", "--n", "49", "--k", "7",
+      "--hull-dim", "-1"], "hull dimension"),
+], ids=["params-q6", "tables-q6", "dkl-q6", "params-negative-hull"])
+def test_cli_rejects_impossible_parameters_exit_2(capsys, argv, message):
+    rc = cli.run(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err
