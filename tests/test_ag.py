@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,9 @@ from hermhull.ag import (Divisor, O, RationalFunction, default_extra_point,
                          two_point_code)
 from hermhull.gf import make_field, quadratic_field
 from hermhull.grs import GrsSpec
-from hermhull.linalg_codes import conjugate, mat_mul
+from hermhull.linalg_codes import (DEFAULT_BUDGET, LinearCode, conjugate,
+                                   mat_mul)
+from hermhull.report import STATUS_FAIL, STATUS_PASS, ConstructionReport
 
 
 def subfield_points(F):
@@ -445,6 +450,104 @@ def test_sum_zero_extension_of_the_one_point_code_is_refuted(q):
         assert zero_column or not self_orth, (family, params)
         kinds.add(self_orth)
     assert kinds == {True, False}
+
+
+def _extended_two_point(F, U, k, distance_budget=DEFAULT_BUDGET):
+    """The sum-zero extension of the scaled two-point code and a report of
+    its checks, headed by its refuted precondition: that the extended
+    one-point code is a Hermitian self-orthogonal [n+1, k+1, n-k+1] code.
+    The budget must admit the distance half of that check: below 49^4 the
+    COR2 q = 7, k = 3 precondition goes unchecked and the report reads PASS."""
+    res = two_point_code(F, U, k, distance_budget=0)
+    n, p, scaled = len(res.points), res.p, res.scaled_rows
+    ext_base = LinearCode.from_rows(F, scaled[:k + 1], n=n).extend_sum_zero()
+    problems = []
+    if (ext_base.n, ext_base.k) != (n + 1, k + 1):
+        problems.append(f"parameters [{ext_base.n}, {ext_base.k}]")
+    if not ext_base.is_hermitian_self_orthogonal():
+        problems.append("not Hermitian self-orthogonal")
+    elif F.order ** ext_base.k <= distance_budget \
+            and ext_base.min_distance(distance_budget) != n - k + 1:
+        problems.append(f"distance {ext_base.min_distance()} != {n - k + 1}")
+
+    code = LinearCode.from_rows(F, scaled, n=n).extend_sum_zero()
+    rep = ConstructionReport(
+        construction={"module": "ag", "family": "extended_two_point",
+                      "parameters": {"q": F.q, "n": n + 1, "k": k,
+                                     "p": F.log_of(p) if p else -1}},
+        field=F.describe())
+    rep.check("base_extension_self_orthogonal",
+              STATUS_PASS if not problems else STATUS_FAIL,
+              expected=True, measured=not problems, note="; ".join(problems))
+    rep.check_eq("code_length", n + 1, code.n)
+    rep.check_eq("code_dimension", k + 2, code.k)
+
+    extP = LinearCode.from_rows(F, scaled[[0, k + 1]], n=n).extend_sum_zero()
+    in_dual = not mat_mul(F, code.gen, conjugate(F, extP.gen).T).any()
+    branch = 1 if in_dual else 2
+    hull = code.hermitian_hull()
+    if branch == 1:
+        rep.check_eq("self_orthogonal_hull", code.k, hull.k,
+                     note="branch 1: the extension is Hermitian self-orthogonal")
+    else:
+        rep.check_eq("hull_dim", k, hull.k, note="branch 2")
+    d_val, d_kind = None, "bound"
+    if F.order ** code.k <= distance_budget:
+        d_val = code.min_distance(distance_budget)
+        rep.check_eq("code_distance", n - k, d_val, note="enumerated")
+        d_kind = "enumerated"
+    rep.code = {"n": n + 1, "k": code.k, "d": d_val, "d_bound": n - k,
+                "d_kind": d_kind}
+    rep.hull = {"dim_claimed": k, "dim_measured": hull.k, "branch": branch,
+                "mds": "n/a"}
+    return code, hull, rep
+
+
+def test_extended_two_point_precondition_unsatisfiable(F9):
+    # the sum-zero extension forces a zero appended coordinate on the
+    # self-orthogonal part, capping its distance below the requirement
+    U = evaluation_set("COR2", 3, t=2)
+    code, hull, rep = _extended_two_point(F9, U, 1)
+    assert (code.n, code.k) == (7, 3)
+    assert rep.verdict == "FAIL"
+    assert rep.first_failure == "base_extension_self_orthogonal"
+    assert hull.k in (code.k, 1, 0)
+
+
+#: sha256 of the canonical report body of the sum-zero extension of the
+#: two-point code on the family set, as the removed ``extended_two_point``
+#: reported it; the refutation evidence must not drift
+GOLDEN_EXTENDED = [
+    ("COR1", 3, {"s": 5}, 0,
+     "ea796decb01ca653c7be95c447c25483de59a0977dd8fc8d1c8d440766091d97"),
+    ("COR1", 4, {"s": 6}, 0,
+     "71be6dd7851c381c76810dd1a918ef4419a17a385ecec7a19b5c03788bf216b5"),
+    ("COR1", 5, {"s": 13}, 0,
+     "d14d9bd9569c33eb5c23e3be72003534f404e307f9597dd7069fa698e3cae67c"),
+    ("COR1", 5, {"s": 13}, 1,
+     "933793a9e5c5870704050c59843abc1fb914c3b250cfa2a5d91bb1a39a4f5341"),
+    ("COR1", 8, {"s": 22}, 1,
+     "a247e98eb80066a7844e5d9af2219082fd5d9774dda801eb5425ef2b7fa20cb4"),
+    ("COR2", 3, {"t": 2}, 1,
+     "82eb6683767be1627d6aae798ec9b88822fbeed1c6833ac4a9c7a060405bbcc4"),
+    ("COR2", 4, {"t": 3}, 2,
+     "ad7fad2f939112fb6787eed641696da8164883997b97738f0f97ed86bb574925"),
+    ("COR2", 7, {"t": 4}, 3,
+     "1b761daecd51e51fb25090b295b49c29103eae57ab8b2eedb67b2c22c1d2b89b"),
+    ("COR3", 5, {"n0": 6, "t": 1}, 1,
+     "521dd478c475c04dfed832aa6e64f7439c390b22a8e6e375b7dd8711ac947de2"),
+]
+
+
+@pytest.mark.parametrize("family, q, params, k, digest", GOLDEN_EXTENDED)
+def test_extended_two_point_reports_pinned(family, q, params, k, digest):
+    F = quadratic_field(q)
+    _, _, rep = _extended_two_point(F, evaluation_set(family, q, **params), k)
+    body = rep.to_canonical_dict()
+    assert body["verdict"] == "FAIL"
+    assert body["first_failure"] == "base_extension_self_orthogonal"
+    assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() \
+        == digest
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
