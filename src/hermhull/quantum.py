@@ -202,14 +202,16 @@ def table1_rows(q: int) -> list[dict]:
             out.append({"u": u} | p.to_json())
         return out
 
-    # family 1: full-length code, k = q
+    # family 1: full-length code, k = q.  Propagation needs q > 2, so at
+    # q = 2 the row has no 2-ebit variant (as in chain_to_json); its ladder
+    # range(1, q - 2) is empty, and families 2-4 have no row with k >= 2
     n = q * q
     ing = mds_ingredient(q, n, q, q - 1)
-    q2 = propagate(eaqecc_from_code(ing), 1, q - 1)
+    q2 = propagate(eaqecc_from_code(ing), 1, q - 1) if q > 2 else None
     rows.append({
         "row": 1, "q": q, "n": n, "kappa": n - 2 * q + 2,
         "qecc": QuantumParams(n, n - 2 * q + 2, q, 0, q).to_json(),
-        "eaqecc_2": q2.to_json(),
+        "eaqecc_2": q2.to_json() if q2 else None,
         "eaqecc_ladder": ladder("CON1E", n, q, {"z": 1}),
         "constraints": {"k": q},
     })

@@ -12,6 +12,7 @@ from hermhull.grs import (GrsSpec, claim_arithmetic, construct_family,
                           puncture_from_p_codeword, verify_claim)
 from hermhull.linalg_codes import (LinearCode, conjugate, gram_matrix, mat_mul,
                                    matrix_rank, rref)
+from hermhull.report import STATUS_FAIL, STATUS_PASS
 
 from conftest import grs_b_full
 
@@ -261,8 +262,10 @@ def test_natural_gram_matches_gram_matrix_q16_wide():
 
 @pytest.mark.parametrize("chunk", [1, 7, 100])
 def test_natural_gram_in_blocks(monkeypatch, chunk):
-    # blocks of one or a few power sums, with a ragged last block
+    # blocks of one or a few power sums, with a ragged last block; no power
+    # sum may come from a table an earlier test filled at the default chunk
     monkeypatch.setattr(grs, "_MAT_MUL_CHUNK", chunk)
+    grs._power_sums.cache_clear()
     for q in (2, 4, 8):
         for family in grs.FAMILIES:
             for params in family_parameter_grid(family, q, conservative=False):
@@ -276,6 +279,7 @@ def test_natural_gram_large_q_stays_in_blocks():
     F = quadratic_field(128)
     b = tuple(np.append(F.exp[:F.order - 1], 0).tolist())
     spec = GrsSpec(F, b, (1,) * F.order, 16)
+    grs._power_sums.cache_clear()
     tracemalloc.start()
     try:
         got = natural_gram(spec)
@@ -292,6 +296,70 @@ def test_natural_gram_under_a_non_conway_modulus():
     for family in grs.FAMILIES:
         for params in family_parameter_grid(family, 4, conservative=False):
             _assert_gram_matches(family, 4, params, field=F)
+
+
+def _random_vector(F, rng, n, zero):
+    """Distinct points b (one of them 0 when ``zero``) and nonzero scales a."""
+    b = rng.permutation(np.arange(1, F.order))[:n]
+    if zero:
+        b[n // 2] = 0
+    a = rng.integers(1, F.order, size=n)
+    return tuple(b.tolist()), tuple(a.tolist())
+
+
+def _assert_natural_gram(spec):
+    want = gram_matrix(spec.field, recursion_generator(spec))
+    assert np.array_equal(natural_gram(spec), want), (spec.b, spec.a, spec.k)
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_natural_gram_memo_fills_lazily_and_evicts(q):
+    # one (b, a) at every k descending, then ascending, then interleaved
+    # with more evaluation vectors than the memo holds
+    F = quadratic_field(q)
+    rng = np.random.default_rng(q)
+    n = min(F.order - 1, 40)
+    b, a = _random_vector(F, rng, n, zero=True)
+    others = [_random_vector(F, rng, n, zero=bool(j % 2))
+              for j in range(grs._POWER_SUM_CACHE + 2)]
+    grs._power_sums.cache_clear()
+    _assert_natural_gram(GrsSpec(F, b, a, 3))
+    i = np.arange(3)
+    # lazy: a k = 3 call sums only the distinct exponents i + q l
+    assert grs._power_sums(F, b, a).known.sum() == \
+        np.unique((i[:, None] + q * i[None, :]) % (F.order - 1)).size
+    for k in range(n, -1, -1):
+        _assert_natural_gram(GrsSpec(F, b, a, k))
+    for k in range(n + 1):
+        _assert_natural_gram(GrsSpec(F, b, a, k))
+    assert grs._power_sums.cache_info().misses == 1
+    for j, (ob, oa) in enumerate(others):
+        _assert_natural_gram(GrsSpec(F, ob, oa, j % (n + 1)))
+        _assert_natural_gram(GrsSpec(F, b, a, (5 * j) % (n + 1)))
+    for j, (ob, oa) in enumerate(others):
+        _assert_natural_gram(GrsSpec(F, ob, oa, (n - j) % (n + 1)))
+    for k in range(n + 1):
+        _assert_natural_gram(GrsSpec(F, b, a, k))
+    # the last loops evicted and refilled entries: every other vector missed
+    # twice, and (b, a) once more after the full pass over the others
+    assert grs._power_sums.cache_info().misses == 2 + 2 * len(others)
+
+
+def test_natural_gram_memo_keys_on_the_field():
+    # the same integer tuples under two moduli of GF(16) are two evaluation
+    # vectors with different Gram matrices
+    conway, other = quadratic_field(4), make_field(2, 4, (1, 0, 0, 1, 1))
+    assert other is not conway
+    rng = np.random.default_rng(16)
+    b, a = _random_vector(conway, rng, 12, zero=True)
+    grs._power_sums.cache_clear()
+    grams = []
+    for F in (conway, other, conway, other):
+        spec = GrsSpec(F, b, a, 6)
+        _assert_natural_gram(spec)
+        grams.append(natural_gram(spec))
+    assert not np.array_equal(grams[0], grams[1])
+    assert grs._power_sums.cache_info().misses == 2
 
 
 def test_gram_rank_branches_con3e_con4e():
@@ -357,6 +425,80 @@ def test_negative_control_corrupted_scale():
     rep = verify_claim(claim.spec.code(), claim, budget=10 ** 6)
     assert rep.verdict == "FAIL"
     assert rep.first_failure == "hull_dim_gram"
+
+
+def _old_subcode_in_hull(code, subcode):
+    """The check before it read the Gram matrix: containment plus one
+    Hermitian product of the subcode rows against the code."""
+    rows = subcode.generator()
+    return (code.contains_rows(rows)
+            and grs._hermitian_orthogonal_to(code, rows))
+
+
+def _subcode_status(code, claim):
+    rep = verify_claim(code, claim, budget=0, distance_budget=0)
+    return {c.name: c.status for c in rep.checks}["subcode_in_hull"]
+
+
+def _grid(q, families=grs.FAMILIES):
+    for family in families:
+        for params in family_parameter_grid(family, q, conservative=False):
+            yield construct_family(family, q, **params)
+
+
+@pytest.mark.parametrize("q,families", [
+    *(pytest.param(q, grs.FAMILIES, id=str(q)) for q in (2, 3, 4, 5, 7, 8, 9)),
+    pytest.param(16, ("CON1E", "CON4E"), id="16-CON1E-CON4E")])
+def test_subcode_in_hull_matches_containment_and_product(q, families):
+    # the claimed prefix subcode, and the next larger one where it fits,
+    # whose last row is not orthogonal to the code
+    count = failed = 0
+    for code, claim in _grid(q, families):
+        for t in {claim.subcode.k, min(claim.subcode.k + 1, claim.spec.k)}:
+            claim.subcode = claim.spec.with_dim(t)
+            old = _old_subcode_in_hull(code, claim.subcode)
+            assert _subcode_status(code, claim) == \
+                (STATUS_PASS if old else STATUS_FAIL), (claim.family, claim.params, t)
+            count += 1
+            failed += not old
+    assert count > 0 and (q == 2 or failed > 0)
+
+
+@pytest.mark.parametrize("family,q,params", [
+    ("CON1", 4, {}), ("CON2E", 5, {"z": 1, "f": 1, "k": 5}),
+    ("CON3", 7, {"k": 4})])
+def test_subcode_in_hull_fails_for_a_foreign_subcode(family, q, params):
+    code, claim = construct_family(family, q, **params)
+    spec, F = claim.spec, claim.spec.field
+    assert _subcode_status(code, claim) == STATUS_PASS
+    # another scale vector: the rows leave the code
+    a = list(spec.a)
+    a[-1] = F.mul(a[-1], F.alpha)
+    claim.subcode = GrsSpec(F, spec.b, tuple(a), claim.subcode.k)
+    assert not _old_subcode_in_hull(code, claim.subcode)
+    assert _subcode_status(code, claim) == STATUS_FAIL
+    # a subcode larger than the code
+    claim.subcode = spec.with_dim(spec.k + 1)
+    assert _subcode_status(code, claim) == STATUS_FAIL
+
+
+def test_verify_claim_runs_no_grs_product_in_characteristic_2(monkeypatch):
+    calls = []
+
+    def counting(F, A, B):
+        calls.append((A.shape, B.shape))
+        return mat_mul(F, A, B)
+
+    monkeypatch.setattr(grs, "mat_mul", counting)
+    count = 0
+    for q in (2, 4, 8):
+        for code, claim in _grid(q):
+            verify_claim(code, claim, budget=10 ** 6, distance_budget=10 ** 4)
+            count += 1
+    for code, claim in list(_grid(16, ("CON1E",)))[:5]:
+        verify_claim(code, claim)
+        count += 1
+    assert count > 0 and calls == []
 
 
 def test_claim_arithmetic_ranges():

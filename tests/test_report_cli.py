@@ -223,6 +223,23 @@ def test_cli_quantum_tables_csv(capsys):
     assert "table3_new,49,25,15,4,7" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_cli_quantum_tables_q2(capsys, fmt):
+    # the propagation rule needs q > 2: the q = 2 row of family 1 has no
+    # 2-ebit variant and an empty ladder, and every format prints it
+    rc, out = run_cli(capsys, "quantum", "tables", "--q", "2", "--format", fmt)
+    assert rc == 0
+    if fmt == "json":
+        row1 = json.loads(out)["table1"][0]
+        assert row1["row"] == 1 and row1["n"] == 4
+        assert row1["eaqecc_2"] is None and row1["eaqecc_ladder"] == []
+        assert row1["qecc"]["kappa"] == 2 and row1["qecc"]["c"] == 0
+    elif fmt == "csv":
+        assert "table1,4,2,,,2,row1" in out.splitlines()
+    else:
+        assert out.strip() == "```\n[]\n```"
+
+
 def test_cli_quantum_params_refuses_failed_report(tmp_path, capsys):
     # CON3E at q = 11, z = 3, f = 2 is refuted by its Gram rank
     rc, out = run_cli(capsys, "grs", "construct", "--family", "CON3E",
@@ -361,11 +378,14 @@ def test_cli_verify_all_golden_bodies(capsys, q):
     assert digest == GOLDEN_VERIFY_ALL[q]
 
 
-#: the same for q = 11 and 13, whose grids carry the CON3E FAIL reports of
-#: the refuted (z, f) = (3, 2) hull claim, so the command exits 1
+#: the same for q = 11, 13 and 16, whose grids carry the CON3E FAIL reports
+#: of the refuted hull claims with f < z, so the command exits 1; q = 16 also
+#: covers the CON2E and CON3E grids, whose evaluation vectors recur for each
+#: z and so refill evicted entries of the power-sum memo of ``natural_gram``
 GOLDEN_VERIFY_ALL_WITH_FAILS = {
     11: "7bd1d20d7477662d28ec6a649784623c8f50b62f50bee25c76ad16d815530895",
     13: "1d2f186c1b55bd2a15d7fcc0fb9e8c283c85257501563e32babcf3e10e0b8496",
+    16: "84297308478e817677e6ce0c8832fb01835efa12b2fba77ee622824c332780f7",
 }
 
 
