@@ -397,6 +397,81 @@ def test_cli_verify_all_golden_bodies_with_fails(capsys, q):
     assert digest == GOLDEN_VERIFY_ALL_WITH_FAILS[q]
 
 
+#: sha256 of the stdout of ``quantum tables --q Q --format F``; markdown
+#: prints table3 only, json and csv all three tables
+GOLDEN_QUANTUM_TABLES = {
+    (2, "json"):
+        "9b1353426b2b753ef08087b1146d322935e977013ead8d73059794eaf8d1e50a",
+    (2, "csv"):
+        "b0b026b87972fb1028c8d71eb3c21ee592dcc203c7ff801b2c4eb7b52edeabd5",
+    (2, "markdown"):
+        "8948f72b43c6dd7445415d49fe012deb0c7359930d5acfffd6c0a43c0d597bba",
+    (3, "json"):
+        "075012a656e23f2fed433ff499d7052859e26eafacf6f3d59f138720a1fff683",
+    (3, "csv"):
+        "e3554a4b1f676cf46a380fba7f07a167a0b6782167f32937d829af34973a2911",
+    (3, "markdown"):
+        "296b6e250686d87391a3698aba907d30ede317dd830bf64c04626ffc128ca802",
+    (4, "json"):
+        "ffeb00b4994180e7f4bf6641f6066a7197791ea2efca6286771acf6fadf3079f",
+    (4, "csv"):
+        "b970d2ecc9db2695b7c64445e9b4a87aa4b23543c96bd922524bc36627e315b3",
+    (4, "markdown"):
+        "1064a21292ebb26d5eeb4408693d27669939b8c7d27a2c3ffcb6aa6123d940f3",
+    (5, "json"):
+        "7b2da4511f0c02cf7bd8a65feb8a6e07843bed32617df9ae1136f7f551351a5e",
+    (5, "csv"):
+        "6d846afa6d43869c551cefefdbcb5f0964314a631d2aebe24a23bcb7b8f332d5",
+    (5, "markdown"):
+        "e16103de3d7c040b3f19ea54136e35853142ba0fe683baed367936e5875f6751",
+    (7, "json"):
+        "37833404efc0aaf708dee7cebe8ff231658bc6a9e0d3a34149bfd64572092e96",
+    (7, "csv"):
+        "77a083a022b24172dba8080792f016fbfceebc28c58f0e7a0ccb79ad3b67e430",
+    (7, "markdown"):
+        "e33790a2dcd0c542ca52edadc782407517d04c91444ef99b860c57bf496e989f",
+    (8, "json"):
+        "e43d5ef68f00653a3810f70aadd9f59ea492c1c508ae05f14ee5ad5b1b7462ea",
+    (8, "csv"):
+        "978a6b5e3a8e1de6474b8d6d98a2a5059763bb6cd8a3597902f61fa30647db8b",
+    (8, "markdown"):
+        "549a54d48c4eba6d983b172b37a160edab8cf5e30022bc193214ac9707b865ce",
+    (9, "json"):
+        "2df9aa53cf441032f01798a743f49e31f64c33a362ad29efa1176a0dec0779de",
+    (9, "csv"):
+        "fe5749c1ba1b37677c24ed7832b74d7c953a7fbdd9f7ca965a8e4d1e1b5da8ee",
+    (9, "markdown"):
+        "0c41affec69477a136d7c7526d25c87bc2ef342a5b736c78284d36fe231efe5a",
+    (11, "json"):
+        "2d03bcea886c7563f7e32bb4a77bddf571e1638971b677c49179de01c9c486f5",
+    (11, "csv"):
+        "3271e7afe8f2f5a6fd97a8346616f61755b550598066600da6bc280389d10edc",
+    (11, "markdown"):
+        "5c86e6b6a22098cc2fc6b91662bb9eb96cd242e40a19c53b5e52542102cb3cf9",
+    (13, "json"):
+        "dcf656957b9920a982c39e7050975397d04c193b66b9447430bde8e0e1ab3cfa",
+    (13, "csv"):
+        "55d0df859cd6369a396152a12083f9ef509d13a60306f469217f5ea04444acd5",
+    (13, "markdown"):
+        "7b32213c849f3eec6528d4ce02b7cc9b8293960bd7b4342d081a8c7654e8de77",
+    (16, "json"):
+        "e8e67a267b92e1727f1846f08ac15092c42a266517af2daa35827d641053366c",
+    (16, "csv"):
+        "34a20fae5a2241c0f8f32be3b1bc381cf527ee2b9f39bc9c81b2a9b7df00590f",
+    (16, "markdown"):
+        "9e361ea241e273a17de256e8f42f1e2c805233c4856a7b5c87496a3e1f156e8c",
+}
+
+
+@pytest.mark.parametrize("q, fmt", sorted(GOLDEN_QUANTUM_TABLES))
+def test_cli_quantum_tables_golden_bodies(capsys, q, fmt):
+    rc, out = run_cli(capsys, "quantum", "tables", "--q", str(q),
+                      "--format", fmt)
+    assert rc == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_QUANTUM_TABLES[q, fmt]
+
+
 #: sha256 of the stdout of ``grs sweep --q 16 --families CON1E,CON4E``, the
 #: widest characteristic-2 generators (k up to 127, n = 256)
 GOLDEN_SWEEP_Q16_WIDE = \
