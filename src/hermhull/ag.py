@@ -527,8 +527,7 @@ def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
     rep.hull = {"dim_claimed": k, "dim_measured": hull.k, "branch": branch,
                 "mds": mds_status}
     if rep.verdict != "FAIL":
-        ing = quantum.mds_ingredient(q, n, code.k, hull.k)
-        rep.quantum = quantum.chain_to_json(ing)
+        rep.quantum = quantum.chain_to_json(q, n, code.k, hull.k)
     return TwoPointResult(F, pts, k, p, diff, code, scaled, branch, hull,
                           rep)
 

@@ -230,14 +230,12 @@ def cmd_quantum_params(args) -> int:
             raise ValueError("quantum params needs --q, --n, --k and "
                              "--hull-dim, or --from REPORT")
         q, n, k, hull = args.q, args.n, args.k, args.hull_dim
-    ing = quantum.mds_ingredient(q, n, k, hull)
-    base = quantum.eaqecc_from_code(ing)
-    chain = [base.to_json() | {"mds": quantum.singleton_check(base)["mds"]}]
+    chain = [quantum.eaqecc(q, n, k, hull)]
     if args.propagate:
-        p = quantum.propagate(base, args.propagate, hull)
-        chain.append(p.to_json() | {"mds": quantum.singleton_check(p)["mds"]})
+        chain.append(quantum.propagate(chain[0], args.propagate, hull))
     print(_dump({"ingredient": {"q": q, "n": n, "k": k, "hull_dim": hull},
-                 "params": chain}, args.format))
+                 "params": [quantum.json_with_mds(p) for p in chain]},
+                args.format))
     return 0
 
 
@@ -295,15 +293,18 @@ def build_parser() -> argparse.ArgumentParser:
     def fmt(p, choices=("json", "markdown")):
         p.add_argument("--format", choices=choices, default="json")
 
-    def budgets(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="cap on hull-intersection work (codeword count)")
+    def distance_budget(p):
         p.add_argument("--distance-budget", type=int, default=10 ** 6,
                        help="cap on distance enumeration, of a code and of "
                             "its hull, counted as the order^k messages of "
                             "the code although only the (order^k - 1)/"
                             "(order - 1) normalised ones are visited")
         p.add_argument("--timings", action="store_true")
+
+    def budgets(p):
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="cap on hull-intersection work (codeword count)")
+        distance_budget(p)
 
     p = sub.add_parser("field", help="build and describe a field")
     p.add_argument("--p", type=int, required=True)
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-log", type=int, help="extra place as a log exponent")
     p.add_argument("--field-modulus")
     p.add_argument("--include-code", action="store_true")
-    budgets(p)
+    distance_budget(p)
     fmt(p)
     p.set_defaults(func=cmd_ag_build)
     p = asub.add_parser("grow")

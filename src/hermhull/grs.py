@@ -555,8 +555,7 @@ def verify_claim(code: LinearCode, claim: GrsHullClaim,
     }
 
     if rep.verdict != "FAIL":
-        ing = quantum.mds_ingredient(q, n, k, claim.hull_dim)
-        rep.quantum = quantum.chain_to_json(ing)
+        rep.quantum = quantum.chain_to_json(q, n, k, claim.hull_dim)
     return rep
 
 
@@ -575,8 +574,8 @@ def sweep(q: int, families=FAMILIES, budget: int = DEFAULT_BUDGET,
 # the puncturing pipeline: weight-m codeword -> GRS pair with hull subcode
 # ----------------------------------------------------------------------
 
-def puncture_from_p_codeword(q: int, x: np.ndarray, k: int, ell: int,
-                             check_membership: bool = True) -> tuple[GrsSpec, GrsSpec]:
+def puncture_from_p_codeword(q: int, x: np.ndarray, k: int,
+                             ell: int) -> tuple[GrsSpec, GrsSpec]:
     """From a weight-m vector of the extended cyclic code for (k, ell),
     build the punctured GRS pair (dimension k, dimension ell) whose second
     member lies in the Hermitian hull of the first.
@@ -596,11 +595,10 @@ def puncture_from_p_codeword(q: int, x: np.ndarray, k: int, ell: int,
     m = len(nz)
     if m < k:
         raise ValueError(f"weight {m} below the target dimension {k}")
-    if check_membership:
-        H = cyclic.extended_parity_rows(q, cyclic.defining_set_dkl(q, k, ell))
-        if not cyclic._annihilates(F2, H, x):
-            raise ValueError("vector is not in the extended cyclic code "
-                             f"for (k, ell) = ({k}, {ell})")
+    H = cyclic.extended_parity_rows(q, cyclic.defining_set_dkl(q, k, ell))
+    if not cyclic._annihilates(F2, H, x):
+        raise ValueError("vector is not in the extended cyclic code "
+                         f"for (k, ell) = ({k}, {ell})")
     b = tuple(np.append(F2.exp, 0)[nz].tolist())
     a = tuple(F2.solve_norm_arr(x[nz]).tolist())
     spec_k = GrsSpec(F2, b, a, k)

@@ -1,11 +1,11 @@
 """Quantum code parameters derived from classical codes over GF(q^2).
 
-A classical [n, k] code with Hermitian hull dimension l yields an
-entanglement-assisted code [[n, n-2k+c, delta; c]]_q with c = k - l and
-delta = wt(dual \\ hull).  For the MDS ingredients built elsewhere in this
-package delta is recorded "structurally" as k+1 (the dual's minimum
-distance), with brute-force confirmation only at enumeration-friendly
-sizes.  Also: propagation (kappa and c both +i, i up to the hull
+An MDS [n, k] code over GF(q^2) with Hermitian hull dimension l yields an
+entanglement-assisted code [[n, n-2k+c, k+1; c]]_q with c = k - l
+(Guenda, Jitman and Gulliver, DCC 86, 2018): its Hermitian dual is MDS of
+distance k+1, so delta is that distance, recorded "structurally", and the
+code is pure.  ``eaqecc`` is the one entry point from (q, n, k, l) to
+parameters.  Also: propagation (kappa and c both +i, i up to the hull
 dimension), the three Singleton-like bounds with exact slacks, and
 regeneration of the parameter tables at a given alphabet.
 """
@@ -18,6 +18,9 @@ from typing import Optional
 
 from .gf import prime_power
 
+#: propagated variants ``chain_to_json`` adds after the base code
+CHAIN_STEPS = 2
+
 
 @dataclass(frozen=True)
 class QuantumParams:
@@ -28,8 +31,6 @@ class QuantumParams:
     delta: int
     c: int
     q: int
-    pure: bool = True
-    delta_kind: str = "structural"  # "structural" | "enumerated"
 
     def __post_init__(self):
         if not 0 <= self.c <= self.n:
@@ -46,59 +47,28 @@ class QuantumParams:
         return (self.n, self.kappa, self.delta, self.c)
 
     def to_json(self) -> dict:
+        # every code here is pure with the structural delta k + 1
         return {"n": self.n, "kappa": self.kappa, "delta": self.delta,
-                "c": self.c, "q": self.q, "pure": self.pure,
-                "delta_kind": self.delta_kind}
+                "c": self.c, "q": self.q, "pure": True,
+                "delta_kind": "structural"}
 
 
-@dataclass(frozen=True)
-class ClassicalIngredient:
-    """What the quantum arithmetic needs to know about a classical code.
-
-    ``delta`` is wt(C-perp-H minus Hull); for an MDS code with a proper
-    hull this is the dual distance k+1, which is also the purity witness.
-    """
-
-    q: int
-    n: int
-    k: int
-    hull_dim: int
-    delta: int
-    delta_kind: str = "structural"
-    dual_min_distance: Optional[int] = None
-
-    def __post_init__(self):
-        prime_power(self.q)
-        if not 0 <= self.hull_dim <= min(self.k, self.n - self.k):
-            raise ValueError("hull dimension outside [0, min(k, n-k)]")
-        if not 0 <= self.k <= self.n:
-            raise ValueError("bad code dimension")
-
-
-def mds_ingredient(q: int, n: int, k: int, hull_dim: int,
-                   delta_kind: str = "structural") -> ClassicalIngredient:
-    """Ingredient for an MDS [n, k] code: dual distance k+1."""
-    return ClassicalIngredient(q=q, n=n, k=k, hull_dim=hull_dim,
-                               delta=k + 1, delta_kind=delta_kind,
-                               dual_min_distance=k + 1)
-
-
-def eaqecc_from_code(ing: ClassicalIngredient) -> QuantumParams:
-    """[[n, n-2k+c, delta; c]]_q with c = k - dim Hull."""
-    c = ing.k - ing.hull_dim
-    kappa = ing.n - 2 * ing.k + c
-    pure = (ing.dual_min_distance is not None
-            and ing.delta == ing.dual_min_distance)
-    return QuantumParams(n=ing.n, kappa=kappa, delta=ing.delta, c=c, q=ing.q,
-                         pure=pure, delta_kind=ing.delta_kind)
+def eaqecc(q: int, n: int, k: int, hull_dim: int) -> QuantumParams:
+    """[[n, n-2k+c, k+1; c]]_q with c = k - hull_dim, from an MDS [n, k]
+    code over GF(q^2) whose Hermitian hull has dimension ``hull_dim``."""
+    prime_power(q)
+    if not 0 <= hull_dim <= min(k, n - k):
+        raise ValueError("hull dimension outside [0, min(k, n-k)]")
+    if not 0 <= k <= n:
+        raise ValueError("bad code dimension")
+    c = k - hull_dim
+    return QuantumParams(n=n, kappa=n - 2 * k + c, delta=k + 1, c=c, q=q)
 
 
 def propagate(params: QuantumParams, i: int, hull_dim: int) -> QuantumParams:
     """Trade i extra pre-shared pairs for i logical qudits (i <= hull dim)."""
     if params.q == 2:
         raise ValueError("the propagation rule requires q > 2")
-    if not params.pure:
-        raise ValueError("propagation needs a pure source code")
     if not 0 <= i <= hull_dim:
         raise ValueError(f"propagation step i = {i} outside [0, {hull_dim}]")
     if i == 0:
@@ -134,15 +104,20 @@ def singleton_check(params: QuantumParams) -> dict:
     }
 
 
-def chain_to_json(ing: ClassicalIngredient, max_steps: int = 2) -> list[dict]:
-    """The EAQECC derived from an ingredient plus a few propagated variants."""
-    base = eaqecc_from_code(ing)
-    out = [base.to_json() | {"mds": singleton_check(base)["mds"]}]
-    if base.pure and ing.q > 2:
-        for i in range(1, min(ing.hull_dim, max_steps) + 1):
-            p = propagate(base, i, ing.hull_dim)
-            out.append(p.to_json() | {"mds": singleton_check(p)["mds"]})
-    return out
+def json_with_mds(params: QuantumParams) -> dict:
+    """``params.to_json()`` plus its Singleton MDS verdict."""
+    return params.to_json() | {"mds": singleton_check(params)["mds"]}
+
+
+def chain_to_json(q: int, n: int, k: int, hull_dim: int) -> list[dict]:
+    """The EAQECC of an MDS [n, k] code with the given hull, then up to
+    ``CHAIN_STEPS`` propagated variants (none at q = 2)."""
+    base = eaqecc(q, n, k, hull_dim)
+    chain = [base]
+    if q > 2:
+        chain += [propagate(base, i, hull_dim)
+                  for i in range(1, min(hull_dim, CHAIN_STEPS) + 1)]
+    return [json_with_mds(p) for p in chain]
 
 
 # ----------------------------------------------------------------------
@@ -179,88 +154,53 @@ def _dominated(row: QuantumParams) -> bool:
 def table1_rows(q: int) -> list[dict]:
     """Distance/ebit trade-off rows: one family per construction, with the
     unassisted code, the 2-ebit variant, and the (k+u+1; 2u+2) ladder."""
-    from . import grs  # deferred: grs imports this module's arithmetic
+    from . import ag, grs  # deferred: grs imports this module's arithmetic
 
-    rows: list[dict] = []
+    def row(row_no: int, n: int, k: int, eaqecc_2: Optional[QuantumParams],
+            ladder: list[dict], constraints: dict) -> dict:
+        # the unassisted code is the hull itself, [n, k-1] and self-orthogonal
+        qecc = eaqecc(q, n, k - 1, k - 1)
+        return {"row": row_no, "q": q, "n": n, "kappa": qecc.kappa,
+                "qecc": qecc.to_json(),
+                "eaqecc_2": eaqecc_2.to_json() if eaqecc_2 else None,
+                "eaqecc_ladder": ladder, "constraints": constraints}
 
-    def ladder(family: str, n: int, k: int, extra: dict) -> list[dict]:
-        out = []
-        for u in range(1, q - 2):
-            kk = k + u
+    def grs_row(row_no: int, n: int, k: int, family: str, params: dict,
+                constraints: dict) -> dict:
+        """A hull-MDS [n, k] GRS row; rung u of its ladder is the family's
+        code of dimension k+u at the same length n, propagated 2u+1 steps."""
+        ladder = []
+        for u in range(1, k - 1):
             try:
-                info = grs.claim_arithmetic(family, q, k=kk, **extra)
+                info = grs.claim_arithmetic(family, q, **(params | {"k": k + u}))
             except ValueError:
                 break
-            if info["hull_dim"] != kk - 1:
+            if info["n"] != n:
                 break
-            ing = mds_ingredient(q, n, kk, kk - 1)
-            base = eaqecc_from_code(ing)
-            i = 2 * u + 1
-            if i > kk - 1:
-                break
-            p = propagate(base, i, kk - 1)
-            out.append({"u": u} | p.to_json())
-        return out
+            rung = propagate(eaqecc(q, n, k + u, k + u - 1), 2 * u + 1,
+                             k + u - 1)
+            ladder.append({"u": u} | rung.to_json())
+        # propagation needs q > 2: at q = 2 the row has no 2-ebit variant
+        # (as in chain_to_json); families 2-4 have no row with k >= 2 there
+        q2 = propagate(eaqecc(q, n, k, k - 1), 1, k - 1) if q > 2 else None
+        return row(row_no, n, k, q2, ladder, constraints)
 
-    # family 1: full-length code, k = q.  Propagation needs q > 2, so at
-    # q = 2 the row has no 2-ebit variant (as in chain_to_json); its ladder
-    # range(1, q - 2) is empty, and families 2-4 have no row with k >= 2
-    n = q * q
-    ing = mds_ingredient(q, n, q, q - 1)
-    q2 = propagate(eaqecc_from_code(ing), 1, q - 1) if q > 2 else None
-    rows.append({
-        "row": 1, "q": q, "n": n, "kappa": n - 2 * q + 2,
-        "qecc": QuantumParams(n, n - 2 * q + 2, q, 0, q).to_json(),
-        "eaqecc_2": q2.to_json() if q2 else None,
-        "eaqecc_ladder": ladder("CON1E", n, q, {"z": 1}),
-        "constraints": {"k": q},
-    })
-
+    # family 1: the full-length code k = q, laddered through CON1E at z = 1
+    rows = [grs_row(1, q * q, q, "CON1E", {"z": 1}, {"k": q})]
     # families 2-4: the shorter hull-MDS codes, 1 < k < q
     for row_no, family in ((2, "CON2"), (3, "CON3"), (4, "CON4")):
         for params in grs.family_parameter_grid(family, q):
-            k = params["k"]
-            if k < 2:  # these rows need a nonzero hull to trade on
+            if params["k"] < 2:  # these rows need a nonzero hull to trade on
                 continue
-            info = grs.claim_arithmetic(family, q, **params)
-            n = info["n"]
-            ing = mds_ingredient(q, n, k, k - 1)
-            base = eaqecc_from_code(ing)
-            q2 = propagate(base, 1, k - 1)
-            lad = []
-            for u in range(1, k - 1):
-                kk = k + u
-                try:
-                    info2 = grs.claim_arithmetic(family, q, **(params | {"k": kk}))
-                except ValueError:
-                    break
-                if info2["n"] != n:
-                    break
-                ing2 = mds_ingredient(q, n, kk, kk - 1)
-                lad.append({"u": u} | propagate(
-                    eaqecc_from_code(ing2), 2 * u + 1, kk - 1).to_json())
-            rows.append({
-                "row": row_no, "q": q, "n": n, "kappa": n - 2 * k + 2,
-                "qecc": QuantumParams(n, n - 2 * k + 2, k, 0, q).to_json(),
-                "eaqecc_2": q2.to_json(),
-                "eaqecc_ladder": lad,
-                "constraints": params,
-            })
-
-    # families 5-7: two-point evaluation codes; k below is the code dimension
-    from . import ag
+            n = grs.claim_arithmetic(family, q, **params)["n"]
+            rows.append(grs_row(row_no, n, params["k"], family, params, params))
+    # families 5-7: two-point evaluation codes of dimension k + 2 whose
+    # hull has the divisor dimension k
     for row_no, family in ((5, "COR1"), (6, "COR2"), (7, "COR3")):
         for params in ag.family_parameter_grid(family, q):
-            n = params["n"]
-            kdiv = params["k"]
-            k = kdiv + 2
-            rows.append({
-                "row": row_no, "q": q, "n": n, "kappa": n - 2 * k + 2,
-                "qecc": QuantumParams(n, n - 2 * k + 2, k, 0, q).to_json(),
-                "eaqecc_2": QuantumParams(n, n - 2 * k + 2, k + 1, 2, q).to_json(),
-                "eaqecc_ladder": [],
-                "constraints": params,
-            })
+            n, kdiv = params["n"], params["k"]
+            rows.append(row(row_no, n, kdiv + 2, eaqecc(q, n, kdiv + 2, kdiv),
+                            [], params))
     return rows
 
 
@@ -279,18 +219,14 @@ def table2_rows(q: int) -> list[dict]:
                 if small_f != want_small_f:
                     continue
             info = grs.claim_arithmetic(family, q, **params)
-            n, k, hull = info["n"], params["k"], info["hull_dim"]
-            ing = mds_ingredient(q, n, k, hull)
-            p = eaqecc_from_code(ing)
+            p = eaqecc(q, info["n"], params["k"], info["hull_dim"])
             rows.append({"row": row_no, "q": q, "family": family,
                          "constraints": params} | p.to_json())
     for row_no, family in ((7, "COR1"), (8, "COR2"), (9, "COR3")):
         for params in ag.family_parameter_grid(family, q):
             n, kdiv = params["n"], params["k"]
-            k = kdiv + 2
             for ell in range(kdiv, -1, -1):
-                c = k - ell
-                p = QuantumParams(n, n - 2 * k + c, k + 1, c, q)
+                p = eaqecc(q, n, kdiv + 2, ell)
                 rows.append({"row": row_no, "q": q, "family": family,
                              "constraints": params | {"hull_dim": ell}}
                             | p.to_json())
@@ -311,12 +247,8 @@ def table3_new_rows(q: int) -> list[dict]:
     for family in ("CON1E", "CON2E", "CON3E", "CON4E"):
         for params in grs.family_parameter_grid(family, q, conservative=False):
             info = grs.claim_arithmetic(family, q, **params)
-            n, k, hull = info["n"], params["k"], info["hull_dim"]
-            if hull < 0:
-                continue
-            ing = mds_ingredient(q, n, k, hull)
-            p = eaqecc_from_code(ing)
-            if p.delta <= q or 2 * p.delta > n:
+            p = eaqecc(q, info["n"], params["k"], info["hull_dim"])
+            if p.delta <= q or 2 * p.delta > p.n:
                 continue
             chk = singleton_check(p)
             if not chk["mds"]:

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from hermhull import quantum
-from hermhull.quantum import (ClassicalIngredient, QuantumParams,
-                              eaqecc_from_code, emit_tables, mds_ingredient,
-                              propagate, singleton_check, table1_rows,
-                              table2_rows, table3_new_rows)
+from hermhull.quantum import (QuantumParams, eaqecc, emit_tables, propagate,
+                              singleton_check, table1_rows, table2_rows,
+                              table3_new_rows)
 
 
 def test_params_validation():
@@ -20,29 +19,35 @@ def test_params_validation():
     assert p.label() == "[[5,1,2;0]]_3"
 
 
-def test_ingredient_validation():
-    with pytest.raises(ValueError):
-        ClassicalIngredient(q=3, n=9, k=3, hull_dim=4, delta=4)
-    ing = mds_ingredient(3, 9, 3, 2)
-    assert ing.delta == 4 and ing.dual_min_distance == 4
+def test_eaqecc_validation():
+    with pytest.raises(ValueError, match="hull dimension"):
+        eaqecc(3, 9, 3, 4)
+    with pytest.raises(ValueError, match="hull dimension"):
+        eaqecc(3, 9, 3, -1)
+    with pytest.raises(ValueError, match="not a prime power"):
+        eaqecc(6, 9, 3, 2)
+    p = eaqecc(3, 9, 3, 2)
+    # delta is the dual distance k + 1, so the code is pure
+    assert p.delta == 4
+    assert p.to_json()["pure"] and p.to_json()["delta_kind"] == "structural"
 
 
 def test_derived_parameter_examples():
     # self-orthogonal MDS [n, k]: plain quantum code [[n, n-2k, k+1; 0]]
-    p = eaqecc_from_code(mds_ingredient(4, 16, 4, 4))
-    assert p.label() == "[[16,8,5;0]]_4" and p.pure
+    p = eaqecc(4, 16, 4, 4)
+    assert p.label() == "[[16,8,5;0]]_4"
     # full-length dimension-q code with hull dimension q-1
     q = 5
-    p = eaqecc_from_code(mds_ingredient(q, q * q, q, q - 1))
+    p = eaqecc(q, q * q, q, q - 1)
     assert (p.n, p.kappa, p.delta, p.c) == (25, 25 - 10 + 1, 6, 1)
     # the hull itself as a self-orthogonal code
-    p2 = eaqecc_from_code(mds_ingredient(q, q * q, q - 1, q - 1))
+    p2 = eaqecc(q, q * q, q - 1, q - 1)
     assert (p2.n, p2.kappa, p2.delta, p2.c) == (25, 25 - 10 + 2, 5, 0)
 
 
 def test_propagation_chain():
     q = 5
-    base = eaqecc_from_code(mds_ingredient(q, 25, 5, 4))
+    base = eaqecc(q, 25, 5, 4)
     assert propagate(base, 0, 4) == base
     p = propagate(base, 1, 4)
     assert (p.kappa, p.c, p.delta) == (base.kappa + 1, 2, base.delta)
@@ -50,9 +55,6 @@ def test_propagation_chain():
         propagate(base, 5, 4)
     with pytest.raises(ValueError):
         propagate(QuantumParams(9, 1, 3, 0, 2), 1, 2)
-    impure = QuantumParams(9, 1, 3, 0, 5, pure=False)
-    with pytest.raises(ValueError):
-        propagate(impure, 1, 2)
 
 
 def test_singleton_checks():
@@ -72,7 +74,7 @@ def test_singleton_checks():
 
 
 def test_propagation_preserves_bound1_slack():
-    base = eaqecc_from_code(mds_ingredient(7, 48, 8, 7))
+    base = eaqecc(7, 48, 8, 7)
     s0 = singleton_check(base)["bound1_slack"]
     for i in range(1, 8):
         assert singleton_check(propagate(base, i, 7))["bound1_slack"] == s0
@@ -108,7 +110,7 @@ def test_table2_round_trip_from_first_principles():
         code, claim = construct_family(family, q, **params)
         hull_dim = code.hull_dim_via_gram()
         assert hull_dim == claim.hull_dim
-        p = eaqecc_from_code(mds_ingredient(q, code.n, code.k, hull_dim))
+        p = eaqecc(q, code.n, code.k, hull_dim)
         match = [r for r in rows[q]
                  if r["family"] == family and r["constraints"] == claim.params | params
                  or (r["family"] == family and all(
@@ -163,7 +165,7 @@ def test_table3_ingredients_verify():
 
 
 def test_chain_to_json():
-    chain = quantum.chain_to_json(mds_ingredient(5, 25, 5, 4))
+    chain = quantum.chain_to_json(5, 25, 5, 4)
     assert len(chain) == 3  # base + two propagation steps
     assert chain[0]["c"] == 1 and chain[1]["c"] == 2
     assert all(entry["mds"] for entry in chain)

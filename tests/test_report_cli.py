@@ -126,6 +126,16 @@ def test_cli_bad_arguments_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_cli_ag_build_has_no_budget_flag(capsys):
+    # the two-point path has no hull-intersection work to cap; only the
+    # distance budget applies
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["ag", "build", "--family", "COR2", "--q", "5", "--t", "4",
+                 "--k", "3", "--budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
 def test_cli_out_of_range_params_exit_2(capsys):
     rc = cli.run(["grs", "construct", "--family", "CON2", "--q", "5",
                   "--k", "9"])
