@@ -59,8 +59,9 @@ def eaqecc(q: int, n: int, k: int, hull_dim: int) -> QuantumParams:
     prime_power(q)
     if not 0 <= hull_dim <= min(k, n - k):
         raise ValueError("hull dimension outside [0, min(k, n-k)]")
-    if not 0 <= k <= n:
-        raise ValueError("bad code dimension")
+    if not 0 <= k < n:
+        # at k = n the Hermitian dual is {0}, which has no minimum distance
+        raise ValueError("bad code dimension: need 0 <= k < n")
     c = k - hull_dim
     return QuantumParams(n=n, kappa=n - 2 * k + c, delta=k + 1, c=c, q=q)
 
@@ -111,7 +112,10 @@ def json_with_mds(params: QuantumParams) -> dict:
 
 def chain_to_json(q: int, n: int, k: int, hull_dim: int) -> list[dict]:
     """The EAQECC of an MDS [n, k] code with the given hull, then up to
-    ``CHAIN_STEPS`` propagated variants (none at q = 2)."""
+    ``CHAIN_STEPS`` propagated variants (none at q = 2); nothing at k = n,
+    where the dual is {0} and no delta exists."""
+    if k == n:
+        return []
     base = eaqecc(q, n, k, hull_dim)
     chain = [base]
     if q > 2:
@@ -195,12 +199,12 @@ def table1_rows(q: int) -> list[dict]:
             n = grs.claim_arithmetic(family, q, **params)["n"]
             rows.append(grs_row(row_no, n, params["k"], family, params, params))
     # families 5-7: two-point evaluation codes of dimension k + 2 whose
-    # hull has the divisor dimension k
+    # hull has the divisor dimension k; at k + 2 = n there is no 2-ebit code
     for row_no, family in ((5, "COR1"), (6, "COR2"), (7, "COR3")):
         for params in ag.family_parameter_grid(family, q):
             n, kdiv = params["n"], params["k"]
-            rows.append(row(row_no, n, kdiv + 2, eaqecc(q, n, kdiv + 2, kdiv),
-                            [], params))
+            q2 = eaqecc(q, n, kdiv + 2, kdiv) if kdiv + 2 < n else None
+            rows.append(row(row_no, n, kdiv + 2, q2, [], params))
     return rows
 
 
@@ -225,6 +229,8 @@ def table2_rows(q: int) -> list[dict]:
     for row_no, family in ((7, "COR1"), (8, "COR2"), (9, "COR3")):
         for params in ag.family_parameter_grid(family, q):
             n, kdiv = params["n"], params["k"]
+            if kdiv + 2 == n:  # the whole space: no delta exists
+                continue
             for ell in range(kdiv, -1, -1):
                 p = eaqecc(q, n, kdiv + 2, ell)
                 rows.append({"row": row_no, "q": q, "family": family,

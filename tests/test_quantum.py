@@ -171,6 +171,33 @@ def test_chain_to_json():
     assert all(entry["mds"] for entry in chain)
 
 
+def test_chain_to_json_is_empty_at_full_dimension():
+    # at k = n the Hermitian dual is {0}: no delta exists
+    assert quantum.chain_to_json(7, 2, 2, 0) == []
+    with pytest.raises(ValueError, match="need 0 <= k < n"):
+        eaqecc(7, 2, 2, 0)
+
+
+def _table_entries(tables: dict):
+    for row in tables["table1"]:
+        yield row["qecc"]
+        if row["eaqecc_2"] is not None:
+            yield row["eaqecc_2"]
+        yield from row["eaqecc_ladder"]
+    yield from tables["table2"]
+    yield from tables["table3_new"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_every_entry_has_a_distance_within_the_length(q):
+    # every (n, k, hull) a code of length up to q^2 can carry
+    chains = [entry for n in range(1, q * q + 1) for k in range(n + 1)
+              for hull in range(min(k, n - k) + 1)
+              for entry in quantum.chain_to_json(q, n, k, hull)]
+    for entry in chains + list(_table_entries(emit_tables(q))):
+        assert entry["delta"] <= entry["n"] and entry["kappa"] >= 0, entry
+
+
 def test_emit_tables_shape():
     t = emit_tables(5)
     assert set(t) == {"table1", "table2", "table3_new"}

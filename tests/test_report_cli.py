@@ -371,12 +371,12 @@ def test_cli_field_modulus_needs_prime_power(capsys):
 #: sha256 of the stdout of ``verify-all --q Q``; a change that alters report
 #: bodies on purpose updates these and records why
 GOLDEN_VERIFY_ALL = {
-    3: "6c7074dc8e6de5f5f00a26e056de7c7c02b936d787f55d0f1e1a0ad1b4489319",
-    4: "ee3dfb5a645cf00990ef1111cb9b6bfa3538ec505957e1d6c59330ec0bec71ea",
-    5: "fd9a11f446cb192b0eb2a46332a4e9887b14e92a342485a256f3d5755a5d9dd7",
-    7: "94d9e41fe451053614a84ce729ae82d263b5b2e6059071872da66a3c9d84d0a1",
-    8: "f3e24b023c815c3f2c59d2bfe5d12f080d4d500e7f007ba5c46bb6f3dab9b89f",
-    9: "296590df993ab0cc9eb0500bd7cf963934a5a9130331bcd16de22ebecfae1ec4",
+    3: "2362082079c9f173be30876ec8e8b3932c4956d574eebbedbd453162f686c871",
+    4: "ab1ef42aec76314b5243823cf4c16b6d5590a21eccebc47430d695952a6b69ee",
+    5: "396c5e7931001c7cfaddbb13c3ea4787591b72197b7672f521641b4956034c5c",
+    7: "f7549e442bbad354b00ad840e82c3eb44dca7b8ce16e05bbe7426a6da4905693",
+    8: "a6514dc080c1abf7d494164e64cfa8bea3c0371701aa2b0a990a51866e63fcf1",
+    9: "4ad85ca7540a860f562b3c8bb7cc0010198f8f24f96085550c11102f148370ee",
 }
 
 
@@ -393,9 +393,9 @@ def test_cli_verify_all_golden_bodies(capsys, q):
 #: covers the CON2E and CON3E grids, whose evaluation vectors recur for each
 #: z and so refill evicted entries of the power-sum memo of ``natural_gram``
 GOLDEN_VERIFY_ALL_WITH_FAILS = {
-    11: "7bd1d20d7477662d28ec6a649784623c8f50b62f50bee25c76ad16d815530895",
-    13: "1d2f186c1b55bd2a15d7fcc0fb9e8c283c85257501563e32babcf3e10e0b8496",
-    16: "84297308478e817677e6ce0c8832fb01835efa12b2fba77ee622824c332780f7",
+    11: "e3e17466d9dbd03bf95b56eef007dc4a70094d9754e4d0c355a46dfd66cde2b5",
+    13: "901f349c09a6688111b9e3f4a31d21b93637591ccb33d7ee8eeed61b86f57716",
+    16: "8429c26d7193c1b2e85d866dced259b6c7105d7d2308a5c3dc719a44ce597855",
 }
 
 
@@ -411,63 +411,63 @@ def test_cli_verify_all_golden_bodies_with_fails(capsys, q):
 #: prints table3 only, json and csv all three tables
 GOLDEN_QUANTUM_TABLES = {
     (2, "json"):
-        "9b1353426b2b753ef08087b1146d322935e977013ead8d73059794eaf8d1e50a",
+        "9afd2327d6e6edd4e77b08420353e8268b5e25cc5fa8a9fae4ba198b8dc49a84",
     (2, "csv"):
-        "b0b026b87972fb1028c8d71eb3c21ee592dcc203c7ff801b2c4eb7b52edeabd5",
+        "bf3f7922e10635d9a3067fc999ca75bf2f2d674a4b9e5a4bb92c8da76e918c76",
     (2, "markdown"):
         "8948f72b43c6dd7445415d49fe012deb0c7359930d5acfffd6c0a43c0d597bba",
     (3, "json"):
-        "075012a656e23f2fed433ff499d7052859e26eafacf6f3d59f138720a1fff683",
+        "5feae748d6b6c351f63b5f3ab76d5cd419318b864bed046f037ae021661d18a1",
     (3, "csv"):
-        "e3554a4b1f676cf46a380fba7f07a167a0b6782167f32937d829af34973a2911",
+        "6eaf4048668baac0ea5926285a4659a8426bcc4f4a62d2275b06bb4eb433bc87",
     (3, "markdown"):
         "296b6e250686d87391a3698aba907d30ede317dd830bf64c04626ffc128ca802",
     (4, "json"):
-        "ffeb00b4994180e7f4bf6641f6066a7197791ea2efca6286771acf6fadf3079f",
+        "a8076614690a8140613ffe33f849a53bb01e30d3926052213f36d58a424780fe",
     (4, "csv"):
-        "b970d2ecc9db2695b7c64445e9b4a87aa4b23543c96bd922524bc36627e315b3",
+        "48cdf87a3647abc777bd6fb02790d658fe566ff4f3f82379ed8af58c8d5ff2ab",
     (4, "markdown"):
         "1064a21292ebb26d5eeb4408693d27669939b8c7d27a2c3ffcb6aa6123d940f3",
     (5, "json"):
-        "7b2da4511f0c02cf7bd8a65feb8a6e07843bed32617df9ae1136f7f551351a5e",
+        "484fe9b0c81edd31a85466272e3d37e591975421f188d42fb9e52f62a4a5aee2",
     (5, "csv"):
-        "6d846afa6d43869c551cefefdbcb5f0964314a631d2aebe24a23bcb7b8f332d5",
+        "d64ff2e11b5eed8d4edfab527cbcb7b3022be8ac5de3b1615c0dbe92354ba6a1",
     (5, "markdown"):
         "e16103de3d7c040b3f19ea54136e35853142ba0fe683baed367936e5875f6751",
     (7, "json"):
-        "37833404efc0aaf708dee7cebe8ff231658bc6a9e0d3a34149bfd64572092e96",
+        "1dc5e280a49407de9e96087a2a7f2c7b2b09870937f3689c5170805565286b31",
     (7, "csv"):
-        "77a083a022b24172dba8080792f016fbfceebc28c58f0e7a0ccb79ad3b67e430",
+        "48814d4421fc778118b5eaf814ce0cc03ae3c91eece0ce576492117d2f6b0267",
     (7, "markdown"):
         "e33790a2dcd0c542ca52edadc782407517d04c91444ef99b860c57bf496e989f",
     (8, "json"):
-        "e43d5ef68f00653a3810f70aadd9f59ea492c1c508ae05f14ee5ad5b1b7462ea",
+        "4d744ed4bd89f00b9c242d0f0207aea2ec84f097e67ce6edcc03a7c773bc38ca",
     (8, "csv"):
-        "978a6b5e3a8e1de6474b8d6d98a2a5059763bb6cd8a3597902f61fa30647db8b",
+        "aad7fcdc909295e874f71f89f2a157124d898ca4610cbc1ee914db34a9da96d0",
     (8, "markdown"):
         "549a54d48c4eba6d983b172b37a160edab8cf5e30022bc193214ac9707b865ce",
     (9, "json"):
-        "2df9aa53cf441032f01798a743f49e31f64c33a362ad29efa1176a0dec0779de",
+        "3fd89d80f4804f1028d0f99fd1a6e6ef5df356eb56939b3e57fea4cacd8059a8",
     (9, "csv"):
-        "fe5749c1ba1b37677c24ed7832b74d7c953a7fbdd9f7ca965a8e4d1e1b5da8ee",
+        "a17ba28f81109c2a4b5f5d38ce01f67101083e37b004e4c95da17ef2be9268be",
     (9, "markdown"):
         "0c41affec69477a136d7c7526d25c87bc2ef342a5b736c78284d36fe231efe5a",
     (11, "json"):
-        "2d03bcea886c7563f7e32bb4a77bddf571e1638971b677c49179de01c9c486f5",
+        "7550b1db40ab7980b8ed5634ab3dd5e4d07fb15e7e757b5051b8d2c2afce5d32",
     (11, "csv"):
-        "3271e7afe8f2f5a6fd97a8346616f61755b550598066600da6bc280389d10edc",
+        "04bd20fe4ceaa936a32189c58a6a066a2421d0c948905cc2d11b1bba40fdd5dc",
     (11, "markdown"):
         "5c86e6b6a22098cc2fc6b91662bb9eb96cd242e40a19c53b5e52542102cb3cf9",
     (13, "json"):
-        "dcf656957b9920a982c39e7050975397d04c193b66b9447430bde8e0e1ab3cfa",
+        "20d64a55e863823d9397a51d65ee230b67442875ca6dbe78d002db3a7789f737",
     (13, "csv"):
-        "55d0df859cd6369a396152a12083f9ef509d13a60306f469217f5ea04444acd5",
+        "6cd7b42a9bb29aa7379e9cf8a4a01bfbf3ac56e40386867d77325ff61a61e786",
     (13, "markdown"):
         "7b32213c849f3eec6528d4ce02b7cc9b8293960bd7b4342d081a8c7654e8de77",
     (16, "json"):
-        "e8e67a267b92e1727f1846f08ac15092c42a266517af2daa35827d641053366c",
+        "d87ff27f8ca4891467bbe3598cc4a1ff4582de9eb7c60f4abe43aad031e07672",
     (16, "csv"):
-        "34a20fae5a2241c0f8f32be3b1bc381cf527ee2b9f39bc9c81b2a9b7df00590f",
+        "e54777faa2f05cea7e7d9a370efb3654ed6f4f818d586d9ed0109a8919b681d8",
     (16, "markdown"):
         "9e361ea241e273a17de256e8f42f1e2c805233c4856a7b5c87496a3e1f156e8c",
 }
@@ -583,7 +583,10 @@ def test_cli_distance_budget_caps_two_point_hull_enumeration(capsys):
      "not a prime power"),
     (["quantum", "params", "--q", "7", "--n", "49", "--k", "7",
       "--hull-dim", "-1"], "hull dimension"),
-], ids=["params-q6", "tables-q6", "dkl-q6", "params-negative-hull"])
+    (["quantum", "params", "--q", "7", "--n", "2", "--k", "2",
+      "--hull-dim", "0"], "need 0 <= k < n"),
+], ids=["params-q6", "tables-q6", "dkl-q6", "params-negative-hull",
+        "params-k-equals-n"])
 def test_cli_rejects_impossible_parameters_exit_2(capsys, argv, message):
     rc = cli.run(argv)
     captured = capsys.readouterr()
