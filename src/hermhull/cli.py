@@ -246,8 +246,7 @@ def cmd_quantum_tables(args) -> int:
         for name in ("table1", "table2", "table3_new"):
             for row in tables[name]:
                 if name == "table1":
-                    # no 2-ebit variant (q = 2, or k = n): blank delta
-                    # and c
+                    # no 2-ebit variant (q = 2, or k = n): blank delta and c
                     qe = row["eaqecc_2"] or {"delta": "", "c": ""}
                     lines.append(f"{name},{row['n']},{row['kappa']},"
                                  f"{qe['delta']},{qe['c']},{row['q']},"

@@ -229,7 +229,7 @@ def table2_rows(q: int) -> list[dict]:
     for row_no, family in ((7, "COR1"), (8, "COR2"), (9, "COR3")):
         for params in ag.family_parameter_grid(family, q):
             n, kdiv = params["n"], params["k"]
-            if kdiv + 2 == n:  # the whole space: no delta exists
+            if kdiv + 2 >= n:  # the whole space: no delta exists
                 continue
             for ell in range(kdiv, -1, -1):
                 p = eaqecc(q, n, kdiv + 2, ell)
