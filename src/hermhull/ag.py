@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -545,6 +545,19 @@ def two_point_family(family: str, F: FieldContext, k: int,
     return res
 
 
+def sweep(q: int, distance_budget: int = 10 ** 6
+          ) -> Iterator[tuple[dict, TwoPointResult]]:
+    """Build and verify every grid instance of the three two-point
+    families at q, yielding its grid parameters and its result."""
+    F = quadratic_field(q)
+    for family in ("COR1", "COR2", "COR3"):
+        for params in family_parameter_grid(family, q):
+            kwargs = {k: v for k, v in params.items() if k in ("s", "t", "n0")}
+            yield params, two_point_family(family, F, params["k"],
+                                           distance_budget=distance_budget,
+                                           **kwargs)
+
+
 # ----------------------------------------------------------------------
 # arbitrary hull dimension by pivot scaling
 # ----------------------------------------------------------------------
@@ -571,6 +584,27 @@ def default_scaling_element(F: FieldContext) -> int:
                      f"over GF({q})")
 
 
+def _scalings(result: TwoPointResult, ells, alpha: Optional[int]):
+    """Yield (scaled code, measured hull dimension) for each ell in
+    ``ells``; the pivots of the self-orthogonal part are reduced once."""
+    F, k = result.field, result.k
+    if alpha is None:
+        alpha = default_scaling_element(F)
+    norm = F.pow(alpha, F.q + 1)
+    if alpha == 0 or norm == F.neg(1):
+        raise ValueError("scaling element must be nonzero with norm != -1")
+    if any(ells) and norm == 1:
+        raise ValueError("norm-1 scaling cannot change the hull")
+    _, rank, pivots = rref(F, result.scaled_rows[:k + 1])
+    if rank != k + 1:
+        raise ValueError("self-orthogonal part has unexpected rank")
+    for ell in ells:
+        a = np.ones(result.code.n, dtype=np.int32)
+        a[pivots[rank - ell:rank]] = alpha
+        code = result.code.monomial_scale(a)
+        yield code, code.hull_dim_via_gram()
+
+
 def scale_for_hull(result: TwoPointResult, ell: int,
                    alpha: Optional[int] = None) -> tuple[LinearCode, int]:
     """Monomially rescale ell coordinates of a branch-2 two-point code;
@@ -581,30 +615,15 @@ def scale_for_hull(result: TwoPointResult, ell: int,
     Coordinate scaling preserves the [n, k+2, n-k-1] parameters outright;
     sweeping ell from 0 to k walks the hull dimension from k down to 0.
     """
-    F = result.field
-    k = result.k
-    if not 0 <= ell <= k:
-        raise ValueError(f"need 0 <= ell <= {k}")
-    if alpha is None:
-        alpha = default_scaling_element(F)
-    if alpha == 0 or F.pow(alpha, F.q + 1) == F.neg(1):
-        raise ValueError("scaling element must be nonzero with norm != -1")
-    if ell > 0 and F.pow(alpha, F.q + 1) == 1:
-        raise ValueError("norm-1 scaling cannot change the hull")
-    T, rank, pivots = rref(F, result.scaled_rows[:k + 1])
-    if rank != k + 1:
-        raise ValueError("self-orthogonal part has unexpected rank")
-    a = np.ones(result.code.n, dtype=np.int32)
-    for i in range(rank - ell, rank):
-        a[pivots[i]] = alpha
-    code = result.code.monomial_scale(a)
-    return code, code.hull_dim_via_gram()
+    if not 0 <= ell <= result.k:
+        raise ValueError(f"need 0 <= ell <= {result.k}")
+    return next(_scalings(result, [ell], alpha))
 
 
 def scale_sweep(result: TwoPointResult, alpha: Optional[int] = None) -> dict[int, int]:
     """Measured hull dimension for every ell in [0, k]."""
-    return {ell: scale_for_hull(result, ell, alpha)[1]
-            for ell in range(result.k + 1)}
+    ells = range(result.k + 1)
+    return {ell: h for ell, (_, h) in zip(ells, _scalings(result, ells, alpha))}
 
 
 # ----------------------------------------------------------------------

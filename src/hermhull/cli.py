@@ -20,7 +20,7 @@ from typing import Optional
 from . import ag, cyclic, grs, quantum
 from .gf import make_field, prime_power, quadratic_field
 from .linalg_codes import DEFAULT_BUDGET
-from .report import ConstructionReport, code_to_json
+from .report import ConstructionReport, code_to_json, measured_hull_dim
 
 
 def _dump(payload, fmt: str = "json") -> str:
@@ -217,8 +217,7 @@ def cmd_quantum_params(args) -> int:
             q = body["field"]["p"] ** (body["field"]["m"] // 2)
             n = body["code"]["n"]
             k = body["code"]["k"]
-            h = body["hull"]
-            hull = h["dim_gram"] if "dim_gram" in h else h["dim_measured"]
+            hull = measured_hull_dim(body["hull"])
         except KeyError as exc:
             raise ValueError(f"{args.from_report}: report lacks the key "
                              f"{exc}") from None
@@ -239,42 +238,40 @@ def cmd_quantum_params(args) -> int:
     return 0
 
 
-def cmd_quantum_tables(args) -> int:
-    tables = quantum.emit_tables(args.q)
-    if args.format == "csv":
+def _render_tables(tables: dict, fmt: str) -> str:
+    """The ``quantum tables`` body: json and csv hold all three tables,
+    markdown table3 only."""
+    if fmt == "csv":
         lines = ["table,n,kappa,delta,c,q,extra"]
         for name in ("table1", "table2", "table3_new"):
             for row in tables[name]:
-                if name == "table1":
-                    # no 2-ebit variant (q = 2, or k = n): blank delta and c
-                    qe = row["eaqecc_2"] or {"delta": "", "c": ""}
-                    lines.append(f"{name},{row['n']},{row['kappa']},"
-                                 f"{qe['delta']},{qe['c']},{row['q']},"
-                                 f"row{row['row']}")
-                else:
-                    lines.append(f"{name},{row['n']},{row['kappa']},"
-                                 f"{row['delta']},{row['c']},{row['q']},"
-                                 f"{row.get('family', '')}")
-        print("\n".join(lines))
-        return 0
-    if args.format == "markdown":
-        print(_to_markdown(tables["table3_new"]))
-        return 0
-    print(_dump(tables))
+                # table1 prints its 2-ebit variant, with blank delta and c
+                # where there is none (q = 2, or k = n)
+                qe = ((row["eaqecc_2"] or {"delta": "", "c": ""})
+                      if name == "table1" else row)
+                extra = (f"row{row['row']}" if name == "table1"
+                         else row.get("family", ""))
+                lines.append(f"{name},{row['n']},{row['kappa']},{qe['delta']},"
+                             f"{qe['c']},{row['q']},{extra}")
+        return "\n".join(lines)
+    if fmt == "markdown":
+        return _to_markdown(tables["table3_new"])
+    return _dump(tables)
+
+
+def cmd_quantum_tables(args) -> int:
+    quadratic_field(args.q)
+    with _verifying():
+        tables = quantum.emit_tables(args.q)
+    print(_render_tables(tables, args.format))
     return 0
 
 
 def cmd_verify_all(args) -> int:
     reports = _grs_reports(args)
-    F = quadratic_field(args.q)
     with _verifying():
-        for family in ("COR1", "COR2", "COR3"):
-            for params in ag.family_parameter_grid(family, args.q):
-                kwargs = {k: v for k, v in params.items()
-                          if k in ("s", "t", "n0")}
-                reports.append(ag.two_point_family(
-                    family, F, params["k"],
-                    distance_budget=args.distance_budget, **kwargs).report)
+        reports += [res.report for _, res in ag.sweep(
+            args.q, distance_budget=args.distance_budget)]
     return _emit_reports(reports, args)
 
 

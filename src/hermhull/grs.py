@@ -12,7 +12,9 @@ Family tags:
   coordinate.
 * CON1E..CON4E: the same four vector recipes with the dimension enlarged
   to zq <= k, giving hulls of dimension k - z^2, k - 2z^2 or k - z^2 - zf
-  that contain the original MDS subcode.
+  that contain the original MDS subcode.  The last, CON3E with f < z, is
+  refuted by the Gram rank on full-grid instances from q = 7 on; those
+  reports FAIL, and no quantum table row is read off them.
 
 Every builder returns the code plus a claim object; ``verify_claim`` checks
 the claim by exact linear algebra (Gram rank always; hull intersection and
@@ -38,7 +40,7 @@ from .gf import FieldContext, quadratic_field
 from .linalg_codes import (_MAT_MUL_CHUNK, DEFAULT_BUDGET, LinearCode,
                            conjugate, gram_matrix, mat_mul, matrix_rank)
 from .report import (STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED,
-                     STATUS_STRUCTURAL, ConstructionReport, vector_to_logs)
+                     STATUS_STRUCTURAL, ConstructionReport)
 
 FAMILIES = ("CON1", "CON2", "CON3", "CON4", "CON1E", "CON2E", "CON3E", "CON4E")
 
@@ -133,11 +135,6 @@ class GrsSpec:
     def with_dim(self, k: int) -> "GrsSpec":
         return GrsSpec(self.field, self.b, self.a, k)
 
-    def to_json(self) -> dict:
-        F = self.field
-        return {"field": F.describe(), "k": self.k,
-                "b": vector_to_logs(F, self.b), "a": vector_to_logs(F, self.a)}
-
 
 #: evaluation vectors (field, b, a) whose power sums ``natural_gram`` keeps
 _POWER_SUM_CACHE = 16
@@ -215,17 +212,6 @@ class GrsHullClaim:
     hull_equality: bool
     conservative_range: bool  # inside the conservative z-bounds
     z1_subcode_dim: int       # the z = 1 closed form (q-1 resp. q-f-1)
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family, "q": self.q, "parameters": self.params,
-            "n": self.spec.n, "k": self.spec.k,
-            "claimed_hull_dim": self.hull_dim,
-            "claimed_subcode_dim": self.subcode.k,
-            "z1_subcode_dim": self.z1_subcode_dim,
-            "hull_equality": self.hull_equality,
-            "conservative_range": self.conservative_range,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -310,22 +296,15 @@ def claim_arithmetic(family: str, q: int, k: Optional[int] = None,
     return out
 
 
-def _conservative_z_bound(family: str, q: int, n: int) -> Optional[int]:
-    """Tighter z-bound (exclusive) that keeps every derived quantum
-    distance inside the n/2 regime; the rank analysis itself allows more."""
-    if family == "CON1E":
-        return q // 2
-    if family in ("CON2E", "CON3E", "CON4E"):
-        return n // (2 * q)
-    return None
-
-
 def in_conservative_range(family: str, q: int, params: dict) -> bool:
-    info = claim_arithmetic(family, q, **params)
-    zb = _conservative_z_bound(family, q, info["n"])
-    if zb is None:
-        return True
-    return params["z"] < zb
+    """Is z below the tighter bound that keeps every derived quantum
+    distance inside the n/2 regime?  The rank analysis itself allows more."""
+    if family == "CON1E":
+        return params["z"] < q // 2
+    if family in ("CON2E", "CON3E", "CON4E"):
+        n = claim_arithmetic(family, q, **params)["n"]
+        return params["z"] < n // (2 * q)
+    return True
 
 
 def family_parameter_grid(family: str, q: int,
@@ -432,7 +411,7 @@ def construct_family(family: str, q: int, field: Optional[FieldContext] = None,
         params=dict(params) | ({"s": info["s"]} if info["s"] is not None else {}),
         spec=spec, hull_dim=info["hull_dim"], subcode=sub,
         hull_equality=info["hull_dim"] == info["subcode_dim"],
-        conservative_range=in_conservative_range(family, q, params) if params else True,
+        conservative_range=in_conservative_range(family, q, params),
         z1_subcode_dim=info["z1_subcode_dim"])
     return spec.code(), claim
 
@@ -555,7 +534,7 @@ def verify_claim(code: LinearCode, claim: GrsHullClaim,
     }
 
     if rep.verdict != "FAIL":
-        rep.quantum = quantum.chain_to_json(q, n, k, claim.hull_dim)
+        rep.quantum = quantum.chain_to_json(q, n, k, gram_dim)
     return rep
 
 

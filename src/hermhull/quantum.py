@@ -6,8 +6,8 @@ entanglement-assisted code [[n, n-2k+c, k+1; c]]_q with c = k - l
 distance k+1, so delta is that distance, recorded "structurally", and the
 code is pure.  ``eaqecc`` is the one entry point from (q, n, k, l) to
 parameters.  Also: propagation (kappa and c both +i, i up to the hull
-dimension), the three Singleton-like bounds with exact slacks, and
-regeneration of the parameter tables at a given alphabet.
+dimension), the three Singleton-like bounds with exact slacks, and the
+parameter tables at a given alphabet, each row read off a verified report.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .gf import prime_power
+from .gf import prime_power, quadratic_field
+from .report import FAIL, STATUS_PASS, measured_hull_dim
 
 #: propagated variants ``chain_to_json`` adds after the base code
 CHAIN_STEPS = 2
@@ -93,16 +94,10 @@ def singleton_check(params: QuantumParams) -> dict:
         bound3 = Fraction((n - delta + 1) * (c + 2 * delta - 2 - n),
                           3 * delta - 3 - n)
         slack3 = bound3 - kappa
-    if 2 * delta <= n:
-        mds = slack1 == 0
-    else:
-        mds = slack3 == 0 if slack3 is not None else False
-    return {
-        "bound1_slack": slack1,
-        "bound2_slack": slack2,
-        "bound3_slack": slack3,
-        "mds": mds,
-    }
+    # without bound3 (slack3 None) a code with delta > n/2 is not MDS
+    mds = slack1 == 0 if 2 * delta <= n else slack3 == 0
+    return {"bound1_slack": slack1, "bound2_slack": slack2,
+            "bound3_slack": slack3, "mds": mds}
 
 
 def json_with_mds(params: QuantumParams) -> dict:
@@ -149,130 +144,133 @@ TABLE3_REFERENCE: tuple[tuple[int, int, int, int], ...] = (
 
 def _dominated(row: QuantumParams) -> bool:
     """Is the row matched or beaten by a reference entry at the same (n, kappa)?"""
-    for (n, kappa, delta, c) in TABLE3_REFERENCE:
-        if n == row.n and kappa == row.kappa and delta >= row.delta and c <= row.c:
-            return True
-    return False
+    return any(n == row.n and kappa == row.kappa and delta >= row.delta
+               and c <= row.c for n, kappa, delta, c in TABLE3_REFERENCE)
 
 
-def table1_rows(q: int) -> list[dict]:
-    """Distance/ebit trade-off rows: one family per construction, with the
-    unassisted code, the 2-ebit variant, and the (k+u+1; 2u+2) ladder."""
-    from . import ag, grs  # deferred: grs imports this module's arithmetic
+def _view(q: int, rep) -> QuantumParams:
+    """The EAQECC of a report's code and its measured hull."""
+    return eaqecc(q, rep.code["n"], rep.code["k"], measured_hull_dim(rep.hull))
 
-    def row(row_no: int, n: int, k: int, eaqecc_2: Optional[QuantumParams],
-            ladder: list[dict], constraints: dict) -> dict:
-        # the unassisted code is the hull itself, [n, k-1] and self-orthogonal
-        qecc = eaqecc(q, n, k - 1, k - 1)
-        return {"row": row_no, "q": q, "n": n, "kappa": qecc.kappa,
-                "qecc": qecc.to_json(),
-                "eaqecc_2": eaqecc_2.to_json() if eaqecc_2 else None,
-                "eaqecc_ladder": ladder, "constraints": constraints}
 
-    def grs_row(row_no: int, n: int, k: int, family: str, params: dict,
-                constraints: dict) -> dict:
-        """A hull-MDS [n, k] GRS row; rung u of its ladder is the family's
-        code of dimension k+u at the same length n, propagated 2u+1 steps."""
+def _passed(rep, check: str) -> bool:
+    return any(c.name == check and c.status == STATUS_PASS for c in rep.checks)
+
+
+def _grid(claim) -> dict:
+    """A GRS claim's grid parameters, without the derived ``s``."""
+    return {k: v for k, v in claim.params.items() if k != "s"}
+
+
+#: table rows per family; in table2, CON3E and CON4E take the next row
+#: number when f < z
+_TABLE1_ROWS = {"CON1": 1, "CON2": 2, "CON3": 3, "CON4": 4,
+                "COR1": 5, "COR2": 6, "COR3": 7}
+_TABLE2_ROWS = {"CON1E": 1, "CON2E": 2, "CON3E": 3, "CON4E": 5,
+                "COR1": 7, "COR2": 8, "COR3": 9}
+
+
+def _table1(q: int, grs_runs: list, cor_runs: list) -> list[dict]:
+    """Per construction: the unassisted code (a self-orthogonal MDS hull),
+    the 2-ebit variant and the (k+u+1; 2u+2) ladder."""
+    by_key = {(c.family, frozenset(_grid(c).items())): r for c, r in grs_runs}
+    found = []  # (row, n, unassisted dimension, 2-ebit variant, ladder, grid)
+    # rows 1-4: GRS codes whose nonzero hull equals their GRS subcode; rung
+    # u of the ladder is the family's code of dimension k+u at the same
+    # length (CON1E at z = 1 for CON1), propagated 2u+1 steps
+    for claim, rep in grs_runs:
+        n, k, hull = rep.code["n"], rep.code["k"], measured_hull_dim(rep.hull)
+        if (claim.family not in _TABLE1_ROWS or k < 2
+                or not _passed(rep, "hull_equality")):
+            continue
+        family, params = claim.family, _grid(claim)
+        if family == "CON1":
+            family, params = "CON1E", {"z": 1}
         ladder = []
         for u in range(1, k - 1):
-            try:
-                info = grs.claim_arithmetic(family, q, **(params | {"k": k + u}))
-            except ValueError:
+            rung = by_key.get((family, frozenset((params | {"k": k + u}).items())))
+            if rung is None or rung.code["n"] != n:
                 break
-            if info["n"] != n:
-                break
-            rung = propagate(eaqecc(q, n, k + u, k + u - 1), 2 * u + 1,
-                             k + u - 1)
-            ladder.append({"u": u} | rung.to_json())
-        # propagation needs q > 2: at q = 2 the row has no 2-ebit variant
-        # (as in chain_to_json); families 2-4 have no row with k >= 2 there
-        q2 = propagate(eaqecc(q, n, k, k - 1), 1, k - 1) if q > 2 else None
-        return row(row_no, n, k, q2, ladder, constraints)
-
-    # family 1: the full-length code k = q, laddered through CON1E at z = 1
-    rows = [grs_row(1, q * q, q, "CON1E", {"z": 1}, {"k": q})]
-    # families 2-4: the shorter hull-MDS codes, 1 < k < q
-    for row_no, family in ((2, "CON2"), (3, "CON3"), (4, "CON4")):
-        for params in grs.family_parameter_grid(family, q):
-            if params["k"] < 2:  # these rows need a nonzero hull to trade on
-                continue
-            n = grs.claim_arithmetic(family, q, **params)["n"]
-            rows.append(grs_row(row_no, n, params["k"], family, params, params))
-    # families 5-7: two-point evaluation codes of dimension k + 2 whose
-    # hull has the divisor dimension k; at k + 2 = n there is no 2-ebit code
-    for row_no, family in ((5, "COR1"), (6, "COR2"), (7, "COR3")):
-        for params in ag.family_parameter_grid(family, q):
-            n, kdiv = params["n"], params["k"]
-            q2 = eaqecc(q, n, kdiv + 2, kdiv) if kdiv + 2 < n else None
-            rows.append(row(row_no, n, kdiv + 2, q2, [], params))
+            ladder.append({"u": u} | propagate(
+                _view(q, rung), 2 * u + 1, measured_hull_dim(rung.hull)).to_json())
+        # propagation needs q > 2: at q = 2 there is no 2-ebit variant
+        found.append((_TABLE1_ROWS[claim.family], n, hull,
+                      propagate(_view(q, rep), 1, hull) if q > 2 else None,
+                      ladder, _grid(claim)))
+    # rows 5-7: two-point [n, k] codes whose one-point part, of dimension
+    # k - 1, is self-orthogonal; at k = n there is no 2-ebit code
+    for params, res in cor_runs:
+        rep = res.report
+        n, k = rep.code["n"], rep.code["k"]
+        if _passed(rep, "one_point_self_orthogonal"):
+            found.append((_TABLE1_ROWS[rep.construction["family"]], n, k - 1,
+                          _view(q, rep) if k < n else None, [], params))
+    rows = []
+    for row_no, n, dim, q2, ladder, constraints in found:
+        qecc = eaqecc(q, n, dim, dim)
+        rows.append({"row": row_no, "q": q, "n": n, "kappa": qecc.kappa,
+                     "qecc": qecc.to_json(),
+                     "eaqecc_2": q2.to_json() if q2 else None,
+                     "eaqecc_ladder": ladder, "constraints": constraints})
     return rows
 
 
-def table2_rows(q: int) -> list[dict]:
-    """EAQECCs with delta = dimension + 1 from the enlarged-hull families
-    and from hull-dimension scaling of the two-point codes."""
-    from . import ag, grs
+def _table2(q: int, grs_runs: list, cor_runs: list) -> list[dict]:
+    """EAQECCs with delta = k + 1: the enlarged-hull families in their
+    conservative ranges, and pivot scalings of the two-point codes."""
+    from . import ag  # deferred: ag imports this module
 
-    rows: list[dict] = []
-    for row_no, family in ((1, "CON1E"), (2, "CON2E"), (3, "CON3E"),
-                           (4, "CON3E"), (5, "CON4E"), (6, "CON4E")):
-        want_small_f = row_no in (4, 6)
-        for params in grs.family_parameter_grid(family, q):
-            if family in ("CON3E", "CON4E"):
-                small_f = params["f"] < params["z"]
-                if small_f != want_small_f:
-                    continue
-            info = grs.claim_arithmetic(family, q, **params)
-            p = eaqecc(q, info["n"], params["k"], info["hull_dim"])
-            rows.append({"row": row_no, "q": q, "family": family,
-                         "constraints": params} | p.to_json())
-    for row_no, family in ((7, "COR1"), (8, "COR2"), (9, "COR3")):
-        for params in ag.family_parameter_grid(family, q):
-            n, kdiv = params["n"], params["k"]
-            if kdiv + 2 >= n:  # the whole space: no delta exists
-                continue
-            for ell in range(kdiv, -1, -1):
-                p = eaqecc(q, n, kdiv + 2, ell)
-                rows.append({"row": row_no, "q": q, "family": family,
-                             "constraints": params | {"hull_dim": ell}}
-                            | p.to_json())
-    return rows
+    rows = []
+    for claim, rep in grs_runs:
+        p = claim.params
+        if claim.family in _TABLE2_ROWS and claim.conservative_range:
+            row_no = _TABLE2_ROWS[claim.family] + (
+                claim.family in ("CON3E", "CON4E") and p["f"] < p["z"])
+            rows.append({"row": row_no, "q": q, "family": claim.family,
+                         "constraints": _grid(claim)} | _view(q, rep).to_json())
+    try:
+        alpha = ag.default_scaling_element(quadratic_field(q))
+    except ValueError:  # every norm is +-1 (q = 2, 3): no pivot scaling
+        alpha = None
+    for params, res in cor_runs:
+        rep = res.report
+        n, k, family = rep.code["n"], rep.code["k"], rep.construction["family"]
+        if k == n:  # the whole space: no delta exists
+            continue
+        hulls = [measured_hull_dim(rep.hull)]
+        if alpha is not None:
+            hulls += [h for ell, h in ag.scale_sweep(res, alpha).items() if ell]
+        rows += [{"row": _TABLE2_ROWS[family], "q": q, "family": family,
+                  "constraints": params | {"hull_dim": h}}
+                 | eaqecc(q, n, k, h).to_json() for h in hulls]
+    # stable: each row keeps the sweep order of its instances
+    return sorted(rows, key=lambda r: r["row"])
 
 
-def table3_new_rows(q: int) -> list[dict]:
-    """Rows with distance above q from the enlarged-hull constructions,
-    dominance-checked against the reference dataset.
-
-    Uses the full verified parameter ranges (wider in z than the
-    conservative ones), which the longer-distance rows require.
-    """
-    from . import grs
-
-    rows: list[dict] = []
+def _table3_new(q: int, grs_runs: list) -> list[dict]:
+    """Rows with delta > q, dominance-checked against the reference data."""
+    rows = []
     seen: set[tuple[int, int, int, int]] = set()
-    for family in ("CON1E", "CON2E", "CON3E", "CON4E"):
-        for params in grs.family_parameter_grid(family, q, conservative=False):
-            info = grs.claim_arithmetic(family, q, **params)
-            p = eaqecc(q, info["n"], params["k"], info["hull_dim"])
-            if p.delta <= q or 2 * p.delta > p.n:
-                continue
-            chk = singleton_check(p)
-            if not chk["mds"]:
-                continue
-            if p.key() in seen:
-                continue
-            seen.add(p.key())
-            rows.append({"family": family, "constraints": params,
-                         "dominated": _dominated(p),
-                         "mds": True} | p.to_json())
-    rows.sort(key=lambda r: (-r["n"], r["c"], r["delta"]))
-    return rows
+    for claim, rep in grs_runs:
+        p = _view(q, rep) if claim.family.endswith("E") else None
+        if (p is None or p.delta <= q or 2 * p.delta > p.n
+                or not singleton_check(p)["mds"] or p.key() in seen):
+            continue
+        seen.add(p.key())
+        rows.append({"family": claim.family, "constraints": _grid(claim),
+                     "dominated": _dominated(p), "mds": True} | p.to_json())
+    return sorted(rows, key=lambda r: (-r["n"], r["c"], r["delta"]))
 
 
 def emit_tables(q: int) -> dict:
-    prime_power(q)
-    return {
-        "table1": table1_rows(q),
-        "table2": table2_rows(q),
-        "table3_new": table3_new_rows(q),
-    }
+    """The three parameter tables at q, each row a view of a non-FAIL
+    report of the sweeps that ``verify-all`` runs (GRS on the full grids)."""
+    from . import ag, grs  # deferred: both import this module
+
+    grs_runs = [(claim, rep) for claim, rep in grs.sweep(q, conservative=False)
+                if rep.verdict != FAIL]
+    cor_runs = [(params, res) for params, res in ag.sweep(q)
+                if res.report.verdict != FAIL]
+    return {"table1": _table1(q, grs_runs, cor_runs),
+            "table2": _table2(q, grs_runs, cor_runs),
+            "table3_new": _table3_new(q, grs_runs)}

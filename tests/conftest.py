@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from hermhull import gf
+from hermhull import gf, quantum
 from hermhull.linalg_codes import LinearCode
 
 
@@ -42,3 +44,10 @@ def random_code(F, n, k, rng):
 def grs_b_full(F):
     """(alpha^0, ..., alpha^(q^2-2), 0): every field element, zero last."""
     return [F.alpha_pow(i) for i in range(F.order - 1)] + [0]
+
+
+@functools.cache
+def quantum_tables(q):
+    """``quantum.emit_tables(q)``, built once per test session: each build
+    runs the full-grid GRS and two-point sweeps at q.  Read-only."""
+    return quantum.emit_tables(q)

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from conftest import quantum_tables
 from hermhull import ag, cyclic, grs, quantum
 from hermhull.ag import Divisor, O, finite
 from hermhull.gf import quadratic_field
@@ -268,11 +269,12 @@ TABLE3_NEW_ENTRIES = [
 
 
 def test_criterion_8_quantum_tables(capsys):
-    """The q = 7 table of new distance->7 entries is regenerated from the
-    construction claims plus the parameter arithmetic, each row meeting its
-    Singleton-like bound with equality (structural distances, as labeled)."""
+    """The q = 7 table of new distance->7 entries is read off the verified
+    reports of the full-grid sweep (measured hull, parameter arithmetic),
+    each row meeting its Singleton-like bound with equality (structural
+    distances, as labeled)."""
     with criterion(capsys, "8 quantum tables q=7", 10):
-        rows = quantum.table3_new_rows(7)
+        rows = quantum_tables(7)["table3_new"]
         keys = {(r["n"], r["kappa"], r["delta"], r["c"]): r for r in rows}
         for entry in TABLE3_NEW_ENTRIES:
             assert entry in keys, entry
@@ -294,7 +296,7 @@ def test_criterion_8_quantum_tables(capsys):
            "(slack 1) and is not derivable from the construction claims; "
            "the derived tight row is (33,11,16;8)")
 def test_criterion_8_golden_entry_as_listed(capsys):
-    rows = quantum.table3_new_rows(7)
+    rows = quantum_tables(7)["table3_new"]
     keys = {(r["n"], r["kappa"], r["delta"], r["c"]) for r in rows}
     assert (33, 10, 16, 8) in keys
 

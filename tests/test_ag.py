@@ -265,6 +265,20 @@ def test_scale_for_hull_preserves_parameters(F25):
         assert code.min_distance(budget=25 ** 5) == 16  # [20, 5, 16] kept
 
 
+def test_scale_sweep_reduces_the_pivots_once(F25, monkeypatch):
+    U = evaluation_set("COR2", 5, t=4)
+    res = two_point_code(F25, U, 3, distance_budget=10)
+    blocks, rref = [], ag.rref
+
+    def counting_rref(F, M):
+        blocks.append(np.shape(M))
+        return rref(F, M)
+
+    monkeypatch.setattr(ag, "rref", counting_rref)
+    assert scale_sweep(res) == {0: 3, 1: 2, 2: 1, 3: 0}
+    assert blocks == [(4, 20)]  # the self-orthogonal part, once for all ell
+
+
 def test_growth_q5(F25):
     start = subfield_points(F25)
     g = extend_evaluation_set(F25, start, max_steps=2)

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import quantum_tables
 from hermhull import quantum
-from hermhull.quantum import (QuantumParams, eaqecc, emit_tables, propagate,
-                              singleton_check, table1_rows, table2_rows,
-                              table3_new_rows)
+from hermhull.quantum import QuantumParams, eaqecc, propagate, singleton_check
 
 
 def test_params_validation():
@@ -81,7 +80,7 @@ def test_propagation_preserves_bound1_slack():
 
 
 def test_table1_contains_ladder_example():
-    rows = table1_rows(5)
+    rows = quantum_tables(5)["table1"]
     row2 = [r for r in rows if r["row"] == 2 and r["constraints"].get("k") == 3]
     assert row2
     ladder = row2[0]["eaqecc_ladder"]
@@ -91,7 +90,7 @@ def test_table1_contains_ladder_example():
 
 
 def test_table1_row1_shape():
-    rows = table1_rows(7)
+    rows = quantum_tables(7)["table1"]
     r1 = [r for r in rows if r["row"] == 1][0]
     assert (r1["n"], r1["kappa"]) == (49, 37)
     assert (r1["qecc"]["delta"], r1["qecc"]["c"]) == (7, 0)
@@ -105,7 +104,7 @@ def test_table2_round_trip_from_first_principles():
     cases = [("CON1E", 5, {"z": 1, "k": 6}),
              ("CON2E", 7, {"z": 1, "f": 1, "k": 8}),
              ("CON3E", 7, {"z": 1, "f": 2, "k": 8})]
-    rows = {5: table2_rows(5), 7: table2_rows(7)}
+    rows = {q: quantum_tables(q)["table2"] for q in (5, 7)}
     for family, q, params in cases:
         code, claim = construct_family(family, q, **params)
         hull_dim = code.hull_dim_via_gram()
@@ -120,7 +119,7 @@ def test_table2_round_trip_from_first_principles():
 
 
 def test_table2_cor_rows_cover_hull_scaling():
-    rows = [r for r in table2_rows(5) if r["family"] == "COR2"]
+    rows = [r for r in quantum_tables(5)["table2"] if r["family"] == "COR2"]
     # the 20-point family at code dimension 5 walks c over [2, 5]
     walk = [(r["c"], r["kappa"]) for r in rows
             if r["constraints"].get("t") == 4 and r["constraints"].get("k") == 3]
@@ -138,7 +137,7 @@ TABLE3_EXPECTED = [
 
 
 def test_table3_new_entries():
-    rows = table3_new_rows(7)
+    rows = quantum_tables(7)["table3_new"]
     keys = {(r["n"], r["kappa"], r["delta"], r["c"]) for r in rows}
     for entry in TABLE3_EXPECTED:
         assert entry in keys, entry
@@ -152,6 +151,34 @@ def test_table3_new_entries():
         assert row["mds"] and not row["dominated"]
         p = QuantumParams(row["n"], row["kappa"], row["delta"], row["c"], 7)
         assert singleton_check(p)["bound1_slack"] == 0
+
+
+def test_table3_new_drops_the_refuted_con3e_rows():
+    # CON3E at q = 8, z = 3, f = 2 claims hull k - z^2 - zf = k - 15; the
+    # Gram rank measures k - 14, the reports FAIL and no row is read off
+    # them, neither the claimed one nor one with the measured hull
+    from hermhull.grs import construct_family, verify_claim
+    rows = quantum_tables(8)["table3_new"]
+    keys = {(r["n"], r["kappa"], r["delta"], r["c"]) for r in rows}
+    for k, claimed in ((24, (55, 22, 25, 15)), (25, (55, 20, 26, 15))):
+        rep = verify_claim(*construct_family("CON3E", 8, z=3, f=2, k=k))
+        assert rep.verdict == "FAIL" and rep.hull["dim_gram"] == k - 14
+        assert claimed not in keys
+        assert {"z": 3, "f": 2, "k": k} not in [
+            r["constraints"] for r in rows if r["family"] == "CON3E"]
+
+
+def test_table2_has_no_pivot_scaled_row_where_every_norm_is_pm1():
+    # every norm in GF(3)* is +-1, so no pivot scaling backs a hull below
+    # the two-point code's own; [[6,3,4;3]]_3 (hull 0 of the [6, 3] COR2
+    # code, t = 2) is not emitted
+    rows = [r for r in quantum_tables(3)["table2"]
+            if r["family"].startswith("COR")]
+    assert rows
+    assert all(r["constraints"]["hull_dim"] == r["constraints"]["k"]
+               for r in rows)
+    assert (6, 3, 4, 3) not in {(r["n"], r["kappa"], r["delta"], r["c"])
+                                for r in rows}
 
 
 def test_table3_ingredients_verify():
@@ -194,11 +221,11 @@ def test_every_entry_has_a_distance_within_the_length(q):
     chains = [entry for n in range(1, q * q + 1) for k in range(n + 1)
               for hull in range(min(k, n - k) + 1)
               for entry in quantum.chain_to_json(q, n, k, hull)]
-    for entry in chains + list(_table_entries(emit_tables(q))):
+    for entry in chains + list(_table_entries(quantum_tables(q))):
         assert entry["delta"] <= entry["n"] and entry["kappa"] >= 0, entry
 
 
 def test_emit_tables_shape():
-    t = emit_tables(5)
+    t = quantum_tables(5)
     assert set(t) == {"table1", "table2", "table3_new"}
     assert t["table1"] and t["table2"]

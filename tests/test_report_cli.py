@@ -11,6 +11,7 @@ import pytest
 import jsonschema
 
 import hermhull
+from conftest import quantum_tables
 from hermhull import cli, report
 from hermhull.grs import construct_family, verify_claim
 from hermhull.report import (ConstructionReport, code_to_json,
@@ -239,6 +240,7 @@ def test_cli_quantum_tables_q2(capsys, fmt):
     # 2-ebit variant and an empty ladder, and every format prints it
     rc, out = run_cli(capsys, "quantum", "tables", "--q", "2", "--format", fmt)
     assert rc == 0
+    assert out == cli._render_tables(quantum_tables(2), fmt) + "\n"
     if fmt == "json":
         row1 = json.loads(out)["table1"][0]
         assert row1["row"] == 1 and row1["n"] == 4
@@ -341,10 +343,30 @@ def test_cli_value_error_in_verification_exit_3(capsys, monkeypatch):
     assert captured.err == ("internal error: ValueError during "
                             "verification: inner dimensions differ\n")
     assert cli.run(["grs", "sweep", "--q", "3", "--families", "CON1"]) == 3
+    assert cli.run(["quantum", "tables", "--q", "3"]) == 3
     monkeypatch.setattr(ag, "two_point_code", broken)
     assert cli.run(["ag", "build", "--family", "COR2", "--q", "5",
                     "--k", "1", "--t", "3"]) == 3
-    capsys.readouterr()
+    monkeypatch.undo()
+    monkeypatch.setattr(ag, "two_point_code", broken)
+    assert cli.run(["quantum", "tables", "--q", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert set(captured.err.splitlines()) == {
+        "internal error: ValueError during verification: inner dimensions differ"}
+
+
+def test_cli_quantum_tables_checks_q_before_any_sweep(capsys, monkeypatch):
+    from hermhull import ag, grs
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran on an invalid alphabet")
+
+    monkeypatch.setattr(grs, "sweep", no_sweep)
+    monkeypatch.setattr(ag, "sweep", no_sweep)
+    assert cli.run(["quantum", "tables", "--q", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a prime power" in captured.err
 
 
 def test_cli_construction_input_errors_exit_2(capsys):
@@ -408,7 +430,9 @@ def test_cli_verify_all_golden_bodies_with_fails(capsys, q):
 
 
 #: sha256 of the stdout of ``quantum tables --q Q --format F``; markdown
-#: prints table3 only, json and csv all three tables
+#: prints table3 only, json and csv all three tables.  Every row is read off
+#: a non-FAIL report, so q = 3 has no pivot-scaled two-point row (every norm
+#: in GF(3)* is +-1) and q >= 8 has no row of a refuted CON3E claim (f < z)
 GOLDEN_QUANTUM_TABLES = {
     (2, "json"):
         "9afd2327d6e6edd4e77b08420353e8268b5e25cc5fa8a9fae4ba198b8dc49a84",
@@ -417,9 +441,9 @@ GOLDEN_QUANTUM_TABLES = {
     (2, "markdown"):
         "8948f72b43c6dd7445415d49fe012deb0c7359930d5acfffd6c0a43c0d597bba",
     (3, "json"):
-        "5feae748d6b6c351f63b5f3ab76d5cd419318b864bed046f037ae021661d18a1",
+        "7af8eb0f8127e90b8240fcc98a8c8b744e1f453f63916d7a2035ea45521646e7",
     (3, "csv"):
-        "6eaf4048668baac0ea5926285a4659a8426bcc4f4a62d2275b06bb4eb433bc87",
+        "0a75613c7766359faea4151d18ff2a77f97296bcddcbc10293c56161db064e38",
     (3, "markdown"):
         "296b6e250686d87391a3698aba907d30ede317dd830bf64c04626ffc128ca802",
     (4, "json"):
@@ -441,43 +465,43 @@ GOLDEN_QUANTUM_TABLES = {
     (7, "markdown"):
         "e33790a2dcd0c542ca52edadc782407517d04c91444ef99b860c57bf496e989f",
     (8, "json"):
-        "4d744ed4bd89f00b9c242d0f0207aea2ec84f097e67ce6edcc03a7c773bc38ca",
+        "2f6a16bac6575de6cf8e3e8c713ccbd84d51ace1b05659a16dd5116d848a5280",
     (8, "csv"):
-        "aad7fcdc909295e874f71f89f2a157124d898ca4610cbc1ee914db34a9da96d0",
+        "ce8580443360f16ccab67c247e6e6adb2bf220a080b1255809cbe118aae0d14b",
     (8, "markdown"):
-        "549a54d48c4eba6d983b172b37a160edab8cf5e30022bc193214ac9707b865ce",
+        "32c6c65d9f14331851392e8c35ce8b5043fa27a22ffc56a6b395f0da834f6d33",
     (9, "json"):
-        "3fd89d80f4804f1028d0f99fd1a6e6ef5df356eb56939b3e57fea4cacd8059a8",
+        "00a7e8486cdeba11723c0806137b5b2bd74b7646726fa22ba11165c79eeaeb70",
     (9, "csv"):
-        "a17ba28f81109c2a4b5f5d38ce01f67101083e37b004e4c95da17ef2be9268be",
+        "297927df7aae62eb37548dede8680a54c488897959a1f2c9bdad037e24d0bb3b",
     (9, "markdown"):
-        "0c41affec69477a136d7c7526d25c87bc2ef342a5b736c78284d36fe231efe5a",
+        "10cdb920415c094ad1ff307249d5c9332ecb229df05d1a9e12643cc3f4d2cd2e",
     (11, "json"):
-        "7550b1db40ab7980b8ed5634ab3dd5e4d07fb15e7e757b5051b8d2c2afce5d32",
+        "55ab715ae79fb7798068010e12d504edc054489683f5701ff0841bc85422b006",
     (11, "csv"):
-        "04bd20fe4ceaa936a32189c58a6a066a2421d0c948905cc2d11b1bba40fdd5dc",
+        "758679b0cf28daa8d9cabc4a3e55c5a05b3a22da732403213a3faf89638f3905",
     (11, "markdown"):
-        "5c86e6b6a22098cc2fc6b91662bb9eb96cd242e40a19c53b5e52542102cb3cf9",
+        "a64a372435733bae6a91cbf75e25534c0f14d2240379ed448afc8eddd2fca5dd",
     (13, "json"):
-        "20d64a55e863823d9397a51d65ee230b67442875ca6dbe78d002db3a7789f737",
+        "df5022b6947fc239d45a2d4490ad1fc81be542d14260ca356edea46cf3fb4420",
     (13, "csv"):
-        "6cd7b42a9bb29aa7379e9cf8a4a01bfbf3ac56e40386867d77325ff61a61e786",
+        "02b31ad950ce7249d65acca6670c36e3f4e059e0b499ac2a68b734e5da7a04b8",
     (13, "markdown"):
-        "7b32213c849f3eec6528d4ce02b7cc9b8293960bd7b4342d081a8c7654e8de77",
+        "0b786dcff604fba1033906abbea7d6e104dbad76e9c74f6bd712e62e955ce831",
     (16, "json"):
-        "d87ff27f8ca4891467bbe3598cc4a1ff4582de9eb7c60f4abe43aad031e07672",
+        "838c7637f1299a5b94f3c85adeec02b19039699371c6730be162eb851128572e",
     (16, "csv"):
-        "e54777faa2f05cea7e7d9a370efb3654ed6f4f818d586d9ed0109a8919b681d8",
+        "1fc413a3f938052ed66be428f77143b3aabf34c7748e02e03714cb9d40565dbe",
     (16, "markdown"):
-        "9e361ea241e273a17de256e8f42f1e2c805233c4856a7b5c87496a3e1f156e8c",
+        "58f60c735f820501653d7eec0174ddbd321c1f8ad9cf0420ebdf641939cbfb68",
 }
 
 
 @pytest.mark.parametrize("q, fmt", sorted(GOLDEN_QUANTUM_TABLES))
-def test_cli_quantum_tables_golden_bodies(capsys, q, fmt):
-    rc, out = run_cli(capsys, "quantum", "tables", "--q", str(q),
-                      "--format", fmt)
-    assert rc == 0
+def test_cli_quantum_tables_golden_bodies(q, fmt):
+    # the tables are built once per q and rendered by the command's own
+    # code; test_cli_quantum_tables_q2 ties the rendering to its stdout
+    out = cli._render_tables(quantum_tables(q), fmt) + "\n"
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_QUANTUM_TABLES[q, fmt]
 
