@@ -21,7 +21,8 @@ import numpy as np
 from . import polys, quantum
 from .gf import FieldContext, quadratic_field
 from .grs import GrsSpec
-from .linalg_codes import LinearCode, gram_matrix, matrix_rank, rref
+from .linalg_codes import (_HULL_STACK_CELLS, LinearCode, gram_matrix,
+                           hermitian_hulls, matrix_rank, rref)
 from .linalg_codes import mat_mul  # noqa: F401 -- perfbench wraps ag.mat_mul
 from .report import (STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED,
                      ConstructionReport)
@@ -442,9 +443,26 @@ def check_two_point_input(F: FieldContext, diff: DifferentialData, k: int,
     return p
 
 
+def two_point_rows(F: FieldContext, diff: DifferentialData, k: int,
+                   p: Optional[int] = None
+                   ) -> tuple[int, np.ndarray, LinearCode]:
+    """The extra place, the k + 2 scaled natural rows and the code of the
+    two-point construction on ``diff`` (see ``two_point_code``), after
+    ``check_two_point_input``."""
+    p = check_two_point_input(F, diff, k, p)
+    u = np.array(diff.points, dtype=np.int32)
+    pole = F.mul_arr(np.array(diff.witnesses, dtype=np.int32),
+                     F.inv_arr(F.add_arr(u, F.neg(p))))
+    scaled = np.vstack([GrsSpec(F, diff.points, diff.witnesses,
+                                k + 1).generator(), pole])
+    return p, scaled, LinearCode.from_rows(F, scaled, n=u.size)
+
+
 def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
                    p: Optional[int] = None,
-                   distance_budget: int = 10 ** 6) -> TwoPointResult:
+                   distance_budget: int = 10 ** 6,
+                   built: Optional[tuple[int, np.ndarray, LinearCode]] = None
+                   ) -> TwoPointResult:
     """Scaled evaluation code on G = kO + P with an MDS Hermitian hull.
 
     ``diff`` is the evaluation set with its residues, as ``evaluation_set``
@@ -456,17 +474,13 @@ def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
     branches are detected, never assumed: either the code is Hermitian
     self-orthogonal, or its hull has dimension k and is checked to be MDS.
     ``distance_budget`` caps both enumerations, of the code and of its hull,
-    counted as order^dim messages.
+    counted as order^dim messages.  ``built`` is what ``two_point_rows``
+    returns for these inputs, when the caller built it already (``sweep``
+    does, to solve the hulls of many codes as one stack).
     """
-    p = check_two_point_input(F, diff, k, p)
+    p, scaled, code = built or two_point_rows(F, diff, k, p)
     pts = diff.points
     q, n = F.q, len(pts)
-    u = np.array(pts, dtype=np.int32)
-    pole = F.mul_arr(np.array(diff.witnesses, dtype=np.int32),
-                     F.inv_arr(F.add_arr(u, F.neg(p))))
-    scaled = np.vstack([GrsSpec(F, pts, diff.witnesses, k + 1).generator(),
-                        pole])
-    code = LinearCode.from_rows(F, scaled, n=n)
 
     rep = ConstructionReport(
         construction={"module": "ag", "family": "two_point",
@@ -539,7 +553,13 @@ def two_point_family(family: str, F: FieldContext, k: int,
     """``two_point_code`` on the ``family`` evaluation set with parameters
     ``params`` (s, t, n0), its report labelled with the family and them."""
     U = evaluation_set(family, F.q, field=F, **params)
-    res = two_point_code(F, U, k, p=p, distance_budget=distance_budget)
+    return _labelled(two_point_code(F, U, k, p=p,
+                                    distance_budget=distance_budget),
+                     family, params)
+
+
+def _labelled(res: TwoPointResult, family: str, params: dict
+              ) -> TwoPointResult:
     res.report.construction["family"] = family
     res.report.construction["parameters"] |= params
     return res
@@ -548,14 +568,38 @@ def two_point_family(family: str, F: FieldContext, k: int,
 def sweep(q: int, distance_budget: int = 10 ** 6
           ) -> Iterator[tuple[dict, TwoPointResult]]:
     """Build and verify every grid instance of the three two-point
-    families at q, yielding its grid parameters and its result."""
+    families at q, yielding its grid parameters and its result.
+
+    The instances go in windows of at most _HULL_STACK_CELLS padded cells
+    (window size x the longest n squared, the bound of one hull stack).
+    Each window's evaluation sets and codes are built first, with
+    ``two_point_rows``; one ``hermitian_hulls`` call then solves all their
+    hulls, and ``two_point_code`` runs once per instance on the built code,
+    reading the hull the code keeps.
+    """
     F = quadratic_field(q)
+    window: list = []
+    longest = 0
     for family in ("COR1", "COR2", "COR3"):
         for params in family_parameter_grid(family, q):
+            longest = max(longest, params["n"])
+            if window and (len(window) + 1) * longest ** 2 > _HULL_STACK_CELLS:
+                yield from _verify_window(F, window, distance_budget)
+                window, longest = [], params["n"]
             kwargs = {k: v for k, v in params.items() if k in ("s", "t", "n0")}
-            yield params, two_point_family(family, F, params["k"],
-                                           distance_budget=distance_budget,
-                                           **kwargs)
+            diff = evaluation_set(family, q, field=F, **kwargs)
+            window.append((family, params, kwargs, diff,
+                           two_point_rows(F, diff, params["k"])))
+    yield from _verify_window(F, window, distance_budget)
+
+
+def _verify_window(F: FieldContext, window: list, distance_budget: int):
+    hermitian_hulls([built[2] for *_, built in window])
+    for family, params, kwargs, diff, built in window:
+        yield params, _labelled(
+            two_point_code(F, diff, params["k"],
+                           distance_budget=distance_budget, built=built),
+            family, kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -290,8 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     def fmt(p, choices=("json", "markdown")):
         p.add_argument("--format", choices=choices, default="json")
 
+    def count(text):
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+        return value
+
     def distance_budget(p):
-        p.add_argument("--distance-budget", type=int, default=10 ** 6,
+        p.add_argument("--distance-budget", type=count, default=10 ** 6,
                        help="cap on distance enumeration, of a code and of "
                             "its hull, counted as the order^k messages of "
                             "the code although only the (order^k - 1)/"
@@ -299,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timings", action="store_true")
 
     def budgets(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=count, default=DEFAULT_BUDGET,
                        help="cap on hull-intersection work (codeword count)")
         distance_budget(p)
 

@@ -34,6 +34,11 @@ _BLAS_CHUNK = 1 << 18
 #: float64 represents every integer below this exactly
 _FLOAT_EXACT = 1 << 53
 
+#: max padded cells (systems x n x n) of one stack of Hermitian-hull
+#: systems in hermitian_hulls, and of one window of ag.sweep: 512 KB of
+#: int32, so a window's transient stays far below the output's
+_HULL_STACK_CELLS = 1 << 17
+
 
 class BudgetExceededError(RuntimeError):
     """Full enumeration would exceed the caller's codeword budget."""
@@ -91,6 +96,90 @@ def rref(F: FieldContext, M: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
         pivots.append(col)
         row += 1
     return R, row, pivots
+
+
+def _leading_identity(R: np.ndarray) -> int:
+    """The largest m with R[b, :m, :m] the identity for every system b."""
+    M = min(R.shape[1:])
+    bad = (R[:, :M, :M] != np.eye(M, dtype=R.dtype)).any(axis=0)
+    i, j = np.nonzero(bad)
+    return int(np.maximum(i, j).min()) if i.size else M
+
+
+def _rref_stack(F: FieldContext, R: np.ndarray
+                ) -> tuple[np.ndarray, list[int], list[list[int]]]:
+    """``rref`` of every system of a (B, rows, cols) stack at once.
+
+    Returns (R, ranks, pivots), each system's part equal to what ``rref``
+    returns for it.  Only the loop over the columns is shared; every step
+    is still one elimination step of each system, so no matrix product is
+    taken.  Two phases:
+
+    * The stack's common leading identity block of size m holds given
+      pivots: column j < m pivots on row j with no search, swap or scaling,
+      and only rows m onward can be nonzero there.  Each column is one
+      rank-1 update of the trailing block R[:, m:, m:] (the pivot row is
+      zero on columns j+1..m-1), over the systems whose column is nonzero.
+    * Columns m onward go one at a time: a pivot search per system from
+      its own next row, the row swaps and pivot scalings of the systems
+      that found one, and the clearing of the column in the rows that are
+      nonzero there, as (system, row) pairs.
+
+    A system padded with a leading identity therefore spends no work on
+    the padding: its padded columns and rows never enter an update.
+    """
+    R = np.array(R, dtype=np.int32, copy=True)
+    if R.ndim != 3:
+        raise ValueError("stack must be 3-d")
+    B, rows, cols = R.shape
+    n1 = F.order - 1
+    zlog, zexp = F.zlog, F.zexp
+    m = _leading_identity(R)
+    # phase 1 leaves rows < m and columns < m of rows m onward as they
+    # are until the end, so every factor and pivot row is read up front
+    below = R[:, m:]
+    lfac = zlog[F.neg_arr(below[:, :, :m])]
+    lrow = zlog[R[:, :m, m:]]
+    live = below[:, :, :m].any(axis=1)
+    every = live.all(axis=0)
+    for j in np.flatnonzero(live.any(axis=0)):
+        act = slice(None) if every[j] else np.flatnonzero(live[:, j])
+        below[act, :, m:] = F.add_arr(
+            below[act, :, m:],
+            np.take(zexp, lfac[act, :, j, None] + lrow[act, j, None, :]))
+    below[:, :, :m] = 0
+    row = np.full(B, m)
+    is_pivot = np.zeros((B, cols), dtype=bool)
+    is_pivot[:, :m] = True
+    below_row = np.arange(rows)[None, :] >= row[:, None]
+    for col in range(m, cols):
+        cand = (R[:, :, col] != 0) & below_row
+        act = np.flatnonzero(cand.any(axis=1))
+        if not act.size:
+            continue
+        r = row[act]
+        found = np.argmax(cand[act], axis=1)
+        sw = np.flatnonzero(found != r)
+        if sw.size:
+            s, a, f = act[sw], r[sw], found[sw]
+            R[s, a], R[s, f] = R[s, f], R[s, a]
+        lrow = zlog[R[act, r, col:]]
+        lpv = lrow[:, 0]
+        if lpv.any():
+            R[act, r, col:] = zexp[lrow + (n1 - lpv)[:, None]]
+            lrow = zlog[R[act, r, col:]]
+        colvals = R[act, :, col]
+        colvals[np.arange(act.size), r] = 0
+        ai, ri = np.nonzero(colvals)
+        if ai.size:
+            lfac = zlog[F.neg_arr(colvals[ai, ri])]
+            si = act[ai]
+            R[si, ri, col:] = F.add_arr(
+                R[si, ri, col:], np.take(zexp, lfac[:, None] + lrow[ai]))
+        is_pivot[act, col] = True
+        below_row[act, r] = False
+        row[act] += 1
+    return R, row.tolist(), [np.flatnonzero(p).tolist() for p in is_pivot]
 
 
 def nullspace(F: FieldContext, M: np.ndarray) -> np.ndarray:
@@ -189,6 +278,7 @@ class LinearCode:
         gen.setflags(write=False)
         self.gen = gen
         self._d: Optional[int] = None
+        self._hull: Optional[LinearCode] = None
 
     # -- constructors ---------------------------------------------------
 
@@ -286,27 +376,25 @@ class LinearCode:
                                     n=self.n)
 
     def hermitian_hull(self) -> "LinearCode":
-        """Hull = C intersect C-perp-H, via one stacked parity solve.
+        """Hull = C intersect C-perp-H: ``hermitian_hulls`` on this code
+        alone, or the hull a batch call already stored on it."""
+        return hermitian_hulls([self])[0]
 
-        The stacked matrix is [P; conj(G)], with P = [-A^T | I] the parity
-        rows, whose identity sits on the code's free (non-pivot) columns.
-        Its columns are solved free columns first, pivot columns last: P is
-        then already reduced on the leading columns, so each of those pivot
-        steps updates only the k rows of conj(G) instead of nearly all n
-        (the fill-reducing order of Markowitz 1957).  The kernel is the same
-        up to the column permutation; it is scattered back to the natural
-        coordinates and canonicalised.
+    def _hull_system(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked parity system [P; conj(G)] with its columns in
+        free-first order, and that order.
+
+        P = [-A^T | I] are the parity rows, whose identity sits on the
+        code's free (non-pivot) columns (x in C <=> P x = 0), and conj(G)
+        x = 0 <=> x in C-perp-H.  With the free columns first, the system
+        opens with an identity block of n - k columns that is already
+        reduced, so each of those pivot steps updates only the k rows of
+        conj(G) (the fill-reducing order of Markowitz 1957).
         """
-        F = self.field
         pivots = self._pivots()
         order = np.concatenate([_free_columns(self.n, pivots), pivots])
-        parity_c = self.parity_rows()              # x in C  <=>  H_C x = 0
-        parity_h = conjugate(F, self.gen)          # x in C^perpH <=> G^(q) x = 0
-        stacked = np.vstack([parity_c, parity_h])
-        kernel_perm = nullspace(F, stacked[:, order])
-        kernel = np.empty_like(kernel_perm)
-        kernel[:, order] = kernel_perm
-        return LinearCode.from_rows(F, kernel, n=self.n)
+        stacked = np.vstack([self.parity_rows(), conjugate(self.field, self.gen)])
+        return stacked[:, order], order
 
     def gram(self) -> np.ndarray:
         return gram_matrix(self.field, self.gen)
@@ -389,6 +477,44 @@ class LinearCode:
     def set_structural_distance(self, d: int):
         """Record a distance certified by structure rather than enumeration."""
         self._d = int(d)
+
+
+def hermitian_hulls(codes: Sequence[LinearCode]) -> list[LinearCode]:
+    """The Hermitian hulls of ``codes`` (one field), from stacked solves.
+
+    Each hull is the kernel of the code's free-first system
+    ``LinearCode._hull_system``, scattered back to the natural coordinates
+    and canonicalised.  The systems are solved together by ``_rref_stack``:
+    longest first, each stack at most _HULL_STACK_CELLS padded cells (a
+    longer system gets a stack of its own), each system padded to the
+    stack's largest n with a leading identity, whose kernel is the padded
+    system's kernel with zeros in front.  The whole stack then opens with
+    a common identity block, cleared one column for every system at once.
+    Elimination only: no Gram matrix or product is taken, so the hull stays
+    independent of the Gram rank.  Each code keeps its hull, as it keeps
+    its distance; a code that has one is not solved again.
+    """
+    codes = list(codes)
+    for c in codes[1:]:
+        _check_same_field(codes[0], c)
+    todo = sorted((c for c in codes if c._hull is None), key=lambda c: -c.n)
+    while todo:
+        N = todo[0].n
+        size = max(1, _HULL_STACK_CELLS // max(1, N * N))
+        stack, todo = todo[:size], todo[size:]
+        systems = [c._hull_system() for c in stack]
+        S = np.tile(np.eye(N, dtype=np.int32), (len(stack), 1, 1))
+        for b, (system, _) in enumerate(systems):
+            S[b, N - system.shape[0]:, N - system.shape[0]:] = system
+        R, ranks, pivots = _rref_stack(stack[0].field, S)
+        for b, (c, (_, order)) in enumerate(zip(stack, systems)):
+            pad = N - c.n
+            kernel = np.empty((c.n - ranks[b] + pad, c.n), dtype=np.int32)
+            kernel[:, order] = _kernel_of_rref(
+                c.field, R[b, pad:ranks[b], pad:],
+                [p - pad for p in pivots[b][pad:]])
+            c._hull = LinearCode.from_rows(c.field, kernel, n=c.n)
+    return [c._hull for c in codes]
 
 
 def _row_multiples(F: FieldContext, row: np.ndarray) -> np.ndarray:

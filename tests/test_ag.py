@@ -579,3 +579,27 @@ def test_branch_test_reads_the_gram_matrix(q):
         count += 1
     assert count > 0
 
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_branch_one_follows_zero_gram_columns(q, monkeypatch):
+    """No grid instance reaches branch 1, so Gram columns 0 and k+1 are
+    zeroed by hand: the code must then take branch 1 and check that the
+    whole code is its own hull."""
+    F = quadratic_field(q)
+    k = 1
+    U = evaluation_set("COR2", q, t=q - 1, field=F)
+    gram = ag.gram_matrix
+
+    def zeroed(F, G):
+        out = gram(F, G)
+        out[:, [0, k + 1]] = 0
+        return out
+
+    monkeypatch.setattr(ag, "gram_matrix", zeroed)
+    res = two_point_code(F, U, k, distance_budget=0)
+    assert res.branch == res.report.hull["branch"] == 1
+    checks = {c.name: c for c in res.report.checks}
+    assert "hull_dim" not in checks
+    assert checks["self_orthogonal_hull"].expected == res.code.k == k + 2
+    assert checks["self_orthogonal_hull"].measured == res.hull.k == k
+

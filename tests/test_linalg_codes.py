@@ -4,9 +4,10 @@ import pytest
 from hermhull import ag, grs, linalg_codes
 from hermhull.gf import FieldContext, make_field, quadratic_field
 from hermhull.linalg_codes import (DEFAULT_BUDGET, BudgetExceededError,
-                                   FieldMismatchError, LinearCode, conjugate,
-                                   gram_matrix, mat_mul, matrix_rank,
-                                   nullspace, rref)
+                                   FieldMismatchError, LinearCode,
+                                   _leading_identity, _rref_stack, conjugate,
+                                   gram_matrix, hermitian_hulls, mat_mul,
+                                   matrix_rank, nullspace, rref)
 
 from conftest import grs_b_full, random_code
 
@@ -392,6 +393,38 @@ def test_rref_matches_scalar_reference(KF, rows, cols, rank):
     assert np.array_equal(R, R0)
 
 
+def test_rref_stack_matches_rref_system_by_system(KF):
+    """Every system of a stack reduces to what rref gives it alone, with
+    zero columns, rank deficiency, row swaps and non-unit pivots, with and
+    without a common leading identity block."""
+    rng = np.random.default_rng(31)
+    rows, cols = 7, 9
+
+    def low_rank(rank):
+        return ref_mat_mul(KF, sparse_random(KF, (rows, rank), rng),
+                           sparse_random(KF, (rank, cols), rng))
+
+    plain = np.stack([low_rank(r) for r in (0, 2, 5, 7)])
+    plain[1][:, [0, 3]] = 0        # zero columns
+    plain[2, 0] = 0                # a zero first row: the pivot needs a swap
+    plain[3, 0, 0] = 2             # a non-unit first pivot
+    block = np.stack([low_rank(r) for r in (1, 4, 6)])
+    block[:, :3, :3] = np.eye(3, dtype=np.int32)
+    block[2, :5, :5] = np.eye(5, dtype=np.int32)
+    block[0, 3:, 1] = 0            # one system has nothing to clear there
+    block[:, 3:, 2] = 0            # and no system has at column 2
+    assert (_leading_identity(plain), _leading_identity(block)) == (0, 3)
+    empty = np.zeros((2, 0, 4), dtype=np.int32)
+    for S in (plain, block, block[:1], empty):
+        R, ranks, pivots = _rref_stack(KF, S)
+        assert R.shape == S.shape and len(ranks) == len(pivots) == len(S)
+        for b in range(len(S)):
+            R0, r0, piv0 = rref(KF, S[b])
+            assert (ranks[b], pivots[b]) == (r0, piv0), b
+            assert np.array_equal(R[b], R0), b
+    assert _rref_stack(KF, plain)[1] == [0, 2, 5, 7]
+
+
 def test_contains_rows_matches_reference(KF):
     rng = np.random.default_rng(22)
     C = random_code(KF, 7, 3, rng)
@@ -483,25 +516,78 @@ def test_hermitian_dual_is_conjugated_parity(q):
         assert not mat_mul(F, C.gen, conjugate(F, D.gen).T).any()
 
 
+def self_orthogonal_and_lcd(F):
+    """A Hermitian self-orthogonal code, the first q-1 evaluation rows on
+    all of GF(q^2), and a complementary-dual one, unit vectors whose Gram
+    matrix is the identity."""
+    b = np.array(grs_b_full(F), dtype=np.int32)
+    ev = [np.ones(F.order, dtype=np.int32)]
+    for _ in range(F.q - 2):
+        ev.append(F.mul_arr(ev[-1], b))
+    so = LinearCode.from_rows(F, ev, n=F.order)
+    lcd = LinearCode.from_rows(F, [[0, 0, 0, 1, 0], [0, 1, 0, 0, 0]], n=5)
+    return so, lcd
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_hermitian_hull_matches_natural_order_solve(q):
     F = quadratic_field(q)
     rng = np.random.default_rng(50 + q)
     codes = codes_for_duality(F, 10, rng)
-    # self-orthogonal: the first q-1 evaluation rows on all of GF(q^2)
-    b = np.array(grs_b_full(F), dtype=np.int32)
-    ev = [np.ones(F.order, dtype=np.int32)]
-    for _ in range(q - 2):
-        ev.append(F.mul_arr(ev[-1], b))
-    so = LinearCode.from_rows(F, ev, n=F.order)
-    # complementary dual: unit vectors, whose Gram matrix is the identity
-    lcd = LinearCode.from_rows(F, [[0, 0, 0, 1, 0], [0, 1, 0, 0, 0]], n=5)
+    so, lcd = self_orthogonal_and_lcd(F)
     for C in codes + [so, lcd]:
         hull = C.hermitian_hull()
         assert hull == ref_hermitian_hull(C), (C.n, C.k)
         assert hull.k == C.hull_dim_via_gram()
     assert so.hermitian_hull() == so and so.k == q - 1
     assert lcd.hermitian_hull().k == 0
+
+
+def recording_stacks(monkeypatch):
+    """Patch _rref_stack to record the (B, N, N) shape of every stack."""
+    shapes = []
+    solve = linalg_codes._rref_stack
+
+    def recording(F, S):
+        shapes.append(S.shape)
+        return solve(F, S)
+
+    monkeypatch.setattr(linalg_codes, "_rref_stack", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("cells", [None, 300])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_hermitian_hulls_match_reference_on_mixed_batches(q, cells,
+                                                          monkeypatch):
+    """One hermitian_hulls call equals the natural-order solve code by code
+    on random codes of lengths 5, 8 and 10 with k in {0, 1, n//2, n-1, n},
+    a self-orthogonal code and an LCD code.  A bound of 300 cells splits
+    the batch into stacks of at most three, some of them padded."""
+    F = quadratic_field(q)
+    if cells is not None:
+        monkeypatch.setattr(linalg_codes, "_HULL_STACK_CELLS", cells)
+    shapes = recording_stacks(monkeypatch)
+    rng = np.random.default_rng(70 + q)
+    codes = [C for n in (8, 5, 10) for C in codes_for_duality(F, n, rng)]
+    codes += self_orthogonal_and_lcd(F)
+    hulls = hermitian_hulls(codes)
+    for C, hull in zip(codes, hulls):
+        assert hull == ref_hermitian_hull(C), (C.n, C.k)
+        assert C.hermitian_hull() is hull
+    assert sum(B for B, _, _ in shapes) == len(codes)
+    # the stacks cut the lengths, longest first, into runs; a run holding
+    # two lengths is a padded stack
+    lengths = sorted((C.n for C in codes), reverse=True)
+    runs, at = [], 0
+    for B, N, _ in shapes:
+        runs.append(set(lengths[at:at + B]))
+        assert max(runs[-1]) == N
+        at += B
+    if cells is None:
+        assert len(shapes) == 1
+    else:
+        assert len(shapes) > 3 and any(len(r) > 1 for r in runs)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
@@ -520,6 +606,20 @@ def test_hermitian_hull_on_every_two_point_instance(q):
     assert count > 0
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_hermitian_hulls_of_the_whole_two_point_grid_in_one_call(q):
+    F = quadratic_field(q)
+    codes = []
+    for family in ("COR1", "COR2", "COR3"):
+        for params in ag.family_parameter_grid(family, q):
+            kw = {n: params[n] for n in ("s", "t", "n0") if n in params}
+            diff = ag.evaluation_set(family, q, field=F, **kw)
+            codes.append(ag.two_point_rows(F, diff, params["k"])[2])
+    assert len({C.n for C in codes}) > 1
+    for C, hull in zip(codes, hermitian_hulls(codes)):
+        assert hull == ref_hermitian_hull(C), (C.n, C.k)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_hermitian_hull_on_every_grs_instance_in_budget(q):
     count = 0
@@ -533,16 +633,14 @@ def test_hermitian_hull_on_every_grs_instance_in_budget(q):
     assert count > 0
 
 
-def test_hermitian_hull_elimination_work_is_bounded(monkeypatch):
-    """The free-first stacked solve of the [110, 11] COR2 code (t = 10,
-    k = 9) over GF(121) adds at most dim * n^2 field elements; the
-    leftmost-first order of the same solve adds 654,486 in its nullspace
-    alone."""
-    F = quadratic_field(11)
-    diff = ag.evaluation_set("COR2", 11, t=10, field=F)
-    C = LinearCode.from_rows(
-        F, ag.two_point_code(F, diff, 9, distance_budget=0).scaled_rows)
-    assert (C.n, C.k) == (110, 11)
+def two_point(F, family, k, **params):
+    """The code of a two-point grid instance."""
+    diff = ag.evaluation_set(family, F.q, field=F, **params)
+    return ag.two_point_rows(F, diff, k)[2]
+
+
+def counting_additions(monkeypatch):
+    """Patch FieldContext.add_arr to count the elements it adds."""
     added = [0]
     add_arr = FieldContext.add_arr
 
@@ -551,21 +649,62 @@ def test_hermitian_hull_elimination_work_is_bounded(monkeypatch):
         return add_arr(self, a, b)
 
     monkeypatch.setattr(FieldContext, "add_arr", counting)
+    return added
+
+
+def test_hermitian_hull_elimination_work_is_bounded(monkeypatch):
+    """The free-first stacked solve of the [110, 11] COR2 code (t = 10,
+    k = 9) over GF(121) adds at most dim * n^2 field elements; the
+    leftmost-first order of the same solve adds 654,486 in its nullspace
+    alone.  A batch of two-point codes of several lengths, padded into one
+    stack, adds at most the sum of dim * n^2, and a shorter code of the same
+    dimension costs the same padded in a stack as solved alone."""
+    F = quadratic_field(11)
+    C = two_point(F, "COR2", 9, t=10)
+    assert (C.n, C.k) == (110, 11)
+    added = counting_additions(monkeypatch)
     hull = C.hermitian_hull()
     assert added[0] <= C.k * C.n ** 2
+
+    def batch():
+        return [two_point(F, "COR2", 9, t=10), two_point(F, "COR2", 4, t=5),
+                two_point(F, "COR1", 2, s=41), two_point(F, "COR2", 0, t=1)]
+
+    codes = batch()
+    added[0] = 0
+    hulls = hermitian_hulls(codes)
+    assert added[0] <= sum(D.k * D.n ** 2 for D in codes)
+
+    rng = np.random.default_rng(61)
+    pair = [random_code(F, n, 6, rng) for n in (40, 23)]
+    added[0] = 0
+    hermitian_hulls([LinearCode(F, D.n, D.gen) for D in pair])
+    together = added[0]
+    added[0] = 0
+    for D in pair:
+        D.hermitian_hull()
+    assert together == added[0] > 0
     monkeypatch.undo()
     assert hull == ref_hermitian_hull(C)
+    for D, H in zip(batch(), hulls):
+        assert H == ref_hermitian_hull(D)
 
 
 def test_hermitian_hull_uses_no_gram_product(F16, monkeypatch):
-    """The stacked solve stays independent of the Gram-rank method."""
+    """The stacked solve stays independent of the Gram-rank method, for one
+    code and for a padded batch."""
 
     def refuse(*args):
         raise AssertionError("hermitian_hull must not multiply matrices")
 
-    C = random_code(F16, 9, 4, np.random.default_rng(60))
+    rng = np.random.default_rng(60)
+    C = random_code(F16, 9, 4, rng)
+    codes = [random_code(F16, n, k, rng) for n, k in ((12, 5), (7, 2), (9, 0))]
     monkeypatch.setattr(linalg_codes, "mat_mul", refuse)
     monkeypatch.setattr(linalg_codes, "gram_matrix", refuse)
     hull = C.hermitian_hull()
+    hulls = hermitian_hulls(codes)
     monkeypatch.undo()
     assert hull == ref_hermitian_hull(C)
+    for D, H in zip(codes, hulls):
+        assert H == ref_hermitian_hull(D)

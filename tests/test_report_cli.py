@@ -127,6 +127,32 @@ def test_cli_bad_arguments_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-all", "--q", "3", "--budget", "-1"],
+    ["verify-all", "--q", "3", "--distance-budget", "-5"],
+    ["grs", "sweep", "--q", "3", "--budget", "-1"],
+    ["grs", "construct", "--family", "CON1", "--q", "3",
+     "--distance-budget", "-1"],
+    ["ag", "build", "--family", "COR2", "--q", "5", "--t", "4", "--k", "3",
+     "--distance-budget", "-1"],
+])
+def test_cli_negative_budget_exit_2(capsys, argv):
+    # a negative budget would skip every gated check and still exit 0
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "budget: must be >= 0, not -" in err
+
+
+def test_cli_zero_budget_is_valid(capsys):
+    rc, out = run_cli(capsys, "verify-all", "--q", "3", "--budget", "0",
+                      "--distance-budget", "0")
+    assert rc == 0
+    summary = json.loads(out)["summary"]
+    assert summary["fail"] == 0 and summary["partial"] > 0
+
+
 def test_cli_ag_build_has_no_budget_flag(capsys):
     # the two-point path has no hull-intersection work to cap; only the
     # distance budget applies
