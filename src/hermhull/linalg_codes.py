@@ -504,15 +504,15 @@ def hermitian_hulls(codes: Sequence[LinearCode]) -> list[LinearCode]:
         stack, todo = todo[:size], todo[size:]
         systems = [c._hull_system() for c in stack]
         S = np.tile(np.eye(N, dtype=np.int32), (len(stack), 1, 1))
-        for b, (system, _) in enumerate(systems):
-            S[b, N - system.shape[0]:, N - system.shape[0]:] = system
+        for b, (c, (system, _)) in enumerate(zip(stack, systems)):
+            S[b, N - c.n:, N - c.n:] = system
         R, ranks, pivots = _rref_stack(stack[0].field, S)
         for b, (c, (_, order)) in enumerate(zip(stack, systems)):
             pad = N - c.n
-            kernel = np.empty((c.n - ranks[b] + pad, c.n), dtype=np.int32)
-            kernel[:, order] = _kernel_of_rref(
-                c.field, R[b, pad:ranks[b], pad:],
-                [p - pad for p in pivots[b][pad:]])
+            kernel_perm = _kernel_of_rref(c.field, R[b, pad:ranks[b], pad:],
+                                          [p - pad for p in pivots[b][pad:]])
+            kernel = np.empty_like(kernel_perm)
+            kernel[:, order] = kernel_perm
             c._hull = LinearCode.from_rows(c.field, kernel, n=c.n)
     return [c._hull for c in codes]
 
