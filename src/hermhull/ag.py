@@ -12,6 +12,7 @@ controlled dimension.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -21,8 +22,8 @@ import numpy as np
 from . import polys, quantum
 from .gf import FieldContext, quadratic_field
 from .grs import GrsSpec
-from .linalg_codes import (_HULL_STACK_CELLS, LinearCode, gram_matrix,
-                           hermitian_hulls, matrix_rank, rref)
+from .linalg_codes import (DEFAULT_DISTANCE_BUDGET, LinearCode,
+                           gram_matrix, hermitian_hulls, matrix_rank, rref)
 from .linalg_codes import mat_mul  # noqa: F401 -- perfbench wraps ag.mat_mul
 from .report import (STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED,
                      ConstructionReport)
@@ -460,7 +461,7 @@ def two_point_rows(F: FieldContext, diff: DifferentialData, k: int,
 
 def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
                    p: Optional[int] = None,
-                   distance_budget: int = 10 ** 6,
+                   distance_budget: int = DEFAULT_DISTANCE_BUDGET,
                    built: Optional[tuple[int, np.ndarray, LinearCode]] = None
                    ) -> TwoPointResult:
     """Scaled evaluation code on G = kO + P with an MDS Hermitian hull.
@@ -548,7 +549,7 @@ def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
 
 def two_point_family(family: str, F: FieldContext, k: int,
                      p: Optional[int] = None,
-                     distance_budget: int = 10 ** 6,
+                     distance_budget: int = DEFAULT_DISTANCE_BUDGET,
                      **params) -> TwoPointResult:
     """``two_point_code`` on the ``family`` evaluation set with parameters
     ``params`` (s, t, n0), its report labelled with the family and them."""
@@ -565,41 +566,29 @@ def _labelled(res: TwoPointResult, family: str, params: dict
     return res
 
 
-def sweep(q: int, distance_budget: int = 10 ** 6
+def sweep(q: int, distance_budget: int = DEFAULT_DISTANCE_BUDGET
           ) -> Iterator[tuple[dict, TwoPointResult]]:
     """Build and verify every grid instance of the three two-point
     families at q, yielding its grid parameters and its result.
 
-    The instances go in windows of at most _HULL_STACK_CELLS padded cells
-    (window size x the longest n squared, the bound of one hull stack).
-    Each window's evaluation sets and codes are built first, with
-    ``two_point_rows``; one ``hermitian_hulls`` call then solves all their
-    hulls, and ``two_point_code`` runs once per instance on the built code,
-    reading the hull the code keeps.
+    The instances on one evaluation set (consecutive in the grid, all of
+    one length) go together: the set and its codes (``two_point_rows``)
+    are built once, one ``hermitian_hulls`` call solves their hulls, and
+    ``two_point_code`` runs once per instance on its built code.
     """
     F = quadratic_field(q)
-    window: list = []
-    longest = 0
     for family in ("COR1", "COR2", "COR3"):
-        for params in family_parameter_grid(family, q):
-            longest = max(longest, params["n"])
-            if window and (len(window) + 1) * longest ** 2 > _HULL_STACK_CELLS:
-                yield from _verify_window(F, window, distance_budget)
-                window, longest = [], params["n"]
-            kwargs = {k: v for k, v in params.items() if k in ("s", "t", "n0")}
+        for kwargs, grid in itertools.groupby(
+                family_parameter_grid(family, q),
+                key=lambda g: {k: g[k] for k in ("s", "t", "n0") if k in g}):
             diff = evaluation_set(family, q, field=F, **kwargs)
-            window.append((family, params, kwargs, diff,
-                           two_point_rows(F, diff, params["k"])))
-    yield from _verify_window(F, window, distance_budget)
-
-
-def _verify_window(F: FieldContext, window: list, distance_budget: int):
-    hermitian_hulls([built[2] for *_, built in window])
-    for family, params, kwargs, diff, built in window:
-        yield params, _labelled(
-            two_point_code(F, diff, params["k"],
-                           distance_budget=distance_budget, built=built),
-            family, kwargs)
+            built = [(params, two_point_rows(F, diff, params["k"]))
+                     for params in grid]
+            hermitian_hulls([code for _, (_, _, code) in built])
+            for params, rows in built:
+                res = two_point_code(F, diff, params["k"], built=rows,
+                                     distance_budget=distance_budget)
+                yield params, _labelled(res, family, kwargs)
 
 
 # ----------------------------------------------------------------------

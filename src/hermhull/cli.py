@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import ag, cyclic, grs, quantum
 from .gf import make_field, prime_power, quadratic_field
-from .linalg_codes import DEFAULT_BUDGET
+from .linalg_codes import DEFAULT_BUDGET, DEFAULT_DISTANCE_BUDGET
 from .report import ConstructionReport, code_to_json, measured_hull_dim
 
 
@@ -297,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         return value
 
     def distance_budget(p):
-        p.add_argument("--distance-budget", type=count, default=10 ** 6,
+        p.add_argument("--distance-budget", type=count,
+                       default=DEFAULT_DISTANCE_BUDGET,
                        help="cap on distance enumeration, of a code and of "
                             "its hull, counted as the order^k messages of "
                             "the code although only the (order^k - 1)/"
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ag_build)
     p = asub.add_parser("grow")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=count, default=1)
     p.add_argument("--field-modulus")
     fmt(p)
     p.set_defaults(func=cmd_ag_grow)

@@ -37,8 +37,9 @@ import numpy as np
 
 from . import cyclic, quantum
 from .gf import FieldContext, quadratic_field
-from .linalg_codes import (_MAT_MUL_CHUNK, DEFAULT_BUDGET, LinearCode,
-                           conjugate, gram_matrix, mat_mul, matrix_rank)
+from .linalg_codes import (_MAT_MUL_CHUNK, DEFAULT_BUDGET,
+                           DEFAULT_DISTANCE_BUDGET, LinearCode, conjugate,
+                           gram_matrix, mat_mul, matrix_rank)
 from .report import (STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED,
                      STATUS_STRUCTURAL, ConstructionReport)
 
@@ -131,9 +132,6 @@ class GrsSpec:
                                "span the GRS generator rows")
         c.set_structural_distance(self.n - self.k + 1)
         return c
-
-    def with_dim(self, k: int) -> "GrsSpec":
-        return GrsSpec(self.field, self.b, self.a, k)
 
 
 #: evaluation vectors (field, b, a) whose power sums ``natural_gram`` keeps
@@ -429,7 +427,8 @@ def _hermitian_orthogonal_to(code: LinearCode, rows: np.ndarray) -> bool:
 
 def verify_claim(code: LinearCode, claim: GrsHullClaim,
                  budget: int = DEFAULT_BUDGET,
-                 distance_budget: int = 10 ** 6) -> ConstructionReport:
+                 distance_budget: int = DEFAULT_DISTANCE_BUDGET
+                 ) -> ConstructionReport:
     """Check a hull claim with exact linear algebra; never raises on a
     mismatch, which is reported as a failed property instead.
 
@@ -539,7 +538,7 @@ def verify_claim(code: LinearCode, claim: GrsHullClaim,
 
 
 def sweep(q: int, families=FAMILIES, budget: int = DEFAULT_BUDGET,
-          distance_budget: int = 10 ** 6,
+          distance_budget: int = DEFAULT_DISTANCE_BUDGET,
           conservative: bool = True) -> Iterator[tuple[GrsHullClaim, ConstructionReport]]:
     """Build and verify every in-range instance of the given families."""
     for family in families:

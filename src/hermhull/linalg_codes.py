@@ -15,8 +15,10 @@ import numpy as np
 
 from .gf import FieldContext
 
-#: default cap on full-message-space enumeration (number of codewords)
+#: default caps, in codewords, on full-message-space enumeration and on
+#: the distance enumerations of a verification (of a code and its hull)
 DEFAULT_BUDGET = 10 ** 8
+DEFAULT_DISTANCE_BUDGET = 10 ** 6
 
 #: max codewords in a single enumeration block
 _BLOCK_CODEWORDS = 1 << 18
@@ -34,9 +36,9 @@ _BLAS_CHUNK = 1 << 18
 #: float64 represents every integer below this exactly
 _FLOAT_EXACT = 1 << 53
 
-#: max padded cells (systems x n x n) of one stack of Hermitian-hull
-#: systems in hermitian_hulls, and of one window of ag.sweep: 512 KB of
-#: int32, so a window's transient stays far below the output's
+#: max cells (systems x n x n) of one stack of same-length Hermitian-hull
+#: systems in hermitian_hulls: 512 KB of int32, so a stack's transient
+#: stays far below the output's
 _HULL_STACK_CELLS = 1 << 17
 
 
@@ -124,9 +126,6 @@ def _rref_stack(F: FieldContext, R: np.ndarray
       its own next row, the row swaps and pivot scalings of the systems
       that found one, and the clearing of the column in the rows that are
       nonzero there, as (system, row) pairs.
-
-    A system padded with a leading identity therefore spends no work on
-    the padding: its padded columns and rows never enter an update.
     """
     R = np.array(R, dtype=np.int32, copy=True)
     if R.ndim != 3:
@@ -483,37 +482,28 @@ def hermitian_hulls(codes: Sequence[LinearCode]) -> list[LinearCode]:
     """The Hermitian hulls of ``codes`` (one field), from stacked solves.
 
     Each hull is the kernel of the code's free-first system
-    ``LinearCode._hull_system``, scattered back to the natural coordinates
-    and canonicalised.  The systems are solved together by ``_rref_stack``:
-    longest first, each stack at most _HULL_STACK_CELLS padded cells (a
-    longer system gets a stack of its own), each system padded to the
-    stack's largest n with a leading identity, whose kernel is the padded
-    system's kernel with zeros in front.  The whole stack then opens with
-    a common identity block, cleared one column for every system at once.
+    ``LinearCode._hull_system``, mapped back to the natural coordinates and
+    canonicalised.  ``_rref_stack`` solves the systems of one length
+    together, at most _HULL_STACK_CELLS cells (or one system) per stack.
     Elimination only: no Gram matrix or product is taken, so the hull stays
-    independent of the Gram rank.  Each code keeps its hull, as it keeps
-    its distance; a code that has one is not solved again.
+    independent of the Gram rank.  A code keeps its hull, as it keeps its
+    distance, and is not solved again.
     """
     codes = list(codes)
     for c in codes[1:]:
         _check_same_field(codes[0], c)
-    todo = sorted((c for c in codes if c._hull is None), key=lambda c: -c.n)
-    while todo:
-        N = todo[0].n
-        size = max(1, _HULL_STACK_CELLS // max(1, N * N))
-        stack, todo = todo[:size], todo[size:]
-        systems = [c._hull_system() for c in stack]
-        S = np.tile(np.eye(N, dtype=np.int32), (len(stack), 1, 1))
-        for b, (c, (system, _)) in enumerate(zip(stack, systems)):
-            S[b, N - c.n:, N - c.n:] = system
-        R, ranks, pivots = _rref_stack(stack[0].field, S)
-        for b, (c, (_, order)) in enumerate(zip(stack, systems)):
-            pad = N - c.n
-            kernel_perm = _kernel_of_rref(c.field, R[b, pad:ranks[b], pad:],
-                                          [p - pad for p in pivots[b][pad:]])
-            kernel = np.empty_like(kernel_perm)
-            kernel[:, order] = kernel_perm
-            c._hull = LinearCode.from_rows(c.field, kernel, n=c.n)
+    todo = [c for c in codes if c._hull is None]
+    for n in dict.fromkeys(c.n for c in todo):
+        same = [c for c in todo if c.n == n]
+        size = max(1, _HULL_STACK_CELLS // max(1, n * n))
+        for i in range(0, len(same), size):
+            stack = same[i:i + size]
+            systems, orders = zip(*(c._hull_system() for c in stack))
+            R, ranks, pivots = _rref_stack(stack[0].field, np.stack(systems))
+            for b, c in enumerate(stack):
+                kernel = _kernel_of_rref(c.field, R[b, :ranks[b]], pivots[b])
+                c._hull = LinearCode.from_rows(
+                    c.field, kernel[:, np.argsort(orders[b])], n=n)
     return [c._hull for c in codes]
 
 

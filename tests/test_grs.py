@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -411,7 +412,7 @@ def test_z1_prefix_formulas_do_not_extend():
         assert claim.subcode.k < z1_dim
         good = claim.subcode.generator()
         assert not mat_mul(F, code.gen, conjugate(F, good).T).any()
-        naive = claim.spec.with_dim(z1_dim).generator()
+        naive = replace(claim.spec, k=z1_dim).generator()
         assert mat_mul(F, code.gen, conjugate(F, naive).T).any()
 
 
@@ -421,7 +422,7 @@ def test_negative_control_corrupted_scale():
     bad = list(claim.spec.a)
     bad[0] = F.mul(bad[0], F.alpha)
     claim.spec = GrsSpec(F, claim.spec.b, tuple(bad), claim.spec.k)
-    claim.subcode = claim.spec.with_dim(claim.subcode.k)
+    claim.subcode = replace(claim.spec, k=claim.subcode.k)
     rep = verify_claim(claim.spec.code(), claim, budget=10 ** 6)
     assert rep.verdict == "FAIL"
     assert rep.first_failure == "hull_dim_gram"
@@ -455,7 +456,7 @@ def test_subcode_in_hull_matches_containment_and_product(q, families):
     count = failed = 0
     for code, claim in _grid(q, families):
         for t in {claim.subcode.k, min(claim.subcode.k + 1, claim.spec.k)}:
-            claim.subcode = claim.spec.with_dim(t)
+            claim.subcode = replace(claim.spec, k=t)
             old = _old_subcode_in_hull(code, claim.subcode)
             assert _subcode_status(code, claim) == \
                 (STATUS_PASS if old else STATUS_FAIL), (claim.family, claim.params, t)
@@ -478,7 +479,7 @@ def test_subcode_in_hull_fails_for_a_foreign_subcode(family, q, params):
     assert not _old_subcode_in_hull(code, claim.subcode)
     assert _subcode_status(code, claim) == STATUS_FAIL
     # a subcode larger than the code
-    claim.subcode = spec.with_dim(spec.k + 1)
+    claim.subcode = replace(spec, k=spec.k + 1)
     assert _subcode_status(code, claim) == STATUS_FAIL
 
 

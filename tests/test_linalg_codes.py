@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -562,8 +564,9 @@ def test_hermitian_hulls_match_reference_on_mixed_batches(q, cells,
                                                           monkeypatch):
     """One hermitian_hulls call equals the natural-order solve code by code
     on random codes of lengths 5, 8 and 10 with k in {0, 1, n//2, n-1, n},
-    a self-orthogonal code and an LCD code.  A bound of 300 cells splits
-    the batch into stacks of at most three, some of them padded."""
+    a self-orthogonal code and an LCD code.  Each stack holds codes of one
+    length; a bound of 300 cells splits a length's codes into stacks of at
+    most 300 // n^2."""
     F = quadratic_field(q)
     if cells is not None:
         monkeypatch.setattr(linalg_codes, "_HULL_STACK_CELLS", cells)
@@ -576,18 +579,18 @@ def test_hermitian_hulls_match_reference_on_mixed_batches(q, cells,
         assert hull == ref_hermitian_hull(C), (C.n, C.k)
         assert C.hermitian_hull() is hull
     assert sum(B for B, _, _ in shapes) == len(codes)
-    # the stacks cut the lengths, longest first, into runs; a run holding
-    # two lengths is a padded stack
-    lengths = sorted((C.n for C in codes), reverse=True)
-    runs, at = [], 0
-    for B, N, _ in shapes:
-        runs.append(set(lengths[at:at + B]))
-        assert max(runs[-1]) == N
-        at += B
+    # no padding: the stacks of n x n systems hold exactly the codes of
+    # length n
+    per_length = Counter()
+    for B, N, cols in shapes:
+        assert N == cols
+        per_length[N] += B
+    assert per_length == Counter(C.n for C in codes)
     if cells is None:
-        assert len(shapes) == 1
+        assert len(shapes) == len(per_length)
     else:
-        assert len(shapes) > 3 and any(len(r) > 1 for r in runs)
+        assert all(B * N * N <= cells for B, N, _ in shapes if B > 1)
+        assert len(shapes) > len(per_length)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
@@ -656,9 +659,9 @@ def test_hermitian_hull_elimination_work_is_bounded(monkeypatch):
     """The free-first stacked solve of the [110, 11] COR2 code (t = 10,
     k = 9) over GF(121) adds at most dim * n^2 field elements; the
     leftmost-first order of the same solve adds 654,486 in its nullspace
-    alone.  A batch of two-point codes of several lengths, padded into one
-    stack, adds at most the sum of dim * n^2, and a shorter code of the same
-    dimension costs the same padded in a stack as solved alone."""
+    alone.  A batch of two-point codes of several lengths adds at most the
+    sum of dim * n^2, and two codes of one length and dimension cost the
+    same in one stack as solved alone."""
     F = quadratic_field(11)
     C = two_point(F, "COR2", 9, t=10)
     assert (C.n, C.k) == (110, 11)
@@ -676,7 +679,7 @@ def test_hermitian_hull_elimination_work_is_bounded(monkeypatch):
     assert added[0] <= sum(D.k * D.n ** 2 for D in codes)
 
     rng = np.random.default_rng(61)
-    pair = [random_code(F, n, 6, rng) for n in (40, 23)]
+    pair = [random_code(F, 40, 6, rng) for _ in range(2)]
     added[0] = 0
     hermitian_hulls([LinearCode(F, D.n, D.gen) for D in pair])
     together = added[0]
@@ -684,6 +687,12 @@ def test_hermitian_hull_elimination_work_is_bounded(monkeypatch):
     for D in pair:
         D.hermitian_hull()
     assert together == added[0] > 0
+    # codes of one length and several dimensions share the identity block
+    # of the largest: still within the sum of dim * n^2
+    mixed = [random_code(F, 40, k, rng) for k in (6, 10)]
+    added[0] = 0
+    hermitian_hulls(mixed)
+    assert added[0] <= sum(D.k * D.n ** 2 for D in mixed)
     monkeypatch.undo()
     assert hull == ref_hermitian_hull(C)
     for D, H in zip(batch(), hulls):
@@ -692,7 +701,7 @@ def test_hermitian_hull_elimination_work_is_bounded(monkeypatch):
 
 def test_hermitian_hull_uses_no_gram_product(F16, monkeypatch):
     """The stacked solve stays independent of the Gram-rank method, for one
-    code and for a padded batch."""
+    code and for a batch of several lengths."""
 
     def refuse(*args):
         raise AssertionError("hermitian_hull must not multiply matrices")

@@ -234,6 +234,14 @@ def test_cli_ag_grow(capsys):
     assert all(s["conjugate"] for s in payload["steps"])
 
 
+def test_cli_ag_grow_negative_steps_exit_2(capsys):
+    # a negative step count would grow nothing and still report "ok"
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["ag", "grow", "--q", "5", "--steps", "-2"])
+    assert exc.value.code == 2
+    assert "steps: must be >= 0, not -2" in capsys.readouterr().err
+
+
 def test_cli_quantum_params_direct(capsys):
     rc, out = run_cli(capsys, "quantum", "params", "--q", "7", "--n", "49",
                       "--k", "7", "--hull-dim", "6", "--propagate", "1")
