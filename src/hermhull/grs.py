@@ -29,6 +29,7 @@ range and breaks the membership identity.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -45,6 +46,25 @@ from .report import (STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED,
 
 FAMILIES = ("CON1", "CON2", "CON3", "CON4", "CON1E", "CON2E", "CON3E", "CON4E")
 
+#: evaluation vectors kept by each of the memos ``_check_vector``,
+#: ``_evaluation_vector`` and ``_vector_table``
+_VECTOR_CACHE = 16
+
+
+@functools.lru_cache(maxsize=_VECTOR_CACHE)
+def _check_vector(F: FieldContext, b: tuple, a: tuple) -> None:
+    """Raise ValueError unless b holds distinct field elements and a nonzero
+    ones, of one length.  Memoised: the instances of a family share b, a."""
+    if len(b) != len(a):
+        raise ValueError("b and a must have equal length")
+    if len(set(b)) != len(b):
+        raise ValueError("evaluation points must be distinct")
+    if 0 in a:
+        raise ValueError("scaling entries must be nonzero")
+    if b and not (0 <= min(min(b), min(a)) and
+                  max(max(b), max(a)) < F.order):
+        raise ValueError(f"entries must be field elements in [0, {F.order})")
+
 
 @dataclass(frozen=True)
 class GrsSpec:
@@ -56,16 +76,7 @@ class GrsSpec:
     k: int
 
     def __post_init__(self):
-        if len(self.b) != len(self.a):
-            raise ValueError("b and a must have equal length")
-        if len(set(self.b)) != len(self.b):
-            raise ValueError("evaluation points must be distinct")
-        if 0 in self.a:
-            raise ValueError("scaling entries must be nonzero")
-        if self.n and not (0 <= min(min(self.b), min(self.a)) and
-                           max(max(self.b), max(self.a)) < self.field.order):
-            raise ValueError(f"entries must be field elements in "
-                             f"[0, {self.field.order})")
+        _check_vector(self.field, tuple(self.b), tuple(self.a))
         if not 0 <= self.k <= len(self.b):
             raise ValueError("dimension out of range")
 
@@ -97,25 +108,20 @@ class GrsSpec:
         A GRS code is MDS, so its pivots are columns 0..k-1 and
         A[i, j] = (a_j / a_i) prod_{l < k, l != i} (b_j - b_l) / (b_i - b_l),
         a generalized Cauchy matrix (Roth and Seroussi, IEEE T-IT 31(6),
-        1985).  Its logs are sums over the k x n difference matrix
-        d[l, j] = b_j - b_l: the numerator of row i is column j of d less
-        entry (i, j), and the denominator D_i = prod_{l != i} (b_i - b_l) is
-        column i of d, as in ``ag._hprime``.
+        1985).  Its logs are sums over the k x n log-difference table
+        ld[l, j] = log(b_j - b_l) of the vector (see ``_VectorTable``): the
+        numerator of row i is the prefix sum cum[k, j] less ld[i, j], and
+        the denominator D_i = prod_{l != i} (b_i - b_l) is cum[k, i], as in
+        ``ag._hprime``.
         """
         F, k, n = self.field, self.k, self.n
-        b = np.asarray(self.b, dtype=np.int32)
-        d = F.add_arr(b[None, :], F.neg_arr(b[:k])[:, None])
-        np.fill_diagonal(d, 1)
-        if not d.all():
-            raise RuntimeError("a GRS point difference b_j - b_l (l < k) "
-                               "vanishes; the Vandermonde block is singular")
-        ld = F.log[d].astype(np.int64)
-        col = ld.sum(axis=0)
-        la = F.log[np.asarray(self.a, dtype=np.int64)] + col
-        e = la[None, k:] - ld[:, k:] - la[:k, None]
+        T = _vector_table(F, tuple(self.b), tuple(self.a))
+        ld, col = T.cauchy(k)
+        la = T.la + col
         out = np.zeros((k, n), dtype=np.int32)
         out[:, :k] = np.eye(k, dtype=np.int32)
-        out[:, k:] = F.exp[e % (F.order - 1)]
+        out[:, k:] = F.exp[(la[None, k:] - ld[:, k:] - la[:k, None])
+                           % (F.order - 1)]
         return out
 
     def code(self) -> LinearCode:
@@ -134,33 +140,69 @@ class GrsSpec:
         return c
 
 
-#: evaluation vectors (field, b, a) whose power sums ``natural_gram`` keeps
-_POWER_SUM_CACHE = 16
+class _VectorTable:
+    """The work GRS_k(b, a) shares across k, for one vector (field, b, a).
 
+    Row i of the natural generator does not depend on k, so the Gram matrix
+    of GRS_k(b, a) is the leading k x k block of that of GRS_K(b, a) for
+    K >= k (the power-sum view of Fang, Fu, Li and Zhu, IEEE T-IT 66(6),
+    2020), and the Cauchy form of ``GrsSpec.systematic`` at k reads row k of
+    one prefix-sum table.  Each table is held, read-only, for the largest k
+    asked so far, and rebuilt when a larger k is asked for:
 
-class _PowerSums:
-    """S[t] = sum_j N_j b_j^t over the nonzero points, N_j = a_j^(q+1), for
-    t in Z/(q^2 - 1), filled on demand; ``zero_norm`` is N_j of a zero point.
+    * ``gram``: the Gram matrix of ``natural_gram``;
+    * ``ld[l, j] = log(b_j - b_l)`` for l < K, with 0 = log 1 on the
+      diagonal, and its prefix sums ``cum[k, j] = sum_{l < k} ld[l, j]``
+      mod (order - 1) for k <= K.
+
+    In characteristic 2 the Gram entries are power sums S[t] = sum_j N_j
+    b_j^t over the nonzero points, N_j = a_j^(q+1), t in Z/(q^2 - 1),
+    filled on demand: a rebuild sums only the exponents no earlier build
+    took.  ``zero_norm`` is N_j of a zero point.
     """
 
     def __init__(self, F: FieldContext, b: tuple, a: tuple):
-        n1 = F.order - 1
-        b = np.asarray(b, dtype=np.int64)
-        lnorm = F.log[np.asarray(a, dtype=np.int64)] * (F.q + 1) % n1
-        nz = b != 0
-        self.field = F
-        self.lb, self.ln = F.log[b[nz]], lnorm[nz]
-        self.zero_norm = 0 if nz.all() else int(F.exp[lnorm[~nz][0]])
-        self.sums = np.zeros(n1, dtype=F.zexp.dtype)
-        self.known = np.zeros(n1, dtype=bool)
+        n, n1 = len(b), F.order - 1
+        self.field, self.b, self.a = F, b, a
+        # holds a product or a sum of up to ``order`` logs; int32 where that
+        # fits, as an int64 modulo measured about 4 times slower
+        self.dtype = np.int32 if F.order ** 2 < 2 ** 31 else np.int64
+        self.la = F.log[np.asarray(a, dtype=np.int64)]
+        self.gram = _read_only(np.zeros((0, 0), dtype=np.int32))
+        self.ld = _read_only(np.zeros((0, n), dtype=np.int32))
+        self.cum = _read_only(np.zeros((1, n), dtype=np.int32))
+        if F.p == 2:
+            b = np.asarray(b, dtype=np.int64)
+            lnorm = self.la * (F.q + 1) % n1
+            nz = b != 0
+            self.lb, self.ln = F.log[b[nz]], lnorm[nz]
+            self.zero_norm = 0 if nz.all() else int(F.exp[lnorm[~nz][0]])
+            self.sums = np.zeros(n1, dtype=F.zexp.dtype)
+            self.known = np.zeros(n1, dtype=bool)
 
-    def at(self, t: np.ndarray) -> np.ndarray:
+    def gram_block(self, k: int) -> np.ndarray:
+        """The k x k Gram matrix of GRS_k(b, a), a read-only view."""
+        if k > len(self.gram):
+            F = self.field
+            if F.p == 2:
+                i = np.arange(k, dtype=self.dtype)
+                g = self._sums_at((i[:, None] + F.q * i[None, :])
+                                  % (F.order - 1))
+                g[0, 0] ^= self.zero_norm
+            else:
+                g = gram_matrix(F, GrsSpec(F, self.b, self.a, k).generator())
+            self.gram = _read_only(g)
+        return self.gram[:k, :k]
+
+    def _sums_at(self, t: np.ndarray) -> np.ndarray:
         """S at the exponents t; only the sums not yet held are computed,
         XOR-reduced over blocks of at most about _MAT_MUL_CHUNK terms as in
         ``mat_mul``."""
         F, lb, ln = self.field, self.lb, self.ln
         n1 = F.order - 1
-        todo = np.unique(t[~self.known[t]])
+        need = np.zeros(n1, dtype=bool)
+        need[t] = True
+        todo = np.flatnonzero(need & ~self.known).astype(self.dtype)
         step = max(1, _MAT_MUL_CHUNK // max(1, lb.size))
         for r in range(0, todo.size, step):
             ts = todo[r:r + step]
@@ -169,34 +211,49 @@ class _PowerSums:
         self.known[todo] = True
         return self.sums[t]
 
+    def cauchy(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ld[:k], cum[k]), read-only views; the vanishing-difference check
+        runs on the whole table, and so covers every smaller k."""
+        if k > len(self.ld):
+            F, n1 = self.field, self.field.order - 1
+            b = np.asarray(self.b, dtype=np.int32)
+            d = F.add_arr(b[None, :], F.neg_arr(b[:k])[:, None])
+            np.fill_diagonal(d, 1)
+            if not d.all():
+                raise RuntimeError("a GRS point difference b_j - b_l (l < k) "
+                                   "vanishes; the Vandermonde block is "
+                                   "singular")
+            ld = F.log[d]
+            cum = np.zeros((k + 1, len(b)), dtype=np.int32)
+            cum[1:] = np.cumsum(ld, axis=0, dtype=self.dtype) % n1
+            self.ld, self.cum = _read_only(ld), _read_only(cum)
+        return self.ld[:k], self.cum[k]
 
-@functools.lru_cache(maxsize=_POWER_SUM_CACHE)
-def _power_sums(F: FieldContext, b: tuple, a: tuple) -> _PowerSums:
-    return _PowerSums(F, b, a)
+
+def _read_only(M: np.ndarray) -> np.ndarray:
+    M.setflags(write=False)
+    return M
+
+
+@functools.lru_cache(maxsize=_VECTOR_CACHE)
+def _vector_table(F: FieldContext, b: tuple, a: tuple) -> _VectorTable:
+    return _VectorTable(F, b, a)
 
 
 def natural_gram(spec: GrsSpec) -> np.ndarray:
-    """The Hermitian Gram matrix of ``spec.generator()``.
+    """The Hermitian Gram matrix of ``spec.generator()``, read-only.
 
-    Entry (i, l) is sum_j N_j b_j^(i + q l) with N_j = a_j^(q+1): a power
-    sum S[t] at t = (i + q l) mod (q^2 - 1) over the nonzero points, plus
-    N_j at (0, 0) for a zero point.  S depends on (b, a) and not on k, so
-    in characteristic 2 it is memoised per (field, b, a), for the last
-    _POWER_SUM_CACHE evaluation vectors, and filled lazily: a call sums only
-    the exponents it needs that no earlier call on the same vector took.
-    Odd characteristic keeps the digit product of ``gram_matrix``: power
-    sums measured only about 5 % faster on ``verify-all --q 11``, and the
+    Entry (i, l) is sum_j N_j b_j^(i + q l) with N_j = a_j^(q+1): in
+    characteristic 2, a power sum S[t] at t = (i + q l) mod (q^2 - 1) over
+    the nonzero points, plus N_j at (0, 0) for a zero point.  Odd
+    characteristic keeps the digit product of ``gram_matrix``: power sums
+    measured only about 5 % faster on ``verify-all --q 11``, and the
     perfbench tracer wraps ``grs.gram_matrix`` and ``grs.mat_mul`` by name.
+    Either way the matrix is the leading block of the one held per (field,
+    b, a) for the last _VECTOR_CACHE evaluation vectors (``_VectorTable``).
     """
-    F, k = spec.field, spec.k
-    if F.p != 2:
-        return gram_matrix(F, spec.generator())
-    S = _power_sums(F, tuple(spec.b), tuple(spec.a))
-    i = np.arange(k, dtype=np.int64)
-    gram = S.at((i[:, None] + F.q * i[None, :]) % (F.order - 1))
-    if k:
-        gram[0, 0] ^= S.zero_norm
-    return gram
+    return _vector_table(spec.field, tuple(spec.b),
+                         tuple(spec.a)).gram_block(spec.k)
 
 
 @dataclass
@@ -294,14 +351,15 @@ def claim_arithmetic(family: str, q: int, k: Optional[int] = None,
     return out
 
 
-def in_conservative_range(family: str, q: int, params: dict) -> bool:
+def in_conservative_range(family: str, q: int, params: dict,
+                          info: dict) -> bool:
     """Is z below the tighter bound that keeps every derived quantum
-    distance inside the n/2 regime?  The rank analysis itself allows more."""
+    distance inside the n/2 regime?  The rank analysis itself allows more.
+    ``info`` is ``claim_arithmetic`` of the instance, for its length n."""
     if family == "CON1E":
         return params["z"] < q // 2
     if family in ("CON2E", "CON3E", "CON4E"):
-        n = claim_arithmetic(family, q, **params)["n"]
-        return params["z"] < n // (2 * q)
+        return params["z"] < info["n"] // (2 * q)
     return True
 
 
@@ -316,10 +374,10 @@ def family_parameter_grid(family: str, q: int,
 
     def push(params: dict):
         try:
-            claim_arithmetic(family, q, **params)
+            info = claim_arithmetic(family, q, **params)
         except ValueError:
             return
-        if conservative and not in_conservative_range(family, q, params):
+        if conservative and not in_conservative_range(family, q, params, info):
             return
         out.append(params)
 
@@ -367,6 +425,48 @@ def _coset_exponents(q: int, s: int) -> np.ndarray:
     return np.flatnonzero(np.arange(q * q - 1) % ((q - 1) // s))
 
 
+def _recipe(family: str, q: int, params: dict) -> tuple:
+    """(kind, e, m): what fixes a family's evaluation vector (b, a).
+
+    ``kind`` is the recipe digit of the tag (CON1 and CON1E share "1"),
+    e the exponent of the scaling vector (k - 1 in CON2-CON4, q - f - 1 in
+    CON2E-CON4E; none in CON1) and m the second offset of CON4 and CON4E.
+    The coset index s of CON3 and CON4 is a function of these.
+    """
+    kind = family[3]
+    if kind == "1":
+        return kind, None, None
+    e = q - params["f"] - 1 if family.endswith("E") else params["k"] - 1
+    return kind, e, params.get("m")
+
+
+@functools.lru_cache(maxsize=_VECTOR_CACHE)
+def _evaluation_vector(F2: FieldContext, q: int, kind: str, e: Optional[int],
+                       m: Optional[int], s: Optional[int]) -> tuple[tuple, tuple]:
+    """The points b and column multipliers a of a recipe (see ``_recipe``)
+    over F2, as tuples; s is the coset index of ``claim_arithmetic``."""
+    N = q * q - 1
+    if kind == "1":
+        b = np.append(F2.exp, 0)
+        a = np.ones(q * q, dtype=np.int32)
+    elif kind == "2":
+        b = F2.exp
+        a = F2.exp[-np.arange(N) * e % N]
+    else:
+        B = _coset_exponents(q, s)
+        b = F2.exp[B]
+        # CON3: a^(q+1) = alpha^{-l e (q+1)} - 1 at the coset points and -1
+        # at the appended zero; CON4: alpha^{-l e (q+1)} - alpha^{-l m (q+1)}
+        second = (np.ones_like(B) if kind == "3"
+                  else F2.exp[-B * m * (q + 1) % N])
+        a = F2.solve_norm_arr(F2.add_arr(F2.exp[-B * e * (q + 1) % N],
+                                         F2.neg_arr(second)))
+        if kind == "3":
+            b = np.append(b, 0)
+            a = np.append(a, F2.solve_norm(F2.neg(1)))
+    return tuple(b.tolist()), tuple(a.tolist())
+
+
 def construct_family(family: str, q: int, field: Optional[FieldContext] = None,
                      **params) -> tuple[LinearCode, GrsHullClaim]:
     """Build a family instance and its hull claim.
@@ -374,32 +474,14 @@ def construct_family(family: str, q: int, field: Optional[FieldContext] = None,
     Accepts the full verified parameter ranges; ``claim.conservative_range``
     records whether the instance also satisfies the tighter z-bounds.
     ``field`` overrides the default GF(q^2) context (it must still be a
-    quadratic extension of the right size).
+    quadratic extension of the right size).  The evaluation vector comes
+    from a memo keyed on the recipe, so the instances of one vector share
+    it, and with it the tables of ``_vector_table``.
     """
     info = claim_arithmetic(family, q, **params)
     F2 = quadratic_field(q, field)
-    k, n, N = info["k"], info["n"], q * q - 1
-    if family in ("CON1", "CON1E"):
-        b = np.append(F2.exp, 0)
-        a = np.ones(q * q, dtype=np.int32)
-    elif family in ("CON2", "CON2E"):
-        e = (k - 1) if family == "CON2" else (q - params["f"] - 1)
-        b = F2.exp
-        a = F2.exp[-np.arange(N) * e % N]
-    else:
-        e = (k - 1) if family in ("CON3", "CON4") else (q - params["f"] - 1)
-        B = _coset_exponents(q, info["s"])
-        b = F2.exp[B]
-        # CON3: a^(q+1) = alpha^{-l e (q+1)} - 1 at the coset points and -1
-        # at the appended zero; CON4: alpha^{-l e (q+1)} - alpha^{-l m (q+1)}
-        second = (np.ones_like(B) if family in ("CON3", "CON3E")
-                  else F2.exp[-B * params["m"] * (q + 1) % N])
-        a = F2.solve_norm_arr(F2.add_arr(F2.exp[-B * e * (q + 1) % N],
-                                         F2.neg_arr(second)))
-        if family in ("CON3", "CON3E"):
-            b = np.append(b, 0)
-            a = np.append(a, F2.solve_norm(F2.neg(1)))
-    b, a = tuple(b.tolist()), tuple(a.tolist())
+    k, n = info["k"], info["n"]
+    b, a = _evaluation_vector(F2, q, *_recipe(family, q, params), info["s"])
     spec = GrsSpec(F2, b, a, k)
     if spec.n != n:
         raise RuntimeError(f"family {family} built length {spec.n}, not {n}")
@@ -409,7 +491,7 @@ def construct_family(family: str, q: int, field: Optional[FieldContext] = None,
         params=dict(params) | ({"s": info["s"]} if info["s"] is not None else {}),
         spec=spec, hull_dim=info["hull_dim"], subcode=sub,
         hull_equality=info["hull_dim"] == info["subcode_dim"],
-        conservative_range=in_conservative_range(family, q, params),
+        conservative_range=in_conservative_range(family, q, params, info),
         z1_subcode_dim=info["z1_subcode_dim"])
     return spec.code(), claim
 
@@ -540,12 +622,24 @@ def verify_claim(code: LinearCode, claim: GrsHullClaim,
 def sweep(q: int, families=FAMILIES, budget: int = DEFAULT_BUDGET,
           distance_budget: int = DEFAULT_DISTANCE_BUDGET,
           conservative: bool = True) -> Iterator[tuple[GrsHullClaim, ConstructionReport]]:
-    """Build and verify every in-range instance of the given families."""
+    """Build and verify every in-range instance of the given families.
+
+    The consecutive grid entries that share an evaluation vector form a
+    run (``_recipe``).  A run is built and verified largest k first, so its
+    first instance fills the vector's tables for the rest, and its reports
+    are yielded in grid order.
+    """
     for family in families:
-        for params in family_parameter_grid(family, q, conservative=conservative):
-            code, claim = construct_family(family, q, **params)
-            yield claim, verify_claim(code, claim, budget=budget,
-                                      distance_budget=distance_budget)
+        grid = family_parameter_grid(family, q, conservative=conservative)
+        for _, run in itertools.groupby(
+                grid, key=lambda params: _recipe(family, q, params)):
+            run = list(run)
+            out = [None] * len(run)
+            for i in sorted(range(len(run)), key=lambda i: -run[i]["k"]):
+                code, claim = construct_family(family, q, **run[i])
+                out[i] = claim, verify_claim(code, claim, budget=budget,
+                                             distance_budget=distance_budget)
+            yield from out
 
 
 # ----------------------------------------------------------------------

@@ -194,11 +194,14 @@ def _free_columns(n: int, pivots) -> np.ndarray:
     return np.flatnonzero(free)
 
 
-def _kernel_of_rref(F: FieldContext, R: np.ndarray, pivots) -> np.ndarray:
+def _kernel_of_rref(F: FieldContext, R: np.ndarray, pivots,
+                    free: Optional[np.ndarray] = None) -> np.ndarray:
     """Right kernel of a full-rank RREF matrix R with the given pivots: one
-    row per free column f, with 1 at f and -R[:, f] at the pivots."""
+    row per free column f, with 1 at f and -R[:, f] at the pivots.  The
+    free columns are computed unless given."""
     n = R.shape[1]
-    free = _free_columns(n, pivots)
+    if free is None:
+        free = _free_columns(n, pivots)
     basis = np.zeros((free.size, n), dtype=np.int32)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = F.neg_arr(R[:, free].T)
@@ -256,7 +259,28 @@ def gram_matrix(F: FieldContext, G: np.ndarray) -> np.ndarray:
 
 
 def matrix_rank(F: FieldContext, M: np.ndarray) -> int:
-    return rref(F, M)[1]
+    """The rank of M, with ``rref`` run only where the nonzero pattern
+    leaves it in doubt.
+
+    Zero rows and columns are dropped.  An entry that is the only nonzero
+    of both its row and its column then adds exactly 1 to the rank: with
+    its row and column removed, the rest of M is untouched.  These isolated
+    entries lie in distinct rows and columns, so all of them are peeled in
+    one pass, and ``rref`` runs on what is left.  Exact for every matrix.
+    """
+    M = np.asarray(M)
+    if M.ndim != 2:
+        raise ValueError("matrix must be 2-d")
+    nz = M != 0
+    rows, cols = nz.any(axis=1), nz.any(axis=0)
+    M, nz = M[rows][:, cols], nz[rows][:, cols]
+    alone = (nz & (nz.sum(axis=1) == 1)[:, None]
+             & (nz.sum(axis=0) == 1)[None, :])
+    rows, cols = ~alone.any(axis=1), ~alone.any(axis=0)
+    peeled = len(rows) - int(rows.sum())
+    if not (rows.any() and cols.any()):
+        return peeled
+    return peeled + rref(F, M[rows][:, cols])[1]
 
 
 # ----------------------------------------------------------------------
@@ -390,9 +414,11 @@ class LinearCode:
         reduced, so each of those pivot steps updates only the k rows of
         conj(G) (the fill-reducing order of Markowitz 1957).
         """
-        pivots = self._pivots()
-        order = np.concatenate([_free_columns(self.n, pivots), pivots])
-        stacked = np.vstack([self.parity_rows(), conjugate(self.field, self.gen)])
+        F, pivots = self.field, self._pivots()
+        free = _free_columns(self.n, pivots)
+        order = np.concatenate([free, pivots])
+        stacked = np.vstack([_kernel_of_rref(F, self.gen, pivots, free),
+                             conjugate(F, self.gen)])
         return stacked[:, order], order
 
     def gram(self) -> np.ndarray:

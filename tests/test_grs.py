@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -97,6 +98,118 @@ def test_systematic_matches_rref_q16_wide():
             _, claim = construct_family(family, 16, **params)
             _assert_systematic_is_rref(claim.spec)
             _assert_systematic_is_rref(claim.subcode)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_tables_filled_at_a_larger_k_serve_every_smaller_k(q):
+    # every evaluation vector of the full grids, its tables filled at
+    # K = n first: each instance and its subcode read the leading blocks
+    specs = {}
+    for family in grs.FAMILIES:
+        for params in family_parameter_grid(family, q, conservative=False):
+            _, claim = construct_family(family, q, **params)
+            for spec in (claim.spec, claim.subcode):
+                specs.setdefault((spec.b, spec.a), set()).add(spec)
+    for (b, a), group in specs.items():
+        any_spec = next(iter(group))
+        F, n = any_spec.field, any_spec.n
+        grs._vector_table.cache_clear()
+        table = grs._vector_table(F, b, a)
+        natural_gram(replace(any_spec, k=n))
+        replace(any_spec, k=n).systematic()
+        gram, ld = table.gram, table.ld
+        assert gram.shape == (n, n) and ld.shape == (n, n)
+        for spec in group:
+            G = spec.generator()
+            R, rank, _ = rref(F, G)
+            assert np.array_equal(natural_gram(spec), gram_matrix(F, G))
+            assert np.array_equal(spec.systematic(), R[:rank])
+        assert table.gram is gram and table.ld is ld
+    assert len(specs) > 1
+
+
+def test_tables_grow_with_k_and_stay_read_only():
+    _, claim = construct_family("CON2E", 5, z=1, f=1, k=5)
+    spec = claim.spec
+    grs._vector_table.cache_clear()
+    table = grs._vector_table(spec.field, spec.b, spec.a)
+    for k in (2, 4, 3, 7):
+        s = replace(spec, k=k)
+        natural_gram(s)
+        s.systematic()
+    assert table.gram.shape == (7, 7) and table.cum.shape == (8, spec.n)
+    assert natural_gram(replace(spec, k=3)).shape == (3, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        natural_gram(replace(spec, k=3))[0, 0] = 1
+    assert grs._vector_table.cache_info().misses == 1
+
+
+def test_grs_sweep_builds_each_vector_once(monkeypatch):
+    # each run of consecutive grid entries on one evaluation vector solves
+    # the vector at most once and builds each table at most once, all at
+    # its first instance, which has the run's largest k; reports come out
+    # in grid order, equal to construct_family + verify_claim one by one
+    q, budgets = 7, dict(budget=10 ** 6, distance_budget=10 ** 4)
+    events = []
+    for method, held in (("gram_block", "gram"), ("cauchy", "ld")):
+        original = getattr(grs._VectorTable, method)
+
+        def growing(self, k, original=original, held=held):
+            before = len(getattr(self, held))
+            out = original(self, k)
+            if len(getattr(self, held)) > before:
+                events.append(held)
+            return out
+
+        monkeypatch.setattr(grs._VectorTable, method, growing)
+    construct = grs.construct_family
+    calls = []
+
+    def logged(family, q, **params):
+        misses = grs._evaluation_vector.cache_info().misses
+        del events[:]
+        out = construct(family, q, **params)
+        solves = grs._evaluation_vector.cache_info().misses - misses
+        calls.append((family, params, solves, events[:]))
+        return out
+
+    def verified(code, claim, **kw):
+        del events[:]
+        rep = verify(code, claim, **kw)
+        calls[-1][3].extend(events)
+        return rep
+
+    verify = grs.verify_claim
+    monkeypatch.setattr(grs, "construct_family", logged)
+    monkeypatch.setattr(grs, "verify_claim", verified)
+    grs._evaluation_vector.cache_clear()
+    grs._vector_table.cache_clear()
+    swept = list(grs.sweep(q, conservative=False, **budgets))
+
+    grid = [(family, params) for family in grs.FAMILIES
+            for params in family_parameter_grid(family, q, conservative=False)]
+    assert [(c.family, {k: v for k, v in c.params.items() if k != "s"})
+            for c, _ in swept] == grid
+    runs = 0
+    for key, run in itertools.groupby(
+            calls, key=lambda c: (c[0], grs._recipe(c[0], q, c[1]))):
+        run = list(run)
+        runs += 1
+        assert [c[1]["k"] for c in run] == \
+            sorted((c[1]["k"] for c in run), reverse=True), key
+        assert run[0][2] <= 1 and run[0][3].count("gram") <= 1 \
+            and run[0][3].count("ld") <= 1, key
+        assert all(c[2] == 0 and not c[3] for c in run[1:]), key
+    assert len(calls) == len(grid) and runs < len(grid)
+    assert sum(c[2] for c in calls) >= 1
+
+    monkeypatch.undo()
+    grs._evaluation_vector.cache_clear()
+    grs._vector_table.cache_clear()
+    for (family, params), (claim, rep) in zip(grid, swept):
+        code, one = construct_family(family, q, **params)
+        alone = verify_claim(code, one, **budgets)
+        assert alone.to_canonical_dict() == rep.to_canonical_dict()
 
 
 def test_systematic_edges_under_a_non_conway_modulus():
@@ -266,7 +379,7 @@ def test_natural_gram_in_blocks(monkeypatch, chunk):
     # blocks of one or a few power sums, with a ragged last block; no power
     # sum may come from a table an earlier test filled at the default chunk
     monkeypatch.setattr(grs, "_MAT_MUL_CHUNK", chunk)
-    grs._power_sums.cache_clear()
+    grs._vector_table.cache_clear()
     for q in (2, 4, 8):
         for family in grs.FAMILIES:
             for params in family_parameter_grid(family, q, conservative=False):
@@ -280,7 +393,7 @@ def test_natural_gram_large_q_stays_in_blocks():
     F = quadratic_field(128)
     b = tuple(np.append(F.exp[:F.order - 1], 0).tolist())
     spec = GrsSpec(F, b, (1,) * F.order, 16)
-    grs._power_sums.cache_clear()
+    grs._vector_table.cache_clear()
     tracemalloc.start()
     try:
         got = natural_gram(spec)
@@ -322,18 +435,27 @@ def test_natural_gram_memo_fills_lazily_and_evicts(q):
     n = min(F.order - 1, 40)
     b, a = _random_vector(F, rng, n, zero=True)
     others = [_random_vector(F, rng, n, zero=bool(j % 2))
-              for j in range(grs._POWER_SUM_CACHE + 2)]
-    grs._power_sums.cache_clear()
+              for j in range(grs._VECTOR_CACHE + 2)]
+    grs._vector_table.cache_clear()
     _assert_natural_gram(GrsSpec(F, b, a, 3))
     i = np.arange(3)
-    # lazy: a k = 3 call sums only the distinct exponents i + q l
-    assert grs._power_sums(F, b, a).known.sum() == \
+    table = grs._vector_table(F, b, a)
+    # lazy: a k = 3 call sums only the distinct exponents i + q l, and holds
+    # the Gram matrix at k = 3 only
+    assert table.known.sum() == \
         np.unique((i[:, None] + q * i[None, :]) % (F.order - 1)).size
+    assert table.gram.shape == (3, 3)
+    # a larger k grows the table; a smaller one reads its leading block
+    _assert_natural_gram(GrsSpec(F, b, a, 5))
+    assert table.gram.shape == (5, 5)
     for k in range(n, -1, -1):
         _assert_natural_gram(GrsSpec(F, b, a, k))
+        assert table.gram.shape == (n, n)
+    full = table.gram
     for k in range(n + 1):
         _assert_natural_gram(GrsSpec(F, b, a, k))
-    assert grs._power_sums.cache_info().misses == 1
+    assert table.gram is full and not full.flags.writeable
+    assert grs._vector_table.cache_info().misses == 1
     for j, (ob, oa) in enumerate(others):
         _assert_natural_gram(GrsSpec(F, ob, oa, j % (n + 1)))
         _assert_natural_gram(GrsSpec(F, b, a, (5 * j) % (n + 1)))
@@ -343,7 +465,7 @@ def test_natural_gram_memo_fills_lazily_and_evicts(q):
         _assert_natural_gram(GrsSpec(F, b, a, k))
     # the last loops evicted and refilled entries: every other vector missed
     # twice, and (b, a) once more after the full pass over the others
-    assert grs._power_sums.cache_info().misses == 2 + 2 * len(others)
+    assert grs._vector_table.cache_info().misses == 2 + 2 * len(others)
 
 
 def test_natural_gram_memo_keys_on_the_field():
@@ -353,14 +475,14 @@ def test_natural_gram_memo_keys_on_the_field():
     assert other is not conway
     rng = np.random.default_rng(16)
     b, a = _random_vector(conway, rng, 12, zero=True)
-    grs._power_sums.cache_clear()
+    grs._vector_table.cache_clear()
     grams = []
     for F in (conway, other, conway, other):
         spec = GrsSpec(F, b, a, 6)
         _assert_natural_gram(spec)
         grams.append(natural_gram(spec))
     assert not np.array_equal(grams[0], grams[1])
-    assert grs._power_sums.cache_info().misses == 2
+    assert grs._vector_table.cache_info().misses == 2
 
 
 def test_gram_rank_branches_con3e_con4e():

@@ -427,6 +427,75 @@ def test_rref_stack_matches_rref_system_by_system(KF):
     assert _rref_stack(KF, plain)[1] == [0, 2, 5, 7]
 
 
+def _rank_patterns(F, rng):
+    """Matrices whose nonzero patterns cover every path through
+    ``matrix_rank``: random ones of every density, low-rank products, and
+    zero, single-entry, permutation, path and cycle patterns with random and
+    with unit values."""
+    def fill(mask, ones=False):
+        vals = np.ones(mask.shape, dtype=np.int32) if ones else \
+            rng.integers(1, F.order, size=mask.shape).astype(np.int32)
+        return np.where(mask, vals, 0).astype(np.int32)
+
+    for shape in [(6, 9), (9, 6), (8, 8)]:
+        for density in (0.0, 0.05, 0.1, 0.2, 0.35, 0.6, 1.0):
+            yield fill(rng.random(shape) < density)
+    for rank in (1, 3, 5):
+        yield ref_mat_mul(F, sparse_random(F, (7, rank), rng),
+                          sparse_random(F, (rank, 8), rng))
+    for shape in [(0, 0), (0, 5), (5, 0), (1, 1), (4, 7)]:
+        yield np.zeros(shape, dtype=np.int32)
+    single = np.zeros((5, 6), dtype=bool)
+    single[3, 2] = True
+    yield fill(single)
+    n = 7
+    eye = np.eye(n, dtype=bool)
+    perm = eye[rng.permutation(n)]
+    path = eye | np.eye(n, k=1, dtype=bool)
+    cycle = path | np.eye(n, k=1 - n, dtype=bool)
+    for mask in (perm, path, cycle, path[:, rng.permutation(n)],
+                 cycle[rng.permutation(n)]):
+        yield fill(mask)
+        yield fill(mask, ones=True)
+    # isolated entries next to a dense block and a path component
+    mixed = np.zeros((9, 10), dtype=bool)
+    mixed[0, 9] = mixed[8, 0] = True
+    mixed[2:5, 2:5] = True
+    mixed[5, 6] = mixed[5, 7] = mixed[6, 7] = True
+    yield fill(mixed)
+
+
+def test_matrix_rank_matches_rref_rank(KF):
+    rng = np.random.default_rng(KF.order % 1000)
+    count = 0
+    for M in _rank_patterns(KF, rng):
+        assert matrix_rank(KF, M) == rref(KF, M)[1], M
+        count += 1
+    assert count > 40
+
+
+def test_matrix_rank_eliminates_only_what_the_pattern_leaves(F16,
+                                                              monkeypatch):
+    cells = []
+
+    def counting(F, M):
+        cells.append(np.size(M))
+        return rref(F, M)
+
+    monkeypatch.setattr(linalg_codes, "rref", counting)
+    rng = np.random.default_rng(5)
+    # a scaled permutation with zero rows and columns around it: no rref
+    M = np.zeros((8, 9), dtype=np.int32)
+    M[[0, 2, 3, 6], [8, 1, 4, 5]] = rng.integers(1, 16, size=4)
+    assert matrix_rank(F16, M) == 4 and cells == []
+    # one 2 x 2 path component next to two isolated entries: one 2 x 2 rref
+    M[1, 0] = M[1, 2] = M[4, 2] = 3
+    M[0, 8] = 0
+    assert matrix_rank(F16, M) == 5 and cells == [4]
+    with pytest.raises(ValueError, match="2-d"):
+        matrix_rank(F16, np.zeros(3, dtype=np.int32))
+
+
 def test_contains_rows_matches_reference(KF):
     rng = np.random.default_rng(22)
     C = random_code(KF, 7, 3, rng)

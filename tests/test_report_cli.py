@@ -350,6 +350,24 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert rc == 0 and proc.stdout == out
 
 
+def test_grs_sweep_leaves_numpy_ma_unimported():
+    # numpy.unique imports numpy.ma and inspect on its first call (numpy
+    # 2.4); the sweep's kernels must not pay that inside a timed run
+    src = str(Path(hermhull.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    probe = ("import sys, numpy; print('numpy.ma' in sys.modules); "
+             "from hermhull import cli; "
+             "rc = cli.run(['grs', 'sweep', '--q', '4']); "
+             "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.startswith("True"):
+        pytest.skip("import numpy alone loads numpy.ma here")
+    assert proc.stderr.split()[-2:] == ["0", "False"], proc.stderr
+
+
 def test_cli_internal_fault_exit_3(capsys, monkeypatch):
     from hermhull.gf import FieldContext
 
