@@ -301,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_DISTANCE_BUDGET,
                        help="cap on distance enumeration, of a code and of "
                             "its hull, counted as the order^k messages of "
-                            "the code although only the (order^k - 1)/"
-                            "(order - 1) normalised ones are visited")
+                            "the code; the (order^(k-1) - 1)/(order - 1) "
+                            "normalised prefixes are visited, and one line "
+                            "of order codewords is counted per prefix")
         p.add_argument("--timings", action="store_true")
 
     def budgets(p):

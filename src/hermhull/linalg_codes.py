@@ -113,15 +113,17 @@ def _rref_stack(F: FieldContext, R: np.ndarray
     """``rref`` of every system of a (B, rows, cols) stack at once.
 
     Returns (R, ranks, pivots), each system's part equal to what ``rref``
-    returns for it.  Only the loop over the columns is shared; every step
-    is still one elimination step of each system, so no matrix product is
-    taken.  Two phases:
+    returns for it.  Only log-table gathers and ``add_arr`` are used, so no
+    matrix product is taken.  Two phases:
 
     * The stack's common leading identity block of size m holds given
       pivots: column j < m pivots on row j with no search, swap or scaling,
-      and only rows m onward can be nonzero there.  Each column is one
-      rank-1 update of the trailing block R[:, m:, m:] (the pivot row is
-      zero on columns j+1..m-1), over the systems whose column is nonzero.
+      and only rows m onward can be nonzero there.  The pivot row is zero
+      on the other identity columns, so the m clearings are independent:
+      the trailing block R[:, m:, m:] gains the sum over j of
+      -R[:, m:, j] R[:, j, m:].  That sum is one product tensor of the
+      columns nonzero in some system, folded pairwise with ``add_arr``,
+      in row chunks of at most _HULL_STACK_CELLS cells (one row at least).
     * Columns m onward go one at a time: a pivot search per system from
       its own next row, the row swaps and pivot scalings of the systems
       that found one, and the clearing of the column in the rows that are
@@ -139,13 +141,20 @@ def _rref_stack(F: FieldContext, R: np.ndarray
     below = R[:, m:]
     lfac = zlog[F.neg_arr(below[:, :, :m])]
     lrow = zlog[R[:, :m, m:]]
-    live = below[:, :, :m].any(axis=1)
-    every = live.all(axis=0)
-    for j in np.flatnonzero(live.any(axis=0)):
-        act = slice(None) if every[j] else np.flatnonzero(live[:, j])
-        below[act, :, m:] = F.add_arr(
-            below[act, :, m:],
-            np.take(zexp, lfac[act, :, j, None] + lrow[act, j, None, :]))
+    live = np.flatnonzero(below[:, :, :m].any(axis=(0, 1)))
+    if live.size and cols > m:
+        lfac, lrow = lfac[:, :, live, None], lrow[:, None, live]
+        step = max(1, _HULL_STACK_CELLS // (B * live.size * (cols - m)))
+        for i in range(0, rows - m, step):
+            terms = np.take(zexp, lfac[:, i:i + step] + lrow)
+            width = live.size
+            while width > 1:
+                half = width // 2
+                terms[:, :, :half] = F.add_arr(terms[:, :, :half],
+                                               terms[:, :, width - half:width])
+                width -= half
+            below[:, i:i + step, m:] = F.add_arr(below[:, i:i + step, m:],
+                                                 terms[:, :, 0])
     below[:, :, :m] = 0
     row = np.full(B, m)
     is_pivot = np.zeros((B, cols), dtype=bool)
@@ -461,13 +470,14 @@ class LinearCode:
     # -- metric --------------------------------------------------------------
 
     def min_distance(self, budget: int = DEFAULT_BUDGET) -> int:
-        """Exact minimum weight by projective enumeration.
+        """Exact minimum weight by projective enumeration, line by line.
 
-        Visits the (order^k - 1)/(order - 1) messages whose first nonzero
-        coordinate is 1, since scaling a codeword keeps its weight.  The
-        budget still counts the full message space: BudgetExceededError is
-        raised when order^k exceeds it, and callers then fall back to
-        structural arguments.
+        Every codeword up to scaling is counted: the last generator row r
+        and the (order^(k-1) - 1)/(order - 1) normalised prefixes s of the
+        other rows, each with its whole line s + y r of order codewords in
+        one count (see ``_enumerate_min_weight``).  The budget still counts
+        the full message space: BudgetExceededError is raised when order^k
+        exceeds it, and callers then fall back to structural arguments.
         """
         if self._d is not None:
             return self._d
@@ -592,17 +602,39 @@ def _projective_blocks(F: FieldContext, gen: np.ndarray):
 
 
 def _enumerate_min_weight(F: FieldContext, gen: np.ndarray, budget: int) -> int:
+    """Exact minimum weight of the row space of gen, one line at a time.
+
+    With r = gen[-1], every normalised message is (0, ..., 0, 1), giving r,
+    or (m', y) with m' a normalised message of gen[:-1] and y free.  On the
+    line s + y r of a prefix codeword s, position j is zero for exactly one
+    y, namely -s_j / r_j, where r_j != 0, and for every y where r_j = s_j =
+    0.  So the most zeros on the line is #{j : r_j = s_j = 0} plus the
+    largest multiplicity among the values -s_j / r_j: one ``mul_arr`` and
+    one row-offset bincount of at most _BLOCK_CODEWORDS cells per chunk of
+    prefixes.
+    """
     k, n = gen.shape
     # the budget counts the full message space, not the projective part
     # walked, so the same codes pass this gate as under a full sweep
     if F.order ** k > budget:
         raise BudgetExceededError(
             f"enumerating {F.order}^{k} codewords exceeds budget {budget}")
-    best = n + 1
-    for block in _projective_blocks(F, gen):
-        m = int(np.count_nonzero(block, axis=1).min())
-        if m < best:
-            best = m
+    order = F.order
+    r = gen[-1]
+    nz = r != 0
+    off = ~nz
+    scale = F.neg_arr(F.inv_arr(r[nz]))[None, :]
+    step = max(1, _BLOCK_CODEWORDS // order)
+    best = int(np.count_nonzero(r))
+    for block in _projective_blocks(F, gen[:-1]):
+        for i in range(0, block.shape[0], step):
+            S = block[i:i + step]
+            both_zero = np.count_nonzero(S[:, off] == 0, axis=1)
+            roots = F.mul_arr(S[:, nz], scale)
+            roots += order * np.arange(S.shape[0], dtype=np.int32)[:, None]
+            mult = np.bincount(roots.ravel(), minlength=S.shape[0] * order)
+            zeros = both_zero + mult.reshape(-1, order).max(axis=1)
+            best = min(best, n - int(zeros.max()))
             if best == 1:
-                break
+                return best
     return best

@@ -53,14 +53,19 @@ def test_every_module_level_import_is_used():
     assert found == []
 
 
-def test_benchmark_tracer_installs_and_uninstalls():
-    # perfbench/tracer.py wraps functions by name, among them ag.lbasis and
-    # ag.evaluation_code, which nothing in the package calls any more;
-    # removing one would break traced benchmark runs without this test
+def load_benchmark_tracer():
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # perfbench/tracer.py wraps functions by name, among them ag.lbasis and
+    # ag.evaluation_code, which nothing in the package calls any more;
+    # removing one would break traced benchmark runs without this test
+    tracer = load_benchmark_tracer()
     from hermhull import ag
     originals = (ag.lbasis, ag.evaluation_code)
     t = tracer.Tracer()
@@ -71,3 +76,30 @@ def test_benchmark_tracer_installs_and_uninstalls():
     finally:
         t.uninstall()
     assert (ag.lbasis, ag.evaluation_code) == originals
+
+
+def test_benchmark_tracer_counts_order_to_the_k_codewords():
+    # perfbench/tracer.py wraps linalg_codes._enumerate_min_weight by name
+    # and reads its work, order^k, from args[0] (the field) and args[1]
+    # (the generator); the benchmark's enum.codewords counter depends on
+    # that signature
+    import numpy as np
+
+    from hermhull import gf, linalg_codes
+    tracer = load_benchmark_tracer()
+    original = linalg_codes._enumerate_min_weight
+    F = gf.quadratic_field(3)
+    C = linalg_codes.LinearCode.from_rows(
+        F, np.array([[1, 0, 0, 1, 2, 3], [0, 1, 0, 4, 5, 6],
+                     [0, 0, 1, 7, 8, 1]]))
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert linalg_codes._enumerate_min_weight is not original
+        d = C.min_distance()
+    finally:
+        t.uninstall()
+    assert linalg_codes._enumerate_min_weight is original
+    count = t.counts()["linalg_codes._enumerate_min_weight"]
+    assert count == {"calls": 1, "work": 9 ** 3, "work_max": 9 ** 3}
+    assert d == linalg_codes._enumerate_min_weight(F, C.gen, 10 ** 3)

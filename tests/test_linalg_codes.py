@@ -293,6 +293,114 @@ def test_projective_blocks_visit_each_point_once(request, field, k):
     assert multiples == nonzero
 
 
+def brute_force_min_weight(F, gen):
+    """The least weight of a codeword m gen over every nonzero message m."""
+    n = gen.shape[1]
+    words = np.zeros((1, n), dtype=np.int32)
+    for row in gen:
+        mults = F.mul_arr(np.arange(F.order, dtype=np.int32)[:, None],
+                          row[None, :])
+        words = F.add_arr(words[:, None, :], mults[None, :, :]).reshape(-1, n)
+    # the zero message comes first
+    return int(np.count_nonzero(words[1:], axis=1).min())
+
+
+def assert_min_weight(F, gen):
+    d = brute_force_min_weight(F, gen)
+    assert linalg_codes._enumerate_min_weight(F, gen, DEFAULT_BUDGET) == d
+    return d
+
+
+@pytest.mark.parametrize("field", ["F4", "F9", "F16", "F25"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_min_weight_lines_match_brute_force(request, field, k):
+    """Line counting against the whole row space: canonical generators,
+    the same codes under a random change of basis (so the last row has no
+    fixed zero pattern), and with an all-zero column inserted."""
+    F = request.getfixturevalue(field)
+    rng = np.random.default_rng(70 + 10 * k + F.order)
+    below_singleton = 0
+    for n in (k, k + 2, k + 5):
+        C = random_code(F, n, k, rng)
+        below_singleton += assert_min_weight(F, C.gen) < n - k + 1
+        assert C.min_distance() == brute_force_min_weight(F, C.gen)
+        while True:
+            T = rng.integers(0, F.order, size=(k, k)).astype(np.int32)
+            if rref(F, T)[1] == k:
+                break
+        assert_min_weight(F, mat_mul(F, T, C.gen))
+        assert_min_weight(F, np.insert(C.gen, n // 2, 0, axis=1))
+    if F.order <= 9 and k >= 2:
+        assert below_singleton > 0      # non-MDS codes are among them
+
+
+@pytest.mark.parametrize("field", ["F4", "F9", "F16", "F25"])
+def test_min_weight_lines_on_built_codes(request, field):
+    F = request.getfixturevalue(field)
+    rng = np.random.default_rng(80 + F.order)
+    # the last canonical row is zero at non-pivot columns 3, 4 and 6
+    last = np.zeros(8, dtype=np.int32)
+    last[[2, 5, 7]] = 1, F.alpha_pow(1), 1
+    C = LinearCode.from_rows(
+        F, np.vstack([rng.integers(0, F.order, size=(2, 8)), last]))
+    assert C.k == 3 and np.array_equal(C.gen[-1], last)
+    assert C.min_distance() == assert_min_weight(F, C.gen)
+    # all-zero columns, one of them last
+    Z = np.insert(random_code(F, 6, 3, rng).gen, [0, 3, 6], 0, axis=1)
+    assert LinearCode(F, 9, Z).min_distance() == assert_min_weight(F, Z)
+    # d = 1 only through a combination: no row has weight 1, but the first
+    # two differ in one position
+    g0 = np.ones(6, dtype=np.int32)
+    g1 = g0.copy()
+    g1[4] = 0
+    g2 = np.array([0, 1, F.alpha_pow(1), 1, 1, 1], dtype=np.int32)
+    gen = np.vstack([g0, g1, g2])
+    assert np.count_nonzero(gen, axis=1).min() > 1
+    assert assert_min_weight(F, gen) == 1
+    assert LinearCode(F, 6, gen).min_distance() == 1
+    # the best line takes most of its zeros where r_j = s_j = 0: r is zero
+    # on the last 4 columns and s on 3 of them, and the values -s_j / r_j
+    # on the first 4 columns repeat once, so d = 8 - 3 - 2 is below the
+    # weight 4 of r
+    r = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.int32)
+    s = np.array([1, 1, F.alpha_pow(1), F.alpha_pow(2), 0, 0, 0, 1],
+                 dtype=np.int32)
+    assert assert_min_weight(F, np.vstack([s, r])) == 3
+    assert_min_weight(F, np.vstack([np.ones_like(r), s, r]))
+
+
+def test_min_weight_lines_in_chunks(F9, monkeypatch):
+    """With _BLOCK_CODEWORDS at 81, each prefix block of 81 vectors over
+    GF(9) is counted in chunks of 9 rows, 81 bincount cells each."""
+    monkeypatch.setattr(linalg_codes, "_BLOCK_CODEWORDS", 81)
+    cells = []
+    bincount = np.bincount
+
+    def recording(x, weights=None, minlength=0):
+        cells.append(minlength)
+        return bincount(x, weights, minlength)
+
+    monkeypatch.setattr(np, "bincount", recording)
+    C = random_code(F9, 9, 4, np.random.default_rng(90))
+    d = C.min_distance()
+    monkeypatch.undo()
+    assert d == brute_force_min_weight(F9, C.gen)
+    # 91 prefixes: 81 from the first row, in 9 chunks, then 9 and 1
+    assert len(cells) == 11 and max(cells) == 81
+
+
+def test_min_weight_work_is_bounded(monkeypatch):
+    """A [80, 3] GRS code over GF(81) counts 82 lines of 81 codewords: at
+    most 4 field elements of add_arr and mul_arr per prefix and position.
+    Walking all 6,643 normalised codewords adds 557,280."""
+    F = quadratic_field(9)
+    spec = grs.GrsSpec(F, tuple(grs_b_full(F)[:80]), (1,) * 80, 3)
+    C = LinearCode.from_rows(F, spec.generator())
+    elements = counting_elements(monkeypatch, "add_arr", "mul_arr")
+    assert C.min_distance() == 78
+    assert elements[0] <= 4 * 82 * 80
+
+
 # ----------------------------------------------------------------------
 # dense kernels against scalar references built from F.add / F.mul
 # ----------------------------------------------------------------------
@@ -395,10 +503,12 @@ def test_rref_matches_scalar_reference(KF, rows, cols, rank):
     assert np.array_equal(R, R0)
 
 
-def test_rref_stack_matches_rref_system_by_system(KF):
+def test_rref_stack_matches_rref_system_by_system(KF, monkeypatch):
     """Every system of a stack reduces to what rref gives it alone, with
     zero columns, rank deficiency, row swaps and non-unit pivots, with and
-    without a common leading identity block."""
+    without a common leading identity block, with identity blocks of
+    length 1 and of an odd length above 64, and with the identity-block
+    update split into row chunks of one and of two rows."""
     rng = np.random.default_rng(31)
     rows, cols = 7, 9
 
@@ -415,15 +525,33 @@ def test_rref_stack_matches_rref_system_by_system(KF):
     block[2, :5, :5] = np.eye(5, dtype=np.int32)
     block[0, 3:, 1] = 0            # one system has nothing to clear there
     block[:, 3:, 2] = 0            # and no system has at column 2
-    assert (_leading_identity(plain), _leading_identity(block)) == (0, 3)
+    one = np.stack([low_rank(r) for r in (3, 6)])
+    one[:, :, 0] = np.eye(rows, 1, dtype=np.int32)[:, 0]
+    one[0, 1, 1] = 0               # the identity block stops at length 1
+    # an identity block of 65 columns, with 5 rows below it: column 7 is
+    # zero below the block in system 0 only, column 9 in every system
+    m, wide = 65, np.zeros((3, 70, 71), dtype=np.int32)
+    wide[:, :m, :m] = np.eye(m, dtype=np.int32)
+    wide[:, :m, m:] = sparse_random(KF, (3, m, 71 - m), rng)
+    wide[:, m:] = sparse_random(KF, (3, 70 - m, 71), rng)
+    wide[0, m:, 7] = 0
+    wide[:, m:, 9] = 0
+    wide[1, m + 2] = 0             # a zero row below the block
+    assert [_leading_identity(S) for S in (plain, block, one, wide)] == [
+        0, 3, 1, m]
     empty = np.zeros((2, 0, 4), dtype=np.int32)
-    for S in (plain, block, block[:1], empty):
-        R, ranks, pivots = _rref_stack(KF, S)
-        assert R.shape == S.shape and len(ranks) == len(pivots) == len(S)
-        for b in range(len(S)):
-            R0, r0, piv0 = rref(KF, S[b])
-            assert (ranks[b], pivots[b]) == (r0, piv0), b
-            assert np.array_equal(R[b], R0), b
+    live = (wide[:, m:, :m] != 0).any(axis=(0, 1)).sum()
+    row_cells = len(wide) * live * (wide.shape[2] - m)
+    for cells in (None, 1, 2 * row_cells):
+        if cells is not None:
+            monkeypatch.setattr(linalg_codes, "_HULL_STACK_CELLS", cells)
+        for S in (plain, block, block[:1], one, wide, empty):
+            R, ranks, pivots = _rref_stack(KF, S)
+            assert R.shape == S.shape and len(ranks) == len(pivots) == len(S)
+            for b in range(len(S)):
+                R0, r0, piv0 = rref(KF, S[b])
+                assert (ranks[b], pivots[b]) == (r0, piv0), (cells, b)
+                assert np.array_equal(R[b], R0), (cells, b)
     assert _rref_stack(KF, plain)[1] == [0, 2, 5, 7]
 
 
@@ -711,17 +839,26 @@ def two_point(F, family, k, **params):
     return ag.two_point_rows(F, diff, k)[2]
 
 
+def counting_elements(monkeypatch, *methods):
+    """Patch the named binary FieldContext methods to count the elements
+    they return, summed into one counter."""
+    count = [0]
+
+    def counting(method):
+        def wrapper(self, a, b):
+            count[0] += np.broadcast(np.asarray(a), np.asarray(b)).size
+            return method(self, a, b)
+        return wrapper
+
+    for name in methods:
+        monkeypatch.setattr(FieldContext, name,
+                            counting(getattr(FieldContext, name)))
+    return count
+
+
 def counting_additions(monkeypatch):
     """Patch FieldContext.add_arr to count the elements it adds."""
-    added = [0]
-    add_arr = FieldContext.add_arr
-
-    def counting(self, a, b):
-        added[0] += np.broadcast(np.asarray(a), np.asarray(b)).size
-        return add_arr(self, a, b)
-
-    monkeypatch.setattr(FieldContext, "add_arr", counting)
-    return added
+    return counting_elements(monkeypatch, "add_arr")
 
 
 def test_hermitian_hull_elimination_work_is_bounded(monkeypatch):
