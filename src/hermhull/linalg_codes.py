@@ -20,7 +20,8 @@ from .gf import FieldContext
 DEFAULT_BUDGET = 10 ** 8
 DEFAULT_DISTANCE_BUDGET = 10 ** 6
 
-#: max codewords in a single enumeration block
+#: max codewords in a single enumeration block, and max bincount cells
+#: (prefixes x order) of one chunk of lines in _enumerate_min_weight
 _BLOCK_CODEWORDS = 1 << 18
 
 #: max entries of one chunk of the a x b x c product tensor in mat_mul;
@@ -38,7 +39,8 @@ _FLOAT_EXACT = 1 << 53
 
 #: max cells (systems x n x n) of one stack of same-length Hermitian-hull
 #: systems in hermitian_hulls: 512 KB of int32, so a stack's transient
-#: stays far below the output's
+#: stays far below the output's; also the cap on one row chunk of the
+#: identity-block product tensor in _rref_stack
 _HULL_STACK_CELLS = 1 << 17
 
 
