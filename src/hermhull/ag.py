@@ -23,7 +23,7 @@ from . import polys, quantum
 from .gf import FieldContext, quadratic_field
 from .grs import GrsSpec
 from .linalg_codes import (DEFAULT_DISTANCE_BUDGET, LinearCode,
-                           gram_matrix, hermitian_hulls, matrix_rank, rref)
+                           gram_matrix, matrix_rank, rref)
 from .linalg_codes import mat_mul  # noqa: F401 -- perfbench wraps ag.mat_mul
 from .report import (STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED,
                      ConstructionReport)
@@ -444,25 +444,9 @@ def check_two_point_input(F: FieldContext, diff: DifferentialData, k: int,
     return p
 
 
-def two_point_rows(F: FieldContext, diff: DifferentialData, k: int,
-                   p: Optional[int] = None
-                   ) -> tuple[int, np.ndarray, LinearCode]:
-    """The extra place, the k + 2 scaled natural rows and the code of the
-    two-point construction on ``diff`` (see ``two_point_code``), after
-    ``check_two_point_input``."""
-    p = check_two_point_input(F, diff, k, p)
-    u = np.array(diff.points, dtype=np.int32)
-    pole = F.mul_arr(np.array(diff.witnesses, dtype=np.int32),
-                     F.inv_arr(F.add_arr(u, F.neg(p))))
-    scaled = np.vstack([GrsSpec(F, diff.points, diff.witnesses,
-                                k + 1).generator(), pole])
-    return p, scaled, LinearCode.from_rows(F, scaled, n=u.size)
-
-
 def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
                    p: Optional[int] = None,
-                   distance_budget: int = DEFAULT_DISTANCE_BUDGET,
-                   built: Optional[tuple[int, np.ndarray, LinearCode]] = None
+                   distance_budget: int = DEFAULT_DISTANCE_BUDGET
                    ) -> TwoPointResult:
     """Scaled evaluation code on G = kO + P with an MDS Hermitian hull.
 
@@ -475,13 +459,17 @@ def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
     branches are detected, never assumed: either the code is Hermitian
     self-orthogonal, or its hull has dimension k and is checked to be MDS.
     ``distance_budget`` caps both enumerations, of the code and of its hull,
-    counted as order^dim messages.  ``built`` is what ``two_point_rows``
-    returns for these inputs, when the caller built it already (``sweep``
-    does, to solve the hulls of many codes as one stack).
+    counted as order^dim messages.
     """
-    p, scaled, code = built or two_point_rows(F, diff, k, p)
+    p = check_two_point_input(F, diff, k, p)
     pts = diff.points
     q, n = F.q, len(pts)
+    u = np.array(pts, dtype=np.int32)
+    pole = F.mul_arr(np.array(diff.witnesses, dtype=np.int32),
+                     F.inv_arr(F.add_arr(u, F.neg(p))))
+    scaled = np.vstack([GrsSpec(F, pts, diff.witnesses, k + 1).generator(),
+                        pole])
+    code = LinearCode.from_rows(F, scaled, n=n)
 
     rep = ConstructionReport(
         construction={"module": "ag", "family": "two_point",
@@ -571,10 +559,9 @@ def sweep(q: int, distance_budget: int = DEFAULT_DISTANCE_BUDGET
     """Build and verify every grid instance of the three two-point
     families at q, yielding its grid parameters and its result.
 
-    The instances on one evaluation set (consecutive in the grid, all of
-    one length) go together: the set and its codes (``two_point_rows``)
-    are built once, one ``hermitian_hulls`` call solves their hulls, and
-    ``two_point_code`` runs once per instance on its built code.
+    The instances on one evaluation set (consecutive in the grid) share
+    one ``evaluation_set`` call, and ``two_point_code`` runs once per
+    instance on it.
     """
     F = quadratic_field(q)
     for family in ("COR1", "COR2", "COR3"):
@@ -582,11 +569,8 @@ def sweep(q: int, distance_budget: int = DEFAULT_DISTANCE_BUDGET
                 family_parameter_grid(family, q),
                 key=lambda g: {k: g[k] for k in ("s", "t", "n0") if k in g}):
             diff = evaluation_set(family, q, field=F, **kwargs)
-            built = [(params, two_point_rows(F, diff, params["k"]))
-                     for params in grid]
-            hermitian_hulls([code for _, (_, _, code) in built])
-            for params, rows in built:
-                res = two_point_code(F, diff, params["k"], built=rows,
+            for params in grid:
+                res = two_point_code(F, diff, params["k"],
                                      distance_budget=distance_budget)
                 yield params, _labelled(res, family, kwargs)
 

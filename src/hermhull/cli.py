@@ -136,7 +136,8 @@ def cmd_grs_construct(args) -> int:
 
 
 def cmd_grs_sweep(args) -> int:
-    families = args.families.split(",") if args.families else grs.FAMILIES
+    families = (grs.FAMILIES if args.families is None
+                else args.families.split(","))
     return _emit_reports(_grs_reports(args, families), args)
 
 

@@ -37,11 +37,10 @@ _BLAS_CHUNK = 1 << 18
 #: float64 represents every integer below this exactly
 _FLOAT_EXACT = 1 << 53
 
-#: max cells (systems x n x n) of one stack of same-length Hermitian-hull
-#: systems in hermitian_hulls: 512 KB of int32, so a stack's transient
-#: stays far below the output's; also the cap on one row chunk of the
-#: identity-block product tensor in _rref_stack
-_HULL_STACK_CELLS = 1 << 17
+#: max cells (rows x live identity columns x trailing columns) of one row
+#: chunk of the product tensor with which rref clears a leading identity
+#: block: 512 KB of int32
+_IDENTITY_CHUNK_CELLS = 1 << 17
 
 
 class BudgetExceededError(RuntimeError):
@@ -68,15 +67,42 @@ def rref(F: FieldContext, M: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     columns are cleared above and below.  The elimination works in the log
     domain (see ``FieldContext.zlog``) and only on the columns from the
     pivot onward: the pivot row is zero to their left.
+
+    A leading identity block R[:m, :m] = I holds given pivots: column
+    j < m pivots on row j with no swap or scaling, and its pivot row is zero
+    on the other identity columns, so the m clearings are independent.
+    Rows m onward gain the sum over j of -R[m:, j] R[j, m:] at once: the
+    product tensor of the identity columns nonzero below the block, folded
+    pairwise with ``add_arr``, in row chunks of at most
+    _IDENTITY_CHUNK_CELLS cells (one row at least).
     """
     R = np.array(M, dtype=np.int32, copy=True)
     if R.ndim != 2:
         raise ValueError("matrix must be 2-d")
     rows, cols = R.shape
     n1 = F.order - 1
-    pivots: list[int] = []
-    row = 0
-    for col in range(cols):
+    m = _leading_identity(R)
+    if m:
+        below = R[m:]
+        live = np.flatnonzero(below[:, :m].any(axis=0))
+        if live.size and cols > m:
+            lfac = F.zlog[F.neg_arr(below[:, live])][:, :, None]
+            lrow = F.zlog[R[live, m:]]
+            step = max(1, _IDENTITY_CHUNK_CELLS // (live.size * (cols - m)))
+            for i in range(0, rows - m, step):
+                terms = np.take(F.zexp, lfac[i:i + step] + lrow)
+                width = live.size
+                while width > 1:
+                    half = width // 2
+                    terms[:, :half] = F.add_arr(terms[:, :half],
+                                                terms[:, width - half:width])
+                    width -= half
+                below[i:i + step, m:] = F.add_arr(below[i:i + step, m:],
+                                                  terms[:, 0])
+        below[:, :m] = 0
+    pivots = list(range(m))
+    row = m
+    for col in range(m, cols):
         if row >= rows:
             break
         nz = np.nonzero(R[row:, col])[0]
@@ -103,93 +129,14 @@ def rref(F: FieldContext, M: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
 
 
 def _leading_identity(R: np.ndarray) -> int:
-    """The largest m with R[b, :m, :m] the identity for every system b."""
-    M = min(R.shape[1:])
-    bad = (R[:, :M, :M] != np.eye(M, dtype=R.dtype)).any(axis=0)
-    i, j = np.nonzero(bad)
-    return int(np.maximum(i, j).min()) if i.size else M
-
-
-def _rref_stack(F: FieldContext, R: np.ndarray
-                ) -> tuple[np.ndarray, list[int], list[list[int]]]:
-    """``rref`` of every system of a (B, rows, cols) stack at once.
-
-    Returns (R, ranks, pivots), each system's part equal to what ``rref``
-    returns for it.  Only log-table gathers and ``add_arr`` are used, so no
-    matrix product is taken.  Two phases:
-
-    * The stack's common leading identity block of size m holds given
-      pivots: column j < m pivots on row j with no search, swap or scaling,
-      and only rows m onward can be nonzero there.  The pivot row is zero
-      on the other identity columns, so the m clearings are independent:
-      the trailing block R[:, m:, m:] gains the sum over j of
-      -R[:, m:, j] R[:, j, m:].  That sum is one product tensor of the
-      columns nonzero in some system, folded pairwise with ``add_arr``,
-      in row chunks of at most _HULL_STACK_CELLS cells (one row at least).
-    * Columns m onward go one at a time: a pivot search per system from
-      its own next row, the row swaps and pivot scalings of the systems
-      that found one, and the clearing of the column in the rows that are
-      nonzero there, as (system, row) pairs.
-    """
-    R = np.array(R, dtype=np.int32, copy=True)
-    if R.ndim != 3:
-        raise ValueError("stack must be 3-d")
-    B, rows, cols = R.shape
-    n1 = F.order - 1
-    zlog, zexp = F.zlog, F.zexp
-    m = _leading_identity(R)
-    # phase 1 leaves rows < m and columns < m of rows m onward as they
-    # are until the end, so every factor and pivot row is read up front
-    below = R[:, m:]
-    lfac = zlog[F.neg_arr(below[:, :, :m])]
-    lrow = zlog[R[:, :m, m:]]
-    live = np.flatnonzero(below[:, :, :m].any(axis=(0, 1)))
-    if live.size and cols > m:
-        lfac, lrow = lfac[:, :, live, None], lrow[:, None, live]
-        step = max(1, _HULL_STACK_CELLS // (B * live.size * (cols - m)))
-        for i in range(0, rows - m, step):
-            terms = np.take(zexp, lfac[:, i:i + step] + lrow)
-            width = live.size
-            while width > 1:
-                half = width // 2
-                terms[:, :, :half] = F.add_arr(terms[:, :, :half],
-                                               terms[:, :, width - half:width])
-                width -= half
-            below[:, i:i + step, m:] = F.add_arr(below[:, i:i + step, m:],
-                                                 terms[:, :, 0])
-    below[:, :, :m] = 0
-    row = np.full(B, m)
-    is_pivot = np.zeros((B, cols), dtype=bool)
-    is_pivot[:, :m] = True
-    below_row = np.arange(rows)[None, :] >= row[:, None]
-    for col in range(m, cols):
-        cand = (R[:, :, col] != 0) & below_row
-        act = np.flatnonzero(cand.any(axis=1))
-        if not act.size:
-            continue
-        r = row[act]
-        found = np.argmax(cand[act], axis=1)
-        sw = np.flatnonzero(found != r)
-        if sw.size:
-            s, a, f = act[sw], r[sw], found[sw]
-            R[s, a], R[s, f] = R[s, f], R[s, a]
-        lrow = zlog[R[act, r, col:]]
-        lpv = lrow[:, 0]
-        if lpv.any():
-            R[act, r, col:] = zexp[lrow + (n1 - lpv)[:, None]]
-            lrow = zlog[R[act, r, col:]]
-        colvals = R[act, :, col]
-        colvals[np.arange(act.size), r] = 0
-        ai, ri = np.nonzero(colvals)
-        if ai.size:
-            lfac = zlog[F.neg_arr(colvals[ai, ri])]
-            si = act[ai]
-            R[si, ri, col:] = F.add_arr(
-                R[si, ri, col:], np.take(zexp, lfac[:, None] + lrow[ai]))
-        is_pivot[act, col] = True
-        below_row[act, r] = False
-        row[act] += 1
-    return R, row.tolist(), [np.flatnonzero(p).tolist() for p in is_pivot]
+    """The largest m with R[:m, :m] the identity, found within the leading
+    run of ones on the diagonal."""
+    if not (min(R.shape) and R[0, 0] == 1):
+        return 0
+    ones = np.diagonal(R) == 1
+    m = ones.size if ones.all() else int(np.argmin(ones))
+    i, j = np.nonzero(R[:m, :m] != np.eye(m, dtype=R.dtype))
+    return int(np.maximum(i, j).min()) if i.size else m
 
 
 def nullspace(F: FieldContext, M: np.ndarray) -> np.ndarray:
@@ -205,14 +152,11 @@ def _free_columns(n: int, pivots) -> np.ndarray:
     return np.flatnonzero(free)
 
 
-def _kernel_of_rref(F: FieldContext, R: np.ndarray, pivots,
-                    free: Optional[np.ndarray] = None) -> np.ndarray:
+def _kernel_of_rref(F: FieldContext, R: np.ndarray, pivots) -> np.ndarray:
     """Right kernel of a full-rank RREF matrix R with the given pivots: one
-    row per free column f, with 1 at f and -R[:, f] at the pivots.  The
-    free columns are computed unless given."""
+    row per free column f, with 1 at f and -R[:, f] at the pivots."""
     n = R.shape[1]
-    if free is None:
-        free = _free_columns(n, pivots)
+    free = _free_columns(n, pivots)
     basis = np.zeros((free.size, n), dtype=np.int32)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = F.neg_arr(R[:, free].T)
@@ -312,7 +256,6 @@ class LinearCode:
         gen.setflags(write=False)
         self.gen = gen
         self._d: Optional[int] = None
-        self._hull: Optional[LinearCode] = None
 
     # -- constructors ---------------------------------------------------
 
@@ -410,27 +353,24 @@ class LinearCode:
                                     n=self.n)
 
     def hermitian_hull(self) -> "LinearCode":
-        """Hull = C intersect C-perp-H: ``hermitian_hulls`` on this code
-        alone, or the hull a batch call already stored on it."""
-        return hermitian_hulls([self])[0]
-
-    def _hull_system(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stacked parity system [P; conj(G)] with its columns in
-        free-first order, and that order.
+        """Hull = C intersect C-perp-H: the kernel of the stacked parity
+        system [P; conj(G)], mapped back to the natural coordinates and
+        canonicalised.
 
         P = [-A^T | I] are the parity rows, whose identity sits on the
         code's free (non-pivot) columns (x in C <=> P x = 0), and conj(G)
         x = 0 <=> x in C-perp-H.  With the free columns first, the system
         opens with an identity block of n - k columns that is already
-        reduced, so each of those pivot steps updates only the k rows of
-        conj(G) (the fill-reducing order of Markowitz 1957).
+        reduced, and ``rref`` clears it from the k rows of conj(G) in one
+        reduction (the fill-reducing order of Markowitz 1957).  Elimination
+        only: no Gram matrix or product is taken, so the hull stays
+        independent of the Gram rank.
         """
         F, pivots = self.field, self._pivots()
-        free = _free_columns(self.n, pivots)
-        order = np.concatenate([free, pivots])
-        stacked = np.vstack([_kernel_of_rref(F, self.gen, pivots, free),
-                             conjugate(F, self.gen)])
-        return stacked[:, order], order
+        order = np.concatenate([_free_columns(self.n, pivots), pivots])
+        system = np.vstack([self.parity_rows(), conjugate(F, self.gen)])
+        kernel = nullspace(F, system[:, order])
+        return LinearCode.from_rows(F, kernel[:, np.argsort(order)], n=self.n)
 
     def gram(self) -> np.ndarray:
         return gram_matrix(self.field, self.gen)
@@ -514,35 +454,6 @@ class LinearCode:
     def set_structural_distance(self, d: int):
         """Record a distance certified by structure rather than enumeration."""
         self._d = int(d)
-
-
-def hermitian_hulls(codes: Sequence[LinearCode]) -> list[LinearCode]:
-    """The Hermitian hulls of ``codes`` (one field), from stacked solves.
-
-    Each hull is the kernel of the code's free-first system
-    ``LinearCode._hull_system``, mapped back to the natural coordinates and
-    canonicalised.  ``_rref_stack`` solves the systems of one length
-    together, at most _HULL_STACK_CELLS cells (or one system) per stack.
-    Elimination only: no Gram matrix or product is taken, so the hull stays
-    independent of the Gram rank.  A code keeps its hull, as it keeps its
-    distance, and is not solved again.
-    """
-    codes = list(codes)
-    for c in codes[1:]:
-        _check_same_field(codes[0], c)
-    todo = [c for c in codes if c._hull is None]
-    for n in dict.fromkeys(c.n for c in todo):
-        same = [c for c in todo if c.n == n]
-        size = max(1, _HULL_STACK_CELLS // max(1, n * n))
-        for i in range(0, len(same), size):
-            stack = same[i:i + size]
-            systems, orders = zip(*(c._hull_system() for c in stack))
-            R, ranks, pivots = _rref_stack(stack[0].field, np.stack(systems))
-            for b, c in enumerate(stack):
-                kernel = _kernel_of_rref(c.field, R[b, :ranks[b]], pivots[b])
-                c._hull = LinearCode.from_rows(
-                    c.field, kernel[:, np.argsort(orders[b])], n=n)
-    return [c._hull for c in codes]
 
 
 def _row_multiples(F: FieldContext, row: np.ndarray) -> np.ndarray:

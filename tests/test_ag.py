@@ -13,7 +13,7 @@ from hermhull.ag import (Divisor, O, RationalFunction, default_extra_point,
 from hermhull.gf import make_field, quadratic_field
 from hermhull.grs import GrsSpec
 from hermhull.linalg_codes import (DEFAULT_BUDGET, LinearCode, conjugate,
-                                   hermitian_hulls, mat_mul)
+                                   mat_mul)
 from hermhull.report import STATUS_FAIL, STATUS_PASS, ConstructionReport
 
 
@@ -397,22 +397,15 @@ def test_two_point_family_computes_residues_once(monkeypatch):
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_sweep_builds_each_evaluation_set_once(q, monkeypatch):
-    """ag.sweep builds each evaluation set once and solves the hulls of its
-    codes, all of one length, with one hermitian_hulls call; it yields the
-    grid in order, with the reports two_point_family gives instance by
-    instance."""
-    sets, batches = [], []
+    """ag.sweep builds each evaluation set once; it yields the grid in
+    order, with the reports two_point_family gives instance by instance."""
+    sets = []
 
     def counted_set(family, q, **kwargs):
         sets.append((family, tuple(sorted(kwargs.items()))))
         return evaluation_set(family, q, **kwargs)
 
-    def counted_hulls(codes):
-        batches.append([C.n for C in codes])
-        return hermitian_hulls(codes)
-
     monkeypatch.setattr(ag, "evaluation_set", counted_set)
-    monkeypatch.setattr(ag, "hermitian_hulls", counted_hulls)
     swept = list(ag.sweep(q))
     monkeypatch.undo()
     grid = [(family, params) for family in ("COR1", "COR2", "COR3")
@@ -422,9 +415,6 @@ def test_sweep_builds_each_evaluation_set_once(q, monkeypatch):
                 for family, params in grid}
     assert len(sets) == len(set(sets)) == len(distinct)
     assert q != 9 or len(distinct) == 45
-    assert len(batches) == len(distinct)
-    assert all(len(set(lengths)) == 1 for lengths in batches)
-    assert sum(map(len, batches)) == len(grid)
     assert [params for params, _ in swept] == [params for _, params in grid]
     F = quadratic_field(q)
     for (family, params), (_, res) in zip(grid, swept):

@@ -103,3 +103,31 @@ def test_benchmark_tracer_counts_order_to_the_k_codewords():
     count = t.counts()["linalg_codes._enumerate_min_weight"]
     assert count == {"calls": 1, "work": 9 ** 3, "work_max": 9 ** 3}
     assert d == linalg_codes._enumerate_min_weight(F, C.gen, 10 ** 3)
+
+
+def test_benchmark_tracer_sees_every_two_point_hull():
+    # perfbench/tracer.py wraps LinearCode.hermitian_hull by name and counts
+    # the code length as its work; ag.sweep must solve each instance's hull
+    # through it, so that the elimination lies inside a traced span
+    import numpy as np
+
+    from hermhull import ag, linalg_codes
+    tracer = load_benchmark_tracer()
+    original = linalg_codes.LinearCode.hermitian_hull
+    t = tracer.Tracer()
+    try:
+        t.install()
+        results = [res for _, res in ag.sweep(5)]
+    finally:
+        t.uninstall()
+    assert linalg_codes.LinearCode.hermitian_hull is original
+    count = t.counts()["linalg_codes.LinearCode.hermitian_hull"]
+    assert len(results) > 1
+    assert count["calls"] == len(results)
+    assert count["work"] == sum(res.code.n for res in results)
+    spans = t.spans()
+    names = np.array(t.names)[spans["name"]]
+    parents = spans["parent"][names == "linalg_codes.nullspace"]
+    parents = names[parents[parents >= 0]]
+    assert (parents == "linalg_codes.LinearCode.hermitian_hull").sum() \
+        == len(results)

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -7,9 +5,8 @@ from hermhull import ag, grs, linalg_codes
 from hermhull.gf import FieldContext, make_field, quadratic_field
 from hermhull.linalg_codes import (DEFAULT_BUDGET, BudgetExceededError,
                                    FieldMismatchError, LinearCode,
-                                   _leading_identity, _rref_stack, conjugate,
-                                   gram_matrix, hermitian_hulls, mat_mul,
-                                   matrix_rank, nullspace, rref)
+                                   _leading_identity, conjugate, gram_matrix,
+                                   mat_mul, matrix_rank, nullspace, rref)
 
 from conftest import grs_b_full, random_code
 
@@ -504,12 +501,25 @@ def test_rref_matches_scalar_reference(KF, rows, cols, rank):
     assert np.array_equal(R, R0)
 
 
-def test_rref_stack_matches_rref_system_by_system(KF, monkeypatch):
-    """Every system of a stack reduces to what rref gives it alone, with
-    zero columns, rank deficiency, row swaps and non-unit pivots, with and
-    without a common leading identity block, with identity blocks of
-    length 1 and of an odd length above 64, and with the identity-block
-    update split into row chunks of one and of two rows."""
+def _with_identity(M, m):
+    """M with R[:m, :m] = I and a zero at (m, m), so that its leading
+    identity block has length exactly m."""
+    M = M.copy()
+    M[:m, :m] = np.eye(m, dtype=np.int32)
+    if m < min(M.shape):
+        M[m, m] = 0
+    return M
+
+
+def test_rref_clears_a_leading_identity_block_like_the_reference(
+        KF, monkeypatch):
+    """rref equals the scalar reference with and without a leading
+    identity block: zero columns, rank deficiency, row swaps and non-unit
+    pivots; identity blocks of length 1, 3, 5 and 65, with columns zero
+    below the block; a diagonal of ones whose block has a nonzero
+    off-diagonal entry; [I | A] and a square identity; empty matrices; and
+    the identity-block update split into row chunks of one and of two
+    rows."""
     rng = np.random.default_rng(31)
     rows, cols = 7, 9
 
@@ -517,43 +527,52 @@ def test_rref_stack_matches_rref_system_by_system(KF, monkeypatch):
         return ref_mat_mul(KF, sparse_random(KF, (rows, rank), rng),
                            sparse_random(KF, (rank, cols), rng))
 
-    plain = np.stack([low_rank(r) for r in (0, 2, 5, 7)])
-    plain[1][:, [0, 3]] = 0        # zero columns
-    plain[2, 0] = 0                # a zero first row: the pivot needs a swap
-    plain[3, 0, 0] = 2             # a non-unit first pivot
-    block = np.stack([low_rank(r) for r in (1, 4, 6)])
-    block[:, :3, :3] = np.eye(3, dtype=np.int32)
-    block[2, :5, :5] = np.eye(5, dtype=np.int32)
-    block[0, 3:, 1] = 0            # one system has nothing to clear there
-    block[:, 3:, 2] = 0            # and no system has at column 2
-    one = np.stack([low_rank(r) for r in (3, 6)])
-    one[:, :, 0] = np.eye(rows, 1, dtype=np.int32)[:, 0]
-    one[0, 1, 1] = 0               # the identity block stops at length 1
-    # an identity block of 65 columns, with 5 rows below it: column 7 is
-    # zero below the block in system 0 only, column 9 in every system
-    m, wide = 65, np.zeros((3, 70, 71), dtype=np.int32)
-    wide[:, :m, :m] = np.eye(m, dtype=np.int32)
-    wide[:, :m, m:] = sparse_random(KF, (3, m, 71 - m), rng)
-    wide[:, m:] = sparse_random(KF, (3, 70 - m, 71), rng)
-    wide[0, m:, 7] = 0
-    wide[:, m:, 9] = 0
-    wide[1, m + 2] = 0             # a zero row below the block
-    assert [_leading_identity(S) for S in (plain, block, one, wide)] == [
-        0, 3, 1, m]
-    empty = np.zeros((2, 0, 4), dtype=np.int32)
-    live = (wide[:, m:, :m] != 0).any(axis=(0, 1)).sum()
-    row_cells = len(wide) * live * (wide.shape[2] - m)
+    cases = [(low_rank(0), 0)]
+    M = low_rank(2)
+    M[:, [0, 3]] = 0               # zero columns
+    cases.append((M, 0))
+    M = low_rank(5)
+    M[0] = 0                       # a zero first row: the pivot needs a swap
+    cases.append((M, 0))
+    M = low_rank(7)
+    M[0, 0] = 2                    # a non-unit first pivot
+    cases.append((M, 0))
+    for rank, m, zero_below in ((1, 3, [1, 2]), (4, 3, [2]), (6, 5, [2])):
+        M = _with_identity(low_rank(rank), m)
+        M[m:, zero_below] = 0      # nothing to clear in those columns
+        cases.append((M, m))
+    cases += [(_with_identity(low_rank(r), 1), 1) for r in (3, 6)]
+    # a diagonal of ones whose block has a nonzero off-diagonal entry
+    M = _with_identity(low_rank(5), 6)
+    M[1, 3] = 1
+    cases.append((M, 3))
+    # [I | A] (m = rows) and a square identity
+    A = sparse_random(KF, (4, 5), rng)
+    cases += [(np.hstack([np.eye(4, dtype=np.int32), A]), 4),
+              (np.eye(6, dtype=np.int32), 6)]
+    # an identity block of 65 columns with 5 rows below it: columns 7 and 9
+    # are zero below the block, and one row below it is zero
+    m, wide = 65, np.zeros((70, 71), dtype=np.int32)
+    wide[:m, m:] = sparse_random(KF, (m, 71 - m), rng)
+    wide[m:] = sparse_random(KF, (70 - m, 71), rng)
+    wide = _with_identity(wide, m)
+    wide[m:, [7, 9]] = 0
+    wide[m + 2] = 0
+    cases.append((wide, m))
+    cases += [(np.zeros((0, 4), dtype=np.int32), 0),
+              (np.zeros((4, 0), dtype=np.int32), 0)]
+    assert [_leading_identity(M) for M, _ in cases] == [m for _, m in cases]
+    expected = [ref_rref(KF, M) for M, _ in cases]
+    live = (wide[m:, :m] != 0).any(axis=0).sum()
+    row_cells = live * (wide.shape[1] - m)
     for cells in (None, 1, 2 * row_cells):
         if cells is not None:
-            monkeypatch.setattr(linalg_codes, "_HULL_STACK_CELLS", cells)
-        for S in (plain, block, block[:1], one, wide, empty):
-            R, ranks, pivots = _rref_stack(KF, S)
-            assert R.shape == S.shape and len(ranks) == len(pivots) == len(S)
-            for b in range(len(S)):
-                R0, r0, piv0 = rref(KF, S[b])
-                assert (ranks[b], pivots[b]) == (r0, piv0), (cells, b)
-                assert np.array_equal(R[b], R0), (cells, b)
-    assert _rref_stack(KF, plain)[1] == [0, 2, 5, 7]
+            monkeypatch.setattr(linalg_codes, "_IDENTITY_CHUNK_CELLS", cells)
+        for i, ((M, _), (R0, r0, piv0)) in enumerate(zip(cases, expected)):
+            R, r, piv = rref(KF, M)
+            assert (r, piv) == (r0, piv0), (cells, i)
+            assert np.array_equal(R, R0), (cells, i)
+    assert [r for _, r, _ in expected[:4]] == [0, 2, 5, 7]
 
 
 def _rank_patterns(F, rng):
@@ -743,52 +762,22 @@ def test_hermitian_hull_matches_natural_order_solve(q):
     assert lcd.hermitian_hull().k == 0
 
 
-def recording_stacks(monkeypatch):
-    """Patch _rref_stack to record the (B, N, N) shape of every stack."""
-    shapes = []
-    solve = linalg_codes._rref_stack
-
-    def recording(F, S):
-        shapes.append(S.shape)
-        return solve(F, S)
-
-    monkeypatch.setattr(linalg_codes, "_rref_stack", recording)
-    return shapes
-
-
 @pytest.mark.parametrize("cells", [None, 300])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_hermitian_hulls_match_reference_on_mixed_batches(q, cells,
                                                           monkeypatch):
-    """One hermitian_hulls call equals the natural-order solve code by code
-    on random codes of lengths 5, 8 and 10 with k in {0, 1, n//2, n-1, n},
-    a self-orthogonal code and an LCD code.  Each stack holds codes of one
-    length; a bound of 300 cells splits a length's codes into stacks of at
-    most 300 // n^2."""
+    """Each code's hull equals the natural-order solve on random codes of
+    lengths 5, 8 and 10 with k in {0, 1, n//2, n-1, n}, a self-orthogonal
+    code and an LCD code, with the identity-block chunks at their default
+    cap and at 300 cells."""
     F = quadratic_field(q)
     if cells is not None:
-        monkeypatch.setattr(linalg_codes, "_HULL_STACK_CELLS", cells)
-    shapes = recording_stacks(monkeypatch)
+        monkeypatch.setattr(linalg_codes, "_IDENTITY_CHUNK_CELLS", cells)
     rng = np.random.default_rng(70 + q)
     codes = [C for n in (8, 5, 10) for C in codes_for_duality(F, n, rng)]
     codes += self_orthogonal_and_lcd(F)
-    hulls = hermitian_hulls(codes)
-    for C, hull in zip(codes, hulls):
-        assert hull == ref_hermitian_hull(C), (C.n, C.k)
-        assert C.hermitian_hull() is hull
-    assert sum(B for B, _, _ in shapes) == len(codes)
-    # no padding: the stacks of n x n systems hold exactly the codes of
-    # length n
-    per_length = Counter()
-    for B, N, cols in shapes:
-        assert N == cols
-        per_length[N] += B
-    assert per_length == Counter(C.n for C in codes)
-    if cells is None:
-        assert len(shapes) == len(per_length)
-    else:
-        assert all(B * N * N <= cells for B, N, _ in shapes if B > 1)
-        assert len(shapes) > len(per_length)
+    for C in codes:
+        assert C.hermitian_hull() == ref_hermitian_hull(C), (C.n, C.k)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
@@ -809,16 +798,20 @@ def test_hermitian_hull_on_every_two_point_instance(q):
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_hermitian_hulls_of_the_whole_two_point_grid_in_one_call(q):
+    """The hull of every two-point grid code, of several lengths, equals
+    the natural-order solve.  (The name dates from a batched solve; each
+    hull is solved per code.)"""
     F = quadratic_field(q)
     codes = []
     for family in ("COR1", "COR2", "COR3"):
         for params in ag.family_parameter_grid(family, q):
             kw = {n: params[n] for n in ("s", "t", "n0") if n in params}
             diff = ag.evaluation_set(family, q, field=F, **kw)
-            codes.append(ag.two_point_rows(F, diff, params["k"])[2])
+            codes.append(ag.two_point_code(F, diff, params["k"],
+                                           distance_budget=0).code)
     assert len({C.n for C in codes}) > 1
-    for C, hull in zip(codes, hermitian_hulls(codes)):
-        assert hull == ref_hermitian_hull(C), (C.n, C.k)
+    for C in codes:
+        assert C.hermitian_hull() == ref_hermitian_hull(C), (C.n, C.k)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -837,7 +830,7 @@ def test_hermitian_hull_on_every_grs_instance_in_budget(q):
 def two_point(F, family, k, **params):
     """The code of a two-point grid instance."""
     diff = ag.evaluation_set(family, F.q, field=F, **params)
-    return ag.two_point_rows(F, diff, k)[2]
+    return ag.two_point_code(F, diff, k, distance_budget=0).code
 
 
 def counting_elements(monkeypatch, *methods):
@@ -866,9 +859,8 @@ def test_hermitian_hull_elimination_work_is_bounded(monkeypatch):
     """The free-first stacked solve of the [110, 11] COR2 code (t = 10,
     k = 9) over GF(121) adds at most dim * n^2 field elements; the
     leftmost-first order of the same solve adds 654,486 in its nullspace
-    alone.  A batch of two-point codes of several lengths adds at most the
-    sum of dim * n^2, and two codes of one length and dimension cost the
-    same in one stack as solved alone."""
+    alone.  Two-point codes of several lengths, and random codes of one
+    length and several dimensions, add at most the sum of dim * n^2."""
     F = quadratic_field(11)
     C = two_point(F, "COR2", 9, t=10)
     assert (C.n, C.k) == (110, 11)
@@ -882,24 +874,15 @@ def test_hermitian_hull_elimination_work_is_bounded(monkeypatch):
 
     codes = batch()
     added[0] = 0
-    hulls = hermitian_hulls(codes)
+    hulls = [D.hermitian_hull() for D in codes]
     assert added[0] <= sum(D.k * D.n ** 2 for D in codes)
 
     rng = np.random.default_rng(61)
-    pair = [random_code(F, 40, 6, rng) for _ in range(2)]
-    added[0] = 0
-    hermitian_hulls([LinearCode(F, D.n, D.gen) for D in pair])
-    together = added[0]
-    added[0] = 0
-    for D in pair:
-        D.hermitian_hull()
-    assert together == added[0] > 0
-    # codes of one length and several dimensions share the identity block
-    # of the largest: still within the sum of dim * n^2
     mixed = [random_code(F, 40, k, rng) for k in (6, 10)]
     added[0] = 0
-    hermitian_hulls(mixed)
-    assert added[0] <= sum(D.k * D.n ** 2 for D in mixed)
+    for D in mixed:
+        D.hermitian_hull()
+    assert 0 < added[0] <= sum(D.k * D.n ** 2 for D in mixed)
     monkeypatch.undo()
     assert hull == ref_hermitian_hull(C)
     for D, H in zip(batch(), hulls):
@@ -907,8 +890,8 @@ def test_hermitian_hull_elimination_work_is_bounded(monkeypatch):
 
 
 def test_hermitian_hull_uses_no_gram_product(F16, monkeypatch):
-    """The stacked solve stays independent of the Gram-rank method, for one
-    code and for a batch of several lengths."""
+    """The hull solve stays independent of the Gram-rank method, for codes
+    of several lengths."""
 
     def refuse(*args):
         raise AssertionError("hermitian_hull must not multiply matrices")
@@ -919,7 +902,7 @@ def test_hermitian_hull_uses_no_gram_product(F16, monkeypatch):
     monkeypatch.setattr(linalg_codes, "mat_mul", refuse)
     monkeypatch.setattr(linalg_codes, "gram_matrix", refuse)
     hull = C.hermitian_hull()
-    hulls = hermitian_hulls(codes)
+    hulls = [D.hermitian_hull() for D in codes]
     monkeypatch.undo()
     assert hull == ref_hermitian_hull(C)
     for D, H in zip(codes, hulls):

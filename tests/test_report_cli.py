@@ -435,6 +435,22 @@ def test_cli_construction_input_errors_exit_2(capsys):
     assert "need 0 <= k" in err and "extra place" in err
 
 
+def test_cli_grs_sweep_refuses_an_empty_family_list(capsys, monkeypatch):
+    # an explicitly empty --families names the family '', as a trailing
+    # comma does; only an absent --families means all eight
+    from hermhull import grs
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran on an empty family list")
+
+    monkeypatch.setattr(grs, "sweep", no_sweep)
+    assert cli.run(["grs", "sweep", "--q", "5", "--families", ""]) == 2
+    assert cli.run(["grs", "sweep", "--q", "5", "--families", "CON1,"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("unknown family ''") == 2
+
+
 def test_cli_field_modulus_needs_prime_power(capsys):
     rc = cli.run(["ag", "grow", "--q", "6", "--field-modulus", "1,1,1"])
     captured = capsys.readouterr()
