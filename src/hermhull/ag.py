@@ -12,20 +12,21 @@ controlled dimension.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import polys, quantum
 from .gf import FieldContext, quadratic_field
-from .grs import GrsSpec
+from .grs import _VECTOR_CACHE, GrsSpec, natural_gram
 from .linalg_codes import (DEFAULT_DISTANCE_BUDGET, LinearCode,
-                           gram_matrix, matrix_rank, rref)
-from .linalg_codes import mat_mul  # noqa: F401 -- perfbench wraps ag.mat_mul
-from .report import (STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED,
+                           _enumerate_min_weight, conjugate, gram_matrix,
+                           mat_mul, matrix_rank, rref)
+from .report import (STATUS_FAIL, STATUS_PASS, STATUS_STRUCTURAL,
                      ConstructionReport)
 
 
@@ -406,19 +407,87 @@ def default_extra_point(F: FieldContext, points: Sequence[int]) -> int:
 # the two-point construction
 # ----------------------------------------------------------------------
 
+class _PairCertificate(NamedTuple):
+    """One evaluation set u with norm witnesses a and extra place p, at its
+    largest admissible K = (n - 2) // (q + 1): the code vector c =
+    a/(u - p), the hull vector h = a (u - p), ``rows`` = the scaled rows
+    a u^i (i <= K), the pole row c and the hull rows h u^i (i < K), and
+    the ``fault`` of ``_certify`` on them ("" when they passed)."""
+
+    K: int
+    c: tuple[int, ...]
+    h: tuple[int, ...]
+    rows: np.ndarray
+    fault: str
+
+
+@functools.lru_cache(maxsize=_VECTOR_CACHE)
+def _pair_certificate(F: FieldContext, pts: tuple, a: tuple,
+                      p: int) -> _PairCertificate:
+    K = (len(pts) - 2) // (F.q + 1)
+    shift = F.add_arr(np.asarray(pts, dtype=np.int32), F.neg(p))
+    av = np.asarray(a, dtype=np.int32)
+    cv = F.mul_arr(av, F.inv_arr(shift))
+    c, h = tuple(cv.tolist()), tuple(F.mul_arr(av, shift).tolist())
+    rows = np.vstack([GrsSpec(F, pts, a, K + 1).generator(), cv,
+                      GrsSpec(F, pts, h, K).generator()])
+    rows.setflags(write=False)
+    fault = _certify(F, GrsSpec(F, pts, c, K + 2).generator(), rows)
+    return _PairCertificate(K, c, h, rows, fault)
+
+
+def _certify(F: FieldContext, G: np.ndarray, rows: np.ndarray) -> str:
+    """"" when the 2K + 2 ``rows`` of a ``_PairCertificate`` pass the
+    checks that ``two_point_code`` rests on, else the one that failed.
+
+    G = (c u^l)_{l < K+2} is the natural generator of GRS_{K+2}(u, c).  The
+    coefficients X of ``rows`` on G are solved on the first K + 2 columns,
+    where G is an invertible Vandermonde block times diag(c), and X G must
+    give ``rows`` back exactly.  Then X must show the degree pattern, and
+    the cross block of the hull rows with conj(G) must vanish.
+    """
+    m = len(G)
+    R, _, _ = rref(F, np.hstack([G[:, :m].T, rows[:, :m].T]))
+    X = R[:, m:].T
+    # per row, its degree bound on G; the first m rows attain it
+    deg = np.concatenate([np.arange(1, m), [0], np.arange(2, m)])
+    if not (np.array_equal(R[:, :m], np.eye(m, dtype=R.dtype))
+            and np.array_equal(mat_mul(F, X, G), rows)):
+        return f"the scaled and hull rows are not in GRS_{m}(u, c)"
+    if (X[np.arange(m)[None, :] > deg[:, None]].any()
+            or not X[np.arange(m), deg[:m]].all()):
+        return f"the rows break the degree pattern on GRS_{m}(u, c)"
+    if mat_mul(F, rows[m:], conjugate(F, G).T).any():
+        return (f"GRS_{m - 2}(u, h) is not Hermitian-orthogonal to "
+                f"GRS_{m}(u, c)")
+    return ""
+
+
 @dataclass
 class TwoPointResult:
+    """A two-point instance and its report.  ``code`` and ``hull`` are
+    built on first use, in closed form, from ``code_spec`` and
+    ``hull_spec``; they are the code and its Hermitian hull when the report
+    passes."""
+
     field: FieldContext
     points: tuple[int, ...]
     k: int
     p: int
     diff: DifferentialData
-    code: LinearCode
     scaled_rows: np.ndarray       # k+2 natural generator rows, scaled; the
                                   # first k+1 span the self-orthogonal part
-    branch: int                   # 1: self-orthogonal, 2: hull of dimension k
-    hull: LinearCode
+    code_spec: GrsSpec            # GRS_{k+2}(u, a/(u-p)), their span
+    hull_spec: GrsSpec            # GRS_k(u, a(u-p))
     report: ConstructionReport
+
+    @functools.cached_property
+    def code(self) -> LinearCode:
+        return self.code_spec.code()
+
+    @functools.cached_property
+    def hull(self) -> LinearCode:
+        return self.hull_spec.code()
 
 
 def check_two_point_input(F: FieldContext, diff: DifferentialData, k: int,
@@ -444,6 +513,23 @@ def check_two_point_input(F: FieldContext, diff: DifferentialData, k: int,
     return p
 
 
+def _distance_check(rep: ConstructionReport, name: str, F: FieldContext,
+                    gen: np.ndarray, d: int, budget: int, fault: str,
+                    proof: str) -> tuple[str, Optional[int]]:
+    """Check that the row space of the full-rank ``gen`` has distance d:
+    FAIL on a ``fault`` of its proof, enumerated when order^rows is within
+    ``budget``, else structural by ``proof``.  Returns (d_kind, d)."""
+    if fault:
+        rep.check(name, STATUS_FAIL, expected=d, note=fault)
+        return "failed", None
+    if F.order ** len(gen) <= budget:
+        measured = _enumerate_min_weight(F, gen, budget)
+        ok = rep.check_eq(name, d, measured, note="enumerated")
+        return ("enumerated" if ok else "failed"), measured
+    rep.check(name, STATUS_STRUCTURAL, expected=d, note=proof)
+    return "structural", d
+
+
 def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
                    p: Optional[int] = None,
                    distance_budget: int = DEFAULT_DISTANCE_BUDGET
@@ -454,85 +540,67 @@ def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
     or ``residues`` return it.  The scaling solves a_i^(q+1) = Res_i(dx/h)
     (after the canonical constant rescale when needed).  On the genus-0
     line C_L(D, kO + P) is GRS_{k+2}(u, 1/(u-p)), so the natural rows are
-    those of GRS_{k+1}(u, a) over the single pole row a/(u-p); rows[:k+1]
-    span a.C_L(D, kO) and rows[[0, k+1]] span a.C_L(D, P).  The two
-    branches are detected, never assumed: either the code is Hermitian
-    self-orthogonal, or its hull has dimension k and is checked to be MDS.
-    ``distance_budget`` caps both enumerations, of the code and of its hull,
-    counted as order^dim messages.
+    those of GRS_{k+1}(u, a) over the single pole row c = a/(u-p); rows[:k+1]
+    span a.C_L(D, kO) and rows[[0, k+1]] span a.C_L(D, P).
+
+    One certificate per evaluation set and p (``_pair_certificate``), at
+    the set's largest K, covers every k <= K.  On the natural basis
+    (c u^l)_{l < K+2} of GRS_{K+2}(u, c) the scaled rows a u^i have degree
+    i + 1 exactly and the pole row c degree 0, so the k + 2 scaled rows of
+    instance k are triangular on its first k + 2 rows: the code is
+    GRS_{k+2}(u, c).  Hull row h u^i, h = a (u - p), has degree at most
+    i + 2 <= k + 1, so GRS_k(u, h) lies in the code, and the K x (K + 2)
+    cross block of the hull rows with conj of that basis vanishes, so its
+    corner for k does: GRS_k(u, h) lies in the Hermitian hull
+    (``_certify``).  The report then reads four checks off the Gram
+    blocks of the set's two vectors (``natural_gram``; Fang, Fu, Li and
+    Zhu, IEEE T-IT 66(6), 2020):
+
+    * ``one_point_self_orthogonal``: the k+1 x k+1 block of a vanishes;
+    * ``hull_dim``: (k + 2) - rank of the k+2 x k+2 block of c is k, so
+      the hull is GRS_k(u, h) (the control of Luo, Cao and Chen, IEEE T-IT
+      65(5), 2019); a self-orthogonal code measures k + 2 and fails;
+    * ``code_distance`` n - k - 1 and ``hull_mds`` n - k + 1: enumerated
+      on the scaled and the hull rows when order^dim is within
+      ``distance_budget``, else structural, as both are GRS codes.
+
+    No elimination of the code or its hull runs.
     """
     p = check_two_point_input(F, diff, k, p)
-    pts = diff.points
+    pts, a = diff.points, diff.witnesses
     q, n = F.q, len(pts)
-    u = np.array(pts, dtype=np.int32)
-    pole = F.mul_arr(np.array(diff.witnesses, dtype=np.int32),
-                     F.inv_arr(F.add_arr(u, F.neg(p))))
-    scaled = np.vstack([GrsSpec(F, pts, diff.witnesses, k + 1).generator(),
-                        pole])
-    code = LinearCode.from_rows(F, scaled, n=n)
+    cert = _pair_certificate(F, pts, a, p)
+    scaled = np.vstack([cert.rows[:k + 1], cert.rows[cert.K + 1:cert.K + 2]])
+    code, hull = GrsSpec(F, pts, cert.c, k + 2), GrsSpec(F, pts, cert.h, k)
 
     rep = ConstructionReport(
         construction={"module": "ag", "family": "two_point",
                       "parameters": {"q": q, "n": n, "k": k,
                                      "p": F.log_of(p) if p else -1}},
         field=F.describe())
-    rep.check_eq("code_length", n, code.n)
-    rep.check_eq("code_dimension", k + 2, code.k)
-
-    # the one-point part a . C_L(D, kO) should be Hermitian self-orthogonal;
-    # its Gram matrix is the leading block of the code's
-    gram = gram_matrix(F, scaled)
-    self_orth_part = not gram[:k + 1, :k + 1].any()
+    self_orth = not natural_gram(GrsSpec(F, pts, a, k + 1)).any()
     rep.check("one_point_self_orthogonal",
-              STATUS_PASS if self_orth_part else STATUS_FAIL,
-              expected=True, measured=self_orth_part)
+              STATUS_PASS if self_orth else STATUS_FAIL,
+              expected=True, measured=self_orth)
+    hull_dim = k + 2 - matrix_rank(F, natural_gram(code))
+    rep.check_eq("hull_dim", k, hull_dim)
 
-    # branch test: a . C_L(D, P), spanned by rows 0 and k+1, lies in the
-    # Hermitian dual of the code exactly when those Gram columns vanish
-    branch = 2 if gram[:, [0, k + 1]].any() else 1
-
-    hull = code.hermitian_hull()
-    gram_dim = code.k - matrix_rank(F, gram)
-    rep.check_eq("hull_dim_gram_vs_intersection", hull.k, gram_dim)
-    if branch == 1:
-        rep.check_eq("self_orthogonal_hull", code.k, hull.k,
-                     note="branch 1: the code is Hermitian self-orthogonal")
-    else:
-        ok = hull.k == k
-        rep.check("hull_dim", STATUS_PASS if ok else STATUS_FAIL,
-                  expected=k, measured=hull.k,
-                  note="branch 2" + ("" if ok else
-                       "; one below the nominal k" if hull.k == k - 1
-                       else "; matches neither k nor k-1"))
-
-    d_kind = "bound"
-    d_val: Optional[int] = None
-    if F.order ** code.k <= distance_budget:
-        d_val = code.min_distance(distance_budget)
-        rep.check_eq("code_distance", n - k - 1, d_val, note="enumerated")
-        d_kind = "enumerated"
-    else:
-        rep.check("code_distance", STATUS_SKIPPED,
-                  note=f"enumeration over budget; certified d >= {n - k - 1}")
-    rep.code = {"n": n, "k": code.k, "d": d_val, "d_bound": n - k - 1,
-                "d_kind": d_kind}
-
-    mds_status = "n/a"
-    if branch == 2 and hull.k > 0:
-        if F.order ** hull.k <= distance_budget:
-            dh = hull.min_distance(distance_budget)
-            okm = rep.check_eq("hull_mds", n - hull.k + 1, dh,
-                               note="enumerated hull distance")
-            mds_status = "enumerated" if okm else "failed"
-        else:
-            rep.check("hull_mds", STATUS_SKIPPED, note="hull enumeration over budget")
-            mds_status = "unverified"
-    rep.hull = {"dim_claimed": k, "dim_measured": hull.k, "branch": branch,
-                "mds": mds_status}
+    d_kind, d = _distance_check(
+        rep, "code_distance", F, scaled, n - k - 1, distance_budget,
+        cert.fault, f"GRS_{k + 2}(u, a/(u - p)), MDS by construction")
+    rep.code = {"n": n, "k": k + 2, "d": d, "d_kind": d_kind}
+    mds = "n/a"
+    if k:
+        fault = cert.fault or ("" if hull_dim == k else
+                               f"the hull is not GRS_{k}(u, a(u - p))")
+        mds, _ = _distance_check(
+            rep, "hull_mds", F, cert.rows[cert.K + 2:cert.K + 2 + k],
+            n - k + 1, distance_budget, fault,
+            f"the hull is GRS_{k}(u, a(u - p)), MDS by construction")
+    rep.hull = {"dim_claimed": k, "dim_measured": hull_dim, "mds": mds}
     if rep.verdict != "FAIL":
-        rep.quantum = quantum.chain_to_json(q, n, code.k, hull.k)
-    return TwoPointResult(F, pts, k, p, diff, code, scaled, branch, hull,
-                          rep)
+        rep.quantum = quantum.chain_to_json(q, n, k + 2, hull_dim)
+    return TwoPointResult(F, pts, k, p, diff, scaled, code, hull, rep)
 
 
 def two_point_family(family: str, F: FieldContext, k: int,
@@ -560,8 +628,9 @@ def sweep(q: int, distance_budget: int = DEFAULT_DISTANCE_BUDGET
     families at q, yielding its grid parameters and its result.
 
     The instances on one evaluation set (consecutive in the grid) share
-    one ``evaluation_set`` call, and ``two_point_code`` runs once per
-    instance on it.
+    one ``evaluation_set`` call, one ``_pair_certificate`` and the Gram
+    tables of its two vectors.  They are verified largest k first, so the
+    first fills those tables for the rest, and yielded in grid order.
     """
     F = quadratic_field(q)
     for family in ("COR1", "COR2", "COR3"):
@@ -569,10 +638,13 @@ def sweep(q: int, distance_budget: int = DEFAULT_DISTANCE_BUDGET
                 family_parameter_grid(family, q),
                 key=lambda g: {k: g[k] for k in ("s", "t", "n0") if k in g}):
             diff = evaluation_set(family, q, field=F, **kwargs)
-            for params in grid:
-                res = two_point_code(F, diff, params["k"],
+            grid = list(grid)
+            out = [None] * len(grid)
+            for i in sorted(range(len(grid)), key=lambda i: -grid[i]["k"]):
+                res = two_point_code(F, diff, grid[i]["k"],
                                      distance_budget=distance_budget)
-                yield params, _labelled(res, family, kwargs)
+                out[i] = grid[i], _labelled(res, family, kwargs)
+            yield from out
 
 
 # ----------------------------------------------------------------------
@@ -602,8 +674,10 @@ def default_scaling_element(F: FieldContext) -> int:
 
 
 def _scalings(result: TwoPointResult, ells, alpha: Optional[int]):
-    """Yield (scaled code, measured hull dimension) for each ell in
-    ``ells``; the pivots of the self-orthogonal part are reduced once."""
+    """Yield (column scaling, measured hull dimension) for each ell in
+    ``ells``; the pivots of the self-orthogonal part are reduced once, and
+    each hull dimension is k + 2 less the Gram rank of the scaled rows,
+    a basis of the scaled code."""
     F, k = result.field, result.k
     if alpha is None:
         alpha = default_scaling_element(F)
@@ -616,16 +690,16 @@ def _scalings(result: TwoPointResult, ells, alpha: Optional[int]):
     if rank != k + 1:
         raise ValueError("self-orthogonal part has unexpected rank")
     for ell in ells:
-        a = np.ones(result.code.n, dtype=np.int32)
+        a = np.ones(len(result.points), dtype=np.int32)
         a[pivots[rank - ell:rank]] = alpha
-        code = result.code.monomial_scale(a)
-        yield code, code.hull_dim_via_gram()
+        rows = F.mul_arr(result.scaled_rows, a[None, :])
+        yield a, k + 2 - matrix_rank(F, gram_matrix(F, rows))
 
 
 def scale_for_hull(result: TwoPointResult, ell: int,
                    alpha: Optional[int] = None) -> tuple[LinearCode, int]:
-    """Monomially rescale ell coordinates of a branch-2 two-point code;
-    returns the new code and its measured hull dimension.
+    """Monomially rescale ell coordinates of a two-point code; returns the
+    new code and its measured hull dimension.
 
     The scaled coordinates are the last ell pivot columns of the
     self-orthogonal part, and the scalar's norm must avoid {1, -1}.
@@ -634,7 +708,8 @@ def scale_for_hull(result: TwoPointResult, ell: int,
     """
     if not 0 <= ell <= result.k:
         raise ValueError(f"need 0 <= ell <= {result.k}")
-    return next(_scalings(result, [ell], alpha))
+    a, h = next(_scalings(result, [ell], alpha))
+    return result.code.monomial_scale(a), h
 
 
 def scale_sweep(result: TwoPointResult, alpha: Optional[int] = None) -> dict[int, int]:

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import sys
+import time
 from typing import Optional
 
 from . import ag, cyclic, grs, quantum
@@ -76,8 +77,12 @@ def _emit_report(rep: ConstructionReport, args) -> int:
     return 1 if rep.verdict == "FAIL" else 0
 
 
-def _emit_reports(reports, args) -> int:
-    """Print many reports under a verdict summary; 1 if any is FAIL."""
+def _emit_reports(reports, args, timings: dict) -> int:
+    """Print many reports under a verdict summary; 1 if any is FAIL.  With
+    --timings a top-level "timings" object follows, ``timings`` plus
+    ``emit_s``, the seconds taken to build and serialise the rest; the
+    rest is byte for byte the output without it."""
+    start = time.perf_counter()
     bodies = [r.to_canonical_dict() for r in reports]
     summary = {
         "q": args.q,
@@ -86,7 +91,13 @@ def _emit_reports(reports, args) -> int:
         "partial": sum(b["verdict"] == "PARTIAL" for b in bodies),
         "fail": sum(b["verdict"] == "FAIL" for b in bodies),
     }
-    print(_dump({"summary": summary, "reports": bodies}, args.format))
+    payload = {"summary": summary, "reports": bodies}
+    text = _dump(payload, args.format)
+    if args.timings:
+        payload["timings"] = timings | {
+            "emit_s": round(time.perf_counter() - start, 6)}
+        text = _dump(payload, args.format)
+    print(text)
     return 1 if summary["fail"] else 0
 
 
@@ -138,7 +149,10 @@ def cmd_grs_construct(args) -> int:
 def cmd_grs_sweep(args) -> int:
     families = (grs.FAMILIES if args.families is None
                 else args.families.split(","))
-    return _emit_reports(_grs_reports(args, families), args)
+    start = time.perf_counter()
+    reports = _grs_reports(args, families)
+    return _emit_reports(reports, args, {
+        "grs_s": round(time.perf_counter() - start, 6)})
 
 
 def cmd_cyclic_dkl(args) -> int:
@@ -269,11 +283,20 @@ def cmd_quantum_tables(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    start = time.perf_counter()
     reports = _grs_reports(args)
+    mid = time.perf_counter()
     with _verifying():
-        reports += [res.report for _, res in ag.sweep(
+        runs = [res for _, res in ag.sweep(
             args.q, distance_budget=args.distance_budget)]
-    return _emit_reports(reports, args)
+    timings = {
+        "grs_s": round(mid - start, 6),
+        "ag_s": round(time.perf_counter() - mid, 6),
+        "ag_sets": len({(res.report.construction["family"], res.points)
+                        for res in runs}),
+        "ag_instances": len(runs)}
+    return _emit_reports(reports + [res.report for res in runs], args,
+                         timings)
 
 
 # ----------------------------------------------------------------------

@@ -107,8 +107,9 @@ def test_criterion_3_enlarged_family_sweep(capsys):
 
 def test_criterion_4_two_point_families(capsys):
     """Every in-range two-point instance at q = 3, 4, 5: parameters
-    [n, k+2, n-k-1] with enumerated distance, branch detection, and an
-    enumerated MDS hull for k <= 3."""
+    [n, k+2, n-k-1] with the distance enumerated independently of the
+    report, on the eliminated code of the scaled rows, and an enumerated
+    MDS hull of dimension k, the eliminated hull, for k <= 3."""
     with criterion(capsys, "4 two-point families q=3,4,5", 300):
         for q in (3, 4, 5):
             F = quadratic_field(q)
@@ -121,17 +122,16 @@ def test_criterion_4_two_point_families(capsys):
                     res = ag.two_point_code(F, U, k,
                                             distance_budget=10 ** 8)
                     n = len(U.points)
-                    assert (res.code.n, res.code.k) == (n, k + 2)
+                    code = LinearCode.from_rows(F, res.scaled_rows)
+                    assert (code.n, code.k) == (n, k + 2)
                     assert res.report.verdict == "PASS", \
                         (family, q, params, res.report.first_failure)
                     if (q * q) ** (k + 2) <= 10 ** 8:
-                        assert res.code.min_distance() == n - k - 1
-                    if res.branch == 2:
-                        assert res.hull.k == k
-                        if 0 < k <= 3:
-                            assert res.hull.min_distance() == n - k + 1
-                    else:
-                        assert res.hull.k == res.code.k
+                        assert code.min_distance(10 ** 8) == n - k - 1
+                    hull = code.hermitian_hull()
+                    assert hull.k == k and hull == res.hull
+                    if 0 < k <= 3:
+                        assert hull.min_distance() == n - k + 1
 
 
 GOLDEN_Q5_POINT_LOGS = [None, 1, 2, 3, 4, 5, 6, 7, 8, 9,
@@ -210,8 +210,9 @@ def test_criterion_5_twenty_point_golden_example(capsys):
         # canonical norm-witness pipeline on the same twenty points
         res = ag.two_point_code(F, ag.residues(F, U), 3, p=P,
                                 distance_budget=25 ** 5)
-        assert res.branch == 2 and res.hull.k == 3
-        assert res.hull.min_distance() == 18
+        own = LinearCode.from_rows(F, res.scaled_rows).hermitian_hull()
+        assert own == res.hull and res.report.hull["dim_measured"] == 3
+        assert own.min_distance() == 18
         assert res.report.verdict == "PASS"
 
 

@@ -13,7 +13,7 @@ from hermhull.ag import (Divisor, O, RationalFunction, default_extra_point,
 from hermhull.gf import make_field, quadratic_field
 from hermhull.grs import GrsSpec
 from hermhull.linalg_codes import (DEFAULT_BUDGET, LinearCode, conjugate,
-                                   mat_mul)
+                                   gram_matrix, mat_mul)
 from hermhull.report import STATUS_FAIL, STATUS_PASS, ConstructionReport
 
 
@@ -180,31 +180,42 @@ def test_evaluation_set_cor3(F25):
         evaluation_set("COR3", 5, n0=7, t=1)
 
 
+def eliminated(F, res):
+    """The code of a two-point result and its hull, by elimination from
+    the scaled rows: the oracle the closed-form specs are checked against."""
+    code = LinearCode.from_rows(F, res.scaled_rows)
+    return code, code.hermitian_hull()
+
+
 def test_two_point_cor1_q5(F25):
     U = evaluation_set("COR1", 5, s=13)
     res = two_point_code(F25, U, 1)
-    assert (res.code.n, res.code.k) == (13, 3)
-    assert res.code.min_distance() == 11
-    assert res.branch == 2 and res.hull.k == 1
-    assert res.hull.min_distance() == 13  # [13, 1] MDS hull
+    code, hull = eliminated(F25, res)
+    assert (code.n, code.k) == (13, 3) and code == res.code
+    assert code.min_distance() == 11
+    assert hull.k == 1 and hull == res.hull
+    assert hull.min_distance() == 13  # [13, 1] MDS hull
     assert res.report.verdict == "PASS"
 
 
 def test_two_point_cor2_q5(F25):
     U = evaluation_set("COR2", 5, t=2)
     res = two_point_code(F25, U, 1)
-    assert (res.code.n, res.code.k) == (10, 3)
-    assert res.code.min_distance() == 8
-    assert res.hull.k == 1 and res.report.verdict == "PASS"
+    code, hull = eliminated(F25, res)
+    assert (code.n, code.k) == (10, 3) and code == res.code
+    assert code.min_distance() == 8
+    assert hull.k == 1 and res.report.verdict == "PASS"
 
 
 def test_two_point_distance_bound_invariant(F25):
-    # d >= n - deg(G) even when enumeration is skipped
+    # over the enumeration budget d = n - deg(G) is structural, as the code
+    # is GRS_{k+2}(u, a/(u-p)); nothing is skipped
     U = evaluation_set("COR2", 5, t=4)
     res = two_point_code(F25, U, 3, distance_budget=10)
-    assert res.report.code["d_kind"] == "bound"
-    assert res.report.code["d_bound"] == 20 - 3 - 1
-    assert res.report.verdict == "PARTIAL"
+    assert res.report.code == {"n": 20, "k": 5, "d": 20 - 3 - 1,
+                               "d_kind": "structural"}
+    assert res.report.hull["mds"] == "structural"
+    assert res.report.verdict == "PASS"
 
 
 def test_two_point_errors(F25):
@@ -595,40 +606,130 @@ def test_extended_two_point_reports_pinned(family, q, params, k, digest):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_branch_test_reads_the_gram_matrix(q):
-    """The branch read off Gram columns 0 and k+1 equals the product of the
-    reduced generator with conj(a . C_L(D, P)) on every grid instance."""
+    """Gram columns 0 and k+1 of the scaled rows, which span a . C_L(D, P),
+    are both nonzero on every grid instance: no grid instance is Hermitian
+    self-orthogonal, the input that fails ``hull_dim`` below."""
     F = quadratic_field(q)
     count = 0
     for family, params, U in _grid_instances(F):
         k = params["k"]
         res = two_point_code(F, U, k, distance_budget=0)
-        rows_p = res.scaled_rows[[0, k + 1]]
-        in_dual = not mat_mul(F, res.code.gen, conjugate(F, rows_p).T).any()
-        assert res.branch == (1 if in_dual else 2), (family, params)
+        gram = gram_matrix(F, res.scaled_rows)
+        assert gram[:, 0].any() and gram[:, k + 1].any(), (family, params)
         count += 1
     assert count > 0
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_branch_one_follows_zero_gram_columns(q, monkeypatch):
-    """No grid instance reaches branch 1, so Gram columns 0 and k+1 are
-    zeroed by hand: the code must then take branch 1 and check that the
-    whole code is its own hull."""
+    """No grid instance is self-orthogonal, so that input is made by hand:
+    with Gram columns 0 and k+1 zeroed on top of the zero one-point block,
+    the Gram matrix of the code reads zero.  The code must then FAIL
+    ``hull_dim``, measuring k + 2 for the claimed k."""
     F = quadratic_field(q)
     k = 1
     U = evaluation_set("COR2", q, t=q - 1, field=F)
-    gram = ag.gram_matrix
+    gram = ag.natural_gram
 
-    def zeroed(F, G):
-        out = gram(F, G)
-        out[:, [0, k + 1]] = 0
-        return out
+    def zeroed(spec):
+        out = gram(spec)
+        return out if spec.a == U.witnesses else np.zeros_like(out)
 
-    monkeypatch.setattr(ag, "gram_matrix", zeroed)
-    res = two_point_code(F, U, k, distance_budget=0)
-    assert res.branch == res.report.hull["branch"] == 1
-    checks = {c.name: c for c in res.report.checks}
-    assert "hull_dim" not in checks
-    assert checks["self_orthogonal_hull"].expected == res.code.k == k + 2
-    assert checks["self_orthogonal_hull"].measured == res.hull.k == k
+    monkeypatch.setattr(ag, "natural_gram", zeroed)
+    rep = two_point_code(F, U, k, distance_budget=0).report
+    checks = {c.name: c for c in rep.checks}
+    assert rep.verdict == "FAIL" and rep.first_failure == "hull_dim"
+    assert (checks["hull_dim"].expected, checks["hull_dim"].measured) \
+        == (k, k + 2)
+    assert checks["hull_mds"].status == STATUS_FAIL
+    assert rep.hull["dim_measured"] == k + 2 and rep.quantum == []
 
+
+# ----------------------------------------------------------------------
+# the per-set GRS-pair certificate against elimination
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_certificates():
+    """Certificates built inside the test, none left behind for others."""
+    ag._pair_certificate.cache_clear()
+    yield
+    ag._pair_certificate.cache_clear()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_two_point_specs_equal_the_elimination(q):
+    """On every grid instance the closed-form code and hull are the
+    eliminated code of the scaled rows and its eliminated Hermitian hull,
+    and the report passes with no check skipped."""
+    F = quadratic_field(q)
+    for params, res in ag.sweep(q):
+        code, hull = eliminated(F, res)
+        assert res.code == code and res.hull == hull, params
+        assert res.report.verdict == "PASS", params
+        assert res.report.hull["dim_measured"] == hull.k == params["k"]
+
+
+def test_sweep_runs_no_elimination_of_a_code_or_hull(monkeypatch,
+                                                     fresh_certificates):
+    from hermhull import linalg_codes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ag.sweep eliminated a code or a hull")
+
+    monkeypatch.setattr(LinearCode, "hermitian_hull", refuse)
+    monkeypatch.setattr(LinearCode, "from_rows", refuse)
+    monkeypatch.setattr(linalg_codes, "nullspace", refuse)
+    for q in (4, 5, 7):
+        assert all(res.report.verdict == "PASS" for _, res in ag.sweep(q))
+
+
+def _certificate_parts(F, family, **params):
+    """(G, rows) of ``ag._certify`` for the set with the default p."""
+    U = evaluation_set(family, F.q, field=F, **params)
+    cert = ag._pair_certificate(F, U.points, U.witnesses,
+                                default_extra_point(F, U.points))
+    return (GrsSpec(F, U.points, cert.c, cert.K + 2).generator(),
+            np.array(cert.rows), cert.K)
+
+
+def test_certificate_refuses_each_broken_part(F25):
+    """Each part of the certificate refuses a row set that the others
+    admit: a moved entry, a wrong code vector, rows out of degree order,
+    and a last hull row inside the code but not orthogonal to it."""
+    G, rows, K = _certificate_parts(F25, "COR2", t=4)
+    assert K == 3 and ag._certify(F25, G, rows) == ""
+
+    moved = rows.copy()
+    moved[-1, 5] = F25.add(moved[-1, 5], 1)
+    assert "not in GRS_5" in ag._certify(F25, G, moved)
+    other_c = G.copy()
+    other_c[:, 7] = F25.mul_arr(other_c[:, 7], F25.alpha)
+    assert "not in GRS_5" in ag._certify(F25, other_c, rows)
+
+    swapped = rows.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    assert "degree pattern" in ag._certify(F25, G, swapped)
+
+    # row l of G lies in the code within the bound K + 1 of the last hull
+    # row; a row with a nonzero Gram row is not orthogonal to the code
+    l = int(np.flatnonzero(gram_matrix(F25, G).any(axis=1))[-1])
+    late = rows.copy()
+    late[-1] = G[l]
+    assert "not Hermitian-orthogonal" in ag._certify(F25, G, late)
+
+
+def test_a_failed_certificate_fails_every_structural_check(
+        F25, monkeypatch, fresh_certificates):
+    monkeypatch.setattr(ag, "_certify", lambda F, G, rows: "broken")
+    U = evaluation_set("COR2", 5, t=4)
+    for k, budget in ((3, 10), (3, 25 ** 5), (0, 10)):
+        rep = two_point_code(F25, U, k, distance_budget=budget).report
+        checks = {c.name: c for c in rep.checks}
+        assert rep.verdict == "FAIL" and rep.quantum == []
+        assert checks["code_distance"].status == STATUS_FAIL
+        assert checks["code_distance"].note == "broken"
+        assert rep.code["d_kind"] == "failed"
+        if k:
+            assert checks["hull_mds"].status == STATUS_FAIL
+            assert rep.hull["mds"] == "failed"

@@ -16,9 +16,9 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-#: module-level imports kept although the module never reads them:
-#: perfbench/tracer.py wraps ag.mat_mul by name
-UNREAD_IMPORTS_KEPT = {("ag", "mat_mul")}
+#: module-level imports kept although the module never reads them, as
+#: (module, name); none at present
+UNREAD_IMPORTS_KEPT: set[tuple[str, str]] = set()
 
 
 def unused_imports(path: pathlib.Path) -> list[str]:
@@ -106,28 +106,29 @@ def test_benchmark_tracer_counts_order_to_the_k_codewords():
 
 
 def test_benchmark_tracer_sees_every_two_point_hull():
-    # perfbench/tracer.py wraps LinearCode.hermitian_hull by name and counts
-    # the code length as its work; ag.sweep must solve each instance's hull
-    # through it, so that the elimination lies inside a traced span
+    # perfbench/tracer.py wraps ag.two_point_code by name and reads each
+    # instance's report off its result; ag.sweep must verify every instance
+    # through it, and since the per-set GRS-pair certificate it eliminates
+    # no hull: LinearCode.hermitian_hull, wrapped by name too, is not called
     import numpy as np
 
     from hermhull import ag, linalg_codes
     tracer = load_benchmark_tracer()
-    original = linalg_codes.LinearCode.hermitian_hull
+    original = ag.two_point_code
+    ag._pair_certificate.cache_clear()
     t = tracer.Tracer()
     try:
         t.install()
         results = [res for _, res in ag.sweep(5)]
     finally:
         t.uninstall()
-    assert linalg_codes.LinearCode.hermitian_hull is original
-    count = t.counts()["linalg_codes.LinearCode.hermitian_hull"]
+        ag._pair_certificate.cache_clear()
+    assert ag.two_point_code is original
+    counts = t.counts()
     assert len(results) > 1
-    assert count["calls"] == len(results)
-    assert count["work"] == sum(res.code.n for res in results)
+    assert counts["ag.two_point_code"]["calls"] == len(results)
+    assert counts["linalg_codes.LinearCode.hermitian_hull"]["calls"] == 0
     spans = t.spans()
     names = np.array(t.names)[spans["name"]]
-    parents = spans["parent"][names == "linalg_codes.nullspace"]
-    parents = names[parents[parents >= 0]]
-    assert (parents == "linalg_codes.LinearCode.hermitian_hull").sum() \
-        == len(results)
+    assert (names == "ag.two_point_code").sum() == len(results)
+    assert "linalg_codes.LinearCode.hermitian_hull" not in set(names)

@@ -12,7 +12,7 @@ import jsonschema
 
 import hermhull
 from conftest import quantum_tables
-from hermhull import cli, report
+from hermhull import ag, cli, report
 from hermhull.grs import construct_family, verify_claim
 from hermhull.report import (ConstructionReport, code_to_json,
                              logs_to_vector, report_schema, vector_to_logs)
@@ -461,12 +461,12 @@ def test_cli_field_modulus_needs_prime_power(capsys):
 #: sha256 of the stdout of ``verify-all --q Q``; a change that alters report
 #: bodies on purpose updates these and records why
 GOLDEN_VERIFY_ALL = {
-    3: "2362082079c9f173be30876ec8e8b3932c4956d574eebbedbd453162f686c871",
-    4: "ab1ef42aec76314b5243823cf4c16b6d5590a21eccebc47430d695952a6b69ee",
-    5: "396c5e7931001c7cfaddbb13c3ea4787591b72197b7672f521641b4956034c5c",
-    7: "f7549e442bbad354b00ad840e82c3eb44dca7b8ce16e05bbe7426a6da4905693",
-    8: "a6514dc080c1abf7d494164e64cfa8bea3c0371701aa2b0a990a51866e63fcf1",
-    9: "4ad85ca7540a860f562b3c8bb7cc0010198f8f24f96085550c11102f148370ee",
+    3: "972de2a33bc8f3d44448c3cc9a99e83e404ab3cf32528ab17fc1720c9ab6edfb",
+    4: "a73ed652dec36ee313cbf9af527636b1f309e162e5a57e8ffbd246321f052e2f",
+    5: "32771421df815090fd35b2310eb0521cab8998212e5c2a0a94a507f85ba9fe9a",
+    7: "5f6a245009c041ba72a44192175364fd6df5a53862f088b764bf62f45f73750f",
+    8: "abcd7637d6e1512945e224371ce6c5faf0587d8a0084634d358ddc543c5788b9",
+    9: "68746dbee95445e31aaba347b107330331d35619fecfde9fd144387a51d224f3",
 }
 
 
@@ -483,9 +483,9 @@ def test_cli_verify_all_golden_bodies(capsys, q):
 #: covers the CON2E and CON3E grids, whose evaluation vectors recur for each
 #: z and so refill evicted entries of the power-sum memo of ``natural_gram``
 GOLDEN_VERIFY_ALL_WITH_FAILS = {
-    11: "e3e17466d9dbd03bf95b56eef007dc4a70094d9754e4d0c355a46dfd66cde2b5",
-    13: "901f349c09a6688111b9e3f4a31d21b93637591ccb33d7ee8eeed61b86f57716",
-    16: "8429c26d7193c1b2e85d866dced259b6c7105d7d2308a5c3dc719a44ce597855",
+    11: "948c1052423c36a286c3192ca9a35e5d5fa506d5587ae609825af9c4fc77187d",
+    13: "7fafdc04c5eac8c34474904610ec28c93eecae35861d1d26c5942f1f7718e726",
+    16: "d6d8db8fc8167af5049be3cd68c24827a5a3290df1c672aabeb478b58d46713a",
 }
 
 
@@ -593,29 +593,29 @@ def test_cli_grs_sweep_q16_wide_golden_body(capsys):
 #: and "unverified"
 GOLDEN_INCLUDE_CODE = {
     "ag build --family COR1 --q 4 --s 6 --k 0":
-        "aa274b3034e6717a8e34802c8ed3e00f88955b075dde5d49a9f8560588d024b5",
+        "0fc49854ba605b458d89d0bc9100452d96421edfd32db592cf9c7f8963a36e4c",
     "ag build --family COR2 --q 4 --t 3 --k 2":
-        "1524f5430875634976a2ed397b58dfc5b8c9aee9c0e172a49cc5144d5be94bf3",
+        "ffcdfe57b7d1247a7a805c30215d3c1fc9e0617c02166aff73c3c365fb30e44e",
     "ag build --family COR3 --q 4 --n0 5 --t 1 --k 1":
-        "9bb74ce6a098b0616111fc09411aaa42359e1102cd656df495b4fda6e6cef0f0",
+        "9121334c86a4cb747ef0e066e8bd47adc357c27a088648b6584f8ce2a46a4ecc",
     "ag build --family COR1 --q 5 --s 13 --k 1":
-        "851ef8b7214f64ecfc92002052aedb51b80c444f6314a25d51d459bff8af6ad7",
+        "90dc50706e4bff44c6dc8f79f496f70d1d30fbd330b90b30a7b3ace6aff71ae7",
     "ag build --family COR2 --q 5 --t 4 --k 3":
-        "0e55fc9f01c222d6f6acd822d278ab51e821bbfba09aeab5a86f36c660e2f8d0",
+        "e427cb5b960c965c490616202bffb36ef51f4d3c6cdecb1cc7c6a0b50a2fd9d5",
     "ag build --family COR3 --q 5 --n0 6 --t 2 --k 2":
-        "12486b325fa1a27ada1756a89e986d1ca8f926a9ef1dd2eacbc33125ff9568b9",
+        "b256a49942c8e6c2eb85b14558aed063ceccd0313798cad537a67dc68644f78a",
     "ag build --family COR1 --q 8 --s 22 --k 2":
-        "071188f787c981e3050bab0266af7266b5ccd03d568e7903e8ee846e519512e6",
+        "f584a0115408cf1d37fd287f01acb95fb2898b30e3672fd491fca48730b0d6e1",
     "ag build --family COR2 --q 8 --t 3 --k 1":
-        "52aa8d8e56bf6abff6ad7e22a50066afd61edc4175080d553b6f70a1ec6c7410",
+        "23f68072610c55c0b52a13817cc70d1e6bc37d817f5cb47815f569fee9f7044b",
     "ag build --family COR3 --q 8 --n0 9 --t 4 --k 4":
-        "fee57f1a026a6f54c4d4ef21925fde75958bd271f1614e9c70ee9e6b2dd98167",
+        "700da279e75f296b8b532002e009eacff83f0acfb7c69f404fd0d4570a793124",
     "ag build --family COR1 --q 9 --s 41 --k 3":
-        "89fd3135fa1f9e56fd51445b7ecaa9dc7f7956c6fadde69b663796bf53dd3271",
+        "71be25731cf49a2d133a7b51618e6bbc2cd521e72321723a682f8790c579bc8d",
     "ag build --family COR2 --q 9 --t 5 --k 4":
-        "ce1f9d8b17da82c6617f4c35b75af69200f2d1319d028c8526a3613441dbfa20",
+        "b150aae04170566c09e598b188a9c20c8a7fa0c996e906d62b202ccfa6793c71",
     "ag build --family COR3 --q 9 --n0 5 --t 4 --k 2":
-        "5ac39260523537a1813e4e8e6779504144cdc45dd55178a8fb159ce72c1ff967",
+        "47f0b55995561f8a77a04dbf46aa638c57ac398f7aadd86e8ecaf696b08e71de",
     "grs construct --family CON1 --q 5":
         "97405b308b0d8cf28f1fa042229fcb80a305f29e0767ffb9ecccba9583dce956",
     "grs construct --family CON2E --q 7 --k 8 --z 1 --f 1":
@@ -655,16 +655,48 @@ def test_cli_ag_grow_golden_bodies(capsys, monkeypatch, q):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_AG_GROW[q]
 
 
-def test_cli_distance_budget_caps_two_point_hull_enumeration(capsys):
-    # the [20, 3] hull has 25^3 = 15,625 messages, over the budget of 10^4
+def test_cli_distance_budget_caps_two_point_hull_enumeration(capsys,
+                                                            monkeypatch):
+    # the [20, 3] hull has 25^3 = 15,625 messages, over the budget of 10^4:
+    # no enumeration runs, and both distances are structural, as the code
+    # and its hull are GRS codes by the set's certificate
+    from hermhull import linalg_codes
+
+    def refuse(*args):
+        raise AssertionError("enumerated over the distance budget")
+
+    monkeypatch.setattr(linalg_codes, "_enumerate_min_weight", refuse)
+    monkeypatch.setattr(ag, "_enumerate_min_weight", refuse)
     rc, out = run_cli(capsys, "ag", "build", "--family", "COR2", "--q", "5",
                       "--t", "4", "--k", "3", "--distance-budget", "10000")
     assert rc == 0
     body = json.loads(out)["report"]
     checks = {c["name"]: c["status"] for c in body["checks"]}
-    assert checks["hull_mds"] == report.STATUS_SKIPPED
-    assert checks["code_distance"] == report.STATUS_SKIPPED
-    assert body["hull"]["mds"] == "unverified"
+    assert checks["hull_mds"] == report.STATUS_STRUCTURAL
+    assert checks["code_distance"] == report.STATUS_STRUCTURAL
+    assert body["hull"]["mds"] == "structural"
+    assert body["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("argv", [["verify-all", "--q", "4"],
+                                  ["grs", "sweep", "--q", "5"]],
+                         ids=["verify-all", "grs-sweep"])
+def test_cli_timings_envelope_leaves_the_rest_unchanged(capsys, argv):
+    rc, plain = run_cli(capsys, *argv)
+    rc_t, timed = run_cli(capsys, *argv, "--timings")
+    assert rc == rc_t == 0
+    payload = json.loads(timed)
+    timings = payload.pop("timings")
+    assert cli._dump(payload) + "\n" == plain
+    keys = {"grs_s", "emit_s"} | ({"ag_s", "ag_sets", "ag_instances"}
+                                  if argv[0] == "verify-all" else set())
+    assert set(timings) == keys
+    assert all(timings[key] >= 0 for key in keys)
+    if argv[0] == "verify-all":
+        assert timings["ag_instances"] == sum(
+            len(ag.family_parameter_grid(family, 4))
+            for family in ("COR1", "COR2", "COR3"))
+        assert 0 < timings["ag_sets"] < timings["ag_instances"]
 
 
 @pytest.mark.parametrize("argv, message", [
