@@ -13,21 +13,19 @@ controlled dimension.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import polys, quantum
+from . import polys
 from .gf import FieldContext, quadratic_field
-from .grs import _VECTOR_CACHE, GrsSpec, natural_gram
-from .linalg_codes import (DEFAULT_DISTANCE_BUDGET, LinearCode,
-                           _enumerate_min_weight, conjugate, gram_matrix,
-                           mat_mul, matrix_rank, rref)
-from .report import (STATUS_FAIL, STATUS_PASS, STATUS_STRUCTURAL,
-                     ConstructionReport)
+from .grs import (_VECTOR_CACHE, GrsHullClaim, GrsSpec, largest_k_first,
+                  verify_claim)
+from .linalg_codes import (DEFAULT_DISTANCE_BUDGET, LinearCode, conjugate,
+                           gram_matrix, mat_mul, matrix_rank, rref)
+from .report import ConstructionReport
 
 
 @dataclass(frozen=True, order=True)
@@ -465,10 +463,10 @@ def _certify(F: FieldContext, G: np.ndarray, rows: np.ndarray) -> str:
 
 @dataclass
 class TwoPointResult:
-    """A two-point instance and its report.  ``code`` and ``hull`` are
-    built on first use, in closed form, from ``code_spec`` and
-    ``hull_spec``; they are the code and its Hermitian hull when the report
-    passes."""
+    """A two-point instance, its claim and its report.  ``code`` and
+    ``hull`` are built on first use, in closed form, from the claim's code
+    and subcode specs; they are the code and its Hermitian hull when the
+    report passes."""
 
     field: FieldContext
     points: tuple[int, ...]
@@ -477,17 +475,16 @@ class TwoPointResult:
     diff: DifferentialData
     scaled_rows: np.ndarray       # k+2 natural generator rows, scaled; the
                                   # first k+1 span the self-orthogonal part
-    code_spec: GrsSpec            # GRS_{k+2}(u, a/(u-p)), their span
-    hull_spec: GrsSpec            # GRS_k(u, a(u-p))
+    claim: GrsHullClaim
     report: ConstructionReport
 
-    @functools.cached_property
+    @property
     def code(self) -> LinearCode:
-        return self.code_spec.code()
+        return self.claim.code
 
     @functools.cached_property
     def hull(self) -> LinearCode:
-        return self.hull_spec.code()
+        return self.claim.subcode.code()
 
 
 def check_two_point_input(F: FieldContext, diff: DifferentialData, k: int,
@@ -513,23 +510,6 @@ def check_two_point_input(F: FieldContext, diff: DifferentialData, k: int,
     return p
 
 
-def _distance_check(rep: ConstructionReport, name: str, F: FieldContext,
-                    gen: np.ndarray, d: int, budget: int, fault: str,
-                    proof: str) -> tuple[str, Optional[int]]:
-    """Check that the row space of the full-rank ``gen`` has distance d:
-    FAIL on a ``fault`` of its proof, enumerated when order^rows is within
-    ``budget``, else structural by ``proof``.  Returns (d_kind, d)."""
-    if fault:
-        rep.check(name, STATUS_FAIL, expected=d, note=fault)
-        return "failed", None
-    if F.order ** len(gen) <= budget:
-        measured = _enumerate_min_weight(F, gen, budget)
-        ok = rep.check_eq(name, d, measured, note="enumerated")
-        return ("enumerated" if ok else "failed"), measured
-    rep.check(name, STATUS_STRUCTURAL, expected=d, note=proof)
-    return "structural", d
-
-
 def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
                    p: Optional[int] = None,
                    distance_budget: int = DEFAULT_DISTANCE_BUDGET
@@ -552,71 +532,32 @@ def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
     i + 2 <= k + 1, so GRS_k(u, h) lies in the code, and the K x (K + 2)
     cross block of the hull rows with conj of that basis vanishes, so its
     corner for k does: GRS_k(u, h) lies in the Hermitian hull
-    (``_certify``).  The report then reads four checks off the Gram
-    blocks of the set's two vectors (``natural_gram``; Fang, Fu, Li and
-    Zhu, IEEE T-IT 66(6), 2020):
-
-    * ``one_point_self_orthogonal``: the k+1 x k+1 block of a vanishes;
-    * ``hull_dim``: (k + 2) - rank of the k+2 x k+2 block of c is k, so
-      the hull is GRS_k(u, h) (the control of Luo, Cao and Chen, IEEE T-IT
-      65(5), 2019); a self-orthogonal code measures k + 2 and fails;
-    * ``code_distance`` n - k - 1 and ``hull_mds`` n - k + 1: enumerated
-      on the scaled and the hull rows when order^dim is within
-      ``distance_budget``, else structural, as both are GRS codes.
-
+    (``_certify``).  The claim (code GRS_{k+2}(u, c), hull dimension k,
+    subcode GRS_k(u, h) on the certificate route, self-orthogonal
+    GRS_{k+1}(u, a)) goes to ``grs.verify_claim``; the hull dimension k
+    read off the Gram rank is the control of Luo, Cao and Chen (IEEE T-IT
+    65(5), 2019), and a self-orthogonal code measures k + 2 and fails.
     No elimination of the code or its hull runs.
     """
     p = check_two_point_input(F, diff, k, p)
     pts, a = diff.points, diff.witnesses
-    q, n = F.q, len(pts)
     cert = _pair_certificate(F, pts, a, p)
+    claim = GrsHullClaim(
+        family="two_point", q=F.q, module="ag",
+        params={"n": len(pts), "k": k, "p": F.log_of(p) if p else -1},
+        spec=GrsSpec(F, pts, cert.c, k + 2), hull_dim=k,
+        subcode=GrsSpec(F, pts, cert.h, k), fault=cert.fault,
+        self_orthogonal=GrsSpec(F, pts, a, k + 1), conservative_range=True,
+        z1_subcode_dim=None)
     scaled = np.vstack([cert.rows[:k + 1], cert.rows[cert.K + 1:cert.K + 2]])
-    code, hull = GrsSpec(F, pts, cert.c, k + 2), GrsSpec(F, pts, cert.h, k)
-
-    rep = ConstructionReport(
-        construction={"module": "ag", "family": "two_point",
-                      "parameters": {"q": q, "n": n, "k": k,
-                                     "p": F.log_of(p) if p else -1}},
-        field=F.describe())
-    self_orth = not natural_gram(GrsSpec(F, pts, a, k + 1)).any()
-    rep.check("one_point_self_orthogonal",
-              STATUS_PASS if self_orth else STATUS_FAIL,
-              expected=True, measured=self_orth)
-    hull_dim = k + 2 - matrix_rank(F, natural_gram(code))
-    rep.check_eq("hull_dim", k, hull_dim)
-
-    d_kind, d = _distance_check(
-        rep, "code_distance", F, scaled, n - k - 1, distance_budget,
-        cert.fault, f"GRS_{k + 2}(u, a/(u - p)), MDS by construction")
-    rep.code = {"n": n, "k": k + 2, "d": d, "d_kind": d_kind}
-    mds = "n/a"
-    if k:
-        fault = cert.fault or ("" if hull_dim == k else
-                               f"the hull is not GRS_{k}(u, a(u - p))")
-        mds, _ = _distance_check(
-            rep, "hull_mds", F, cert.rows[cert.K + 2:cert.K + 2 + k],
-            n - k + 1, distance_budget, fault,
-            f"the hull is GRS_{k}(u, a(u - p)), MDS by construction")
-    rep.hull = {"dim_claimed": k, "dim_measured": hull_dim, "mds": mds}
-    if rep.verdict != "FAIL":
-        rep.quantum = quantum.chain_to_json(q, n, k + 2, hull_dim)
-    return TwoPointResult(F, pts, k, p, diff, scaled, code, hull, rep)
+    rep = verify_claim(claim, distance_budget=distance_budget)
+    return TwoPointResult(F, pts, k, p, diff, scaled, claim, rep)
 
 
-def two_point_family(family: str, F: FieldContext, k: int,
-                     p: Optional[int] = None,
-                     distance_budget: int = DEFAULT_DISTANCE_BUDGET,
-                     **params) -> TwoPointResult:
-    """``two_point_code`` on the ``family`` evaluation set with parameters
-    ``params`` (s, t, n0), its report labelled with the family and them."""
-    U = evaluation_set(family, F.q, field=F, **params)
-    return _labelled(two_point_code(F, U, k, p=p,
-                                    distance_budget=distance_budget),
-                     family, params)
-
-
-def _labelled(res: TwoPointResult, family: str, params: dict
-              ) -> TwoPointResult:
+def labelled(res: TwoPointResult, family: str, params: dict
+             ) -> TwoPointResult:
+    """``res``, its report labelled with the two-point ``family`` and the
+    parameters ``params`` (s, t, n0) of its evaluation set."""
     res.report.construction["family"] = family
     res.report.construction["parameters"] |= params
     return res
@@ -629,22 +570,22 @@ def sweep(q: int, distance_budget: int = DEFAULT_DISTANCE_BUDGET
 
     The instances on one evaluation set (consecutive in the grid) share
     one ``evaluation_set`` call, one ``_pair_certificate`` and the Gram
-    tables of its two vectors.  They are verified largest k first, so the
-    first fills those tables for the rest, and yielded in grid order.
+    tables of its two vectors; ``grs.largest_k_first`` verifies them
+    largest k first and yields them in grid order.
     """
     F = quadratic_field(q)
+
+    def verifier(evaluation: tuple[str, dict]):
+        family, kwargs = evaluation
+        diff = evaluation_set(family, q, field=F, **kwargs)
+        return lambda g: (g, labelled(two_point_code(
+            F, diff, g["k"], distance_budget=distance_budget), family, kwargs))
+
     for family in ("COR1", "COR2", "COR3"):
-        for kwargs, grid in itertools.groupby(
-                family_parameter_grid(family, q),
-                key=lambda g: {k: g[k] for k in ("s", "t", "n0") if k in g}):
-            diff = evaluation_set(family, q, field=F, **kwargs)
-            grid = list(grid)
-            out = [None] * len(grid)
-            for i in sorted(range(len(grid)), key=lambda i: -grid[i]["k"]):
-                res = two_point_code(F, diff, grid[i]["k"],
-                                     distance_budget=distance_budget)
-                out[i] = grid[i], _labelled(res, family, kwargs)
-            yield from out
+        yield from largest_k_first(
+            family_parameter_grid(family, q),
+            lambda g: (family, {k: g[k] for k in ("s", "t", "n0") if k in g}),
+            verifier)
 
 
 # ----------------------------------------------------------------------

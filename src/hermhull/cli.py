@@ -21,7 +21,7 @@ from typing import Optional
 from . import ag, cyclic, grs, quantum
 from .gf import make_field, prime_power, quadratic_field
 from .linalg_codes import DEFAULT_BUDGET, DEFAULT_DISTANCE_BUDGET
-from .report import ConstructionReport, code_to_json, measured_hull_dim
+from .report import ConstructionReport, code_to_json
 
 
 def _dump(payload, fmt: str = "json") -> str:
@@ -136,13 +136,12 @@ def cmd_grs_construct(args) -> int:
             params[name] = v
     field = (_field_for(args.q, args.field_modulus)
              if args.field_modulus else None)
-    code, claim = grs.construct_family(args.family, args.q, field=field,
-                                       **params)
+    claim = grs.construct_family(args.family, args.q, field=field, **params)
     with _verifying():
-        rep = grs.verify_claim(code, claim, budget=args.budget,
+        rep = grs.verify_claim(claim, budget=args.budget,
                                distance_budget=args.distance_budget)
     if args.include_code:
-        rep.code = rep.code | {"detail": code_to_json(code)}
+        rep.code = rep.code | {"detail": code_to_json(claim.code)}
     return _emit_report(rep, args)
 
 
@@ -183,11 +182,10 @@ def cmd_ag_build(args) -> int:
     U = ag.evaluation_set(args.family, F.q, field=F, **fam_kwargs)
     p = ag.check_two_point_input(F, U, args.k, p)
     with _verifying():
-        res = ag.two_point_code(F, U, args.k, p=p,
-                                distance_budget=args.distance_budget)
+        res = ag.labelled(ag.two_point_code(
+            F, U, args.k, p=p, distance_budget=args.distance_budget),
+            args.family, fam_kwargs)
     rep = res.report
-    rep.construction["family"] = args.family
-    rep.construction["parameters"] |= fam_kwargs
     rep.construction["evaluation_set"] = _set_logs(F, res.points)
     if args.include_code:
         rep.code = rep.code | {"detail": code_to_json(res.code)}
@@ -232,7 +230,7 @@ def cmd_quantum_params(args) -> int:
             q = body["field"]["p"] ** (body["field"]["m"] // 2)
             n = body["code"]["n"]
             k = body["code"]["k"]
-            hull = measured_hull_dim(body["hull"])
+            hull = body["hull"]["dim_gram"]
         except KeyError as exc:
             raise ValueError(f"{args.from_report}: report lacks the key "
                              f"{exc}") from None

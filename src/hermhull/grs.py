@@ -16,9 +16,12 @@ Family tags:
   refuted by the Gram rank on full-grid instances from q = 7 on; those
   reports FAIL, and no quantum table row is read off them.
 
-Every builder returns the code plus a claim object; ``verify_claim`` checks
-the claim by exact linear algebra (Gram rank always; hull intersection and
-distance enumeration within budget) and reports per-property verdicts.
+Every builder returns a claim object, whose code is built only on first
+use; ``verify_claim`` checks the claim by exact linear algebra (Gram rank
+always; hull intersection and distance enumeration within budget) and
+reports per-property verdicts.  It verifies the two-point codes of ``ag``
+too, which are GRS pairs (Fang, Fu, Li and Zhu, IEEE T-IT 66(6), 2020;
+Luo, Cao and Chen, IEEE T-IT 65(5), 2019).
 
 The scaling vectors of CON4 and CON4E are taken from the codeword algebra
 (entry values alpha^{-l(k-1)(q+1)} - alpha^{-l m (q+1)}); collapsing
@@ -32,15 +35,16 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from . import cyclic, quantum
 from .gf import FieldContext, quadratic_field
 from .linalg_codes import (_MAT_MUL_CHUNK, DEFAULT_BUDGET,
-                           DEFAULT_DISTANCE_BUDGET, LinearCode, conjugate,
-                           gram_matrix, mat_mul, matrix_rank)
+                           DEFAULT_DISTANCE_BUDGET, LinearCode,
+                           _enumerate_min_weight, conjugate, gram_matrix,
+                           mat_mul, matrix_rank)
 from .report import (STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED,
                      STATUS_STRUCTURAL, ConstructionReport)
 
@@ -258,15 +262,29 @@ def natural_gram(spec: GrsSpec) -> np.ndarray:
 
 @dataclass
 class GrsHullClaim:
+    """GRS code ``spec`` claimed to have a hull of dimension ``hull_dim``
+    holding the GRS code ``subcode`` (equal to it when the dimensions
+    agree), and perhaps a Hermitian self-orthogonal GRS code.  ``fault``
+    None takes the prefix route (the subcode is a prefix GRS_t of the
+    spec); a string takes the route of a two-point set's certificate
+    (``ag._pair_certificate``) and holds its fault, "" if none.  ``code``
+    is built in closed form on first use."""
+
     family: str
     q: int
     params: dict
+    module: str
     spec: GrsSpec
     hull_dim: int
     subcode: GrsSpec
-    hull_equality: bool
+    fault: Optional[str]
+    self_orthogonal: Optional[GrsSpec]
     conservative_range: bool  # inside the conservative z-bounds
-    z1_subcode_dim: int       # the z = 1 closed form (q-1 resp. q-f-1)
+    z1_subcode_dim: Optional[int]  # the z = 1 closed form (q-1 resp. q-f-1)
+
+    @functools.cached_property
+    def code(self) -> LinearCode:
+        return self.spec.code()
 
 
 # ----------------------------------------------------------------------
@@ -468,8 +486,8 @@ def _evaluation_vector(F2: FieldContext, q: int, kind: str, e: Optional[int],
 
 
 def construct_family(family: str, q: int, field: Optional[FieldContext] = None,
-                     **params) -> tuple[LinearCode, GrsHullClaim]:
-    """Build a family instance and its hull claim.
+                     **params) -> GrsHullClaim:
+    """Build the hull claim of a family instance; no code is built.
 
     Accepts the full verified parameter ranges; ``claim.conservative_range``
     records whether the instance also satisfies the tighter z-bounds.
@@ -480,25 +498,34 @@ def construct_family(family: str, q: int, field: Optional[FieldContext] = None,
     """
     info = claim_arithmetic(family, q, **params)
     F2 = quadratic_field(q, field)
-    k, n = info["k"], info["n"]
     b, a = _evaluation_vector(F2, q, *_recipe(family, q, params), info["s"])
-    spec = GrsSpec(F2, b, a, k)
-    if spec.n != n:
-        raise RuntimeError(f"family {family} built length {spec.n}, not {n}")
-    sub = GrsSpec(F2, b, a, info["subcode_dim"])
-    claim = GrsHullClaim(
-        family=family, q=q,
+    spec = GrsSpec(F2, b, a, info["k"])
+    if spec.n != info["n"]:
+        raise RuntimeError(f"family {family} built length {spec.n}, "
+                           f"not {info['n']}")
+    return GrsHullClaim(
+        family=family, q=q, module="grs",
         params=dict(params) | ({"s": info["s"]} if info["s"] is not None else {}),
-        spec=spec, hull_dim=info["hull_dim"], subcode=sub,
-        hull_equality=info["hull_dim"] == info["subcode_dim"],
+        spec=spec, hull_dim=info["hull_dim"],
+        subcode=GrsSpec(F2, b, a, info["subcode_dim"]), fault=None,
+        self_orthogonal=None,
         conservative_range=in_conservative_range(family, q, params, info),
         z1_subcode_dim=info["z1_subcode_dim"])
-    return spec.code(), claim
 
 
 # ----------------------------------------------------------------------
 # verification
 # ----------------------------------------------------------------------
+
+#: every check name ``verify_claim`` emits, in the order it emits them
+CHECKS = ("code_mds", "hull_dim_gram", "max_prefix_subcode_dim",
+          "hull_dim_intersection", "subcode_in_hull", "hull_equality",
+          "hull_mds", "self_orthogonal_subcode")
+
+#: the distance kind of a report's code or hull, per status of its check
+_D_KIND = {STATUS_PASS: "enumerated", STATUS_FAIL: "failed",
+           STATUS_STRUCTURAL: "structural"}
+
 
 def _hermitian_orthogonal_to(code: LinearCode, rows: np.ndarray) -> bool:
     """Are all given rows Hermitian-orthogonal to every codeword of code?"""
@@ -507,139 +534,150 @@ def _hermitian_orthogonal_to(code: LinearCode, rows: np.ndarray) -> bool:
     return not prods.any()
 
 
-def verify_claim(code: LinearCode, claim: GrsHullClaim,
-                 budget: int = DEFAULT_BUDGET,
+def _mds(spec: GrsSpec, budget: int, fault: str,
+         proof: str) -> tuple[str, Optional[int], str]:
+    """(status, measured distance, note) of the check that the GRS code
+    ``spec`` has distance n - k + 1: FAIL on a ``fault`` of its proof,
+    enumerated on ``spec.generator()`` when order^k is within ``budget``
+    (a rank deficit shows as a zero codeword), else structural by
+    ``proof``."""
+    if fault:
+        return STATUS_FAIL, None, fault
+    if spec.field.order ** spec.k > budget:
+        return STATUS_STRUCTURAL, None, proof
+    d = _enumerate_min_weight(spec.field, spec.generator(), budget)
+    ok = d == spec.n - spec.k + 1
+    return (STATUS_PASS if ok else STATUS_FAIL), d, "enumerated"
+
+
+def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
                  distance_budget: int = DEFAULT_DISTANCE_BUDGET
                  ) -> ConstructionReport:
-    """Check a hull claim with exact linear algebra; never raises on a
-    mismatch, which is reported as a failed property instead.
+    """Check a hull claim with exact linear algebra, emitting the checks
+    of ``CHECKS``; a mismatch is a failed check, never an exception.
 
     Every Gram-shaped quantity comes from the one ``natural_gram`` of the
-    spec: its rank gives ``hull_dim_gram``, its first nonzero row
-    ``max_prefix_subcode_dim``, and ``subcode_in_hull`` passes when the
-    subcode is the prefix GRS_t(b, a) of the spec (same field, b and a,
-    t <= k, hence inside the code) and Gram rows 0..t-1 vanish, so that
-    its rows are Hermitian-orthogonal to the code.  No second product runs.
+    spec: its rank gives ``hull_dim_gram`` and, on the prefix route, its
+    first nonzero row ``max_prefix_subcode_dim``.  There
+    ``subcode_in_hull`` passes when the subcode is the prefix GRS_t(b, c)
+    of the spec (same field, b and c, t <= k, hence inside the code) and
+    Gram rows 0..t-1 vanish; on the certificate route, when the
+    certificate, its own second method, has no fault.  Only the prefix
+    route's ``hull_dim_intersection``, within ``budget``, builds the code.
     """
-    F2 = code.field
-    q = claim.q
+    spec, sub, fault = claim.spec, claim.subcode, claim.fault
+    F, n, k = spec.field, spec.n, spec.k
     rep = ConstructionReport(
-        construction={"module": "grs", "family": claim.family,
-                      "parameters": {"q": q} | claim.params},
-        field=F2.describe())
-    spec = claim.spec
-    n, k = spec.n, spec.k
+        construction={"module": claim.module, "family": claim.family,
+                      "parameters": {"q": claim.q} | claim.params},
+        field=F.describe())
 
-    rep.check_eq("code_length", n, code.n)
-    rep.check_eq("code_dimension", k, code.k)
-    d_kind = "structural"
-    d = n - k + 1
-    if F2.order ** k <= distance_budget:
-        d_meas = LinearCode.from_rows(F2, spec.generator()).min_distance(distance_budget)
-        rep.check_eq("code_mds", n - k + 1, d_meas, note="enumerated")
-        d_kind = "enumerated"
-    else:
-        rep.check("code_mds", STATUS_STRUCTURAL, expected=n - k + 1,
-                  note="GRS codes are MDS by construction")
-    rep.code = {"n": n, "k": k, "d": d, "d_kind": d_kind}
+    status, d, note = _mds(spec, distance_budget, fault,
+                           f"GRS_{k} codes are MDS by construction")
+    rep.check("code_mds", status, n - k + 1, d, note)
+    d_code = n - k + 1 if status == STATUS_STRUCTURAL else d
+    rep.code = {"n": n, "k": k, "d": d_code, "d_kind": _D_KIND[status]}
 
     gram = natural_gram(spec)
-    gram_dim = k - matrix_rank(F2, gram)
+    gram_dim = k - matrix_rank(F, gram)
     ok_gram = rep.check_eq("hull_dim_gram", claim.hull_dim, gram_dim)
 
-    # largest t with the first t natural generator rows inside the dual:
-    # exactly the first nonzero row of the Gram matrix
-    nz_rows = np.nonzero(gram.any(axis=1))[0]
-    max_prefix = int(nz_rows[0]) if nz_rows.size else k
-    note = ""
-    if claim.z1_subcode_dim != claim.subcode.k:
-        note = (f"the z = 1 closed form {claim.z1_subcode_dim} "
-                "is not attained at this z")
-    rep.check_eq("max_prefix_subcode_dim", claim.subcode.k, max_prefix, note=note)
-
     hull = None
-    hull_dim_int = None
-    if F2.order ** k <= budget:
-        hull = code.hermitian_hull()
-        hull_dim_int = hull.k
-        rep.check_eq("hull_dim_intersection", claim.hull_dim, hull.k)
+    if fault is None:
+        # largest t with the first t natural generator rows inside the
+        # dual: exactly the first nonzero row of the Gram matrix
+        nz_rows = np.nonzero(gram.any(axis=1))[0]
+        max_prefix = int(nz_rows[0]) if nz_rows.size else k
+        note = ""
+        if claim.z1_subcode_dim not in (None, sub.k):
+            note = (f"the z = 1 closed form {claim.z1_subcode_dim} "
+                    "is not attained at this z")
+        rep.check_eq("max_prefix_subcode_dim", sub.k, max_prefix, note=note)
+        if F.order ** k <= budget:
+            hull = claim.code.hermitian_hull()
+            rep.check_eq("hull_dim_intersection", claim.hull_dim, hull.k)
+        else:
+            rep.check("hull_dim_intersection", STATUS_SKIPPED,
+                      note=f"{F.order}^{k} parity solve skipped over "
+                           f"budget {budget}")
+        # natural rows 0..t-1 of the spec: in the code, orthogonal iff
+        # the first t Gram rows vanish
+        contained = (sub.field is F and tuple(sub.b) == tuple(spec.b)
+                     and tuple(sub.a) == tuple(spec.a) and sub.k <= k
+                     and max_prefix >= sub.k)
+        note = "rows lie in the code and are Hermitian-orthogonal to it"
     else:
-        rep.check("hull_dim_intersection", STATUS_SKIPPED,
-                  note=f"{F2.order}^{k} parity solve skipped over budget {budget}")
-
-    # natural rows 0..t-1 of the spec: in the code, orthogonal iff the
-    # first t Gram rows vanish
-    sub = claim.subcode
-    contained = (sub.field is F2 and tuple(sub.b) == tuple(spec.b)
-                 and tuple(sub.a) == tuple(spec.a) and sub.k <= k
-                 and max_prefix >= sub.k)
+        contained, note = not fault, fault or "the GRS-pair certificate"
     rep.check("subcode_in_hull", STATUS_PASS if contained else STATUS_FAIL,
-              expected=True, measured=contained,
-              note="rows lie in the code and are Hermitian-orthogonal to it")
+              expected=True, measured=contained, note=note)
 
-    relation = "contained"
-    if claim.hull_equality:
-        relation = "equal"
+    mds, equal = "n/a", claim.hull_dim == sub.k
+    if equal:
         if hull is not None:
-            eq = hull == claim.subcode.code()
-            rep.check("hull_equality", STATUS_PASS if eq else STATUS_FAIL,
-                      expected=True, measured=eq, note="canonical-form equality")
-        elif ok_gram and contained:
-            rep.check("hull_equality", STATUS_PASS, expected=True, measured=True,
-                      note="derived: Gram rank matches subcode dimension "
-                           "and the subcode lies in the hull")
+            eq = hull == sub.code()
+            note = "canonical-form equality"
         else:
-            rep.check("hull_equality", STATUS_FAIL, expected=True, measured=False)
+            eq = ok_gram and contained
+            note = ("derived: Gram rank matches subcode dimension and the "
+                    "subcode lies in the hull")
+        rep.check("hull_equality", STATUS_PASS if eq else STATUS_FAIL,
+                  expected=True, measured=eq, note=note)
+        if sub.k:
+            status, d, note = _mds(
+                sub, distance_budget,
+                fault or ("" if eq else f"the hull is not GRS_{sub.k}"),
+                f"the hull is a GRS_{sub.k} code, hence MDS")
+            rep.check("hull_mds", status, n - sub.k + 1, d, note)
+            mds = _D_KIND[status]
 
-    mds_status = "n/a"
-    if claim.hull_equality:
-        sub = claim.subcode
-        if sub.k > 0 and F2.order ** sub.k <= distance_budget:
-            dh = LinearCode.from_rows(F2, sub.generator())
-            d_hull = dh.min_distance(distance_budget)
-            okm = rep.check_eq("hull_mds", n - sub.k + 1, d_hull,
-                               note="enumerated hull distance")
-            mds_status = "enumerated" if okm else "failed"
-        else:
-            rep.check("hull_mds", STATUS_STRUCTURAL,
-                      note="hull equals a GRS row space, hence MDS")
-            mds_status = "structural"
+    if claim.self_orthogonal is not None:
+        so = not natural_gram(claim.self_orthogonal).any()
+        rep.check("self_orthogonal_subcode",
+                  STATUS_PASS if so else STATUS_FAIL,
+                  expected=True, measured=so)
 
     rep.hull = {
         "dim_claimed": claim.hull_dim,
         "dim_gram": gram_dim,
-        "dim_intersection": hull_dim_int,
-        "subcode_dim": claim.subcode.k,
-        "relation": relation,
-        "mds": mds_status,
+        "dim_intersection": None if hull is None else hull.k,
+        "subcode_dim": sub.k,
+        "relation": "equal" if equal else "contained",
+        "mds": mds,
     }
-
     if rep.verdict != "FAIL":
-        rep.quantum = quantum.chain_to_json(q, n, k, gram_dim)
+        rep.quantum = quantum.chain_to_json(claim.q, n, k, gram_dim)
     return rep
+
+
+def largest_k_first(grid: list[dict], vector: Callable,
+                    verifier: Callable) -> Iterator:
+    """Verify every entry of ``grid`` (dicts holding a "k"), yielding the
+    results in grid order.  Consecutive entries of one ``vector(entry)``
+    form a run, verified by ``verifier(vector)`` largest k first, so its
+    first instance fills the vector's tables for the rest."""
+    for key, run in itertools.groupby(grid, key=vector):
+        run, verify = list(run), verifier(key)
+        out = [None] * len(run)
+        for i in sorted(range(len(run)), key=lambda i: -run[i]["k"]):
+            out[i] = verify(run[i])
+        yield from out
 
 
 def sweep(q: int, families=FAMILIES, budget: int = DEFAULT_BUDGET,
           distance_budget: int = DEFAULT_DISTANCE_BUDGET,
           conservative: bool = True) -> Iterator[tuple[GrsHullClaim, ConstructionReport]]:
-    """Build and verify every in-range instance of the given families.
+    """Build and verify every in-range instance of the given families,
+    yielding (claim, report) in grid order (``largest_k_first`` on the
+    runs of one ``_recipe``)."""
+    def verify(params):
+        claim = construct_family(family, q, **params)
+        return claim, verify_claim(claim, budget=budget,
+                                   distance_budget=distance_budget)
 
-    The consecutive grid entries that share an evaluation vector form a
-    run (``_recipe``).  A run is built and verified largest k first, so its
-    first instance fills the vector's tables for the rest, and its reports
-    are yielded in grid order.
-    """
     for family in families:
-        grid = family_parameter_grid(family, q, conservative=conservative)
-        for _, run in itertools.groupby(
-                grid, key=lambda params: _recipe(family, q, params)):
-            run = list(run)
-            out = [None] * len(run)
-            for i in sorted(range(len(run)), key=lambda i: -run[i]["k"]):
-                code, claim = construct_family(family, q, **run[i])
-                out[i] = claim, verify_claim(code, claim, budget=budget,
-                                             distance_budget=distance_budget)
-            yield from out
+        yield from largest_k_first(
+            family_parameter_grid(family, q, conservative=conservative),
+            lambda params: _recipe(family, q, params), lambda _: verify)
 
 
 # ----------------------------------------------------------------------

@@ -343,9 +343,6 @@ class LinearCode:
         """
         return _kernel_of_rref(self.field, self.gen, self._pivots())
 
-    def euclidean_dual(self) -> "LinearCode":
-        return LinearCode.from_rows(self.field, self.parity_rows(), n=self.n)
-
     def hermitian_dual(self) -> "LinearCode":
         """C-perp-H = conj(C-perp): the conjugated parity rows span it."""
         F = self.field
@@ -371,16 +368,6 @@ class LinearCode:
         system = np.vstack([self.parity_rows(), conjugate(F, self.gen)])
         kernel = nullspace(F, system[:, order])
         return LinearCode.from_rows(F, kernel[:, np.argsort(order)], n=self.n)
-
-    def gram(self) -> np.ndarray:
-        return gram_matrix(self.field, self.gen)
-
-    def hull_dim_via_gram(self) -> int:
-        """k - rank(G G-dagger); equals dim of the Hermitian hull."""
-        return self.k - matrix_rank(self.field, self.gram())
-
-    def is_hermitian_self_orthogonal(self) -> bool:
-        return not self.gram().any()
 
     # -- derived codes -----------------------------------------------------
 
@@ -427,26 +414,6 @@ class LinearCode:
             raise ValueError("the zero code has no minimum distance")
         self._d = _enumerate_min_weight(self.field, self.gen, budget)
         return self._d
-
-    def is_mds(self, budget: int = DEFAULT_BUDGET) -> bool:
-        return self.min_distance(budget) == self.n - self.k + 1
-
-    def weight_distribution(self, budget: int = 1 << 20) -> np.ndarray:
-        """Counts of codeword weights 0..n, for small codes.
-
-        Counts the projective walk and scales by order - 1; the budget
-        counts the full message space order^k.
-        """
-        F = self.field
-        if F.order ** self.k > budget:
-            raise BudgetExceededError("weight distribution enumeration too large")
-        counts = np.zeros(self.n + 1, dtype=np.int64)
-        for block in _projective_blocks(F, self.gen):
-            w = np.count_nonzero(block, axis=1)
-            counts += np.bincount(w, minlength=self.n + 1)
-        counts *= F.order - 1
-        counts[0] = 1
-        return counts
 
     def cached_distance(self) -> Optional[int]:
         return self._d

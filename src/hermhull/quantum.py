@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .gf import prime_power, quadratic_field
-from .report import FAIL, STATUS_PASS, measured_hull_dim
+from .report import FAIL, STATUS_PASS
 
 #: propagated variants ``chain_to_json`` adds after the base code
 CHAIN_STEPS = 2
@@ -149,8 +149,8 @@ def _dominated(row: QuantumParams) -> bool:
 
 
 def _view(q: int, rep) -> QuantumParams:
-    """The EAQECC of a report's code and its measured hull."""
-    return eaqecc(q, rep.code["n"], rep.code["k"], measured_hull_dim(rep.hull))
+    """The EAQECC of a report's code and its hull, measured by Gram rank."""
+    return eaqecc(q, rep.code["n"], rep.code["k"], rep.hull["dim_gram"])
 
 
 def _passed(rep, check: str) -> bool:
@@ -179,7 +179,7 @@ def _table1(q: int, grs_runs: list, cor_runs: list) -> list[dict]:
     # u of the ladder is the family's code of dimension k+u at the same
     # length (CON1E at z = 1 for CON1), propagated 2u+1 steps
     for claim, rep in grs_runs:
-        n, k, hull = rep.code["n"], rep.code["k"], measured_hull_dim(rep.hull)
+        n, k, hull = rep.code["n"], rep.code["k"], rep.hull["dim_gram"]
         if (claim.family not in _TABLE1_ROWS or k < 2
                 or not _passed(rep, "hull_equality")):
             continue
@@ -192,7 +192,7 @@ def _table1(q: int, grs_runs: list, cor_runs: list) -> list[dict]:
             if rung is None or rung.code["n"] != n:
                 break
             ladder.append({"u": u} | propagate(
-                _view(q, rung), 2 * u + 1, measured_hull_dim(rung.hull)).to_json())
+                _view(q, rung), 2 * u + 1, rung.hull["dim_gram"]).to_json())
         # propagation needs q > 2: at q = 2 there is no 2-ebit variant
         found.append((_TABLE1_ROWS[claim.family], n, hull,
                       propagate(_view(q, rep), 1, hull) if q > 2 else None,
@@ -202,7 +202,7 @@ def _table1(q: int, grs_runs: list, cor_runs: list) -> list[dict]:
     for params, res in cor_runs:
         rep = res.report
         n, k = rep.code["n"], rep.code["k"]
-        if _passed(rep, "one_point_self_orthogonal"):
+        if _passed(rep, "self_orthogonal_subcode"):
             found.append((_TABLE1_ROWS[rep.construction["family"]], n, k - 1,
                           _view(q, rep) if k < n else None, [], params))
     rows = []
@@ -237,7 +237,7 @@ def _table2(q: int, grs_runs: list, cor_runs: list) -> list[dict]:
         n, k, family = rep.code["n"], rep.code["k"], rep.construction["family"]
         if k == n:  # the whole space: no delta exists
             continue
-        hulls = [measured_hull_dim(rep.hull)]
+        hulls = [rep.hull["dim_gram"]]
         if alpha is not None:
             hulls += [h for ell, h in ag.scale_sweep(res, alpha).items() if ell]
         rows += [{"row": _TABLE2_ROWS[family], "q": q, "family": family,

@@ -55,12 +55,6 @@ def code_to_json(code) -> dict:
     return d
 
 
-def measured_hull_dim(hull: dict) -> int:
-    """The measured hull dimension in a report's ``hull`` section: the Gram
-    rank of a GRS report, the intersection of a two-point report."""
-    return hull["dim_gram"] if "dim_gram" in hull else hull["dim_measured"]
-
-
 @dataclass
 class Check:
     name: str

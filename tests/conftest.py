@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hermhull import gf, quantum
-from hermhull.linalg_codes import LinearCode
+from hermhull.linalg_codes import (LinearCode, _projective_blocks,
+                                   gram_matrix, matrix_rank)
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +40,32 @@ def random_code(F, n, k, rng):
         c = LinearCode.from_rows(F, M, n=n)
         if c.k == k:
             return c
+
+
+def euclidean_dual(C):
+    """The Euclidean dual of C, spanned by its parity rows."""
+    return LinearCode.from_rows(C.field, C.parity_rows(), n=C.n)
+
+
+def hull_dim_via_gram(C):
+    """k - rank(G G-dagger), the dimension of the Hermitian hull of C."""
+    return C.k - matrix_rank(C.field, gram_matrix(C.field, C.gen))
+
+
+def is_hermitian_self_orthogonal(C):
+    return not gram_matrix(C.field, C.gen).any()
+
+
+def weight_distribution(C):
+    """Counts of codeword weights 0..n of a small code: the projective
+    walk of the distance enumeration, scaled by order - 1."""
+    counts = np.zeros(C.n + 1, dtype=np.int64)
+    for block in _projective_blocks(C.field, C.gen):
+        counts += np.bincount(np.count_nonzero(block, axis=1),
+                              minlength=C.n + 1)
+    counts *= C.field.order - 1
+    counts[0] = 1
+    return counts
 
 
 def grs_b_full(F):

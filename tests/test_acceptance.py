@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import quantum_tables
+from conftest import euclidean_dual, hull_dim_via_gram, quantum_tables
 from hermhull import ag, cyclic, grs, quantum
 from hermhull.ag import Divisor, O, finite
 from hermhull.gf import quadratic_field
@@ -41,7 +41,8 @@ def test_criterion_1_full_length_family_end_to_end(capsys):
     code on the same vectors, with the exact hull distance q^2 - q + 2."""
     with criterion(capsys, "1 full-length hulls q=3,4,5", 30):
         for q in (3, 4, 5):
-            code, claim = grs.construct_family("CON1", q)
+            claim = grs.construct_family("CON1", q)
+            code = claim.code
             hull = code.hermitian_hull()
             assert hull.k == q - 1
             assert hull == claim.subcode.code()          # RREF equality
@@ -59,8 +60,8 @@ def test_criterion_2_short_family_sweep(capsys):
         for q in (4, 5, 7):
             for family in ("CON2", "CON3", "CON4"):
                 for params in grs.family_parameter_grid(family, q):
-                    code, claim = grs.construct_family(family, q, **params)
-                    rep = grs.verify_claim(code, claim, budget=budget,
+                    claim = grs.construct_family(family, q, **params)
+                    rep = grs.verify_claim(claim, budget=budget,
                                            distance_budget=10 ** 5)
                     assert rep.verdict != "FAIL", (family, q, params,
                                                    rep.first_failure)
@@ -68,7 +69,7 @@ def test_criterion_2_short_family_sweep(capsys):
                     assert by_name["hull_dim_gram"].status == STATUS_PASS
                     assert by_name["hull_equality"].status == STATUS_PASS
                     inter = by_name["hull_dim_intersection"]
-                    if code.field.order ** code.k <= budget:
+                    if claim.spec.field.order ** claim.spec.k <= budget:
                         assert inter.status == STATUS_PASS
                     else:
                         assert inter.status == STATUS_SKIPPED
@@ -85,7 +86,7 @@ def test_criterion_3_enlarged_family_sweep(capsys):
         for q in (5, 7):
             for family in ("CON1E", "CON2E", "CON3E", "CON4E"):
                 for params in grs.family_parameter_grid(family, q):
-                    code, claim = grs.construct_family(family, q, **params)
+                    claim = grs.construct_family(family, q, **params)
                     z, f = params["z"], params.get("f")
                     if family in ("CON1E", "CON2E"):
                         want = z * z
@@ -94,9 +95,9 @@ def test_criterion_3_enlarged_family_sweep(capsys):
                     else:
                         want = z * z + z * f
                     from hermhull.linalg_codes import matrix_rank
-                    rank = matrix_rank(code.field, grs.natural_gram(claim.spec))
+                    rank = matrix_rank(claim.spec.field, grs.natural_gram(claim.spec))
                     assert rank == want, (family, q, params, rank)
-                    rep = grs.verify_claim(code, claim, budget=10 ** 7,
+                    rep = grs.verify_claim(claim, budget=10 ** 7,
                                            distance_budget=10 ** 4)
                     by_name = {c.name: c for c in rep.checks}
                     assert by_name["subcode_in_hull"].status == STATUS_PASS
@@ -211,7 +212,7 @@ def test_criterion_5_twenty_point_golden_example(capsys):
         res = ag.two_point_code(F, ag.residues(F, U), 3, p=P,
                                 distance_budget=25 ** 5)
         own = LinearCode.from_rows(F, res.scaled_rows).hermitian_hull()
-        assert own == res.hull and res.report.hull["dim_measured"] == 3
+        assert own == res.hull and res.report.hull["dim_gram"] == 3
         assert own.min_distance() == 18
         assert res.report.verdict == "PASS"
 
@@ -316,12 +317,12 @@ def test_criterion_9_property_suite(capsys):
                 k = int(rng.integers(1, min(n, 5) + 1))
                 M = rng.integers(0, F.order, size=(k, n)).astype(np.int32)
                 C = LinearCode.from_rows(F, M, n=n)
-                assert C.euclidean_dual().euclidean_dual() == C
+                assert euclidean_dual(euclidean_dual(C)) == C
                 assert C.hermitian_dual().hermitian_dual() == C
                 assert C.k + C.hermitian_dual().k == n
                 hull = C.hermitian_hull()
                 assert hull == C.hermitian_dual().hermitian_hull()
-                assert hull.k == C.hull_dim_via_gram()
+                assert hull.k == hull_dim_via_gram(C)
         for q in (3, 4, 5, 7):
             F = quadratic_field(q)
             for _ in range(50):

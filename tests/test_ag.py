@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hermhull import ag, polys
+from hermhull import ag, grs, polys
 from hermhull.ag import (Divisor, O, RationalFunction, default_extra_point,
                          default_scaling_element, evaluation_code,
                          evaluation_set, extend_evaluation_set, finite,
@@ -15,6 +15,8 @@ from hermhull.grs import GrsSpec
 from hermhull.linalg_codes import (DEFAULT_BUDGET, LinearCode, conjugate,
                                    gram_matrix, mat_mul)
 from hermhull.report import STATUS_FAIL, STATUS_PASS, ConstructionReport
+
+from conftest import is_hermitian_self_orthogonal
 
 
 def subfield_points(F):
@@ -400,7 +402,7 @@ def test_two_point_family_computes_residues_once(monkeypatch):
         return residues(*args, **kwargs)
 
     monkeypatch.setattr(ag, "residues", counted)
-    res = ag.two_point_family("COR2", F, 1, t=3)
+    res = two_point_code(F, evaluation_set("COR2", 5, t=3, field=F), 1)
     assert len(calls) == 1 and tuple(calls[0]) == res.points
     U = evaluation_set("COR2", 5, t=3)
     assert U == residues(F, U.points) == res.diff
@@ -409,7 +411,8 @@ def test_two_point_family_computes_residues_once(monkeypatch):
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_sweep_builds_each_evaluation_set_once(q, monkeypatch):
     """ag.sweep builds each evaluation set once; it yields the grid in
-    order, with the reports two_point_family gives instance by instance."""
+    order, with the labelled reports two_point_code gives instance by
+    instance."""
     sets = []
 
     def counted_set(family, q, **kwargs):
@@ -430,7 +433,9 @@ def test_sweep_builds_each_evaluation_set_once(q, monkeypatch):
     F = quadratic_field(q)
     for (family, params), (_, res) in zip(grid, swept):
         kw = {k: v for k, v in params.items() if k in ("s", "t", "n0")}
-        ref = ag.two_point_family(family, F, params["k"], **kw)
+        ref = ag.labelled(two_point_code(
+            F, evaluation_set(family, q, field=F, **kw), params["k"]),
+            family, kw)
         assert (res.report.to_canonical_dict()
                 == ref.report.to_canonical_dict()), (family, params)
 
@@ -499,7 +504,7 @@ def test_sum_zero_extension_of_the_one_point_code_is_refuted(q):
         one_point = GrsSpec(F, U.points, U.witnesses, k + 1).code()
         ext = one_point.extend_sum_zero()
         assert (ext.n, ext.k) == (len(U.points) + 1, k + 1)
-        self_orth = ext.is_hermitian_self_orthogonal()
+        self_orth = is_hermitian_self_orthogonal(ext)
         zero_column = not ext.gen[:, -1].any()
         assert zero_column or not self_orth, (family, params)
         kinds.add(self_orth)
@@ -518,7 +523,7 @@ def _extended_two_point(F, U, k, distance_budget=DEFAULT_BUDGET):
     problems = []
     if (ext_base.n, ext_base.k) != (n + 1, k + 1):
         problems.append(f"parameters [{ext_base.n}, {ext_base.k}]")
-    if not ext_base.is_hermitian_self_orthogonal():
+    if not is_hermitian_self_orthogonal(ext_base):
         problems.append("not Hermitian self-orthogonal")
     elif F.order ** ext_base.k <= distance_budget \
             and ext_base.min_distance(distance_budget) != n - k + 1:
@@ -608,7 +613,7 @@ def test_extended_two_point_reports_pinned(family, q, params, k, digest):
 def test_branch_test_reads_the_gram_matrix(q):
     """Gram columns 0 and k+1 of the scaled rows, which span a . C_L(D, P),
     are both nonzero on every grid instance: no grid instance is Hermitian
-    self-orthogonal, the input that fails ``hull_dim`` below."""
+    self-orthogonal, the input that fails ``hull_dim_gram`` below."""
     F = quadratic_field(q)
     count = 0
     for family, params, U in _grid_instances(F):
@@ -625,24 +630,26 @@ def test_branch_one_follows_zero_gram_columns(q, monkeypatch):
     """No grid instance is self-orthogonal, so that input is made by hand:
     with Gram columns 0 and k+1 zeroed on top of the zero one-point block,
     the Gram matrix of the code reads zero.  The code must then FAIL
-    ``hull_dim``, measuring k + 2 for the claimed k."""
+    ``hull_dim_gram``, measuring k + 2 for the claimed k."""
     F = quadratic_field(q)
     k = 1
     U = evaluation_set("COR2", q, t=q - 1, field=F)
-    gram = ag.natural_gram
+    gram = grs.natural_gram
 
     def zeroed(spec):
         out = gram(spec)
         return out if spec.a == U.witnesses else np.zeros_like(out)
 
-    monkeypatch.setattr(ag, "natural_gram", zeroed)
+    monkeypatch.setattr(grs, "natural_gram", zeroed)
     rep = two_point_code(F, U, k, distance_budget=0).report
     checks = {c.name: c for c in rep.checks}
-    assert rep.verdict == "FAIL" and rep.first_failure == "hull_dim"
-    assert (checks["hull_dim"].expected, checks["hull_dim"].measured) \
-        == (k, k + 2)
+    assert rep.verdict == "FAIL" and rep.first_failure == "hull_dim_gram"
+    assert (checks["hull_dim_gram"].expected,
+            checks["hull_dim_gram"].measured) == (k, k + 2)
+    assert checks["hull_equality"].status == STATUS_FAIL
     assert checks["hull_mds"].status == STATUS_FAIL
-    assert rep.hull["dim_measured"] == k + 2 and rep.quantum == []
+    assert checks["self_orthogonal_subcode"].status == STATUS_PASS
+    assert rep.hull["dim_gram"] == k + 2 and rep.quantum == []
 
 
 # ----------------------------------------------------------------------
@@ -667,7 +674,7 @@ def test_two_point_specs_equal_the_elimination(q):
         code, hull = eliminated(F, res)
         assert res.code == code and res.hull == hull, params
         assert res.report.verdict == "PASS", params
-        assert res.report.hull["dim_measured"] == hull.k == params["k"]
+        assert res.report.hull["dim_gram"] == hull.k == params["k"]
 
 
 def test_sweep_runs_no_elimination_of_a_code_or_hull(monkeypatch,
@@ -727,8 +734,10 @@ def test_a_failed_certificate_fails_every_structural_check(
         rep = two_point_code(F25, U, k, distance_budget=budget).report
         checks = {c.name: c for c in rep.checks}
         assert rep.verdict == "FAIL" and rep.quantum == []
-        assert checks["code_distance"].status == STATUS_FAIL
-        assert checks["code_distance"].note == "broken"
+        assert checks["code_mds"].status == STATUS_FAIL
+        assert checks["code_mds"].note == "broken"
+        assert checks["subcode_in_hull"].status == STATUS_FAIL
+        assert checks["subcode_in_hull"].note == "broken"
         assert rep.code["d_kind"] == "failed"
         if k:
             assert checks["hull_mds"].status == STATUS_FAIL

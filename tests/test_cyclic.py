@@ -12,7 +12,7 @@ from hermhull.cyclic import (EqtrParams, cyclic_from_defining_set,
 from hermhull.gf import quadratic_field
 from hermhull.linalg_codes import LinearCode, nullspace
 
-from conftest import grs_b_full
+from conftest import grs_b_full, is_hermitian_self_orthogonal
 
 
 def test_cyclotomic_cosets():
@@ -221,7 +221,7 @@ def test_weight_support_vs_scaled_self_orthogonality(F9):
                      dtype=np.int32)
         scaled = F9.mul_arr(sub, a[None, :])
         C = LinearCode.from_rows(F9, scaled, n=len(cols))
-        return C.is_hermitian_self_orthogonal()
+        return is_hermitian_self_orthogonal(C)
 
     # positive direction: every bilinear word gives a self-orthogonal puncture
     for w in words:

@@ -16,7 +16,7 @@ from hermhull.linalg_codes import (LinearCode, conjugate, gram_matrix, mat_mul,
                                    matrix_rank, rref)
 from hermhull.report import STATUS_FAIL, STATUS_PASS
 
-from conftest import grs_b_full
+from conftest import grs_b_full, hull_dim_via_gram
 
 
 def test_grs_spec_validation(F9):
@@ -85,7 +85,7 @@ def test_systematic_matches_rref_on_every_family(q):
     count = 0
     for family in grs.FAMILIES:
         for params in family_parameter_grid(family, q, conservative=False):
-            _, claim = construct_family(family, q, **params)
+            claim = construct_family(family, q, **params)
             _assert_systematic_is_rref(claim.spec)
             _assert_systematic_is_rref(claim.subcode)
             count += 1
@@ -95,7 +95,7 @@ def test_systematic_matches_rref_on_every_family(q):
 def test_systematic_matches_rref_q16_wide():
     for family in ("CON1E", "CON4E"):
         for params in family_parameter_grid(family, 16):
-            _, claim = construct_family(family, 16, **params)
+            claim = construct_family(family, 16, **params)
             _assert_systematic_is_rref(claim.spec)
             _assert_systematic_is_rref(claim.subcode)
 
@@ -107,7 +107,7 @@ def test_tables_filled_at_a_larger_k_serve_every_smaller_k(q):
     specs = {}
     for family in grs.FAMILIES:
         for params in family_parameter_grid(family, q, conservative=False):
-            _, claim = construct_family(family, q, **params)
+            claim = construct_family(family, q, **params)
             for spec in (claim.spec, claim.subcode):
                 specs.setdefault((spec.b, spec.a), set()).add(spec)
     for (b, a), group in specs.items():
@@ -129,7 +129,7 @@ def test_tables_filled_at_a_larger_k_serve_every_smaller_k(q):
 
 
 def test_tables_grow_with_k_and_stay_read_only():
-    _, claim = construct_family("CON2E", 5, z=1, f=1, k=5)
+    claim = construct_family("CON2E", 5, z=1, f=1, k=5)
     spec = claim.spec
     grs._vector_table.cache_clear()
     table = grs._vector_table(spec.field, spec.b, spec.a)
@@ -173,9 +173,9 @@ def test_grs_sweep_builds_each_vector_once(monkeypatch):
         calls.append((family, params, solves, events[:]))
         return out
 
-    def verified(code, claim, **kw):
+    def verified(claim, **kw):
         del events[:]
-        rep = verify(code, claim, **kw)
+        rep = verify(claim, **kw)
         calls[-1][3].extend(events)
         return rep
 
@@ -207,8 +207,7 @@ def test_grs_sweep_builds_each_vector_once(monkeypatch):
     grs._evaluation_vector.cache_clear()
     grs._vector_table.cache_clear()
     for (family, params), (claim, rep) in zip(grid, swept):
-        code, one = construct_family(family, q, **params)
-        alone = verify_claim(code, one, **budgets)
+        alone = verify_claim(construct_family(family, q, **params), **budgets)
         assert alone.to_canonical_dict() == rep.to_canonical_dict()
 
 
@@ -255,8 +254,8 @@ def test_code_runs_no_elimination(monkeypatch):
     for family, q, params in [("CON1E", 4, {"z": 1, "k": 4}),
                               ("CON3", 5, {"k": 3}),
                               ("CON2E", 7, {"z": 1, "f": 1, "k": 7})]:
-        code, claim = construct_family(family, q, **params)
-        assert code.k == claim.spec.k
+        claim = construct_family(family, q, **params)
+        assert claim.code.k == claim.spec.k
         assert claim.subcode.code().k == claim.subcode.k
 
 
@@ -283,16 +282,18 @@ def test_generator_is_scaled_vandermonde(F25):
     ("CON4E", 7, {"z": 1, "f": 2, "m": 5, "k": 7}, 40),
 ])
 def test_construct_family_lengths_and_verdicts(family, q, params, length):
-    code, claim = construct_family(family, q, **params)
+    claim = construct_family(family, q, **params)
+    code = claim.code
     assert code.n == length
-    rep = verify_claim(code, claim, budget=10 ** 6, distance_budget=10 ** 5)
+    rep = verify_claim(claim, budget=10 ** 6, distance_budget=10 ** 5)
     assert rep.verdict in ("PASS", "PARTIAL"), rep.first_failure
     failed = [c.name for c in rep.checks if c.status == "fail"]
     assert not failed
 
 
 def test_con1_hull_equality_small(F9):
-    code, claim = construct_family("CON1", 3)
+    claim = construct_family("CON1", 3)
+    code = claim.code
     hull = code.hermitian_hull()
     assert hull == claim.subcode.code()
     assert hull.k == 2
@@ -302,7 +303,8 @@ def test_con1_hull_equality_small(F9):
 def test_con3_scaling_vector_solves_the_norm_equations():
     q = 5
     F = quadratic_field(q)
-    code, claim = construct_family("CON3", q, k=3)
+    claim = construct_family("CON3", q, k=3)
+    code = claim.code
     s = math.gcd(2, 4)
     assert claim.params["s"] == s
     B = [l for l in range(24) if l % ((q - 1) // s) != 0]
@@ -322,26 +324,26 @@ def test_con4_scaling_survives_where_single_term_form_vanishes():
     l = 2
     collapsed = F.sub(F.alpha_pow(-(l * 3 * 8)), 1)
     assert collapsed == 0
-    code, claim = construct_family("CON4", 7, k=4, m=5)
+    claim = construct_family("CON4", 7, k=4, m=5)
     assert all(a != 0 for a in claim.spec.a)
-    rep = verify_claim(code, claim, budget=10 ** 6, distance_budget=10 ** 4)
+    rep = verify_claim(claim, budget=10 ** 6, distance_budget=10 ** 4)
     assert all(c.status != "fail" for c in rep.checks)
 
 
 def test_even_q_appended_norm_equation():
     # -1 = 1 in characteristic 2; the appended-coordinate equation still solves
     F = quadratic_field(4)
-    code, claim = construct_family("CON3", 4, k=2)
+    claim = construct_family("CON3", 4, k=2)
     assert claim.spec.b[-1] == 0
     assert F.pow(claim.spec.a[-1], 5) == 1 == F.neg(1)
-    rep = verify_claim(code, claim, budget=10 ** 6)
+    rep = verify_claim(claim, budget=10 ** 6)
     assert rep.verdict == "PASS"
 
 
 def test_gram_structure_con1e():
     # nonzero Gram rows are exactly -e_l at l = yq - x + 1 (1-based), x,y <= z
     for q, z, k in [(5, 1, 5), (7, 1, 8), (7, 2, 14)]:
-        _, claim = construct_family("CON1E", q, z=z, k=k)
+        claim = construct_family("CON1E", q, z=z, k=k)
         G = natural_gram(claim.spec)
         F = claim.spec.field
         neg1 = F.neg(1)
@@ -352,7 +354,7 @@ def test_gram_structure_con1e():
 
 
 def _assert_gram_matches(family, q, params, field=None):
-    _, claim = construct_family(family, q, field=field, **params)
+    claim = construct_family(family, q, field=field, **params)
     spec = claim.spec
     want = gram_matrix(spec.field, recursion_generator(spec))
     assert np.array_equal(natural_gram(spec), want), (family, q, params)
@@ -495,7 +497,7 @@ def test_gram_rank_branches_con3e_con4e():
         ("CON4E", 7, {"z": 1, "f": 3, "m": 5, "k": 7}, 2),
     ]
     for family, q, params, want in cases:
-        _, claim = construct_family(family, q, **params)
+        claim = construct_family(family, q, **params)
         r = matrix_rank(claim.spec.field, natural_gram(claim.spec))
         assert r == want, (family, params, r)
         assert claim.hull_dim == params["k"] - want
@@ -528,7 +530,8 @@ def test_z1_prefix_formulas_do_not_extend():
             ("CON1E", 7, {"z": 2, "k": 14}, 6),
             ("CON2E", 7, {"z": 2, "f": 1, "k": 14}, 5),
             ("CON3E", 7, {"z": 2, "f": 2, "k": 14}, 4)]:
-        code, claim = construct_family(family, q, **params)
+        claim = construct_family(family, q, **params)
+        code = claim.code
         F = claim.spec.field
         assert claim.z1_subcode_dim == z1_dim
         assert claim.subcode.k < z1_dim
@@ -539,13 +542,13 @@ def test_z1_prefix_formulas_do_not_extend():
 
 
 def test_negative_control_corrupted_scale():
-    code, claim = construct_family("CON2", 5, k=3)
+    claim = construct_family("CON2", 5, k=3)
     F = claim.spec.field
     bad = list(claim.spec.a)
     bad[0] = F.mul(bad[0], F.alpha)
     claim.spec = GrsSpec(F, claim.spec.b, tuple(bad), claim.spec.k)
     claim.subcode = replace(claim.spec, k=claim.subcode.k)
-    rep = verify_claim(claim.spec.code(), claim, budget=10 ** 6)
+    rep = verify_claim(claim, budget=10 ** 6)
     assert rep.verdict == "FAIL"
     assert rep.first_failure == "hull_dim_gram"
 
@@ -558,8 +561,8 @@ def _old_subcode_in_hull(code, subcode):
             and grs._hermitian_orthogonal_to(code, rows))
 
 
-def _subcode_status(code, claim):
-    rep = verify_claim(code, claim, budget=0, distance_budget=0)
+def _subcode_status(claim):
+    rep = verify_claim(claim, budget=0, distance_budget=0)
     return {c.name: c.status for c in rep.checks}["subcode_in_hull"]
 
 
@@ -576,11 +579,12 @@ def test_subcode_in_hull_matches_containment_and_product(q, families):
     # the claimed prefix subcode, and the next larger one where it fits,
     # whose last row is not orthogonal to the code
     count = failed = 0
-    for code, claim in _grid(q, families):
+    for claim in _grid(q, families):
+        code = claim.code
         for t in {claim.subcode.k, min(claim.subcode.k + 1, claim.spec.k)}:
             claim.subcode = replace(claim.spec, k=t)
             old = _old_subcode_in_hull(code, claim.subcode)
-            assert _subcode_status(code, claim) == \
+            assert _subcode_status(claim) == \
                 (STATUS_PASS if old else STATUS_FAIL), (claim.family, claim.params, t)
             count += 1
             failed += not old
@@ -591,18 +595,47 @@ def test_subcode_in_hull_matches_containment_and_product(q, families):
     ("CON1", 4, {}), ("CON2E", 5, {"z": 1, "f": 1, "k": 5}),
     ("CON3", 7, {"k": 4})])
 def test_subcode_in_hull_fails_for_a_foreign_subcode(family, q, params):
-    code, claim = construct_family(family, q, **params)
+    claim = construct_family(family, q, **params)
+    code = claim.code
     spec, F = claim.spec, claim.spec.field
-    assert _subcode_status(code, claim) == STATUS_PASS
+    assert _subcode_status(claim) == STATUS_PASS
     # another scale vector: the rows leave the code
     a = list(spec.a)
     a[-1] = F.mul(a[-1], F.alpha)
     claim.subcode = GrsSpec(F, spec.b, tuple(a), claim.subcode.k)
     assert not _old_subcode_in_hull(code, claim.subcode)
-    assert _subcode_status(code, claim) == STATUS_FAIL
+    assert _subcode_status(claim) == STATUS_FAIL
     # a subcode larger than the code
     claim.subcode = replace(spec, k=spec.k + 1)
-    assert _subcode_status(code, claim) == STATUS_FAIL
+    assert _subcode_status(claim) == STATUS_FAIL
+
+
+def test_subcode_on_another_vector_fails_subcode_in_hull():
+    # the prefix GRS_t of a reversed vector: Gram rows 0..t-1 of the code
+    # vanish, yet the subcode is not the code's prefix and leaves the hull
+    claim = construct_family("CON2", 5, k=3)
+    spec = claim.spec
+    assert _subcode_status(claim) == STATUS_PASS
+    claim.subcode = GrsSpec(spec.field, spec.b[::-1], spec.a[::-1],
+                            claim.subcode.k)
+    assert not _old_subcode_in_hull(claim.code, claim.subcode)
+    rep = verify_claim(claim, budget=0, distance_budget=0)
+    checks = {c.name: c.status for c in rep.checks}
+    assert checks["max_prefix_subcode_dim"] == STATUS_PASS
+    assert checks["subcode_in_hull"] == checks["hull_equality"] == STATUS_FAIL
+    assert rep.first_failure == "subcode_in_hull"
+
+
+def test_sweep_over_budget_builds_no_code(monkeypatch):
+    # every CON1E instance at q = 16 is over the default --budget, so no
+    # check reads a code, and none is built
+    built = []
+    code = GrsSpec.code
+    monkeypatch.setattr(GrsSpec, "code",
+                        lambda self: built.append(self) or code(self))
+    reports = [rep for _, rep in grs.sweep(16, ("CON1E",))]
+    assert reports and built == []
+    assert all(rep.hull["dim_intersection"] is None for rep in reports)
 
 
 def test_verify_claim_runs_no_grs_product_in_characteristic_2(monkeypatch):
@@ -615,11 +648,11 @@ def test_verify_claim_runs_no_grs_product_in_characteristic_2(monkeypatch):
     monkeypatch.setattr(grs, "mat_mul", counting)
     count = 0
     for q in (2, 4, 8):
-        for code, claim in _grid(q):
-            verify_claim(code, claim, budget=10 ** 6, distance_budget=10 ** 4)
+        for claim in _grid(q):
+            verify_claim(claim, budget=10 ** 6, distance_budget=10 ** 4)
             count += 1
-    for code, claim in list(_grid(16, ("CON1E",)))[:5]:
-        verify_claim(code, claim)
+    for claim in list(_grid(16, ("CON1E",)))[:5]:
+        verify_claim(claim)
         count += 1
     assert count > 0 and calls == []
 
@@ -656,7 +689,7 @@ def test_puncture_from_all_ones_recovers_full_length_family():
     F = quadratic_field(q)
     x = np.ones(q * q, dtype=np.int32)
     spec_k, spec_l = puncture_from_p_codeword(q, x, q, q - 1)
-    _, claim = construct_family("CON1", q)
+    claim = construct_family("CON1", q)
     assert spec_k.b == claim.spec.b
     assert spec_k.a == claim.spec.a == (1,) * 9
     assert (spec_k.k, spec_l.k) == (3, 2)
@@ -671,7 +704,7 @@ def test_puncture_from_eqtr_codeword_q4():
     # the dimension-1 subcode sits inside the Hermitian hull (checked inside
     # the builder); confirm the hull dimension is exactly k - 1 here
     code = spec_k.code()
-    assert code.hull_dim_via_gram() == k - 1
+    assert hull_dim_via_gram(code) == k - 1
 
 
 def test_puncture_errors(F9):
@@ -710,8 +743,8 @@ def test_full_sweep_q5_q7_no_failures():
 
 
 def test_report_quantum_chain_present():
-    code, claim = construct_family("CON1", 5)
-    rep = verify_claim(code, claim, budget=10 ** 6)
+    claim = construct_family("CON1", 5)
+    rep = verify_claim(claim, budget=10 ** 6)
     assert rep.quantum
     first = rep.quantum[0]
     assert (first["n"], first["kappa"], first["delta"], first["c"]) == \

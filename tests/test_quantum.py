@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import quantum_tables
+from conftest import hull_dim_via_gram, quantum_tables
 from hermhull import quantum
 from hermhull.quantum import QuantumParams, eaqecc, propagate, singleton_check
 
@@ -106,8 +106,9 @@ def test_table2_round_trip_from_first_principles():
              ("CON3E", 7, {"z": 1, "f": 2, "k": 8})]
     rows = {q: quantum_tables(q)["table2"] for q in (5, 7)}
     for family, q, params in cases:
-        code, claim = construct_family(family, q, **params)
-        hull_dim = code.hull_dim_via_gram()
+        claim = construct_family(family, q, **params)
+        code = claim.code
+        hull_dim = hull_dim_via_gram(code)
         assert hull_dim == claim.hull_dim
         p = eaqecc(q, code.n, code.k, hull_dim)
         match = [r for r in rows[q]
@@ -161,7 +162,7 @@ def test_table3_new_drops_the_refuted_con3e_rows():
     rows = quantum_tables(8)["table3_new"]
     keys = {(r["n"], r["kappa"], r["delta"], r["c"]) for r in rows}
     for k, claimed in ((24, (55, 22, 25, 15)), (25, (55, 20, 26, 15))):
-        rep = verify_claim(*construct_family("CON3E", 8, z=3, f=2, k=k))
+        rep = verify_claim(construct_family("CON3E", 8, z=3, f=2, k=k))
         assert rep.verdict == "FAIL" and rep.hull["dim_gram"] == k - 14
         assert claimed not in keys
         assert {"z": 3, "f": 2, "k": k} not in [
@@ -185,10 +186,12 @@ def test_table3_ingredients_verify():
     # spot-check that the claimed hull dimensions behind two table rows are
     # real, by exact Gram rank on the built codes
     from hermhull.grs import construct_family
-    code, claim = construct_family("CON1E", 7, z=3, k=21)
-    assert code.hull_dim_via_gram() == 21 - 9
-    code, claim = construct_family("CON3E", 7, z=2, f=2, k=15)
-    assert code.hull_dim_via_gram() == 15 - 8
+    claim = construct_family("CON1E", 7, z=3, k=21)
+    code = claim.code
+    assert hull_dim_via_gram(code) == 21 - 9
+    claim = construct_family("CON3E", 7, z=2, f=2, k=15)
+    code = claim.code
+    assert hull_dim_via_gram(code) == 15 - 8
 
 
 def test_chain_to_json():

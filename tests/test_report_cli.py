@@ -12,15 +12,14 @@ import jsonschema
 
 import hermhull
 from conftest import quantum_tables
-from hermhull import ag, cli, report
+from hermhull import ag, cli, grs, report
 from hermhull.grs import construct_family, verify_claim
 from hermhull.report import (ConstructionReport, code_to_json,
                              logs_to_vector, report_schema, vector_to_logs)
 
 
 def make_report():
-    code, claim = construct_family("CON1", 3)
-    return verify_claim(code, claim, budget=10 ** 6)
+    return verify_claim(construct_family("CON1", 3), budget=10 ** 6)
 
 
 def test_verdict_logic():
@@ -47,6 +46,11 @@ def test_canonical_json_deterministic():
 def test_report_validates_against_schema():
     payload = json.loads(make_report().to_json())
     jsonschema.validate(payload, report_schema())
+
+
+def test_schema_names_the_verifier_checks():
+    name = report_schema()["properties"]["report"]["properties"]["checks"]
+    assert name["items"]["properties"]["name"]["enum"] == list(grs.CHECKS)
 
 
 def test_two_point_report_validates_against_schema():
@@ -186,7 +190,7 @@ def test_cli_ag_build(capsys):
     assert rc == 0
     body = json.loads(out)["report"]
     assert body["verdict"] == "PASS"
-    assert body["hull"]["dim_measured"] == 1
+    assert body["hull"]["dim_gram"] == 1
     assert body["code"]["n"] == 10
 
 
@@ -324,7 +328,7 @@ def test_cli_quantum_params_refuses_multi_report_output(tmp_path, capsys):
     ({"verdict": "PASS"}, "'field'"),
     ({"field": {"p": 3, "m": 2}}, "'verdict'"),
     ({"verdict": "PASS", "field": {"p": 3, "m": 2}, "code": {"n": 9, "k": 3},
-      "hull": {}}, "'dim_measured'"),
+      "hull": {}}, "'dim_gram'"),
     (["not", "a", "report"], "malformed report"),
 ])
 def test_cli_quantum_params_malformed_report_exit_2(tmp_path, capsys, body,
@@ -458,15 +462,35 @@ def test_cli_field_modulus_needs_prime_power(capsys):
     assert "not a prime power" in captured.err
 
 
+#: (PASS, PARTIAL, FAIL) counts in the summary of ``verify-all --q Q``; a
+#: change of report bodies that keeps every verdict keeps these
+VERIFY_ALL_VERDICTS = {
+    3: (11, 0, 0), 4: (23, 0, 0), 5: (48, 3, 0), 7: (90, 48, 0),
+    8: (93, 95, 0), 9: (148, 148, 0), 11: (254, 325, 5), 13: (337, 593, 7),
+    16: (335, 1212, 44),
+}
+
+
+def assert_verdicts(out, verdicts):
+    """The summary of a many-report output counts ``verdicts`` as (PASS,
+    PARTIAL, FAIL), and every FAIL report fails ``hull_dim_gram`` first:
+    the refuted CON3E hull claims with f < z."""
+    payload = json.loads(out)
+    summary = payload["summary"]
+    assert (summary["pass"], summary["partial"], summary["fail"]) == verdicts
+    assert {body["first_failure"] for body in payload["reports"]
+            if body["verdict"] == "FAIL"} <= {"hull_dim_gram"}
+
+
 #: sha256 of the stdout of ``verify-all --q Q``; a change that alters report
 #: bodies on purpose updates these and records why
 GOLDEN_VERIFY_ALL = {
-    3: "972de2a33bc8f3d44448c3cc9a99e83e404ab3cf32528ab17fc1720c9ab6edfb",
-    4: "a73ed652dec36ee313cbf9af527636b1f309e162e5a57e8ffbd246321f052e2f",
-    5: "32771421df815090fd35b2310eb0521cab8998212e5c2a0a94a507f85ba9fe9a",
-    7: "5f6a245009c041ba72a44192175364fd6df5a53862f088b764bf62f45f73750f",
-    8: "abcd7637d6e1512945e224371ce6c5faf0587d8a0084634d358ddc543c5788b9",
-    9: "68746dbee95445e31aaba347b107330331d35619fecfde9fd144387a51d224f3",
+    3: "3cb53e67a93254b9a6d0213475830777466855d7b4526db98b49df5e460b7c10",
+    4: "a1c15b032dec3b94ba177812aaa32186129110b8a0d698b29e1557787541560c",
+    5: "1184bdb82fee873ffb8a76222e55f709e0f9b49f492313e26fa1cd903d66ff4e",
+    7: "a4fd55b57cff78695fb62fd6925ec2207670deee29aa7293ab4e58825a7f09d7",
+    8: "134b07ef1b634f1fab46fd3a8db39f6be9a334d39c27d6897d2d815d7cd1b8a9",
+    9: "4247994b215cb0e87b2cd2782a507b2e7e87859fd923b1c272fe7357a90f0a5e",
 }
 
 
@@ -474,6 +498,7 @@ GOLDEN_VERIFY_ALL = {
 def test_cli_verify_all_golden_bodies(capsys, q):
     rc, out = run_cli(capsys, "verify-all", "--q", str(q))
     assert rc == 0
+    assert_verdicts(out, VERIFY_ALL_VERDICTS[q])
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_VERIFY_ALL[q]
 
@@ -483,9 +508,9 @@ def test_cli_verify_all_golden_bodies(capsys, q):
 #: covers the CON2E and CON3E grids, whose evaluation vectors recur for each
 #: z and so refill evicted entries of the power-sum memo of ``natural_gram``
 GOLDEN_VERIFY_ALL_WITH_FAILS = {
-    11: "948c1052423c36a286c3192ca9a35e5d5fa506d5587ae609825af9c4fc77187d",
-    13: "7fafdc04c5eac8c34474904610ec28c93eecae35861d1d26c5942f1f7718e726",
-    16: "d6d8db8fc8167af5049be3cd68c24827a5a3290df1c672aabeb478b58d46713a",
+    11: "e2b363434b0d224b3f40637fe1bdbc5a897616ead49d37e87698c157260358d1",
+    13: "6ce4fc8ed23b5370afc73f75be15a1b1c38f099a79e7ee71dce2f26e523c25ac",
+    16: "c8c410b6e8d9abb3ce36d5ad9c0459ca2124f323eab5d0788d00239a8584a395",
 }
 
 
@@ -493,8 +518,37 @@ GOLDEN_VERIFY_ALL_WITH_FAILS = {
 def test_cli_verify_all_golden_bodies_with_fails(capsys, q):
     rc, out = run_cli(capsys, "verify-all", "--q", str(q))
     assert rc == 1
+    assert_verdicts(out, VERIFY_ALL_VERDICTS[q])
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_VERIFY_ALL_WITH_FAILS[q]
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_cli_verify_all_speaks_one_vocabulary(capsys, q):
+    # both families report the same six hull keys, and every check name
+    # is one the verifier exports
+    rc, out = run_cli(capsys, "verify-all", "--q", str(q))
+    assert rc == 0
+    bodies = json.loads(out)["reports"]
+    assert {body["construction"]["module"] for body in bodies} == {"grs", "ag"}
+    assert {frozenset(body["hull"]) for body in bodies} == {frozenset(
+        ("dim_claimed", "dim_gram", "dim_intersection", "subcode_dim",
+         "relation", "mds"))}
+    assert {c["name"] for body in bodies for c in body["checks"]} \
+        <= set(grs.CHECKS)
+
+
+def test_cli_verify_all_under_python_dash_o():
+    # python -O strips assert statements; the invariant checks must not be
+    # among them, so the output is the golden one
+    src = str(Path(hermhull.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-O", "-m", "hermhull",
+                           "verify-all", "--q", "5"],
+                          capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_VERIFY_ALL[5]
 
 
 #: sha256 of the stdout of ``quantum tables --q Q --format F``; markdown
@@ -577,13 +631,14 @@ def test_cli_quantum_tables_golden_bodies(q, fmt):
 #: sha256 of the stdout of ``grs sweep --q 16 --families CON1E,CON4E``, the
 #: widest characteristic-2 generators (k up to 127, n = 256)
 GOLDEN_SWEEP_Q16_WIDE = \
-    "79a77e9c4f49019dfdce146cbf15222f072448508bca6a16bcd4671ac5720761"
+    "cbf84a166b0c65e72409e10cb7208934ce53d282f5083bd70a1ac4ca4ace3d6f"
 
 
 def test_cli_grs_sweep_q16_wide_golden_body(capsys):
     rc, out = run_cli(capsys, "grs", "sweep", "--q", "16",
                       "--families", "CON1E,CON4E")
     assert rc == 0
+    assert_verdicts(out, (0, 441, 0))
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SWEEP_Q16_WIDE
 
 
@@ -593,33 +648,33 @@ def test_cli_grs_sweep_q16_wide_golden_body(capsys):
 #: and "unverified"
 GOLDEN_INCLUDE_CODE = {
     "ag build --family COR1 --q 4 --s 6 --k 0":
-        "0fc49854ba605b458d89d0bc9100452d96421edfd32db592cf9c7f8963a36e4c",
+        "e82de70188a001e4f6cc317eb1dd1c1ccb3ae54fe144459450b157c6f57dea48",
     "ag build --family COR2 --q 4 --t 3 --k 2":
-        "ffcdfe57b7d1247a7a805c30215d3c1fc9e0617c02166aff73c3c365fb30e44e",
+        "e0f08f7b31211f26809a1c209c509852def7d369702655fc4358298218bd08ae",
     "ag build --family COR3 --q 4 --n0 5 --t 1 --k 1":
-        "9121334c86a4cb747ef0e066e8bd47adc357c27a088648b6584f8ce2a46a4ecc",
+        "8bb9db91c9d056e180029816fea849216b3380120e34cf38b20ac4aa13f76ed3",
     "ag build --family COR1 --q 5 --s 13 --k 1":
-        "90dc50706e4bff44c6dc8f79f496f70d1d30fbd330b90b30a7b3ace6aff71ae7",
+        "56a5bde5ab9e149c1a53ceb1442efddc3933c14769f2a3cfc5eecbf5beca5349",
     "ag build --family COR2 --q 5 --t 4 --k 3":
-        "e427cb5b960c965c490616202bffb36ef51f4d3c6cdecb1cc7c6a0b50a2fd9d5",
+        "5b155d75426073c0fbbdfff0a573994db7f9bf4d8c558da8ad55e9fa4eb0f423",
     "ag build --family COR3 --q 5 --n0 6 --t 2 --k 2":
-        "b256a49942c8e6c2eb85b14558aed063ceccd0313798cad537a67dc68644f78a",
+        "f5bc73111d7a6b3e2fedaedcda35b942f90fd8473ec31030d22a368d3abba5d9",
     "ag build --family COR1 --q 8 --s 22 --k 2":
-        "f584a0115408cf1d37fd287f01acb95fb2898b30e3672fd491fca48730b0d6e1",
+        "4cb842c4341eecbd0488c0c52179948c1d32102cd43fc83653e89985e48706b3",
     "ag build --family COR2 --q 8 --t 3 --k 1":
-        "23f68072610c55c0b52a13817cc70d1e6bc37d817f5cb47815f569fee9f7044b",
+        "820d533454fa3391a1849e96d83dfdc23e475e1e761d8444a7339dd8e9ca7019",
     "ag build --family COR3 --q 8 --n0 9 --t 4 --k 4":
-        "700da279e75f296b8b532002e009eacff83f0acfb7c69f404fd0d4570a793124",
+        "059e13c3dbac9a85fe26edadae2d1e9fab8946a583f3cfb5ae2082a10e8bead8",
     "ag build --family COR1 --q 9 --s 41 --k 3":
-        "71be25731cf49a2d133a7b51618e6bbc2cd521e72321723a682f8790c579bc8d",
+        "661e73c8ac734b45999bca2a8684010b42ecf51c45e55b7bde164731064bfadb",
     "ag build --family COR2 --q 9 --t 5 --k 4":
-        "b150aae04170566c09e598b188a9c20c8a7fa0c996e906d62b202ccfa6793c71",
+        "3c2a6fa7c34d5245d11377f072e93010ce7b3a8cc0fb943a47ff25a7924d0dab",
     "ag build --family COR3 --q 9 --n0 5 --t 4 --k 2":
-        "47f0b55995561f8a77a04dbf46aa638c57ac398f7aadd86e8ecaf696b08e71de",
+        "524a4440179fa3241869347cdf705aec7c51d360630523e535542c5d0e927a5c",
     "grs construct --family CON1 --q 5":
-        "97405b308b0d8cf28f1fa042229fcb80a305f29e0767ffb9ecccba9583dce956",
+        "b5ae09ea0f5f61f9e7fad1f2aed9ccd43a5e5306314edc7942b84d17b484bed5",
     "grs construct --family CON2E --q 7 --k 8 --z 1 --f 1":
-        "673e09f031685a6a889e47749f45d8bf32a1c470d4b8f5bca22b02f9b10ea269",
+        "8236031b7744a3e9d4b963945e358009f8e509dddcab56e7932624199515cd37",
 }
 
 
@@ -666,14 +721,14 @@ def test_cli_distance_budget_caps_two_point_hull_enumeration(capsys,
         raise AssertionError("enumerated over the distance budget")
 
     monkeypatch.setattr(linalg_codes, "_enumerate_min_weight", refuse)
-    monkeypatch.setattr(ag, "_enumerate_min_weight", refuse)
+    monkeypatch.setattr(grs, "_enumerate_min_weight", refuse)
     rc, out = run_cli(capsys, "ag", "build", "--family", "COR2", "--q", "5",
                       "--t", "4", "--k", "3", "--distance-budget", "10000")
     assert rc == 0
     body = json.loads(out)["report"]
     checks = {c["name"]: c["status"] for c in body["checks"]}
     assert checks["hull_mds"] == report.STATUS_STRUCTURAL
-    assert checks["code_distance"] == report.STATUS_STRUCTURAL
+    assert checks["code_mds"] == report.STATUS_STRUCTURAL
     assert body["hull"]["mds"] == "structural"
     assert body["verdict"] == "PASS"
 
