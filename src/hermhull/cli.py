@@ -148,10 +148,16 @@ def cmd_grs_construct(args) -> int:
 def cmd_grs_sweep(args) -> int:
     families = (grs.FAMILIES if args.families is None
                 else args.families.split(","))
-    start = time.perf_counter()
+    start, tables = time.perf_counter(), _vector_tables()
     reports = _grs_reports(args, families)
     return _emit_reports(reports, args, {
-        "grs_s": round(time.perf_counter() - start, 6)})
+        "grs_s": round(time.perf_counter() - start, 6),
+        "vector_tables": _vector_tables() - tables})
+
+
+def _vector_tables() -> int:
+    """Evaluation-vector tables built so far (misses of ``_vector_table``)."""
+    return grs._vector_table.cache_info().misses
 
 
 def cmd_cyclic_dkl(args) -> int:
@@ -281,7 +287,7 @@ def cmd_quantum_tables(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    start = time.perf_counter()
+    start, tables = time.perf_counter(), _vector_tables()
     reports = _grs_reports(args)
     mid = time.perf_counter()
     with _verifying():
@@ -292,7 +298,8 @@ def cmd_verify_all(args) -> int:
         "ag_s": round(time.perf_counter() - mid, 6),
         "ag_sets": len({(res.report.construction["family"], res.points)
                         for res in runs}),
-        "ag_instances": len(runs)}
+        "ag_instances": len(runs),
+        "vector_tables": _vector_tables() - tables}
     return _emit_reports(reports + [res.report for res in runs], args,
                          timings)
 

@@ -40,11 +40,13 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import cyclic, quantum
-from .gf import FieldContext, quadratic_field
+from .gf import FieldContext, prime_factors, quadratic_field
+# matrix_rank is not read here; the perfbench tracer lists grs.matrix_rank,
+# as it lists grs.gram_matrix and grs.mat_mul, by name
 from .linalg_codes import (_MAT_MUL_CHUNK, DEFAULT_BUDGET,
                            DEFAULT_DISTANCE_BUDGET, LinearCode,
                            _enumerate_min_weight, conjugate, gram_matrix,
-                           mat_mul, matrix_rank)
+                           mat_mul, matrix_rank, rank_profile)
 from .report import (STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED,
                      STATUS_STRUCTURAL, ConstructionReport)
 
@@ -154,35 +156,41 @@ class _VectorTable:
     one prefix-sum table.  Each table is held, read-only, for the largest k
     asked so far, and rebuilt when a larger k is asked for:
 
-    * ``gram``: the Gram matrix of ``natural_gram``;
+    * ``gram``: the Gram matrix of ``natural_gram``, and ``pivots``, the
+      ``rank_profile`` of the largest one ranked so far: the rank of each
+      leading block is the number of pivots inside it;
     * ``ld[l, j] = log(b_j - b_l)`` for l < K, with 0 = log 1 on the
       diagonal, and its prefix sums ``cum[k, j] = sum_{l < k} ld[l, j]``
       mod (order - 1) for k <= K.
 
-    In characteristic 2 the Gram entries are power sums S[t] = sum_j N_j
-    b_j^t over the nonzero points, N_j = a_j^(q+1), t in Z/(q^2 - 1),
-    filled on demand: a rebuild sums only the exponents no earlier build
-    took.  ``zero_norm`` is N_j of a zero point.
+    In characteristic 2 the Gram entries are the power sums S[t] = sum_j
+    N_j b_j^t over the nonzero points, N_j = a_j^(q+1), t in Z/(q^2 - 1):
+    all of them at once, on the first Gram build, as one DFT over
+    GF(q^2)^* (``_power_sums``).  ``zero_norm`` is N_j of a zero point.
     """
 
     def __init__(self, F: FieldContext, b: tuple, a: tuple):
-        n, n1 = len(b), F.order - 1
+        n = len(b)
         self.field, self.b, self.a = F, b, a
         # holds a product or a sum of up to ``order`` logs; int32 where that
         # fits, as an int64 modulo measured about 4 times slower
         self.dtype = np.int32 if F.order ** 2 < 2 ** 31 else np.int64
         self.la = F.log[np.asarray(a, dtype=np.int64)]
         self.gram = _read_only(np.zeros((0, 0), dtype=np.int32))
+        self.pivots, self.profiled = np.zeros((0, 2), dtype=np.int64), 0
         self.ld = _read_only(np.zeros((0, n), dtype=np.int32))
         self.cum = _read_only(np.zeros((1, n), dtype=np.int32))
         if F.p == 2:
             b = np.asarray(b, dtype=np.int64)
-            lnorm = self.la * (F.q + 1) % n1
+            lnorm = self.la * (F.q + 1) % (F.order - 1)
             nz = b != 0
             self.lb, self.ln = F.log[b[nz]], lnorm[nz]
             self.zero_norm = 0 if nz.all() else int(F.exp[lnorm[~nz][0]])
-            self.sums = np.zeros(n1, dtype=F.zexp.dtype)
-            self.known = np.zeros(n1, dtype=bool)
+
+    @functools.cached_property
+    def sums(self) -> np.ndarray:
+        """S[t] for every t in Z/(q^2 - 1), characteristic 2 only."""
+        return _read_only(_power_sums(self.field, self.lb, self.ln))
 
     def gram_block(self, k: int) -> np.ndarray:
         """The k x k Gram matrix of GRS_k(b, a), a read-only view."""
@@ -190,30 +198,22 @@ class _VectorTable:
             F = self.field
             if F.p == 2:
                 i = np.arange(k, dtype=self.dtype)
-                g = self._sums_at((i[:, None] + F.q * i[None, :])
-                                  % (F.order - 1))
+                g = self.sums[(i[:, None] + F.q * i[None, :])
+                              % (F.order - 1)]
                 g[0, 0] ^= self.zero_norm
             else:
                 g = gram_matrix(F, GrsSpec(F, self.b, self.a, k).generator())
             self.gram = _read_only(g)
         return self.gram[:k, :k]
 
-    def _sums_at(self, t: np.ndarray) -> np.ndarray:
-        """S at the exponents t; only the sums not yet held are computed,
-        XOR-reduced over blocks of at most about _MAT_MUL_CHUNK terms as in
-        ``mat_mul``."""
-        F, lb, ln = self.field, self.lb, self.ln
-        n1 = F.order - 1
-        need = np.zeros(n1, dtype=bool)
-        need[t] = True
-        todo = np.flatnonzero(need & ~self.known).astype(self.dtype)
-        step = max(1, _MAT_MUL_CHUNK // max(1, lb.size))
-        for r in range(0, todo.size, step):
-            ts = todo[r:r + step]
-            self.sums[ts] = np.bitwise_xor.reduce(
-                F.zexp[ts[:, None] * lb % n1 + ln], axis=1)
-        self.known[todo] = True
-        return self.sums[t]
+    def gram_rank(self, k: int) -> int:
+        """The rank of ``gram_block(k)``: the pivots of ``pivots`` inside
+        [:k, :k], profiled again only when k exceeds the profiled size."""
+        if k > self.profiled:
+            self.gram_block(k)
+            self.pivots = rank_profile(self.field, self.gram)
+            self.profiled = len(self.gram)
+        return int(np.count_nonzero(self.pivots.max(axis=1) < k))
 
     def cauchy(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(ld[:k], cum[k]), read-only views; the vanishing-difference check
@@ -244,20 +244,88 @@ def _vector_table(F: FieldContext, b: tuple, a: tuple) -> _VectorTable:
     return _VectorTable(F, b, a)
 
 
+@functools.lru_cache(maxsize=_VECTOR_CACHE)
+def _dft_plan(n1: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """The Good-Thomas index maps of a length-n1 DFT (Good 1958; Thomas
+    1963): (stages, spread, gather).
+
+    n1 splits into pairwise coprime prime powers N_1 < ... < N_r.  With
+    e = sum_i (n1/N_i) e_i mod n1 on the input side (``spread``, in C
+    order of (e_1, ..., e_r)) and t_i = t mod N_i on the output side
+    (``gather``), w^(e t) = prod_i w^((n1/N_i) e_i t_i) for every root
+    w of order n1, so the DFT is one N_i-point DFT along each axis.  Stage
+    i is (N_i, log kernel (n1/N_i) e t mod n1 for e, t < N_i).
+    """
+    factors = []
+    for p in prime_factors(n1):
+        N = p
+        while n1 % (N * p) == 0:
+            N *= p
+        factors.append(N)
+    stages, spread, gather, stride = [], np.zeros(1, dtype=np.int64), 0, 1
+    t = np.arange(n1)
+    for N in reversed(factors):
+        e = np.arange(N)
+        stages.append((N, (n1 // N) * np.outer(e, e) % n1))
+        spread = (((n1 // N) * e)[:, None] + spread[None, :]).ravel() % n1
+        gather = gather + (t % N) * stride
+        stride *= N
+    return stages[::-1], spread, gather
+
+
+def _power_sums(F: FieldContext, lb: np.ndarray, ln: np.ndarray
+                ) -> np.ndarray:
+    """S[t] = sum_j exp(ln_j) exp(lb_j t) for every t in Z/(order - 1),
+    characteristic 2: the DFT over GF(order)^* of the vector c, c[lb_j] =
+    exp(ln_j), by the prime-factor algorithm of ``_dft_plan``.
+
+    Each stage is in the log domain: the transform along the first axis is
+    an XOR reduction of zexp[log x + kernel], in row chunks of at most
+    about _MAT_MUL_CHUNK cells, and it moves that axis last, so after the
+    r stages the axes are back in order.  That is sum_i N_i lookups per
+    exponent instead of one per point, with no modulo per element.
+    """
+    n1 = F.order - 1
+    stages, spread, gather = _dft_plan(n1)
+    c = np.zeros(n1, dtype=F.zexp.dtype)
+    c[lb] = F.exp[ln]
+    x = c[spread]
+    for N, kernel in stages:
+        L = F.zlog[x.reshape(N, -1).T]
+        x = np.empty((len(L), N), dtype=F.zexp.dtype)
+        step = max(1, _MAT_MUL_CHUNK // (N * N))
+        for r in range(0, len(L), step):
+            x[r:r + step] = np.bitwise_xor.reduce(
+                np.take(F.zexp, L[r:r + step, :, None] + kernel), axis=1)
+        x = x.ravel()
+    return x[gather]
+
+
 def natural_gram(spec: GrsSpec) -> np.ndarray:
     """The Hermitian Gram matrix of ``spec.generator()``, read-only.
 
     Entry (i, l) is sum_j N_j b_j^(i + q l) with N_j = a_j^(q+1): in
     characteristic 2, a power sum S[t] at t = (i + q l) mod (q^2 - 1) over
-    the nonzero points, plus N_j at (0, 0) for a zero point.  Odd
-    characteristic keeps the digit product of ``gram_matrix``: power sums
-    measured only about 5 % faster on ``verify-all --q 11``, and the
-    perfbench tracer wraps ``grs.gram_matrix`` and ``grs.mat_mul`` by name.
-    Either way the matrix is the leading block of the one held per (field,
-    b, a) for the last _VECTOR_CACHE evaluation vectors (``_VectorTable``).
+    the nonzero points, plus N_j at (0, 0) for a zero point; the vector's
+    first Gram build takes every S[t] by one prime-factor DFT
+    (``_power_sums``).  Odd characteristic keeps the digit product of
+    ``gram_matrix``: the same DFT, its XOR reductions replaced by
+    ``add_arr`` folds, measured slower there (about 170 against 155 us per
+    table build at q = 11), and the perfbench tracer wraps
+    ``grs.gram_matrix`` and ``grs.mat_mul`` by name.  Either way the matrix
+    is the leading block of the one held per (field, b, a) for the last
+    _VECTOR_CACHE evaluation vectors (``_VectorTable``).
     """
     return _vector_table(spec.field, tuple(spec.b),
                          tuple(spec.a)).gram_block(spec.k)
+
+
+def gram_rank(spec: GrsSpec) -> int:
+    """The rank of ``natural_gram(spec)``, counted in the rank profile
+    that the vector's table holds for its largest Gram matrix, so the
+    instances of one vector share one elimination."""
+    return _vector_table(spec.field, tuple(spec.b),
+                         tuple(spec.a)).gram_rank(spec.k)
 
 
 @dataclass
@@ -294,6 +362,13 @@ class GrsHullClaim:
 def _require(cond: bool, family: str, msg: str):
     if not cond:
         raise ValueError(f"{family} requires {msg}")
+
+
+#: the z that ``claim_arithmetic`` admits for CON4E, and the grid visits:
+#: the two-offset Gram analysis only survives at z = 1; at z = 2 the
+#: measured rank is 6, not 2z^2 = 8 (e.g. q = 11, f = 2, m = 9, k = 22,
+#: inside every conservative bound)
+_CON4E_Z = range(1, 2)
 
 
 def claim_arithmetic(family: str, q: int, k: Optional[int] = None,
@@ -347,11 +422,8 @@ def claim_arithmetic(family: str, q: int, k: Optional[int] = None,
             else:
                 _require(m is not None and q - f - 1 < m < q - 1, family,
                          "q-f-1 < m < q-1")
-                # the two-offset Gram analysis only survives at z = 1: at
-                # z = 2 the measured rank is 6, not 2z^2 = 8 (e.g. q = 11,
-                # f = 2, m = 9, k = 22, inside every conservative bound)
-                _require(z == 1, family, "z = 1; the rank formulas are "
-                         "refuted computationally for z >= 2")
+                _require(z in _CON4E_Z, family, "z = 1; the rank formulas "
+                         "are refuted computationally for z >= 2")
                 s = math.gcd(m - q + f + 1, q - 1)
                 n = (q + 1) * (q - 1 - s)
             hull = k - 2 * z * z if f >= z else k - z * z - z * f
@@ -421,7 +493,7 @@ def family_parameter_grid(family: str, q: int,
                 for k in range(z * q, (z + 1) * q - z - f - 1):
                     push({"z": z, "f": f, "k": k})
     elif family == "CON4E":
-        for z in range(1, q - 1):
+        for z in _CON4E_Z:
             for f in range(1, q - z - 1):
                 for m in range(q - f, q - 1):
                     for k in range(z * q, (z + 1) * q - z - f - 1):
@@ -579,7 +651,7 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     rep.code = {"n": n, "k": k, "d": d_code, "d_kind": _D_KIND[status]}
 
     gram = natural_gram(spec)
-    gram_dim = k - matrix_rank(F, gram)
+    gram_dim = k - gram_rank(spec)
     ok_gram = rep.check_eq("hull_dim_gram", claim.hull_dim, gram_dim)
 
     hull = None

@@ -214,28 +214,70 @@ def gram_matrix(F: FieldContext, G: np.ndarray) -> np.ndarray:
 
 
 def matrix_rank(F: FieldContext, M: np.ndarray) -> int:
-    """The rank of M, with ``rref`` run only where the nonzero pattern
-    leaves it in doubt.
+    """The rank of M: the number of pivots of its ``rank_profile``."""
+    return len(rank_profile(F, M))
 
-    Zero rows and columns are dropped.  An entry that is the only nonzero
-    of both its row and its column then adds exactly 1 to the rank: with
-    its row and column removed, the rest of M is untouched.  These isolated
-    entries lie in distinct rows and columns, so all of them are peeled in
-    one pass, and ``rref`` runs on what is left.  Exact for every matrix.
+
+def rank_profile(F: FieldContext, M: np.ndarray) -> np.ndarray:
+    """The pivots (row, column) of M, a (rank, 2) array in increasing
+    column order, with rank(M[:i, :j]) the number of pivots inside
+    [:i, :j] for every i and j: the rank profile matrix of Dumas, Pernet
+    and Sultan (J. Symbolic Comput. 83, 2017).
+
+    The nonzero pattern is read first.  Zero rows and columns hold no
+    pivot.  An entry that is the only nonzero of both its row and its
+    column is a pivot that no elimination step touches or uses, and these
+    isolated entries lie in distinct rows and columns, so all of them are
+    peeled in one pass.  ``_profile_pivots`` eliminates what is left.
     """
     M = np.asarray(M)
     if M.ndim != 2:
         raise ValueError("matrix must be 2-d")
     nz = M != 0
-    rows, cols = nz.any(axis=1), nz.any(axis=0)
-    M, nz = M[rows][:, cols], nz[rows][:, cols]
+    rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
+    nz = nz[np.ix_(rows, cols)]
     alone = (nz & (nz.sum(axis=1) == 1)[:, None]
              & (nz.sum(axis=0) == 1)[None, :])
-    rows, cols = ~alone.any(axis=1), ~alone.any(axis=0)
-    peeled = len(rows) - int(rows.sum())
-    if not (rows.any() and cols.any()):
-        return peeled
-    return peeled + rref(F, M[rows][:, cols])[1]
+    i, j = np.nonzero(alone)
+    pivots = [np.stack([rows[i], cols[j]], axis=1)]
+    rows, cols = rows[~alone.any(axis=1)], cols[~alone.any(axis=0)]
+    if rows.size and cols.size:
+        i, j = _profile_pivots(F, M[np.ix_(rows, cols)]).T
+        pivots.append(np.stack([rows[i], cols[j]], axis=1))
+    pivots = np.concatenate(pivots)
+    return pivots[np.argsort(pivots[:, 1], kind="stable")]
+
+
+def _profile_pivots(F: FieldContext, M: np.ndarray) -> np.ndarray:
+    """The rank profile of M by elimination, as a (rank, 2) array.
+
+    Column by column, the pivot is the topmost row that is not yet a pivot
+    row and is nonzero there, and the column is cleared only in the rows
+    below it, which are not pivot rows either; no row is swapped or
+    scaled.  So the first i rows always span the row space of M[:i], and
+    a pivot row is zero left of its pivot: rank(M[:i, :j]) counts the
+    pivots inside [:i, :j].  Log domain, as in ``rref``.
+    """
+    R = np.array(M, dtype=np.int32, copy=True)
+    n1 = F.order - 1
+    free = np.ones(R.shape[0], dtype=bool)
+    pivots = []
+    for col in range(R.shape[1]):
+        hit = np.flatnonzero((R[:, col] != 0) & free)
+        if hit.size == 0:
+            continue
+        row, below = int(hit[0]), hit[1:]
+        free[row] = False
+        pivots.append((row, col))
+        if below.size and col + 1 < R.shape[1]:
+            lfac = (F.zlog[F.neg_arr(R[below, col])]
+                    + (n1 - int(F.zlog[R[row, col]]))) % n1
+            R[below, col + 1:] = F.add_arr(
+                R[below, col + 1:],
+                np.take(F.zexp, lfac[:, None] + F.zlog[R[row, col + 1:]]))
+        if not free.any():
+            break
+    return np.array(pivots, dtype=np.int64).reshape(-1, 2)
 
 
 # ----------------------------------------------------------------------

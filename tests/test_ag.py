@@ -13,7 +13,7 @@ from hermhull.ag import (Divisor, O, RationalFunction, default_extra_point,
 from hermhull.gf import make_field, quadratic_field
 from hermhull.grs import GrsSpec
 from hermhull.linalg_codes import (DEFAULT_BUDGET, LinearCode, conjugate,
-                                   gram_matrix, mat_mul)
+                                   gram_matrix, mat_mul, matrix_rank)
 from hermhull.report import STATUS_FAIL, STATUS_PASS, ConstructionReport
 
 from conftest import is_hermitian_self_orthogonal
@@ -641,6 +641,10 @@ def test_branch_one_follows_zero_gram_columns(q, monkeypatch):
         return out if spec.a == U.witnesses else np.zeros_like(out)
 
     monkeypatch.setattr(grs, "natural_gram", zeroed)
+    # the rank is read off the vector's table, so the fake reaches it
+    # through the rank seam as well
+    monkeypatch.setattr(grs, "gram_rank",
+                        lambda spec: matrix_rank(F, zeroed(spec)))
     rep = two_point_code(F, U, k, distance_budget=0).report
     checks = {c.name: c for c in rep.checks}
     assert rep.verdict == "FAIL" and rep.first_failure == "hull_dim_gram"

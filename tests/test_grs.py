@@ -117,14 +117,17 @@ def test_tables_filled_at_a_larger_k_serve_every_smaller_k(q):
         table = grs._vector_table(F, b, a)
         natural_gram(replace(any_spec, k=n))
         replace(any_spec, k=n).systematic()
-        gram, ld = table.gram, table.ld
+        grs.gram_rank(replace(any_spec, k=n))
+        gram, ld, pivots = table.gram, table.ld, table.pivots
         assert gram.shape == (n, n) and ld.shape == (n, n)
         for spec in group:
             G = spec.generator()
             R, rank, _ = rref(F, G)
             assert np.array_equal(natural_gram(spec), gram_matrix(F, G))
             assert np.array_equal(spec.systematic(), R[:rank])
+            assert grs.gram_rank(spec) == rref(F, natural_gram(spec))[1]
         assert table.gram is gram and table.ld is ld
+        assert table.pivots is pivots
     assert len(specs) > 1
 
 
@@ -388,6 +391,55 @@ def test_natural_gram_in_blocks(monkeypatch, chunk):
                 _assert_gram_matches(family, q, params)
 
 
+def _direct_power_sums(F, b, a):
+    """S[t] = sum N_j b_j^t over the nonzero points, N_j = a_j^(q+1), one
+    t at a time in the log domain, XOR-summed: no transform."""
+    n1 = F.order - 1
+    b, a = np.asarray(b), np.asarray(a)
+    lb = F.log[b[b != 0]].astype(np.int64)
+    ln = F.log[a[b != 0]].astype(np.int64) * (F.q + 1)
+    t = np.arange(n1)[:, None]
+    return np.bitwise_xor.reduce(F.exp[(ln + t * lb) % n1], axis=1)
+
+
+@pytest.mark.parametrize("field", [
+    *(pytest.param(q, id=f"q{q}") for q in (2, 4, 8, 16, 32)),
+    pytest.param((2, 4, (1, 0, 0, 1, 1)), id="gf16-non-conway")])
+@pytest.mark.parametrize("zero", [False, True], ids=["no-zero", "zero"])
+def test_dft_power_sums_match_direct_sums(field, zero):
+    # random vectors of several lengths, up to every point of the field;
+    # a zero point adds nothing to any S[t] and N_j at Gram entry (0, 0)
+    F = quadratic_field(field) if isinstance(field, int) else \
+        make_field(*field)
+    rng = np.random.default_rng(F.order)
+    for n in sorted({1, 3, min(40, F.order - 1), F.order - 1}):
+        b, a = _random_vector(F, rng, n, zero)
+        table = grs._VectorTable(F, b, a)
+        assert np.array_equal(table.sums, _direct_power_sums(F, b, a)), n
+        assert not table.sums.flags.writeable
+        k = min(n, 6)
+        assert np.array_equal(table.gram_block(k), gram_matrix(
+            F, GrsSpec(F, b, a, k).generator())), n
+    if F.order - 1 > 3:
+        b = tuple(F.exp.tolist()) + ((0,) if zero else ())
+        table = grs._VectorTable(F, b, (1,) * len(b))
+        # every nonzero point with N = 1: S[t] = 1 at t = 0 and 0 elsewhere
+        want = np.zeros(F.order - 1, dtype=np.int32)
+        want[0] = 1
+        assert np.array_equal(table.sums, want)
+
+
+def test_dft_plan_maps_are_the_crt_bijections():
+    for q in (2, 4, 8, 16, 32, 64):
+        n1 = q * q - 1
+        stages, spread, gather = grs._dft_plan(n1)
+        sizes = [N for N, _ in stages]
+        assert math.prod(sizes) == n1 and all(
+            math.gcd(x, y) == 1 for x, y in itertools.combinations(sizes, 2))
+        assert sorted(spread.tolist()) == list(range(n1))
+        assert sorted(gather.tolist()) == list(range(n1))
+
+
 def test_natural_gram_large_q_stays_in_blocks():
     # the CON1 points of GF(128^2): n = 16384, and k = 16 already has 256
     # distinct exponents i + ql, so one unblocked T x n' exponent array
@@ -440,12 +492,10 @@ def test_natural_gram_memo_fills_lazily_and_evicts(q):
               for j in range(grs._VECTOR_CACHE + 2)]
     grs._vector_table.cache_clear()
     _assert_natural_gram(GrsSpec(F, b, a, 3))
-    i = np.arange(3)
     table = grs._vector_table(F, b, a)
-    # lazy: a k = 3 call sums only the distinct exponents i + q l, and holds
-    # the Gram matrix at k = 3 only
-    assert table.known.sum() == \
-        np.unique((i[:, None] + q * i[None, :]) % (F.order - 1)).size
+    # lazy: a k = 3 call holds the Gram matrix at k = 3 only, and every
+    # power sum, taken at once by one DFT
+    assert table.sums.shape == (F.order - 1,)
     assert table.gram.shape == (3, 3)
     # a larger k grows the table; a smaller one reads its leading block
     _assert_natural_gram(GrsSpec(F, b, a, 5))
@@ -669,6 +719,47 @@ def test_claim_arithmetic_ranges():
     info = claim_arithmetic("CON3E", 7, z=1, f=2, k=8)
     assert info["n"] == 49 - 2 * 8 and info["hull_dim"] == 8 - 2
     assert info["subcode_dim"] == info["z1_subcode_dim"] == 4
+
+
+def _filtered_grid(family, q, conservative):
+    """The grid of every z < q - 1, each candidate kept only when
+    ``claim_arithmetic`` admits it (and the conservative bound holds)."""
+    out = []
+    for z in range(1, q - 1):
+        for f in range(1, q - z - 1):
+            for m in range(q - f, q - 1):
+                for k in range(z * q, (z + 1) * q - z - f - 1):
+                    params = {"z": z, "f": f, "m": m, "k": k}
+                    try:
+                        info = claim_arithmetic(family, q, **params)
+                    except ValueError:
+                        continue
+                    if not conservative or grs.in_conservative_range(
+                            family, q, params, info):
+                        out.append(params)
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_con4e_grid_visits_only_admitted_z(q, monkeypatch):
+    # the grid and claim_arithmetic read one z rule, so the grid keeps
+    # exactly what the filtered loop over every z keeps, with no refusal
+    for conservative in (True, False):
+        want = _filtered_grid("CON4E", q, conservative)
+        refusals = []
+        arithmetic = grs.claim_arithmetic
+
+        def counted(*args, **kwargs):
+            try:
+                return arithmetic(*args, **kwargs)
+            except ValueError:
+                refusals.append(kwargs)
+                raise
+
+        monkeypatch.setattr(grs, "claim_arithmetic", counted)
+        assert family_parameter_grid("CON4E", q, conservative) == want
+        assert refusals == []
+        monkeypatch.undo()
 
 
 def test_family_parameter_grid_contents():

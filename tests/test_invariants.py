@@ -17,8 +17,10 @@ def test_no_assert_statements_in_package():
 
 
 #: module-level imports kept although the module never reads them, as
-#: (module, name); none at present
-UNREAD_IMPORTS_KEPT: set[tuple[str, str]] = set()
+#: (module, name): ``grs.matrix_rank``, since the Gram ranks moved to the
+#: rank profile of each vector table, is a binding that the perfbench
+#: tracer rebinds and ``perfbench/tests/test_tracer.py`` lists by name
+UNREAD_IMPORTS_KEPT: set[tuple[str, str]] = {("grs", "matrix_rank")}
 
 
 def unused_imports(path: pathlib.Path) -> list[str]:

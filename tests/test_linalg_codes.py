@@ -6,7 +6,8 @@ from hermhull.gf import FieldContext, make_field, quadratic_field
 from hermhull.linalg_codes import (DEFAULT_BUDGET, BudgetExceededError,
                                    FieldMismatchError, LinearCode,
                                    _leading_identity, conjugate, gram_matrix,
-                                   mat_mul, matrix_rank, nullspace, rref)
+                                   mat_mul, matrix_rank, nullspace,
+                                   rank_profile, rref)
 
 from conftest import (euclidean_dual, grs_b_full, hull_dim_via_gram,
                       random_code, weight_distribution)
@@ -626,23 +627,103 @@ def test_matrix_rank_matches_rref_rank(KF):
 def test_matrix_rank_eliminates_only_what_the_pattern_leaves(F16,
                                                               monkeypatch):
     cells = []
+    eliminate = linalg_codes._profile_pivots
 
     def counting(F, M):
         cells.append(np.size(M))
-        return rref(F, M)
+        return eliminate(F, M)
 
-    monkeypatch.setattr(linalg_codes, "rref", counting)
+    monkeypatch.setattr(linalg_codes, "_profile_pivots", counting)
     rng = np.random.default_rng(5)
-    # a scaled permutation with zero rows and columns around it: no rref
+    # a scaled permutation with zero rows and columns around it: no
+    # elimination
     M = np.zeros((8, 9), dtype=np.int32)
     M[[0, 2, 3, 6], [8, 1, 4, 5]] = rng.integers(1, 16, size=4)
     assert matrix_rank(F16, M) == 4 and cells == []
-    # one 2 x 2 path component next to two isolated entries: one 2 x 2 rref
+    # one 2 x 2 path component next to two isolated entries: one 2 x 2
+    # elimination
     M[1, 0] = M[1, 2] = M[4, 2] = 3
     M[0, 8] = 0
     assert matrix_rank(F16, M) == 5 and cells == [4]
     with pytest.raises(ValueError, match="2-d"):
         matrix_rank(F16, np.zeros(3, dtype=np.int32))
+
+
+def _profile_count(P, i, j):
+    return int(np.count_nonzero((P[:, 0] < i) & (P[:, 1] < j)))
+
+
+def _assert_rank_profile(F, M, reference):
+    """The pivots of ``rank_profile(F, M)`` lie in distinct rows and in
+    increasing, distinct columns, and count reference(F, M[:i, :j]) inside
+    [:i, :j] for every i and j."""
+    P = rank_profile(F, M)
+    assert P.shape == (len(P), 2)
+    assert len(set(P[:, 0].tolist())) == len(P)
+    assert np.all(np.diff(P[:, 1]) > 0)
+    rows, cols = M.shape
+    for i in range(rows + 1):
+        for j in range(cols + 1):
+            want = reference(F, M[:i, :j]) if i and j else 0
+            assert _profile_count(P, i, j) == want, (M, i, j)
+
+
+def _rref_rank(F, M):
+    return rref(F, M)[1]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 11])
+def test_rank_profile_counts_every_leading_rank(q):
+    # random patterns, low-rank products and sparse components, with zero
+    # rows and columns spliced in, against the rank of every leading block
+    F = quadratic_field(q)
+    rng = np.random.default_rng(q)
+    count = 0
+    for M in _rank_patterns(F, rng):
+        if M.size:
+            for axis in (0, 1):
+                M = np.insert(M, rng.integers(0, M.shape[axis] + 1), 0,
+                              axis=axis)
+        _assert_rank_profile(F, M, _rref_rank)
+        _assert_rank_profile(F, M, matrix_rank)
+        count += 1
+    # rank-deficient: the repeated rows and columns must be skipped
+    base = sparse_random(F, (4, 5), rng)
+    M = base[[0, 1, 0, 2, 1, 3, 2]][:, [4, 0, 4, 1, 2, 3, 2]]
+    _assert_rank_profile(F, M, _rref_rank)
+    assert count > 40
+
+
+def test_rank_profile_of_every_full_grid_gram_matrix():
+    # each evaluation vector's Gram matrix at the largest k of the grids,
+    # whose leading blocks are the Gram matrices of all its instances
+    for q in (2, 3, 4, 5, 7, 8):
+        grams = {}
+        for family in grs.FAMILIES:
+            for params in grs.family_parameter_grid(family, q,
+                                                    conservative=False):
+                spec = grs.construct_family(family, q, **params).spec
+                key = (spec.b, spec.a)
+                if spec.k > grams.get(key, (0, None))[0]:
+                    grams[key] = (spec.k, spec)
+        for _, spec in grams.values():
+            G = np.array(grs.natural_gram(spec))
+            _assert_rank_profile(spec.field, G, matrix_rank)
+            assert len(rank_profile(spec.field, G)) == _rref_rank(
+                spec.field, G)
+
+
+def test_rank_profile_pivots_are_the_topmost_rows():
+    # column 0 pivots on row 1 (not row 0, which is zero there), column 1
+    # on row 0; row 2 is row 1 plus row 0, so it never pivots; column 2
+    # pivots on row 3, the first row left with a nonzero there
+    F = quadratic_field(2)
+    M = np.array([[0, 1, 0], [1, 0, 1], [1, 1, 1], [0, 0, 1]],
+                 dtype=np.int32)
+    assert rank_profile(F, M).tolist() == [[1, 0], [0, 1], [3, 2]]
+    with pytest.raises(ValueError, match="2-d"):
+        rank_profile(F, np.zeros(3, dtype=np.int32))
+    assert rank_profile(F, np.zeros((2, 0), dtype=np.int32)).shape == (0, 2)
 
 
 def test_contains_rows_matches_reference(KF):

@@ -738,20 +738,32 @@ def test_cli_distance_budget_caps_two_point_hull_enumeration(capsys,
                          ids=["verify-all", "grs-sweep"])
 def test_cli_timings_envelope_leaves_the_rest_unchanged(capsys, argv):
     rc, plain = run_cli(capsys, *argv)
+    # a cold memo, as in a fresh process: the timed run builds every table
+    grs._vector_table.cache_clear()
     rc_t, timed = run_cli(capsys, *argv, "--timings")
     assert rc == rc_t == 0
     payload = json.loads(timed)
     timings = payload.pop("timings")
     assert cli._dump(payload) + "\n" == plain
-    keys = {"grs_s", "emit_s"} | ({"ag_s", "ag_sets", "ag_instances"}
-                                  if argv[0] == "verify-all" else set())
+    keys = {"grs_s", "emit_s", "vector_tables"} | (
+        {"ag_s", "ag_sets", "ag_instances"} if argv[0] == "verify-all"
+        else set())
     assert set(timings) == keys
     assert all(timings[key] >= 0 for key in keys)
+    # tables scale with evaluation vectors: at most one per GRS instance,
+    # and two per two-point set (its code vector and its self-orthogonal
+    # one), which can outnumber the set's instances
+    grs_instances = payload["summary"]["total"] - timings.get(
+        "ag_instances", 0)
+    assert 0 < timings["vector_tables"] <= grs_instances + 2 * timings.get(
+        "ag_sets", 0)
     if argv[0] == "verify-all":
         assert timings["ag_instances"] == sum(
             len(ag.family_parameter_grid(family, 4))
             for family in ("COR1", "COR2", "COR3"))
         assert 0 < timings["ag_sets"] < timings["ag_instances"]
+    else:
+        assert timings["vector_tables"] < payload["summary"]["total"]
 
 
 @pytest.mark.parametrize("argv, message", [
