@@ -629,8 +629,9 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     of ``CHECKS``; a mismatch is a failed check, never an exception.
 
     Every Gram-shaped quantity comes from the one ``natural_gram`` of the
-    spec: its rank gives ``hull_dim_gram`` and, on the prefix route, its
-    first nonzero row ``max_prefix_subcode_dim``.  There
+    spec: its rank, counted by ``gram_rank`` in the rank profile its
+    vector's table holds, gives ``hull_dim_gram`` and, on the prefix
+    route, its first nonzero row ``max_prefix_subcode_dim``.  There
     ``subcode_in_hull`` passes when the subcode is the prefix GRS_t(b, c)
     of the spec (same field, b and c, t <= k, hence inside the code) and
     Gram rows 0..t-1 vanish; on the certificate route, when the
