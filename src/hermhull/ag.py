@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import polys
 from .gf import FieldContext, quadratic_field
-from .grs import (_VECTOR_CACHE, GrsHullClaim, GrsSpec, largest_k_first,
+from .grs import (GrsHullClaim, GrsSpec, _VectorTable, largest_k_first,
                   verify_claim)
 from .linalg_codes import (DEFAULT_DISTANCE_BUDGET, LinearCode, conjugate,
                            gram_matrix, mat_mul, matrix_rank, rref)
@@ -405,33 +406,27 @@ def default_extra_point(F: FieldContext, points: Sequence[int]) -> int:
 # the two-point construction
 # ----------------------------------------------------------------------
 
-class _PairCertificate(NamedTuple):
+class _PairCertificate:
     """One evaluation set u with norm witnesses a and extra place p, at its
-    largest admissible K = (n - 2) // (q + 1): the code vector c =
-    a/(u - p), the hull vector h = a (u - p), ``rows`` = the scaled rows
-    a u^i (i <= K), the pole row c and the hull rows h u^i (i < K), and
-    the ``fault`` of ``_certify`` on them ("" when they passed)."""
+    largest admissible K = (n - 2) // (q + 1): the tables ``code`` of
+    GRS_{K+2}(u, c), c = a/(u - p), and ``so`` of GRS_{K+1}(u, a), the spec
+    ``hull`` = GRS_K(u, h), h = a (u - p), ``rows`` = the scaled rows a u^i
+    (i <= K), the pole row c and the hull rows h u^i (i < K), and the
+    ``fault`` of ``_certify`` on them ("" when they passed)."""
 
-    K: int
-    c: tuple[int, ...]
-    h: tuple[int, ...]
-    rows: np.ndarray
-    fault: str
-
-
-@functools.lru_cache(maxsize=_VECTOR_CACHE)
-def _pair_certificate(F: FieldContext, pts: tuple, a: tuple,
-                      p: int) -> _PairCertificate:
-    K = (len(pts) - 2) // (F.q + 1)
-    shift = F.add_arr(np.asarray(pts, dtype=np.int32), F.neg(p))
-    av = np.asarray(a, dtype=np.int32)
-    cv = F.mul_arr(av, F.inv_arr(shift))
-    c, h = tuple(cv.tolist()), tuple(F.mul_arr(av, shift).tolist())
-    rows = np.vstack([GrsSpec(F, pts, a, K + 1).generator(), cv,
-                      GrsSpec(F, pts, h, K).generator()])
-    rows.setflags(write=False)
-    fault = _certify(F, GrsSpec(F, pts, c, K + 2).generator(), rows)
-    return _PairCertificate(K, c, h, rows, fault)
+    def __init__(self, F: FieldContext, pts: tuple, a: tuple, p: int,
+                 work: Optional[Counter] = None):
+        K = (len(pts) - 2) // (F.q + 1)
+        shift = F.add_arr(np.asarray(pts, dtype=np.int32), F.neg(p))
+        av = np.asarray(a, dtype=np.int32)
+        cv = F.mul_arr(av, F.inv_arr(shift))
+        so = GrsSpec(F, pts, a, K + 1)
+        code = GrsSpec(F, pts, tuple(cv.tolist()), K + 2)
+        self.hull = GrsSpec(F, pts, tuple(F.mul_arr(av, shift).tolist()), K)
+        self.rows = np.vstack([so.generator(), cv, self.hull.generator()])
+        self.rows.setflags(write=False)
+        self.fault = _certify(F, code.generator(), self.rows)
+        self.code, self.so = _VectorTable(code, work), _VectorTable(so, work)
 
 
 def _certify(F: FieldContext, G: np.ndarray, rows: np.ndarray) -> str:
@@ -478,9 +473,9 @@ class TwoPointResult:
     claim: GrsHullClaim
     report: ConstructionReport
 
-    @property
+    @functools.cached_property
     def code(self) -> LinearCode:
-        return self.claim.code
+        return self.claim.spec.code()
 
     @functools.cached_property
     def hull(self) -> LinearCode:
@@ -512,7 +507,8 @@ def check_two_point_input(F: FieldContext, diff: DifferentialData, k: int,
 
 def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
                    p: Optional[int] = None,
-                   distance_budget: int = DEFAULT_DISTANCE_BUDGET
+                   distance_budget: int = DEFAULT_DISTANCE_BUDGET,
+                   cert: Optional[_PairCertificate] = None
                    ) -> TwoPointResult:
     """Scaled evaluation code on G = kO + P with an MDS Hermitian hull.
 
@@ -523,8 +519,8 @@ def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
     those of GRS_{k+1}(u, a) over the single pole row c = a/(u-p); rows[:k+1]
     span a.C_L(D, kO) and rows[[0, k+1]] span a.C_L(D, P).
 
-    One certificate per evaluation set and p (``_pair_certificate``), at
-    the set's largest K, covers every k <= K.  On the natural basis
+    One certificate per set and p at its largest K (``cert``, or a new
+    ``_PairCertificate``) covers every k <= K.  On the natural basis
     (c u^l)_{l < K+2} of GRS_{K+2}(u, c) the scaled rows a u^i have degree
     i + 1 exactly and the pole row c degree 0, so the k + 2 scaled rows of
     instance k are triangular on its first k + 2 rows: the code is
@@ -540,17 +536,18 @@ def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
     No elimination of the code or its hull runs.
     """
     p = check_two_point_input(F, diff, k, p)
-    pts, a = diff.points, diff.witnesses
-    cert = _pair_certificate(F, pts, a, p)
+    pts = diff.points
+    cert = cert or _PairCertificate(F, pts, diff.witnesses, p)
     claim = GrsHullClaim(
         family="two_point", q=F.q, module="ag",
         params={"n": len(pts), "k": k, "p": F.log_of(p) if p else -1},
-        spec=GrsSpec(F, pts, cert.c, k + 2), hull_dim=k,
-        subcode=GrsSpec(F, pts, cert.h, k), fault=cert.fault,
-        self_orthogonal=GrsSpec(F, pts, a, k + 1), conservative_range=True,
-        z1_subcode_dim=None)
-    scaled = np.vstack([cert.rows[:k + 1], cert.rows[cert.K + 1:cert.K + 2]])
-    rep = verify_claim(claim, distance_budget=distance_budget)
+        spec=cert.code.spec.at(k + 2), hull_dim=k, subcode=cert.hull.at(k),
+        fault=cert.fault, self_orthogonal=cert.so.spec.at(k + 1),
+        conservative_range=True, z1_subcode_dim=None)
+    K = cert.hull.k
+    scaled = np.vstack([cert.rows[:k + 1], cert.rows[K + 1:K + 2]])
+    rep = verify_claim(claim, distance_budget=distance_budget,
+                       table=cert.code, so_table=cert.so)
     return TwoPointResult(F, pts, k, p, diff, scaled, claim, rep)
 
 
@@ -563,29 +560,30 @@ def labelled(res: TwoPointResult, family: str, params: dict
     return res
 
 
-def sweep(q: int, distance_budget: int = DEFAULT_DISTANCE_BUDGET
+def sweep(q: int, distance_budget: int = DEFAULT_DISTANCE_BUDGET,
+          work: Optional[Counter] = None
           ) -> Iterator[tuple[dict, TwoPointResult]]:
     """Build and verify every grid instance of the three two-point
     families at q, yielding its grid parameters and its result.
 
-    The instances on one evaluation set (consecutive in the grid) share
-    one ``evaluation_set`` call, one ``_pair_certificate`` and the Gram
-    tables of its two vectors; ``grs.largest_k_first`` verifies them
-    largest k first and yields them in grid order.
+    The instances on one evaluation set are one group of
+    ``grs.largest_k_first``: one ``evaluation_set`` call and one
+    ``_PairCertificate``, whose two tables ``work`` counts.
     """
     F = quadratic_field(q)
 
-    def verifier(evaluation: tuple[str, dict]):
-        family, kwargs = evaluation
+    def verifier(evaluation: tuple):
+        family, kwargs = evaluation[0], dict(evaluation[1:])
         diff = evaluation_set(family, q, field=F, **kwargs)
-        return lambda g: (g, labelled(two_point_code(
-            F, diff, g["k"], distance_budget=distance_budget), family, kwargs))
+        p = check_two_point_input(F, diff, 0)
+        cert = _PairCertificate(F, diff.points, diff.witnesses, p, work)
+        return lambda _, g: (g, labelled(two_point_code(
+            F, diff, g["k"], p, distance_budget, cert), family, kwargs))
 
-    for family in ("COR1", "COR2", "COR3"):
-        yield from largest_k_first(
-            family_parameter_grid(family, q),
-            lambda g: (family, {k: g[k] for k in ("s", "t", "n0") if k in g}),
-            verifier)
+    grid = [((family, *((x, g[x]) for x in ("s", "t", "n0") if x in g)),
+             family, g) for family in ("COR1", "COR2", "COR3")
+            for g in family_parameter_grid(family, q)]
+    yield from largest_k_first(grid, verifier)
 
 
 # ----------------------------------------------------------------------

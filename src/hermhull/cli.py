@@ -16,6 +16,7 @@ import contextlib
 import json
 import sys
 import time
+from collections import Counter
 from typing import Optional
 
 from . import ag, cyclic, grs, quantum
@@ -101,17 +102,20 @@ def _emit_reports(reports, args, timings: dict) -> int:
     return 1 if summary["fail"] else 0
 
 
-def _grs_reports(args, families=grs.FAMILIES) -> list[ConstructionReport]:
+def _grs_reports(args, families=grs.FAMILIES
+                 ) -> tuple[list[ConstructionReport], Counter]:
     """Verify the grids of ``families`` at ``args.q``; the family names and
-    q are checked first, and every instance of a grid is admissible."""
+    q are checked first, and every instance of a grid is admissible.  Also
+    returns the run's work counters: the tables and rank profiles built."""
     for family in families:
         if family not in grs.FAMILIES:
             raise ValueError(f"unknown family {family!r}")
     quadratic_field(args.q)
+    work = Counter(vector_tables=0, rank_profiles=0)
     with _verifying():
         return [rep for _, rep in grs.sweep(
             args.q, families, budget=args.budget,
-            distance_budget=args.distance_budget)]
+            distance_budget=args.distance_budget, work=work)], work
 
 
 # ----------------------------------------------------------------------
@@ -141,23 +145,17 @@ def cmd_grs_construct(args) -> int:
         rep = grs.verify_claim(claim, budget=args.budget,
                                distance_budget=args.distance_budget)
     if args.include_code:
-        rep.code = rep.code | {"detail": code_to_json(claim.code)}
+        rep.code = rep.code | {"detail": code_to_json(claim.spec.code())}
     return _emit_report(rep, args)
 
 
 def cmd_grs_sweep(args) -> int:
     families = (grs.FAMILIES if args.families is None
                 else args.families.split(","))
-    start, tables = time.perf_counter(), _vector_tables()
-    reports = _grs_reports(args, families)
+    start = time.perf_counter()
+    reports, work = _grs_reports(args, families)
     return _emit_reports(reports, args, {
-        "grs_s": round(time.perf_counter() - start, 6),
-        "vector_tables": _vector_tables() - tables})
-
-
-def _vector_tables() -> int:
-    """Evaluation-vector tables built so far (misses of ``_vector_table``)."""
-    return grs._vector_table.cache_info().misses
+        "grs_s": round(time.perf_counter() - start, 6)} | work)
 
 
 def cmd_cyclic_dkl(args) -> int:
@@ -287,19 +285,18 @@ def cmd_quantum_tables(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    start, tables = time.perf_counter(), _vector_tables()
-    reports = _grs_reports(args)
+    start = time.perf_counter()
+    reports, work = _grs_reports(args)
     mid = time.perf_counter()
     with _verifying():
         runs = [res for _, res in ag.sweep(
-            args.q, distance_budget=args.distance_budget)]
+            args.q, distance_budget=args.distance_budget, work=work)]
     timings = {
         "grs_s": round(mid - start, 6),
         "ag_s": round(time.perf_counter() - mid, 6),
         "ag_sets": len({(res.report.construction["family"], res.points)
                         for res in runs}),
-        "ag_instances": len(runs),
-        "vector_tables": _vector_tables() - tables}
+        "ag_instances": len(runs)} | work
     return _emit_reports(reports + [res.report for res in runs], args,
                          timings)
 

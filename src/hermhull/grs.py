@@ -32,8 +32,8 @@ range and breaks the membership identity.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -41,36 +41,16 @@ import numpy as np
 
 from . import cyclic, quantum
 from .gf import FieldContext, prime_factors, quadratic_field
-# matrix_rank is not read here; the perfbench tracer lists grs.matrix_rank,
-# as it lists grs.gram_matrix and grs.mat_mul, by name
+# matrix_rank and mat_mul are not read here; the perfbench tracer lists
+# grs.matrix_rank and grs.mat_mul, as it lists grs.gram_matrix, by name
 from .linalg_codes import (_MAT_MUL_CHUNK, DEFAULT_BUDGET,
                            DEFAULT_DISTANCE_BUDGET, LinearCode,
-                           _enumerate_min_weight, conjugate, gram_matrix,
-                           mat_mul, matrix_rank, rank_profile)
+                           _enumerate_min_weight, gram_matrix, mat_mul,
+                           matrix_rank, rank_profile)
 from .report import (STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED,
                      STATUS_STRUCTURAL, ConstructionReport)
 
 FAMILIES = ("CON1", "CON2", "CON3", "CON4", "CON1E", "CON2E", "CON3E", "CON4E")
-
-#: evaluation vectors kept by each of the memos ``_check_vector``,
-#: ``_evaluation_vector`` and ``_vector_table``
-_VECTOR_CACHE = 16
-
-
-@functools.lru_cache(maxsize=_VECTOR_CACHE)
-def _check_vector(F: FieldContext, b: tuple, a: tuple) -> None:
-    """Raise ValueError unless b holds distinct field elements and a nonzero
-    ones, of one length.  Memoised: the instances of a family share b, a."""
-    if len(b) != len(a):
-        raise ValueError("b and a must have equal length")
-    if len(set(b)) != len(b):
-        raise ValueError("evaluation points must be distinct")
-    if 0 in a:
-        raise ValueError("scaling entries must be nonzero")
-    if b and not (0 <= min(min(b), min(a)) and
-                  max(max(b), max(a)) < F.order):
-        raise ValueError(f"entries must be field elements in [0, {F.order})")
-
 
 @dataclass(frozen=True)
 class GrsSpec:
@@ -82,9 +62,27 @@ class GrsSpec:
     k: int
 
     def __post_init__(self):
-        _check_vector(self.field, tuple(self.b), tuple(self.a))
-        if not 0 <= self.k <= len(self.b):
+        F, b, a = self.field, tuple(self.b), tuple(self.a)
+        if len(b) != len(a):
+            raise ValueError("b and a must have equal length")
+        if len(set(b)) != len(b):
+            raise ValueError("evaluation points must be distinct")
+        if 0 in a:
+            raise ValueError("scaling entries must be nonzero")
+        if b and not (0 <= min(min(b), min(a)) and
+                      max(max(b), max(a)) < F.order):
+            raise ValueError("entries must be field elements in "
+                             f"[0, {F.order})")
+        if not 0 <= self.k <= len(b):
             raise ValueError("dimension out of range")
+
+    def at(self, k: int) -> GrsSpec:
+        """GRS_k on the vector of this spec, which is not checked again."""
+        if not 0 <= k <= self.n:
+            raise ValueError("dimension out of range")
+        out = object.__new__(GrsSpec)
+        out.__dict__.update(vars(self), k=k)
+        return out
 
     @property
     def n(self) -> int:
@@ -108,7 +106,7 @@ class GrsSpec:
         e[(i > 0)[:, None] & (lb < 0)[None, :]] = 2 * n1
         return F.zexp[e]
 
-    def systematic(self) -> np.ndarray:
+    def systematic(self, table: Optional[_VectorTable] = None) -> np.ndarray:
         """The canonical RREF [I | A] of ``generator()``, with no elimination.
 
         A GRS code is MDS, so its pivots are columns 0..k-1 and
@@ -118,10 +116,10 @@ class GrsSpec:
         ld[l, j] = log(b_j - b_l) of the vector (see ``_VectorTable``): the
         numerator of row i is the prefix sum cum[k, j] less ld[i, j], and
         the denominator D_i = prod_{l != i} (b_i - b_l) is cum[k, i], as in
-        ``ag._hprime``.
+        ``ag._hprime``.  ``table``: as in ``natural_gram``.
         """
         F, k, n = self.field, self.k, self.n
-        T = _vector_table(F, tuple(self.b), tuple(self.a))
+        T = table or _VectorTable(self)
         ld, col = T.cauchy(k)
         la = T.la + col
         out = np.zeros((k, n), dtype=np.int32)
@@ -130,14 +128,14 @@ class GrsSpec:
                            % (F.order - 1)]
         return out
 
-    def code(self) -> LinearCode:
+    def code(self, table: Optional[_VectorTable] = None) -> LinearCode:
         """The code held in its closed-form canonical form.
 
         Rows 0 and k - 1 of ``generator()`` are checked to lie in it: a
         single wrong entry A[i, j] moves the combination that gives row 0
         at column j by a_i times the error.
         """
-        c = LinearCode(self.field, self.n, self.systematic())
+        c = LinearCode(self.field, self.n, self.systematic(table))
         if self.k and not c.contains_rows(
                 self._rows(np.array([0, self.k - 1]))):
             raise RuntimeError("closed-form systematic generator does not "
@@ -147,7 +145,10 @@ class GrsSpec:
 
 
 class _VectorTable:
-    """The work GRS_k(b, a) shares across k, for one vector (field, b, a).
+    """The work GRS_k(b, a) shares across k, for the vector (field, b, a) of
+    ``spec``; each group of ``largest_k_first`` holds one per vector.  The
+    counter ``work`` of the run gains one ``vector_tables`` here and one
+    ``rank_profiles`` per rank profile.
 
     Row i of the natural generator does not depend on k, so the Gram matrix
     of GRS_k(b, a) is the leading k x k block of that of GRS_K(b, a) for
@@ -169,9 +170,12 @@ class _VectorTable:
     GF(q^2)^* (``_power_sums``).  ``zero_norm`` is N_j of a zero point.
     """
 
-    def __init__(self, F: FieldContext, b: tuple, a: tuple):
+    def __init__(self, spec: GrsSpec, work: Optional[Counter] = None):
+        F, b, a = spec.field, spec.b, spec.a
         n = len(b)
-        self.field, self.b, self.a = F, b, a
+        self.spec, self.field = spec, F
+        self.work = Counter() if work is None else work
+        self.work["vector_tables"] += 1
         # holds a product or a sum of up to ``order`` logs; int32 where that
         # fits, as an int64 modulo measured about 4 times slower
         self.dtype = np.int32 if F.order ** 2 < 2 ** 31 else np.int64
@@ -202,7 +206,7 @@ class _VectorTable:
                               % (F.order - 1)]
                 g[0, 0] ^= self.zero_norm
             else:
-                g = gram_matrix(F, GrsSpec(F, self.b, self.a, k).generator())
+                g = gram_matrix(F, self.spec.at(k).generator())
             self.gram = _read_only(g)
         return self.gram[:k, :k]
 
@@ -213,6 +217,7 @@ class _VectorTable:
             self.gram_block(k)
             self.pivots = rank_profile(self.field, self.gram)
             self.profiled = len(self.gram)
+            self.work["rank_profiles"] += 1
         return int(np.count_nonzero(self.pivots.max(axis=1) < k))
 
     def cauchy(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +225,7 @@ class _VectorTable:
         runs on the whole table, and so covers every smaller k."""
         if k > len(self.ld):
             F, n1 = self.field, self.field.order - 1
-            b = np.asarray(self.b, dtype=np.int32)
+            b = np.asarray(self.spec.b, dtype=np.int32)
             d = F.add_arr(b[None, :], F.neg_arr(b[:k])[:, None])
             np.fill_diagonal(d, 1)
             if not d.all():
@@ -239,12 +244,7 @@ def _read_only(M: np.ndarray) -> np.ndarray:
     return M
 
 
-@functools.lru_cache(maxsize=_VECTOR_CACHE)
-def _vector_table(F: FieldContext, b: tuple, a: tuple) -> _VectorTable:
-    return _VectorTable(F, b, a)
-
-
-@functools.lru_cache(maxsize=_VECTOR_CACHE)
+@functools.cache
 def _dft_plan(n1: int) -> tuple[list, np.ndarray, np.ndarray]:
     """The Good-Thomas index maps of a length-n1 DFT (Good 1958; Thomas
     1963): (stages, spread, gather).
@@ -301,7 +301,8 @@ def _power_sums(F: FieldContext, lb: np.ndarray, ln: np.ndarray
     return x[gather]
 
 
-def natural_gram(spec: GrsSpec) -> np.ndarray:
+def natural_gram(spec: GrsSpec, table: Optional[_VectorTable] = None
+                 ) -> np.ndarray:
     """The Hermitian Gram matrix of ``spec.generator()``, read-only.
 
     Entry (i, l) is sum_j N_j b_j^(i + q l) with N_j = a_j^(q+1): in
@@ -313,19 +314,17 @@ def natural_gram(spec: GrsSpec) -> np.ndarray:
     ``add_arr`` folds, measured slower there (about 170 against 155 us per
     table build at q = 11), and the perfbench tracer wraps
     ``grs.gram_matrix`` and ``grs.mat_mul`` by name.  Either way the matrix
-    is the leading block of the one held per (field, b, a) for the last
-    _VECTOR_CACHE evaluation vectors (``_VectorTable``).
+    is the leading block of the one held by ``table``, the ``_VectorTable``
+    of the spec's vector, or by a new table when that is None.
     """
-    return _vector_table(spec.field, tuple(spec.b),
-                         tuple(spec.a)).gram_block(spec.k)
+    return (table or _VectorTable(spec)).gram_block(spec.k)
 
 
-def gram_rank(spec: GrsSpec) -> int:
-    """The rank of ``natural_gram(spec)``, counted in the rank profile
-    that the vector's table holds for its largest Gram matrix, so the
-    instances of one vector share one elimination."""
-    return _vector_table(spec.field, tuple(spec.b),
-                         tuple(spec.a)).gram_rank(spec.k)
+def gram_rank(spec: GrsSpec, table: Optional[_VectorTable] = None) -> int:
+    """The rank of ``natural_gram(spec, table)``, counted in the rank
+    profile that the table holds for its largest Gram matrix, so the
+    instances of one group share one elimination."""
+    return (table or _VectorTable(spec)).gram_rank(spec.k)
 
 
 @dataclass
@@ -335,8 +334,7 @@ class GrsHullClaim:
     agree), and perhaps a Hermitian self-orthogonal GRS code.  ``fault``
     None takes the prefix route (the subcode is a prefix GRS_t of the
     spec); a string takes the route of a two-point set's certificate
-    (``ag._pair_certificate``) and holds its fault, "" if none.  ``code``
-    is built in closed form on first use."""
+    (``ag._PairCertificate``) and holds its fault, "" if none."""
 
     family: str
     q: int
@@ -349,10 +347,6 @@ class GrsHullClaim:
     self_orthogonal: Optional[GrsSpec]
     conservative_range: bool  # inside the conservative z-bounds
     z1_subcode_dim: Optional[int]  # the z = 1 closed form (q-1 resp. q-f-1)
-
-    @functools.cached_property
-    def code(self) -> LinearCode:
-        return self.spec.code()
 
 
 # ----------------------------------------------------------------------
@@ -530,11 +524,10 @@ def _recipe(family: str, q: int, params: dict) -> tuple:
     return kind, e, params.get("m")
 
 
-@functools.lru_cache(maxsize=_VECTOR_CACHE)
 def _evaluation_vector(F2: FieldContext, q: int, kind: str, e: Optional[int],
-                       m: Optional[int], s: Optional[int]) -> tuple[tuple, tuple]:
+                       m: Optional[int]) -> GrsSpec:
     """The points b and column multipliers a of a recipe (see ``_recipe``)
-    over F2, as tuples; s is the coset index of ``claim_arithmetic``."""
+    over F2, as tuples, checked in a GrsSpec of dimension 0."""
     N = q * q - 1
     if kind == "1":
         b = np.append(F2.exp, 0)
@@ -543,7 +536,7 @@ def _evaluation_vector(F2: FieldContext, q: int, kind: str, e: Optional[int],
         b = F2.exp
         a = F2.exp[-np.arange(N) * e % N]
     else:
-        B = _coset_exponents(q, s)
+        B = _coset_exponents(q, math.gcd(e if kind == "3" else m - e, q - 1))
         b = F2.exp[B]
         # CON3: a^(q+1) = alpha^{-l e (q+1)} - 1 at the coset points and -1
         # at the appended zero; CON4: alpha^{-l e (q+1)} - alpha^{-l m (q+1)}
@@ -554,24 +547,28 @@ def _evaluation_vector(F2: FieldContext, q: int, kind: str, e: Optional[int],
         if kind == "3":
             b = np.append(b, 0)
             a = np.append(a, F2.solve_norm(F2.neg(1)))
-    return tuple(b.tolist()), tuple(a.tolist())
+    return GrsSpec(F2, tuple(b.tolist()), tuple(a.tolist()), 0)
 
 
 def construct_family(family: str, q: int, field: Optional[FieldContext] = None,
+                     table: Optional[_VectorTable] = None,
                      **params) -> GrsHullClaim:
     """Build the hull claim of a family instance; no code is built.
 
     Accepts the full verified parameter ranges; ``claim.conservative_range``
     records whether the instance also satisfies the tighter z-bounds.
     ``field`` overrides the default GF(q^2) context (it must still be a
-    quadratic extension of the right size).  The evaluation vector comes
-    from a memo keyed on the recipe, so the instances of one vector share
-    it, and with it the tables of ``_vector_table``.
+    quadratic extension of the right size).  The evaluation vector is
+    solved here, or read off ``table``, which ``sweep`` builds once per
+    ``_recipe``.
     """
     info = claim_arithmetic(family, q, **params)
-    F2 = quadratic_field(q, field)
-    b, a = _evaluation_vector(F2, q, *_recipe(family, q, params), info["s"])
-    spec = GrsSpec(F2, b, a, info["k"])
+    if table is None:
+        F2 = quadratic_field(q, field)
+        vector = _evaluation_vector(F2, q, *_recipe(family, q, params))
+    else:
+        vector = table.spec
+    spec = vector.at(info["k"])
     if spec.n != info["n"]:
         raise RuntimeError(f"family {family} built length {spec.n}, "
                            f"not {info['n']}")
@@ -579,7 +576,7 @@ def construct_family(family: str, q: int, field: Optional[FieldContext] = None,
         family=family, q=q, module="grs",
         params=dict(params) | ({"s": info["s"]} if info["s"] is not None else {}),
         spec=spec, hull_dim=info["hull_dim"],
-        subcode=GrsSpec(F2, b, a, info["subcode_dim"]), fault=None,
+        subcode=vector.at(info["subcode_dim"]), fault=None,
         self_orthogonal=None,
         conservative_range=in_conservative_range(family, q, params, info),
         z1_subcode_dim=info["z1_subcode_dim"])
@@ -599,13 +596,6 @@ _D_KIND = {STATUS_PASS: "enumerated", STATUS_FAIL: "failed",
            STATUS_STRUCTURAL: "structural"}
 
 
-def _hermitian_orthogonal_to(code: LinearCode, rows: np.ndarray) -> bool:
-    """Are all given rows Hermitian-orthogonal to every codeword of code?"""
-    F = code.field
-    prods = mat_mul(F, code.gen, conjugate(F, rows).T)
-    return not prods.any()
-
-
 def _mds(spec: GrsSpec, budget: int, fault: str,
          proof: str) -> tuple[str, Optional[int], str]:
     """(status, measured distance, note) of the check that the GRS code
@@ -623,7 +613,9 @@ def _mds(spec: GrsSpec, budget: int, fault: str,
 
 
 def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
-                 distance_budget: int = DEFAULT_DISTANCE_BUDGET
+                 distance_budget: int = DEFAULT_DISTANCE_BUDGET,
+                 table: Optional[_VectorTable] = None,
+                 so_table: Optional[_VectorTable] = None
                  ) -> ConstructionReport:
     """Check a hull claim with exact linear algebra, emitting the checks
     of ``CHECKS``; a mismatch is a failed check, never an exception.
@@ -637,6 +629,7 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     Gram rows 0..t-1 vanish; on the certificate route, when the
     certificate, its own second method, has no fault.  Only the prefix
     route's ``hull_dim_intersection``, within ``budget``, builds the code.
+    ``table`` and ``so_table``: the spec's and self_orthogonal's tables.
     """
     spec, sub, fault = claim.spec, claim.subcode, claim.fault
     F, n, k = spec.field, spec.n, spec.k
@@ -651,8 +644,9 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     d_code = n - k + 1 if status == STATUS_STRUCTURAL else d
     rep.code = {"n": n, "k": k, "d": d_code, "d_kind": _D_KIND[status]}
 
-    gram = natural_gram(spec)
-    gram_dim = k - gram_rank(spec)
+    T = table or _VectorTable(spec)
+    gram = natural_gram(spec, T)
+    gram_dim = k - gram_rank(spec, T)
     ok_gram = rep.check_eq("hull_dim_gram", claim.hull_dim, gram_dim)
 
     hull = None
@@ -667,7 +661,7 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
                     "is not attained at this z")
         rep.check_eq("max_prefix_subcode_dim", sub.k, max_prefix, note=note)
         if F.order ** k <= budget:
-            hull = claim.code.hermitian_hull()
+            hull = spec.code(T).hermitian_hull()
             rep.check_eq("hull_dim_intersection", claim.hull_dim, hull.k)
         else:
             rep.check("hull_dim_intersection", STATUS_SKIPPED,
@@ -675,9 +669,9 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
                            f"budget {budget}")
         # natural rows 0..t-1 of the spec: in the code, orthogonal iff
         # the first t Gram rows vanish
-        contained = (sub.field is F and tuple(sub.b) == tuple(spec.b)
-                     and tuple(sub.a) == tuple(spec.a) and sub.k <= k
-                     and max_prefix >= sub.k)
+        prefix = (sub.field is F and tuple(sub.b) == tuple(spec.b)
+                  and tuple(sub.a) == tuple(spec.a))
+        contained = prefix and sub.k <= k and max_prefix >= sub.k
         note = "rows lie in the code and are Hermitian-orthogonal to it"
     else:
         contained, note = not fault, fault or "the GRS-pair certificate"
@@ -687,7 +681,7 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     mds, equal = "n/a", claim.hull_dim == sub.k
     if equal:
         if hull is not None:
-            eq = hull == sub.code()
+            eq = hull == sub.code(T if prefix else None)
             note = "canonical-form equality"
         else:
             eq = ok_gram and contained
@@ -704,7 +698,7 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
             mds = _D_KIND[status]
 
     if claim.self_orthogonal is not None:
-        so = not natural_gram(claim.self_orthogonal).any()
+        so = not natural_gram(claim.self_orthogonal, so_table).any()
         rep.check("self_orthogonal_subcode",
                   STATUS_PASS if so else STATUS_FAIL,
                   expected=True, measured=so)
@@ -722,35 +716,46 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     return rep
 
 
-def largest_k_first(grid: list[dict], vector: Callable,
-                    verifier: Callable) -> Iterator:
-    """Verify every entry of ``grid`` (dicts holding a "k"), yielding the
-    results in grid order.  Consecutive entries of one ``vector(entry)``
-    form a run, verified by ``verifier(vector)`` largest k first, so its
-    first instance fills the vector's tables for the rest."""
-    for key, run in itertools.groupby(grid, key=vector):
-        run, verify = list(run), verifier(key)
-        out = [None] * len(run)
-        for i in sorted(range(len(run)), key=lambda i: -run[i]["k"]):
-            out[i] = verify(run[i])
-        yield from out
+def largest_k_first(grid: list[tuple], verifier: Callable) -> list:
+    """Verify every (vector, family, params) of ``grid`` and return the
+    results in grid order.  The entries of one vector form a group wherever
+    they stand; ``verifier(vector)`` holds its tables and verifies (family,
+    params), largest k first, so the first instance fills the tables."""
+    groups: dict = {}
+    for i, (vector, _, _) in enumerate(grid):
+        groups.setdefault(vector, []).append(i)
+    out = [None] * len(grid)
+    for vector, group in groups.items():
+        verify = verifier(vector)
+        for i in sorted(group, key=lambda i: -grid[i][2]["k"]):
+            out[i] = verify(*grid[i][1:])
+    return out
 
 
 def sweep(q: int, families=FAMILIES, budget: int = DEFAULT_BUDGET,
           distance_budget: int = DEFAULT_DISTANCE_BUDGET,
-          conservative: bool = True) -> Iterator[tuple[GrsHullClaim, ConstructionReport]]:
+          conservative: bool = True,
+          work: Optional[Counter] = None
+          ) -> Iterator[tuple[GrsHullClaim, ConstructionReport]]:
     """Build and verify every in-range instance of the given families,
-    yielding (claim, report) in grid order (``largest_k_first`` on the
-    runs of one ``_recipe``)."""
-    def verify(params):
-        claim = construct_family(family, q, **params)
-        return claim, verify_claim(claim, budget=budget,
-                                   distance_budget=distance_budget)
+    yielding (claim, report) in grid order (``largest_k_first`` on one grid
+    of all the families, one group and table per ``_recipe``); ``work``
+    counts the tables and rank profiles."""
+    F2 = quadratic_field(q)
 
-    for family in families:
-        yield from largest_k_first(
-            family_parameter_grid(family, q, conservative=conservative),
-            lambda params: _recipe(family, q, params), lambda _: verify)
+    def verifier(recipe):
+        T = _VectorTable(_evaluation_vector(F2, q, *recipe), work)
+
+        def verify(family, params):
+            claim = construct_family(family, q, table=T, **params)
+            return claim, verify_claim(claim, budget=budget,
+                                       distance_budget=distance_budget,
+                                       table=T)
+        return verify
+
+    grid = [(_recipe(family, q, params), family, params) for family in families
+            for params in family_parameter_grid(family, q, conservative)]
+    yield from largest_k_first(grid, verifier)
 
 
 # ----------------------------------------------------------------------
@@ -785,11 +790,7 @@ def puncture_from_p_codeword(q: int, x: np.ndarray, k: int,
     b = tuple(np.append(F2.exp, 0)[nz].tolist())
     a = tuple(F2.solve_norm_arr(x[nz]).tolist())
     spec_k = GrsSpec(F2, b, a, k)
-    spec_l = GrsSpec(F2, b, a, ell)
-    code_k = spec_k.code()
-    subrows = spec_l.generator()
-    if not code_k.contains_rows(subrows):
-        raise RuntimeError("punctured subcode is not contained in the code")
-    if not _hermitian_orthogonal_to(code_k, subrows):
+    # GRS_ell is the prefix of GRS_k: in the hull iff Gram rows 0..ell-1 vanish
+    if natural_gram(spec_k)[:ell].any():
         raise RuntimeError("punctured subcode escaped the Hermitian hull")
-    return spec_k, spec_l
+    return spec_k, spec_k.at(ell)

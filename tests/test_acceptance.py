@@ -42,7 +42,7 @@ def test_criterion_1_full_length_family_end_to_end(capsys):
     with criterion(capsys, "1 full-length hulls q=3,4,5", 30):
         for q in (3, 4, 5):
             claim = grs.construct_family("CON1", q)
-            code = claim.code
+            code = claim.spec.code()
             hull = code.hermitian_hull()
             assert hull.k == q - 1
             assert hull == claim.subcode.code()          # RREF equality

@@ -636,15 +636,15 @@ def test_branch_one_follows_zero_gram_columns(q, monkeypatch):
     U = evaluation_set("COR2", q, t=q - 1, field=F)
     gram = grs.natural_gram
 
-    def zeroed(spec):
-        out = gram(spec)
+    def zeroed(spec, table=None):
+        out = gram(spec, table)
         return out if spec.a == U.witnesses else np.zeros_like(out)
 
     monkeypatch.setattr(grs, "natural_gram", zeroed)
     # the rank is read off the vector's table, so the fake reaches it
     # through the rank seam as well
-    monkeypatch.setattr(grs, "gram_rank",
-                        lambda spec: matrix_rank(F, zeroed(spec)))
+    monkeypatch.setattr(grs, "gram_rank", lambda spec, table=None:
+                        matrix_rank(F, zeroed(spec, table)))
     rep = two_point_code(F, U, k, distance_budget=0).report
     checks = {c.name: c for c in rep.checks}
     assert rep.verdict == "FAIL" and rep.first_failure == "hull_dim_gram"
@@ -660,14 +660,6 @@ def test_branch_one_follows_zero_gram_columns(q, monkeypatch):
 # the per-set GRS-pair certificate against elimination
 # ----------------------------------------------------------------------
 
-@pytest.fixture
-def fresh_certificates():
-    """Certificates built inside the test, none left behind for others."""
-    ag._pair_certificate.cache_clear()
-    yield
-    ag._pair_certificate.cache_clear()
-
-
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_two_point_specs_equal_the_elimination(q):
     """On every grid instance the closed-form code and hull are the
@@ -681,8 +673,7 @@ def test_two_point_specs_equal_the_elimination(q):
         assert res.report.hull["dim_gram"] == hull.k == params["k"]
 
 
-def test_sweep_runs_no_elimination_of_a_code_or_hull(monkeypatch,
-                                                     fresh_certificates):
+def test_sweep_runs_no_elimination_of_a_code_or_hull(monkeypatch):
     from hermhull import linalg_codes
 
     def refuse(*args, **kwargs):
@@ -698,10 +689,9 @@ def test_sweep_runs_no_elimination_of_a_code_or_hull(monkeypatch,
 def _certificate_parts(F, family, **params):
     """(G, rows) of ``ag._certify`` for the set with the default p."""
     U = evaluation_set(family, F.q, field=F, **params)
-    cert = ag._pair_certificate(F, U.points, U.witnesses,
-                                default_extra_point(F, U.points))
-    return (GrsSpec(F, U.points, cert.c, cert.K + 2).generator(),
-            np.array(cert.rows), cert.K)
+    cert = ag._PairCertificate(F, U.points, U.witnesses,
+                               default_extra_point(F, U.points))
+    return cert.code.spec.generator(), np.array(cert.rows), cert.hull.k
 
 
 def test_certificate_refuses_each_broken_part(F25):
@@ -731,7 +721,7 @@ def test_certificate_refuses_each_broken_part(F25):
 
 
 def test_a_failed_certificate_fails_every_structural_check(
-        F25, monkeypatch, fresh_certificates):
+        F25, monkeypatch):
     monkeypatch.setattr(ag, "_certify", lambda F, G, rows: "broken")
     U = evaluation_set("COR2", 5, t=4)
     for k, budget in ((3, 10), (3, 25 ** 5), (0, 10)):

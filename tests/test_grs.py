@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -20,12 +21,17 @@ from conftest import grs_b_full, hull_dim_via_gram
 
 
 def test_grs_spec_validation(F9):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="equal length"):
+        GrsSpec(F9, (1, 2, 3), (1, 1), 1)     # unequal b and a
+    with pytest.raises(ValueError, match="distinct"):
         GrsSpec(F9, (1, 1), (1, 1), 1)        # repeated points
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonzero"):
         GrsSpec(F9, (1, 2), (1, 0), 1)        # zero scale
-    with pytest.raises(ValueError):
-        GrsSpec(F9, (1, 2), (1, 1), 3)        # k > n
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match="dimension out of range"):
+            GrsSpec(F9, (1, 2), (1, 1), k)    # k outside [0, n]
+        with pytest.raises(ValueError, match="dimension out of range"):
+            GrsSpec(F9, (1, 2), (1, 1), 1).at(k)
     for b, a in [((-1, 2), (1, 1)), ((1, 9), (1, 1)), ((1, 2), (1, -2)),
                  ((1, 2), (9, 1))]:
         with pytest.raises(ValueError, match="field elements"):
@@ -102,8 +108,9 @@ def test_systematic_matches_rref_q16_wide():
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_tables_filled_at_a_larger_k_serve_every_smaller_k(q):
-    # every evaluation vector of the full grids, its tables filled at
-    # K = n first: each instance and its subcode read the leading blocks
+    # every evaluation vector of the full grids, its table filled at K = n
+    # first: each instance and its subcode read the leading blocks, also
+    # when its vector is an equal tuple solved by another claim
     specs = {}
     for family in grs.FAMILIES:
         for params in family_parameter_grid(family, q, conservative=False):
@@ -113,47 +120,65 @@ def test_tables_filled_at_a_larger_k_serve_every_smaller_k(q):
     for (b, a), group in specs.items():
         any_spec = next(iter(group))
         F, n = any_spec.field, any_spec.n
-        grs._vector_table.cache_clear()
-        table = grs._vector_table(F, b, a)
-        natural_gram(replace(any_spec, k=n))
-        replace(any_spec, k=n).systematic()
-        grs.gram_rank(replace(any_spec, k=n))
+        work = collections.Counter()
+        table = grs._VectorTable(any_spec, work)
+        natural_gram(replace(any_spec, k=n), table)
+        replace(any_spec, k=n).systematic(table)
+        grs.gram_rank(replace(any_spec, k=n), table)
         gram, ld, pivots = table.gram, table.ld, table.pivots
         assert gram.shape == (n, n) and ld.shape == (n, n)
         for spec in group:
             G = spec.generator()
             R, rank, _ = rref(F, G)
-            assert np.array_equal(natural_gram(spec), gram_matrix(F, G))
-            assert np.array_equal(spec.systematic(), R[:rank])
-            assert grs.gram_rank(spec) == rref(F, natural_gram(spec))[1]
+            assert np.array_equal(natural_gram(spec, table), gram_matrix(F, G))
+            assert np.array_equal(spec.systematic(table), R[:rank])
+            assert grs.gram_rank(spec, table) == rref(
+                F, natural_gram(spec, table))[1]
         assert table.gram is gram and table.ld is ld
         assert table.pivots is pivots
+        # one table and one rank profile served every instance
+        assert work == {"vector_tables": 1, "rank_profiles": 1}
     assert len(specs) > 1
 
 
 def test_tables_grow_with_k_and_stay_read_only():
     claim = construct_family("CON2E", 5, z=1, f=1, k=5)
     spec = claim.spec
-    grs._vector_table.cache_clear()
-    table = grs._vector_table(spec.field, spec.b, spec.a)
+    table = grs._VectorTable(spec)
     for k in (2, 4, 3, 7):
         s = replace(spec, k=k)
-        natural_gram(s)
-        s.systematic()
+        natural_gram(s, table)
+        s.systematic(table)
     assert table.gram.shape == (7, 7) and table.cum.shape == (8, spec.n)
-    assert natural_gram(replace(spec, k=3)).shape == (3, 3)
+    assert natural_gram(replace(spec, k=3), table).shape == (3, 3)
     with pytest.raises(ValueError, match="read-only"):
-        natural_gram(replace(spec, k=3))[0, 0] = 1
-    assert grs._vector_table.cache_info().misses == 1
+        natural_gram(replace(spec, k=3), table)[0, 0] = 1
+    # with no table, a call builds its own and leaves this one alone
+    assert np.array_equal(natural_gram(spec), natural_gram(spec, table)[:5, :5])
+    assert table.gram.shape == (7, 7)
 
 
 def test_grs_sweep_builds_each_vector_once(monkeypatch):
-    # each run of consecutive grid entries on one evaluation vector solves
-    # the vector at most once and builds each table at most once, all at
-    # its first instance, which has the run's largest k; reports come out
-    # in grid order, equal to construct_family + verify_claim one by one
+    # the grid of every family is grouped by evaluation vector, across
+    # families: each vector is solved once and its table built once; the
+    # group runs largest k first, so its Gram matrix grows once, at the
+    # first instance, and its Cauchy table at most once, at the first
+    # instance that builds the code; reports come out in grid order, equal
+    # to construct_family + verify_claim one by one
     q, budgets = 7, dict(budget=10 ** 6, distance_budget=10 ** 4)
-    events = []
+    events, built, solved = [], [], []
+    init, solve = grs._VectorTable.__init__, grs._evaluation_vector
+
+    def building(self, spec, work=None):
+        built.append((spec.b, spec.a))
+        init(self, spec, work)
+
+    def solving(*args):
+        solved.append(args[1:])
+        return solve(*args)
+
+    monkeypatch.setattr(grs._VectorTable, "__init__", building)
+    monkeypatch.setattr(grs, "_evaluation_vector", solving)
     for method, held in (("gram_block", "gram"), ("cauchy", "ld")):
         original = getattr(grs._VectorTable, method)
 
@@ -168,47 +193,47 @@ def test_grs_sweep_builds_each_vector_once(monkeypatch):
     construct = grs.construct_family
     calls = []
 
-    def logged(family, q, **params):
-        misses = grs._evaluation_vector.cache_info().misses
+    def logged(family, q, table=None, **params):
         del events[:]
-        out = construct(family, q, **params)
-        solves = grs._evaluation_vector.cache_info().misses - misses
-        calls.append((family, params, solves, events[:]))
+        out = construct(family, q, table=table, **params)
+        calls.append((family, params, events[:]))
         return out
 
     def verified(claim, **kw):
         del events[:]
         rep = verify(claim, **kw)
-        calls[-1][3].extend(events)
+        calls[-1][2].extend(events)
         return rep
 
     verify = grs.verify_claim
     monkeypatch.setattr(grs, "construct_family", logged)
     monkeypatch.setattr(grs, "verify_claim", verified)
-    grs._evaluation_vector.cache_clear()
-    grs._vector_table.cache_clear()
-    swept = list(grs.sweep(q, conservative=False, **budgets))
+    work = collections.Counter()
+    swept = list(grs.sweep(q, conservative=False, work=work, **budgets))
 
     grid = [(family, params) for family in grs.FAMILIES
             for params in family_parameter_grid(family, q, conservative=False)]
     assert [(c.family, {k: v for k, v in c.params.items() if k != "s"})
             for c, _ in swept] == grid
-    runs = 0
-    for key, run in itertools.groupby(
-            calls, key=lambda c: (c[0], grs._recipe(c[0], q, c[1]))):
-        run = list(run)
-        runs += 1
-        assert [c[1]["k"] for c in run] == \
-            sorted((c[1]["k"] for c in run), reverse=True), key
-        assert run[0][2] <= 1 and run[0][3].count("gram") <= 1 \
-            and run[0][3].count("ld") <= 1, key
-        assert all(c[2] == 0 and not c[3] for c in run[1:]), key
-    assert len(calls) == len(grid) and runs < len(grid)
-    assert sum(c[2] for c in calls) >= 1
+    vectors = {(c.spec.b, c.spec.a) for c, _ in swept}
+    assert sorted(built) == sorted(vectors) and len(vectors) < len(grid)
+    assert work == {"vector_tables": len(vectors),
+                    "rank_profiles": len(vectors)}
+    assert len(solved) == len(set(solved)) == len(vectors)
+    groups = {}
+    for call in calls:
+        groups.setdefault(grs._recipe(call[0], q, call[1]), []).append(call)
+    assert len(groups) == len(vectors)
+    assert any(len({c[0] for c in group}) > 1 for group in groups.values())
+    for key, group in groups.items():
+        assert [c[1]["k"] for c in group] == \
+            sorted((c[1]["k"] for c in group), reverse=True), key
+        assert group[0][2].count("gram") == 1, key
+        assert all("gram" not in c[2] for c in group[1:]), key
+        assert sum(c[2].count("ld") for c in group) <= 1, key
+    assert len(calls) == len(grid) and any("ld" in c[2] for c in calls)
 
     monkeypatch.undo()
-    grs._evaluation_vector.cache_clear()
-    grs._vector_table.cache_clear()
     for (family, params), (claim, rep) in zip(grid, swept):
         alone = verify_claim(construct_family(family, q, **params), **budgets)
         assert alone.to_canonical_dict() == rep.to_canonical_dict()
@@ -238,8 +263,8 @@ def test_code_rejects_a_corrupted_systematic_entry(monkeypatch):
     spec = GrsSpec(F, tuple(grs_b_full(F)), (1,) + tuple(range(1, 16)), 5)
     closed_form = GrsSpec.systematic
     for i, j in [(0, 5), (2, 11), (4, 15)]:
-        def corrupted(self, i=i, j=j):
-            S = closed_form(self)
+        def corrupted(self, table=None, i=i, j=j):
+            S = closed_form(self, table)
             S[i, j] = F.add(int(S[i, j]), 1)
             return S
         monkeypatch.setattr(GrsSpec, "systematic", corrupted)
@@ -258,7 +283,7 @@ def test_code_runs_no_elimination(monkeypatch):
                               ("CON3", 5, {"k": 3}),
                               ("CON2E", 7, {"z": 1, "f": 1, "k": 7})]:
         claim = construct_family(family, q, **params)
-        assert claim.code.k == claim.spec.k
+        assert claim.spec.code().k == claim.spec.k
         assert claim.subcode.code().k == claim.subcode.k
 
 
@@ -286,7 +311,7 @@ def test_generator_is_scaled_vandermonde(F25):
 ])
 def test_construct_family_lengths_and_verdicts(family, q, params, length):
     claim = construct_family(family, q, **params)
-    code = claim.code
+    code = claim.spec.code()
     assert code.n == length
     rep = verify_claim(claim, budget=10 ** 6, distance_budget=10 ** 5)
     assert rep.verdict in ("PASS", "PARTIAL"), rep.first_failure
@@ -296,7 +321,7 @@ def test_construct_family_lengths_and_verdicts(family, q, params, length):
 
 def test_con1_hull_equality_small(F9):
     claim = construct_family("CON1", 3)
-    code = claim.code
+    code = claim.spec.code()
     hull = code.hermitian_hull()
     assert hull == claim.subcode.code()
     assert hull.k == 2
@@ -307,7 +332,7 @@ def test_con3_scaling_vector_solves_the_norm_equations():
     q = 5
     F = quadratic_field(q)
     claim = construct_family("CON3", q, k=3)
-    code = claim.code
+    code = claim.spec.code()
     s = math.gcd(2, 4)
     assert claim.params["s"] == s
     B = [l for l in range(24) if l % ((q - 1) // s) != 0]
@@ -381,10 +406,9 @@ def test_natural_gram_matches_gram_matrix_q16_wide():
 
 @pytest.mark.parametrize("chunk", [1, 7, 100])
 def test_natural_gram_in_blocks(monkeypatch, chunk):
-    # blocks of one or a few power sums, with a ragged last block; no power
-    # sum may come from a table an earlier test filled at the default chunk
+    # blocks of one or a few power sums, with a ragged last block; each
+    # call builds a fresh table, so every power sum is taken at this chunk
     monkeypatch.setattr(grs, "_MAT_MUL_CHUNK", chunk)
-    grs._vector_table.cache_clear()
     for q in (2, 4, 8):
         for family in grs.FAMILIES:
             for params in family_parameter_grid(family, q, conservative=False):
@@ -414,7 +438,7 @@ def test_dft_power_sums_match_direct_sums(field, zero):
     rng = np.random.default_rng(F.order)
     for n in sorted({1, 3, min(40, F.order - 1), F.order - 1}):
         b, a = _random_vector(F, rng, n, zero)
-        table = grs._VectorTable(F, b, a)
+        table = grs._VectorTable(GrsSpec(F, b, a, 0))
         assert np.array_equal(table.sums, _direct_power_sums(F, b, a)), n
         assert not table.sums.flags.writeable
         k = min(n, 6)
@@ -422,7 +446,7 @@ def test_dft_power_sums_match_direct_sums(field, zero):
             F, GrsSpec(F, b, a, k).generator())), n
     if F.order - 1 > 3:
         b = tuple(F.exp.tolist()) + ((0,) if zero else ())
-        table = grs._VectorTable(F, b, (1,) * len(b))
+        table = grs._VectorTable(GrsSpec(F, b, (1,) * len(b), 0))
         # every nonzero point with N = 1: S[t] = 1 at t = 0 and 0 elsewhere
         want = np.zeros(F.order - 1, dtype=np.int32)
         want[0] = 1
@@ -447,7 +471,6 @@ def test_natural_gram_large_q_stays_in_blocks():
     F = quadratic_field(128)
     b = tuple(np.append(F.exp[:F.order - 1], 0).tolist())
     spec = GrsSpec(F, b, (1,) * F.order, 16)
-    grs._vector_table.cache_clear()
     tracemalloc.start()
     try:
         got = natural_gram(spec)
@@ -475,66 +498,59 @@ def _random_vector(F, rng, n, zero):
     return tuple(b.tolist()), tuple(a.tolist())
 
 
-def _assert_natural_gram(spec):
+def _assert_natural_gram(spec, table=None):
     want = gram_matrix(spec.field, recursion_generator(spec))
-    assert np.array_equal(natural_gram(spec), want), (spec.b, spec.a, spec.k)
+    assert np.array_equal(natural_gram(spec, table), want), \
+        (spec.b, spec.a, spec.k)
 
 
 @pytest.mark.parametrize("q", [4, 8])
-def test_natural_gram_memo_fills_lazily_and_evicts(q):
+def test_natural_gram_table_fills_lazily(q):
     # one (b, a) at every k descending, then ascending, then interleaved
-    # with more evaluation vectors than the memo holds
+    # with other evaluation vectors, each read through a table of its own
     F = quadratic_field(q)
     rng = np.random.default_rng(q)
     n = min(F.order - 1, 40)
     b, a = _random_vector(F, rng, n, zero=True)
-    others = [_random_vector(F, rng, n, zero=bool(j % 2))
-              for j in range(grs._VECTOR_CACHE + 2)]
-    grs._vector_table.cache_clear()
-    _assert_natural_gram(GrsSpec(F, b, a, 3))
-    table = grs._vector_table(F, b, a)
+    others = [_random_vector(F, rng, n, zero=bool(j % 2)) for j in range(6)]
+    table = grs._VectorTable(GrsSpec(F, b, a, 0))
+    _assert_natural_gram(GrsSpec(F, b, a, 3), table)
     # lazy: a k = 3 call holds the Gram matrix at k = 3 only, and every
     # power sum, taken at once by one DFT
     assert table.sums.shape == (F.order - 1,)
     assert table.gram.shape == (3, 3)
     # a larger k grows the table; a smaller one reads its leading block
-    _assert_natural_gram(GrsSpec(F, b, a, 5))
+    _assert_natural_gram(GrsSpec(F, b, a, 5), table)
     assert table.gram.shape == (5, 5)
     for k in range(n, -1, -1):
-        _assert_natural_gram(GrsSpec(F, b, a, k))
+        _assert_natural_gram(GrsSpec(F, b, a, k), table)
         assert table.gram.shape == (n, n)
     full = table.gram
-    for k in range(n + 1):
-        _assert_natural_gram(GrsSpec(F, b, a, k))
-    assert table.gram is full and not full.flags.writeable
-    assert grs._vector_table.cache_info().misses == 1
     for j, (ob, oa) in enumerate(others):
+        # a call with no table builds its own and leaves this one alone
         _assert_natural_gram(GrsSpec(F, ob, oa, j % (n + 1)))
-        _assert_natural_gram(GrsSpec(F, b, a, (5 * j) % (n + 1)))
-    for j, (ob, oa) in enumerate(others):
-        _assert_natural_gram(GrsSpec(F, ob, oa, (n - j) % (n + 1)))
+        _assert_natural_gram(GrsSpec(F, b, a, (5 * j) % (n + 1)), table)
     for k in range(n + 1):
-        _assert_natural_gram(GrsSpec(F, b, a, k))
-    # the last loops evicted and refilled entries: every other vector missed
-    # twice, and (b, a) once more after the full pass over the others
-    assert grs._vector_table.cache_info().misses == 2 + 2 * len(others)
+        _assert_natural_gram(GrsSpec(F, b, a, k), table)
+    assert table.gram is full and not full.flags.writeable
 
 
-def test_natural_gram_memo_keys_on_the_field():
+def test_natural_gram_tables_of_two_moduli():
     # the same integer tuples under two moduli of GF(16) are two evaluation
-    # vectors with different Gram matrices
+    # vectors with different Gram matrices, one table each
     conway, other = quadratic_field(4), make_field(2, 4, (1, 0, 0, 1, 1))
     assert other is not conway
     rng = np.random.default_rng(16)
     b, a = _random_vector(conway, rng, 12, zero=True)
-    grs._vector_table.cache_clear()
+    tables = {F: grs._VectorTable(GrsSpec(F, b, a, 0))
+              for F in (conway, other)}
     grams = []
     for F in (conway, other, conway, other):
         spec = GrsSpec(F, b, a, 6)
-        _assert_natural_gram(spec)
-        grams.append(natural_gram(spec))
+        _assert_natural_gram(spec, tables[F])
+        grams.append(natural_gram(spec, tables[F]))
     assert not np.array_equal(grams[0], grams[1])
-    assert grs._vector_table.cache_info().misses == 2
+    assert grams[0] is not grams[2] and np.array_equal(grams[0], grams[2])
 
 
 def test_gram_rank_branches_con3e_con4e():
@@ -581,7 +597,7 @@ def test_z1_prefix_formulas_do_not_extend():
             ("CON2E", 7, {"z": 2, "f": 1, "k": 14}, 5),
             ("CON3E", 7, {"z": 2, "f": 2, "k": 14}, 4)]:
         claim = construct_family(family, q, **params)
-        code = claim.code
+        code = claim.spec.code()
         F = claim.spec.field
         assert claim.z1_subcode_dim == z1_dim
         assert claim.subcode.k < z1_dim
@@ -606,9 +622,9 @@ def test_negative_control_corrupted_scale():
 def _old_subcode_in_hull(code, subcode):
     """The check before it read the Gram matrix: containment plus one
     Hermitian product of the subcode rows against the code."""
-    rows = subcode.generator()
+    rows, F = subcode.generator(), code.field
     return (code.contains_rows(rows)
-            and grs._hermitian_orthogonal_to(code, rows))
+            and not mat_mul(F, code.gen, conjugate(F, rows).T).any())
 
 
 def _subcode_status(claim):
@@ -630,7 +646,7 @@ def test_subcode_in_hull_matches_containment_and_product(q, families):
     # whose last row is not orthogonal to the code
     count = failed = 0
     for claim in _grid(q, families):
-        code = claim.code
+        code = claim.spec.code()
         for t in {claim.subcode.k, min(claim.subcode.k + 1, claim.spec.k)}:
             claim.subcode = replace(claim.spec, k=t)
             old = _old_subcode_in_hull(code, claim.subcode)
@@ -646,7 +662,7 @@ def test_subcode_in_hull_matches_containment_and_product(q, families):
     ("CON3", 7, {"k": 4})])
 def test_subcode_in_hull_fails_for_a_foreign_subcode(family, q, params):
     claim = construct_family(family, q, **params)
-    code = claim.code
+    code = claim.spec.code()
     spec, F = claim.spec, claim.spec.field
     assert _subcode_status(claim) == STATUS_PASS
     # another scale vector: the rows leave the code
@@ -668,7 +684,7 @@ def test_subcode_on_another_vector_fails_subcode_in_hull():
     assert _subcode_status(claim) == STATUS_PASS
     claim.subcode = GrsSpec(spec.field, spec.b[::-1], spec.a[::-1],
                             claim.subcode.k)
-    assert not _old_subcode_in_hull(claim.code, claim.subcode)
+    assert not _old_subcode_in_hull(claim.spec.code(), claim.subcode)
     rep = verify_claim(claim, budget=0, distance_budget=0)
     checks = {c.name: c.status for c in rep.checks}
     assert checks["max_prefix_subcode_dim"] == STATUS_PASS

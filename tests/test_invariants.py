@@ -18,9 +18,12 @@ def test_no_assert_statements_in_package():
 
 #: module-level imports kept although the module never reads them, as
 #: (module, name): ``grs.matrix_rank``, since the Gram ranks moved to the
-#: rank profile of each vector table, is a binding that the perfbench
-#: tracer rebinds and ``perfbench/tests/test_tracer.py`` lists by name
-UNREAD_IMPORTS_KEPT: set[tuple[str, str]] = {("grs", "matrix_rank")}
+#: rank profile of each vector table, and ``grs.mat_mul``, since the
+#: puncturing pipeline reads the Gram matrix, are bindings that the
+#: perfbench tracer rebinds and ``perfbench/tests/test_tracer.py`` lists
+#: by name
+UNREAD_IMPORTS_KEPT: set[tuple[str, str]] = {("grs", "matrix_rank"),
+                                             ("grs", "mat_mul")}
 
 
 def unused_imports(path: pathlib.Path) -> list[str]:
@@ -117,14 +120,12 @@ def test_benchmark_tracer_sees_every_two_point_hull():
     from hermhull import ag, linalg_codes
     tracer = load_benchmark_tracer()
     original = ag.two_point_code
-    ag._pair_certificate.cache_clear()
     t = tracer.Tracer()
     try:
         t.install()
         results = [res for _, res in ag.sweep(5)]
     finally:
         t.uninstall()
-        ag._pair_certificate.cache_clear()
     assert ag.two_point_code is original
     counts = t.counts()
     assert len(results) > 1
@@ -134,3 +135,34 @@ def test_benchmark_tracer_sees_every_two_point_hull():
     names = np.array(t.names)[spans["name"]]
     assert (names == "ag.two_point_code").sum() == len(results)
     assert "linalg_codes.LinearCode.hermitian_hull" not in set(names)
+
+
+def test_benchmark_tracer_sees_every_grs_instance():
+    # perfbench/tracer.py wraps grs.construct_family and grs.verify_claim
+    # by name; a top-level construct_family call opens each traced instance
+    # and the benchmark's grs.instances counter reads verify_claim's
+    # reports, so grs.sweep must call both once per instance, at top level
+    import numpy as np
+
+    from hermhull import grs
+    tracer = load_benchmark_tracer()
+    originals = (grs.construct_family, grs.verify_claim)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        swept = list(grs.sweep(5))
+    finally:
+        t.uninstall()
+    assert (grs.construct_family, grs.verify_claim) == originals
+    spans = t.spans()
+    names = np.array(t.names)[spans["name"]]
+    top = spans["parent"] == -1
+    construct = names == "grs.construct_family"
+    verify = names == "grs.verify_claim"
+    assert len(swept) > 1
+    assert (construct & top).sum() == construct.sum() == len(swept)
+    assert (verify & top).sum() == verify.sum() == len(swept)
+    assert len(set(spans["instance"][construct])) == len(swept)
+    counts = t.counts()
+    assert counts["grs.construct_family"]["calls"] == len(swept)
+    assert counts["grs.verify_claim"]["calls"] == len(swept)

@@ -901,7 +901,7 @@ def test_hermitian_hull_on_every_grs_instance_in_budget(q):
     count = 0
     for family in grs.FAMILIES:
         for params in grs.family_parameter_grid(family, q):
-            C = grs.construct_family(family, q, **params).code
+            C = grs.construct_family(family, q, **params).spec.code()
             if C.field.order ** C.k > DEFAULT_BUDGET:
                 continue
             assert C.hermitian_hull() == ref_hermitian_hull(C), (family, params)

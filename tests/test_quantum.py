@@ -107,7 +107,7 @@ def test_table2_round_trip_from_first_principles():
     rows = {q: quantum_tables(q)["table2"] for q in (5, 7)}
     for family, q, params in cases:
         claim = construct_family(family, q, **params)
-        code = claim.code
+        code = claim.spec.code()
         hull_dim = hull_dim_via_gram(code)
         assert hull_dim == claim.hull_dim
         p = eaqecc(q, code.n, code.k, hull_dim)
@@ -187,10 +187,10 @@ def test_table3_ingredients_verify():
     # real, by exact Gram rank on the built codes
     from hermhull.grs import construct_family
     claim = construct_family("CON1E", 7, z=3, k=21)
-    code = claim.code
+    code = claim.spec.code()
     assert hull_dim_via_gram(code) == 21 - 9
     claim = construct_family("CON3E", 7, z=2, f=2, k=15)
-    code = claim.code
+    code = claim.spec.code()
     assert hull_dim_via_gram(code) == 15 - 8
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import jsonschema
 
 import hermhull
 from conftest import quantum_tables
-from hermhull import ag, cli, grs, report
+from hermhull import ag, cli, grs, quantum, report
 from hermhull.grs import construct_family, verify_claim
 from hermhull.report import (ConstructionReport, code_to_json,
                              logs_to_vector, report_schema, vector_to_logs)
@@ -506,7 +507,7 @@ def test_cli_verify_all_golden_bodies(capsys, q):
 #: the same for q = 11, 13 and 16, whose grids carry the CON3E FAIL reports
 #: of the refuted hull claims with f < z, so the command exits 1; q = 16 also
 #: covers the CON2E and CON3E grids, whose evaluation vectors recur for each
-#: z and so refill evicted entries of the power-sum memo of ``natural_gram``
+#: z, far apart in the grid, and so join one group of ``largest_k_first``
 GOLDEN_VERIFY_ALL_WITH_FAILS = {
     11: "e2b363434b0d224b3f40637fe1bdbc5a897616ead49d37e87698c157260358d1",
     13: "6ce4fc8ed23b5370afc73f75be15a1b1c38f099a79e7ee71dce2f26e523c25ac",
@@ -738,25 +739,30 @@ def test_cli_distance_budget_caps_two_point_hull_enumeration(capsys,
                          ids=["verify-all", "grs-sweep"])
 def test_cli_timings_envelope_leaves_the_rest_unchanged(capsys, argv):
     rc, plain = run_cli(capsys, *argv)
-    # a cold memo, as in a fresh process: the timed run builds every table
-    grs._vector_table.cache_clear()
     rc_t, timed = run_cli(capsys, *argv, "--timings")
     assert rc == rc_t == 0
     payload = json.loads(timed)
     timings = payload.pop("timings")
     assert cli._dump(payload) + "\n" == plain
-    keys = {"grs_s", "emit_s", "vector_tables"} | (
+    keys = {"grs_s", "emit_s", "vector_tables", "rank_profiles"} | (
         {"ag_s", "ag_sets", "ag_instances"} if argv[0] == "verify-all"
         else set())
     assert set(timings) == keys
     assert all(timings[key] >= 0 for key in keys)
-    # tables scale with evaluation vectors: at most one per GRS instance,
-    # and two per two-point set (its code vector and its self-orthogonal
-    # one), which can outnumber the set's instances
-    grs_instances = payload["summary"]["total"] - timings.get(
-        "ag_instances", 0)
-    assert 0 < timings["vector_tables"] <= grs_instances + 2 * timings.get(
-        "ag_sets", 0)
+    # one table per distinct GRS vector, and two per two-point set (its
+    # code vector and its self-orthogonal one); one rank profile per GRS
+    # vector and per set; a second run in the process counts the same
+    q = int(argv[argv.index("--q") + 1])
+    vectors = len({grs._recipe(family, q, params) for family in grs.FAMILIES
+                   for params in grs.family_parameter_grid(family, q)})
+    sets = timings.get("ag_sets", 0)
+    assert timings["vector_tables"] == vectors + 2 * sets
+    assert timings["rank_profiles"] == vectors + sets
+    rc_t, again = run_cli(capsys, *argv, "--timings")
+    again = json.loads(again)["timings"]
+    assert all(again[key] == timings[key] for key in
+               ("vector_tables", "rank_profiles", "ag_sets", "ag_instances")
+               if key in keys)
     if argv[0] == "verify-all":
         assert timings["ag_instances"] == sum(
             len(ag.family_parameter_grid(family, 4))
@@ -764,6 +770,20 @@ def test_cli_timings_envelope_leaves_the_rest_unchanged(capsys, argv):
         assert 0 < timings["ag_sets"] < timings["ag_instances"]
     else:
         assert timings["vector_tables"] < payload["summary"]["total"]
+
+
+def test_no_vector_table_outlives_its_sweep():
+    # claims and results keep specs, which hold no table; each group of
+    # ``largest_k_first`` drops its tables when its instances are done
+    def live_tables():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, grs._VectorTable)]
+
+    assert live_tables() == []
+    swept = list(grs.sweep(5, conservative=False)) + list(ag.sweep(5))
+    tables = quantum.emit_tables(5)
+    assert len(swept) > 1 and tables["table1"]
+    assert live_tables() == []
 
 
 @pytest.mark.parametrize("argv, message", [
