@@ -26,9 +26,13 @@ from .report import ConstructionReport, code_to_json
 
 
 def _dump(payload, fmt: str = "json") -> str:
+    """``payload`` as compact sorted JSON, or markdown.  A payload is a
+    tree of dicts and lists built for output, never a cycle, so the
+    encoder skips its cycle check."""
     if fmt == "markdown":
         return _to_markdown(payload)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      check_circular=False)
 
 
 def _to_markdown(payload) -> str:

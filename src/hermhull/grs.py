@@ -157,9 +157,12 @@ class _VectorTable:
     one prefix-sum table.  Each table is held, read-only, for the largest k
     asked so far, and rebuilt when a larger k is asked for:
 
-    * ``gram``: the Gram matrix of ``natural_gram``, and ``pivots``, the
-      ``rank_profile`` of the largest one ranked so far: the rank of each
-      leading block is the number of pivots inside it;
+    * ``gram``: the Gram matrix of ``natural_gram``, with ``first_row[k]``,
+      the first nonzero row of each leading k x k block (k when the block
+      is zero), for k <= K, found on each build; and ``ranks[k]``, the rank
+      of each leading block of the largest one ranked so far, counted in
+      its one ``rank_profile``.  Both per-k arrays are Python lists, so a
+      read at any k <= K is a list lookup;
     * ``ld[l, j] = log(b_j - b_l)`` for l < K, with 0 = log 1 on the
       diagonal, and its prefix sums ``cum[k, j] = sum_{l < k} ld[l, j]``
       mod (order - 1) for k <= K.
@@ -181,7 +184,7 @@ class _VectorTable:
         self.dtype = np.int32 if F.order ** 2 < 2 ** 31 else np.int64
         self.la = F.log[np.asarray(a, dtype=np.int64)]
         self.gram = _read_only(np.zeros((0, 0), dtype=np.int32))
-        self.pivots, self.profiled = np.zeros((0, 2), dtype=np.int64), 0
+        self.first_row, self.ranks = [0], [0]
         self.ld = _read_only(np.zeros((0, n), dtype=np.int32))
         self.cum = _read_only(np.zeros((1, n), dtype=np.int32))
         if F.p == 2:
@@ -208,17 +211,24 @@ class _VectorTable:
             else:
                 g = gram_matrix(F, self.spec.at(k).generator())
             self.gram = _read_only(g)
+            self.first_row = _first_nonzero_rows(g)
         return self.gram[:k, :k]
 
-    def gram_rank(self, k: int) -> int:
-        """The rank of ``gram_block(k)``: the pivots of ``pivots`` inside
-        [:k, :k], profiled again only when k exceeds the profiled size."""
-        if k > self.profiled:
+    def first_nonzero_row(self, k: int) -> int:
+        """The first nonzero row of ``gram_block(k)``, k when it is zero."""
+        if k > len(self.gram):
             self.gram_block(k)
-            self.pivots = rank_profile(self.field, self.gram)
-            self.profiled = len(self.gram)
+        return self.first_row[k]
+
+    def gram_rank(self, k: int) -> int:
+        """The rank of ``gram_block(k)``, ``ranks[k]``; profiled again only
+        when k exceeds the profiled size."""
+        if k >= len(self.ranks):
+            self.gram_block(k)
+            self.ranks = _leading_ranks(rank_profile(self.field, self.gram),
+                                        len(self.gram))
             self.work["rank_profiles"] += 1
-        return int(np.count_nonzero(self.pivots.max(axis=1) < k))
+        return self.ranks[k]
 
     def cauchy(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(ld[:k], cum[k]), read-only views; the vanishing-difference check
@@ -242,6 +252,28 @@ class _VectorTable:
 def _read_only(M: np.ndarray) -> np.ndarray:
     M.setflags(write=False)
     return M
+
+
+def _first_nonzero_rows(g: np.ndarray) -> list[int]:
+    """For k = 0..K, the first nonzero row of g[:k, :k] (K x K), or k when
+    that block is zero.  With f_i the first nonzero column of row i, that
+    row is the least i with f_i < k when this i is below k; otherwise no
+    row of the block is nonzero."""
+    K = len(g)
+    f = np.column_stack([g != 0, np.ones(K, dtype=bool)]).argmax(axis=1)
+    # least[j]: the least row i with f_i = j - 1, K if there is none
+    least = np.full(K + 2, K, dtype=np.int64)
+    np.minimum.at(least, f + 1, np.arange(K))
+    k = np.arange(K + 1)
+    return np.minimum(np.minimum.accumulate(least[:K + 1]), k).tolist()
+
+
+def _leading_ranks(pivots: np.ndarray, K: int) -> list[int]:
+    """For k = 0..K, the rank of the leading k x k block of a K x K matrix
+    whose ``rank_profile`` is ``pivots``: its pivots (row, col) with
+    max(row, col) < k."""
+    inside = np.bincount(pivots.max(axis=1) + 1, minlength=K + 1)
+    return np.cumsum(inside).tolist()
 
 
 @functools.cache
@@ -620,16 +652,21 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     """Check a hull claim with exact linear algebra, emitting the checks
     of ``CHECKS``; a mismatch is a failed check, never an exception.
 
-    Every Gram-shaped quantity comes from the one ``natural_gram`` of the
-    spec: its rank, counted by ``gram_rank`` in the rank profile its
-    vector's table holds, gives ``hull_dim_gram`` and, on the prefix
-    route, its first nonzero row ``max_prefix_subcode_dim``.  There
+    Every Gram-shaped quantity is a per-k read off the ``_VectorTable`` of
+    the spec's vector, whose Gram matrix has the one ``natural_gram`` of
+    the spec as its leading block: its rank (``gram_rank``, ``ranks[k]``)
+    gives ``hull_dim_gram`` and, on the prefix route, its first nonzero row
+    (``first_row[k]``) ``max_prefix_subcode_dim``.  There
     ``subcode_in_hull`` passes when the subcode is the prefix GRS_t(b, c)
     of the spec (same field, b and c, t <= k, hence inside the code) and
     Gram rows 0..t-1 vanish; on the certificate route, when the
-    certificate, its own second method, has no fault.  Only the prefix
-    route's ``hull_dim_intersection``, within ``budget``, builds the code.
+    certificate, its own second method, has no fault.
+    ``self_orthogonal_subcode`` reads a zero block off the self-orthogonal
+    vector's table, which is never rank-profiled.  Only the prefix route's
+    ``hull_dim_intersection``, within ``budget``, builds the code.
     ``table`` and ``so_table``: the spec's and self_orthogonal's tables.
+    The report's verdict is kept as its checks are recorded, and a
+    non-FAIL report gets its ``quantum.chain_to_json`` chain.
     """
     spec, sub, fault = claim.spec, claim.subcode, claim.fault
     F, n, k = spec.field, spec.n, spec.k
@@ -645,7 +682,6 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     rep.code = {"n": n, "k": k, "d": d_code, "d_kind": _D_KIND[status]}
 
     T = table or _VectorTable(spec)
-    gram = natural_gram(spec, T)
     gram_dim = k - gram_rank(spec, T)
     ok_gram = rep.check_eq("hull_dim_gram", claim.hull_dim, gram_dim)
 
@@ -653,8 +689,7 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     if fault is None:
         # largest t with the first t natural generator rows inside the
         # dual: exactly the first nonzero row of the Gram matrix
-        nz_rows = np.nonzero(gram.any(axis=1))[0]
-        max_prefix = int(nz_rows[0]) if nz_rows.size else k
+        max_prefix = T.first_nonzero_row(k)
         note = ""
         if claim.z1_subcode_dim not in (None, sub.k):
             note = (f"the z = 1 closed form {claim.z1_subcode_dim} "
@@ -669,8 +704,9 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
                            f"budget {budget}")
         # natural rows 0..t-1 of the spec: in the code, orthogonal iff
         # the first t Gram rows vanish
-        prefix = (sub.field is F and tuple(sub.b) == tuple(spec.b)
-                  and tuple(sub.a) == tuple(spec.a))
+        # pairs of tuples: held vectors compare by identity
+        prefix = sub.field is F and ((tuple(sub.b), tuple(sub.a))
+                                     == (tuple(spec.b), tuple(spec.a)))
         contained = prefix and sub.k <= k and max_prefix >= sub.k
         note = "rows lie in the code and are Hermitian-orthogonal to it"
     else:
@@ -698,7 +734,10 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
             mds = _D_KIND[status]
 
     if claim.self_orthogonal is not None:
-        so = not natural_gram(claim.self_orthogonal, so_table).any()
+        # a zero Gram block: no row is nonzero
+        t = claim.self_orthogonal.k
+        so = (so_table or _VectorTable(claim.self_orthogonal)
+              ).first_nonzero_row(t) == t
         rep.check("self_orthogonal_subcode",
                   STATUS_PASS if so else STATUS_FAIL,
                   expected=True, measured=so)

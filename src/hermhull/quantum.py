@@ -54,16 +54,21 @@ class QuantumParams:
                 "delta_kind": "structural"}
 
 
-def eaqecc(q: int, n: int, k: int, hull_dim: int) -> QuantumParams:
-    """[[n, n-2k+c, k+1; c]]_q with c = k - hull_dim, from an MDS [n, k]
-    code over GF(q^2) whose Hermitian hull has dimension ``hull_dim``."""
+def _checked_c(q: int, n: int, k: int, hull_dim: int) -> int:
+    """c = k - hull_dim, after the checks of ``eaqecc`` on its arguments."""
     prime_power(q)
     if not 0 <= hull_dim <= min(k, n - k):
         raise ValueError("hull dimension outside [0, min(k, n-k)]")
     if not 0 <= k < n:
         # at k = n the Hermitian dual is {0}, which has no minimum distance
         raise ValueError("bad code dimension: need 0 <= k < n")
-    c = k - hull_dim
+    return k - hull_dim
+
+
+def eaqecc(q: int, n: int, k: int, hull_dim: int) -> QuantumParams:
+    """[[n, n-2k+c, k+1; c]]_q with c = k - hull_dim, from an MDS [n, k]
+    code over GF(q^2) whose Hermitian hull has dimension ``hull_dim``."""
+    c = _checked_c(q, n, k, hull_dim)
     return QuantumParams(n=n, kappa=n - 2 * k + c, delta=k + 1, c=c, q=q)
 
 
@@ -78,13 +83,26 @@ def propagate(params: QuantumParams, i: int, hull_dim: int) -> QuantumParams:
     return replace(params, kappa=params.kappa + i, c=params.c + i)
 
 
+def _is_mds(n: int, kappa: int, delta: int, c: int) -> bool:
+    """Equality in bound1 when 2 delta <= n, else in bound3 (see
+    ``singleton_check``), cross-multiplied by its positive denominator; a
+    code with 2 delta > n that bound3 does not cover (2 delta = n + 1, or
+    3 delta - 3 - n <= 0) is not MDS."""
+    if 2 * delta <= n:
+        return kappa == c + n - 2 * delta + 2
+    den = 3 * delta - 3 - n
+    return (2 * (delta - 1) >= n and den > 0
+            and kappa * den == (n - delta + 1) * (c + 2 * delta - 2 - n))
+
+
 def singleton_check(params: QuantumParams) -> dict:
     """Slacks in the three Singleton-like bounds and the MDS verdict.
 
     bound1: kappa <= c + max(0, n - 2 delta + 2)
     bound2: kappa <= n - delta + 1
     bound3: kappa <= (n-delta+1)(c+2delta-2-n)/(3delta-3-n), when delta-1 >= n/2
-    MDS means equality in bound1 when delta <= n/2, in bound3 when delta > n/2.
+    MDS means equality in bound1 when delta <= n/2, in bound3 when delta > n/2
+    (``_is_mds``, the one MDS formula, which ``chain_to_json`` reads too).
     """
     n, kappa, delta, c = params.n, params.kappa, params.delta, params.c
     slack1 = c + max(0, n - 2 * delta + 2) - kappa
@@ -94,10 +112,8 @@ def singleton_check(params: QuantumParams) -> dict:
         bound3 = Fraction((n - delta + 1) * (c + 2 * delta - 2 - n),
                           3 * delta - 3 - n)
         slack3 = bound3 - kappa
-    # without bound3 (slack3 None) a code with delta > n/2 is not MDS
-    mds = slack1 == 0 if 2 * delta <= n else slack3 == 0
     return {"bound1_slack": slack1, "bound2_slack": slack2,
-            "bound3_slack": slack3, "mds": mds}
+            "bound3_slack": slack3, "mds": _is_mds(n, kappa, delta, c)}
 
 
 def json_with_mds(params: QuantumParams) -> dict:
@@ -108,15 +124,24 @@ def json_with_mds(params: QuantumParams) -> dict:
 def chain_to_json(q: int, n: int, k: int, hull_dim: int) -> list[dict]:
     """The EAQECC of an MDS [n, k] code with the given hull, then up to
     ``CHAIN_STEPS`` propagated variants (none at q = 2); nothing at k = n,
-    where the dual is {0} and no delta exists."""
+    where the dual is {0} and no delta exists.
+
+    Equal, entry for entry, to ``json_with_mds`` of ``eaqecc`` and its
+    ``propagate`` steps, with the same ``ValueError`` on bad arguments,
+    but in integer arithmetic: the arguments are checked once, and step i,
+    [[n, kappa + i, k + 1; c + i]]_q, which lies inside every bound of
+    ``QuantumParams`` since i <= hull_dim, is written as its dict
+    directly, with ``mds`` from ``_is_mds``.
+    """
     if k == n:
         return []
-    base = eaqecc(q, n, k, hull_dim)
-    chain = [base]
-    if q > 2:
-        chain += [propagate(base, i, hull_dim)
-                  for i in range(1, min(hull_dim, CHAIN_STEPS) + 1)]
-    return [json_with_mds(p) for p in chain]
+    c = _checked_c(q, n, k, hull_dim)
+    kappa, delta = n - 2 * k + c, k + 1
+    steps = min(hull_dim, CHAIN_STEPS) if q > 2 else 0
+    return [{"n": n, "kappa": kappa + i, "delta": delta, "c": c + i, "q": q,
+             "pure": True, "delta_kind": "structural",
+             "mds": _is_mds(n, kappa + i, delta, c + i)}
+            for i in range(steps + 1)]
 
 
 # ----------------------------------------------------------------------

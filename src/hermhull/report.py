@@ -76,36 +76,37 @@ class Check:
 
 @dataclass
 class ConstructionReport:
+    """A construction's canonical body and its timings envelope.
+
+    Checks are recorded through ``check`` and ``check_eq`` only, which
+    keep ``verdict`` (FAIL on any failed check, else PARTIAL on any
+    skipped one, else PASS) and ``first_failure`` (the first failed
+    check's name, or None) as they go: each is worked out once per
+    check, never by a rescan of ``checks``.
+    """
+
     construction: dict
     field: dict
     code: dict = field(default_factory=dict)
     hull: dict = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
+    checks: list[Check] = field(default_factory=list, init=False)
     quantum: list[dict] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    verdict: str = field(default=PASS, init=False)
+    first_failure: Optional[str] = field(default=None, init=False)
 
     def check(self, name: str, status: str, expected=None, measured=None, note=""):
         self.checks.append(Check(name, status, expected, measured, note))
+        if status == STATUS_FAIL:
+            if self.first_failure is None:
+                self.first_failure, self.verdict = name, FAIL
+        elif status == STATUS_SKIPPED and self.verdict == PASS:
+            self.verdict = PARTIAL
 
     def check_eq(self, name: str, expected, measured, note="") -> bool:
         ok = expected == measured
         self.check(name, STATUS_PASS if ok else STATUS_FAIL, expected, measured, note)
         return ok
-
-    @property
-    def verdict(self) -> str:
-        if any(c.status == STATUS_FAIL for c in self.checks):
-            return FAIL
-        if any(c.status == STATUS_SKIPPED for c in self.checks):
-            return PARTIAL
-        return PASS
-
-    @property
-    def first_failure(self) -> Optional[str]:
-        for c in self.checks:
-            if c.status == STATUS_FAIL:
-                return c.name
-        return None
 
     def passed(self) -> bool:
         return self.verdict == PASS
@@ -121,7 +122,7 @@ class ConstructionReport:
             "quantum": self.quantum,
             "verdict": self.verdict,
         }
-        if self.first_failure:
+        if self.first_failure is not None:
             body["first_failure"] = self.first_failure
         return body
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -659,6 +660,30 @@ def test_branch_one_follows_zero_gram_columns(q, monkeypatch):
 # ----------------------------------------------------------------------
 # the per-set GRS-pair certificate against elimination
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_self_orthogonal_check_reads_the_zero_block(q):
+    """``self_orthogonal_subcode`` reads a zero Gram block off the
+    self-orthogonal vector's table, which is never rank-profiled: at every
+    dimension t of that vector, on one table asked in increasing t and on
+    a table of its own; and on one point, whose 1 x 1 Gram is its norm."""
+    F = quadratic_field(q)
+    U = evaluation_set("COR2", q, t=q - 1, field=F)
+    claim = two_point_code(F, U, 1, distance_budget=0).claim
+    so = claim.self_orthogonal
+    table, point = grs._VectorTable(so), GrsSpec(F, so.b[:1], so.a[:1], 1)
+    seen = set()
+    for spec, tables in [*((so.at(t), (table, None))
+                           for t in range(so.n + 1)), (point, (None,))]:
+        want = not grs.natural_gram(spec).any()
+        for so_table in tables:
+            rep = grs.verify_claim(replace(claim, self_orthogonal=spec),
+                                   distance_budget=0, so_table=so_table)
+            check = {c.name: c for c in rep.checks}["self_orthogonal_subcode"]
+            assert check.measured is want, spec.k
+        seen.add(want)
+    assert seen == {True, False} and table.ranks == [0]
+
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_two_point_specs_equal_the_elimination(q):

@@ -125,7 +125,7 @@ def test_tables_filled_at_a_larger_k_serve_every_smaller_k(q):
         natural_gram(replace(any_spec, k=n), table)
         replace(any_spec, k=n).systematic(table)
         grs.gram_rank(replace(any_spec, k=n), table)
-        gram, ld, pivots = table.gram, table.ld, table.pivots
+        gram, ld, ranks = table.gram, table.ld, table.ranks
         assert gram.shape == (n, n) and ld.shape == (n, n)
         for spec in group:
             G = spec.generator()
@@ -135,7 +135,7 @@ def test_tables_filled_at_a_larger_k_serve_every_smaller_k(q):
             assert grs.gram_rank(spec, table) == rref(
                 F, natural_gram(spec, table))[1]
         assert table.gram is gram and table.ld is ld
-        assert table.pivots is pivots
+        assert table.ranks is ranks
         # one table and one rank profile served every instance
         assert work == {"vector_tables": 1, "rank_profiles": 1}
     assert len(specs) > 1
@@ -156,6 +156,117 @@ def test_tables_grow_with_k_and_stay_read_only():
     # with no table, a call builds its own and leaves this one alone
     assert np.array_equal(natural_gram(spec), natural_gram(spec, table)[:5, :5])
     assert table.gram.shape == (7, 7)
+
+
+def _assert_per_k_reads(table):
+    """Every leading block of ``table``'s Gram matrix, k = 0..K: the rank,
+    first-nonzero-row and zero-block reads against elimination and scans."""
+    F, K = table.field, len(table.gram)
+    for k in range(K + 1):
+        block = table.gram_block(k)
+        rows = np.nonzero(block.any(axis=1))[0]
+        first = table.first_nonzero_row(k)
+        assert first == (int(rows[0]) if rows.size else k), k
+        assert (first == k) is (not block.any()), k
+        assert table.gram_rank(k) == matrix_rank(F, block), k
+    assert len(table.gram) == K
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_per_k_table_reads_match_elimination_on_every_grid_vector(q,
+                                                                  monkeypatch):
+    # the tables the GRS and two-point sweeps build, at the size each
+    # sweep grew it; only the code tables are rank-profiled there, never a
+    # two-point set's self-orthogonal table, which reads a zero block
+    from hermhull import ag
+    tables, init = [], grs._VectorTable.__init__
+
+    def building(self, spec, work=None):
+        init(self, spec, work)
+        tables.append(self)
+
+    monkeypatch.setattr(grs._VectorTable, "__init__", building)
+    work = collections.Counter()
+    reports = [rep for _, rep in grs.sweep(q, conservative=False, work=work)]
+    reports += [res.report for _, res in ag.sweep(q, work=work)]
+    monkeypatch.undo()
+    n_grs = len({grs._recipe(f, q, p) for f in grs.FAMILIES
+                 for p in family_parameter_grid(f, q, conservative=False)})
+    so_tables = tables[n_grs + 1::2]
+    assert work["vector_tables"] == len(tables) == n_grs + 2 * len(so_tables)
+    assert work["rank_profiles"] == len(tables) - len(so_tables)
+    assert all(t.ranks == [0] and len(t.gram) for t in so_tables)
+    assert any(c.name == "self_orthogonal_subcode" for r in reports
+               for c in r.checks)
+    for table in tables:
+        _assert_per_k_reads(table)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 11])
+def test_per_k_reads_of_random_matrices(q):
+    # random K x K matrices over GF(q^2), Hermitian or not, of several
+    # densities: the per-k arrays against elimination and scans; and the
+    # tables of random evaluation vectors
+    F = quadratic_field(q)
+    rng = np.random.default_rng(q)
+    for K in (0, 1, 2, 5, 17, 40):
+        for density in (0.03, 0.2, 0.7, 1.0):
+            M = rng.integers(1, F.order, size=(K, K), dtype=np.int32)
+            M[rng.random((K, K)) > density] = 0
+            first = grs._first_nonzero_rows(M)
+            ranks = grs._leading_ranks(linalg_codes.rank_profile(F, M), K)
+            assert len(first) == len(ranks) == K + 1
+            for k in range(K + 1):
+                rows = np.nonzero(M[:k, :k].any(axis=1))[0]
+                assert first[k] == (int(rows[0]) if rows.size else k)
+                assert ranks[k] == matrix_rank(F, M[:k, :k])
+    for n in sorted({1, min(6, F.order), min(30, F.order)}):
+        b = tuple(rng.choice(F.order, size=n, replace=False).tolist())
+        a = tuple(rng.integers(1, F.order, size=n).tolist())
+        table = grs._VectorTable(GrsSpec(F, b, a, 0))
+        table.gram_block(n)
+        _assert_per_k_reads(table)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_tables_asked_in_either_order_give_the_same_reports(q):
+    # grs construct, ag build and puncture_from_p_codeword ask a table for
+    # any k first: a table grown smallest k first gives each instance the
+    # report of one grown largest k first
+    from hermhull import ag
+    F = quadratic_field(q)
+    groups = collections.defaultdict(list)
+    for family in grs.FAMILIES:
+        for params in family_parameter_grid(family, q, conservative=False):
+            groups[grs._recipe(family, q, params)].append((family, params))
+    budgets = dict(budget=10 ** 6, distance_budget=10 ** 4)
+    for recipe, group in groups.items():
+        bodies = []
+        for reverse in (False, True):
+            table = grs._VectorTable(grs._evaluation_vector(F, q, *recipe))
+            got = {}
+            for family, params in sorted(group, key=lambda e: e[1]["k"],
+                                         reverse=reverse):
+                claim = construct_family(family, q, table=table, **params)
+                got[family, tuple(sorted(params.items()))] = verify_claim(
+                    claim, table=table, **budgets).to_canonical_dict()
+            bodies.append(got)
+        assert bodies[0] == bodies[1], recipe
+    for family in ("COR1", "COR2", "COR3"):
+        sets = collections.defaultdict(list)
+        for g in ag.family_parameter_grid(family, q):
+            sets[tuple((x, g[x]) for x in ("s", "t", "n0") if x in g)].append(
+                g["k"])
+        for kwargs, ks in sets.items():
+            diff = ag.evaluation_set(family, q, field=F, **dict(kwargs))
+            p = ag.check_two_point_input(F, diff, 0)
+            bodies = []
+            for order in (sorted(ks), sorted(ks, reverse=True)):
+                cert = ag._PairCertificate(F, diff.points, diff.witnesses, p)
+                bodies.append({k: ag.two_point_code(
+                    F, diff, k, p, 10 ** 4, cert).report.to_canonical_dict()
+                    for k in order})
+            assert bodies[0] == bodies[1], (family, kwargs)
 
 
 def test_grs_sweep_builds_each_vector_once(monkeypatch):

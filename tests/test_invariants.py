@@ -166,3 +166,50 @@ def test_benchmark_tracer_sees_every_grs_instance():
     counts = t.counts()
     assert counts["grs.construct_family"]["calls"] == len(swept)
     assert counts["grs.verify_claim"]["calls"] == len(swept)
+
+
+def test_benchmark_tracer_sees_one_chain_per_report_and_one_dump_per_run(
+        capsys):
+    # perfbench/tracer.py wraps quantum.chain_to_json,
+    # report.ConstructionReport.to_canonical_dict and cli._dump by name;
+    # its quantum.chain and report.serialise layers read their spans, so
+    # each non-FAIL verify_claim must call chain_to_json once, through the
+    # module, and a run must serialise each report once and dump once
+    import json
+    from dataclasses import replace
+
+    import numpy as np
+
+    from hermhull import ag, cli, grs
+    tracer = load_benchmark_tracer()
+    t = tracer.Tracer()
+    try:
+        t.install()
+        reports = [rep for _, rep in grs.sweep(5)]
+        reports += [res.report for _, res in ag.sweep(5)]
+        claim = grs.construct_family("CON2", 5, k=3)
+        failed = grs.verify_claim(replace(claim, hull_dim=claim.hull_dim + 1))
+    finally:
+        t.uninstall()
+    assert all(rep.verdict != "FAIL" for rep in reports)
+    assert failed.verdict == "FAIL" and failed.quantum == []
+    spans = t.spans()
+    names = np.array(t.names)[spans["name"]]
+    verify = np.flatnonzero(names == "grs.verify_claim")
+    chains = spans["parent"][names == "quantum.chain_to_json"]
+    assert len(verify) == len(reports) + 1
+    # one chain inside each verify span, the failed one (called last) none
+    assert sorted(chains.tolist()) == verify[:-1].tolist()
+
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert cli.run(["verify-all", "--q", "5"]) == 0
+    finally:
+        t.uninstall()
+    total = json.loads(capsys.readouterr().out)["summary"]["total"]
+    counts = t.counts()
+    assert total > 1
+    assert counts["report.ConstructionReport.to_canonical_dict"]["calls"] \
+        == total
+    assert counts["cli._dump"]["calls"] == 1

@@ -1,3 +1,5 @@
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -232,3 +234,63 @@ def test_emit_tables_shape():
     t = quantum_tables(5)
     assert set(t) == {"table1", "table2", "table3_new"}
     assert t["table1"] and t["table2"]
+
+
+def _regime_edges(p) -> set[str]:
+    """The Singleton regime of ``p`` for its MDS verdict, and the edges of
+    bound3 that it sits on."""
+    if 2 * p.delta <= p.n:
+        return {"2 delta = n" if 2 * p.delta == p.n else "bound1"}
+    out = {"2 delta = n + 1" if 2 * p.delta == p.n + 1 else "bound3"}
+    if 3 * p.delta - 3 - p.n <= 0:
+        out.add("3 delta - 3 - n <= 0")
+    return out
+
+
+def test_mds_is_the_exact_slack_of_its_regime():
+    # every parameter set up to n = 12, violations of the bounds included:
+    # the integer verdict is a zero slack of bound1 (2 delta <= n) or of
+    # bound3, and False where bound3 does not apply
+    for n, delta, c in itertools.product(range(13), range(1, 14), range(13)):
+        if c > n:
+            continue
+        for kappa in range(n + 3):
+            chk = singleton_check(QuantumParams(n, kappa, delta, c, 5))
+            slack = (chk["bound1_slack"] if 2 * delta <= n
+                     else chk["bound3_slack"])
+            assert chk["mds"] is (slack == 0), (n, kappa, delta, c)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 16])
+def test_chain_to_json_equals_its_reference(q):
+    # the integer chain against eaqecc, propagate and json_with_mds, entry
+    # for entry, on every admissible (n, k, hull) up to n = 40 and at the
+    # q = 16 lengths 255 and 256; its mds is the exact slack of the bound
+    # of its regime, and every regime edge is met
+    edges = set()
+    for n in [*range(1, 41), 255, 256]:
+        assert quantum.chain_to_json(q, n, n, 0) == []
+        for k in range(n):
+            for hull in range(min(k, n - k) + 1):
+                base = eaqecc(q, n, k, hull)
+                steps = [base] + ([propagate(base, i, hull) for i in range(
+                    1, min(hull, quantum.CHAIN_STEPS) + 1)] if q > 2 else [])
+                chain = quantum.chain_to_json(q, n, k, hull)
+                assert chain == [quantum.json_with_mds(p) for p in steps]
+                if n > 40:
+                    continue
+                for p, entry in zip(steps, chain):
+                    chk = singleton_check(p)
+                    slack = (chk["bound1_slack"] if 2 * p.delta <= p.n
+                             else chk["bound3_slack"])
+                    assert entry["mds"] is (slack == 0), (p, chk)
+                    edges |= _regime_edges(p)
+    assert edges == {"bound1", "2 delta = n", "2 delta = n + 1", "bound3",
+                     "3 delta - 3 - n <= 0"}
+    # the same ValueError as eaqecc: hull out of range, k out of range, q
+    for args in ((q, 10, 3, 4), (q, 10, 3, -1), (q, 10, 8, 3), (q, 5, 7, 0),
+                 (6, 10, 3, 1)):
+        with pytest.raises(ValueError) as want:
+            eaqecc(*args)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            quantum.chain_to_json(*args)
