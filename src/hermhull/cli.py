@@ -78,7 +78,12 @@ def _verifying():
 
 
 def _emit_report(rep: ConstructionReport, args) -> int:
-    print(rep.to_json(include_timings=getattr(args, "timings", False)))
+    """Print one report as ``{"report": body}``, with its "timings"
+    envelope under --timings; 1 if it is FAIL."""
+    payload = {"report": rep.to_canonical_dict()}
+    if args.timings:
+        payload["timings"] = rep.timings
+    print(_dump(payload, args.format))
     return 1 if rep.verdict == "FAIL" else 0
 
 

@@ -106,36 +106,43 @@ class GrsSpec:
         e[(i > 0)[:, None] & (lb < 0)[None, :]] = 2 * n1
         return F.zexp[e]
 
-    def systematic(self, table: Optional[_VectorTable] = None) -> np.ndarray:
+    def systematic(self) -> np.ndarray:
         """The canonical RREF [I | A] of ``generator()``, with no elimination.
 
         A GRS code is MDS, so its pivots are columns 0..k-1 and
         A[i, j] = (a_j / a_i) prod_{l < k, l != i} (b_j - b_l) / (b_i - b_l),
         a generalized Cauchy matrix (Roth and Seroussi, IEEE T-IT 31(6),
         1985).  Its logs are sums over the k x n log-difference table
-        ld[l, j] = log(b_j - b_l) of the vector (see ``_VectorTable``): the
-        numerator of row i is the prefix sum cum[k, j] less ld[i, j], and
-        the denominator D_i = prod_{l != i} (b_i - b_l) is cum[k, i], as in
-        ``ag._hprime``.  ``table``: as in ``natural_gram``.
+        ld[l, j] = log(b_j - b_l), with 0 = log 1 on the diagonal: the
+        numerator of row i is the column sum of ld at j less ld[i, j], and
+        the denominator D_i = prod_{l != i} (b_i - b_l) is the column sum
+        at i, as in ``ag._hprime``.
         """
-        F, k, n = self.field, self.k, self.n
-        T = table or _VectorTable(self)
-        ld, col = T.cauchy(k)
-        la = T.la + col
-        out = np.zeros((k, n), dtype=np.int32)
+        F, k, n1 = self.field, self.k, self.field.order - 1
+        b = np.asarray(self.b, dtype=np.int32)
+        d = F.add_arr(b[None, :], F.neg_arr(b[:k])[:, None])
+        np.fill_diagonal(d, 1)
+        if not d.all():
+            raise RuntimeError("a GRS point difference b_j - b_l (l < k) "
+                               "vanishes; the Vandermonde block is singular")
+        ld = F.log[d]
+        # a sum of up to n logs, reduced before the k x n step so that it
+        # stays in int32
+        la = ((F.log[np.asarray(self.a, dtype=np.int64)] + ld.sum(axis=0))
+              % n1).astype(np.int32)
+        out = np.zeros((k, self.n), dtype=np.int32)
         out[:, :k] = np.eye(k, dtype=np.int32)
-        out[:, k:] = F.exp[(la[None, k:] - ld[:, k:] - la[:k, None])
-                           % (F.order - 1)]
+        out[:, k:] = F.exp[(la[None, k:] - ld[:, k:] - la[:k, None]) % n1]
         return out
 
-    def code(self, table: Optional[_VectorTable] = None) -> LinearCode:
+    def code(self) -> LinearCode:
         """The code held in its closed-form canonical form.
 
         Rows 0 and k - 1 of ``generator()`` are checked to lie in it: a
         single wrong entry A[i, j] moves the combination that gives row 0
         at column j by a_i times the error.
         """
-        c = LinearCode(self.field, self.n, self.systematic(table))
+        c = LinearCode(self.field, self.n, self.systematic())
         if self.k and not c.contains_rows(
                 self._rows(np.array([0, self.k - 1]))):
             raise RuntimeError("closed-form systematic generator does not "
@@ -145,27 +152,21 @@ class GrsSpec:
 
 
 class _VectorTable:
-    """The work GRS_k(b, a) shares across k, for the vector (field, b, a) of
-    ``spec``; each group of ``largest_k_first`` holds one per vector.  The
-    counter ``work`` of the run gains one ``vector_tables`` here and one
+    """The Gram work GRS_k(b, a) shares across k, for the vector (field, b,
+    a) of ``spec``; each group of ``largest_k_first`` holds one per vector.
+    The counter ``work`` of the run gains one ``vector_tables`` here and one
     ``rank_profiles`` per rank profile.
 
     Row i of the natural generator does not depend on k, so the Gram matrix
     of GRS_k(b, a) is the leading k x k block of that of GRS_K(b, a) for
     K >= k (the power-sum view of Fang, Fu, Li and Zhu, IEEE T-IT 66(6),
-    2020), and the Cauchy form of ``GrsSpec.systematic`` at k reads row k of
-    one prefix-sum table.  Each table is held, read-only, for the largest k
-    asked so far, and rebuilt when a larger k is asked for:
-
-    * ``gram``: the Gram matrix of ``natural_gram``, with ``first_row[k]``,
-      the first nonzero row of each leading k x k block (k when the block
-      is zero), for k <= K, found on each build; and ``ranks[k]``, the rank
-      of each leading block of the largest one ranked so far, counted in
-      its one ``rank_profile``.  Both per-k arrays are Python lists, so a
-      read at any k <= K is a list lookup;
-    * ``ld[l, j] = log(b_j - b_l)`` for l < K, with 0 = log 1 on the
-      diagonal, and its prefix sums ``cum[k, j] = sum_{l < k} ld[l, j]``
-      mod (order - 1) for k <= K.
+    2020).  ``gram`` is held, read-only, for the largest K asked so far,
+    and rebuilt when a larger k is asked for, with ``first_row[k]``, the
+    first nonzero row of each leading k x k block (k when the block is
+    zero), for k <= K, found on each build; ``ranks[k]`` is the rank of
+    each leading block of the largest one ranked so far, counted in its
+    one ``rank_profile``.  Both per-k arrays are Python lists, so a read at
+    any k <= K is a list lookup.
 
     In characteristic 2 the Gram entries are the power sums S[t] = sum_j
     N_j b_j^t over the nonzero points, N_j = a_j^(q+1), t in Z/(q^2 - 1):
@@ -174,22 +175,16 @@ class _VectorTable:
     """
 
     def __init__(self, spec: GrsSpec, work: Optional[Counter] = None):
-        F, b, a = spec.field, spec.b, spec.a
-        n = len(b)
+        F = spec.field
         self.spec, self.field = spec, F
         self.work = Counter() if work is None else work
         self.work["vector_tables"] += 1
-        # holds a product or a sum of up to ``order`` logs; int32 where that
-        # fits, as an int64 modulo measured about 4 times slower
-        self.dtype = np.int32 if F.order ** 2 < 2 ** 31 else np.int64
-        self.la = F.log[np.asarray(a, dtype=np.int64)]
         self.gram = _read_only(np.zeros((0, 0), dtype=np.int32))
         self.first_row, self.ranks = [0], [0]
-        self.ld = _read_only(np.zeros((0, n), dtype=np.int32))
-        self.cum = _read_only(np.zeros((1, n), dtype=np.int32))
         if F.p == 2:
-            b = np.asarray(b, dtype=np.int64)
-            lnorm = self.la * (F.q + 1) % (F.order - 1)
+            b = np.asarray(spec.b, dtype=np.int64)
+            lnorm = (F.log[np.asarray(spec.a, dtype=np.int64)] * (F.q + 1)
+                     % (F.order - 1))
             nz = b != 0
             self.lb, self.ln = F.log[b[nz]], lnorm[nz]
             self.zero_norm = 0 if nz.all() else int(F.exp[lnorm[~nz][0]])
@@ -204,7 +199,8 @@ class _VectorTable:
         if k > len(self.gram):
             F = self.field
             if F.p == 2:
-                i = np.arange(k, dtype=self.dtype)
+                # i + q l < (q + 1) q^2 < 2^31 for every order <= 2^16
+                i = np.arange(k, dtype=np.int32)
                 g = self.sums[(i[:, None] + F.q * i[None, :])
                               % (F.order - 1)]
                 g[0, 0] ^= self.zero_norm
@@ -229,24 +225,6 @@ class _VectorTable:
                                         len(self.gram))
             self.work["rank_profiles"] += 1
         return self.ranks[k]
-
-    def cauchy(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ld[:k], cum[k]), read-only views; the vanishing-difference check
-        runs on the whole table, and so covers every smaller k."""
-        if k > len(self.ld):
-            F, n1 = self.field, self.field.order - 1
-            b = np.asarray(self.spec.b, dtype=np.int32)
-            d = F.add_arr(b[None, :], F.neg_arr(b[:k])[:, None])
-            np.fill_diagonal(d, 1)
-            if not d.all():
-                raise RuntimeError("a GRS point difference b_j - b_l (l < k) "
-                                   "vanishes; the Vandermonde block is "
-                                   "singular")
-            ld = F.log[d]
-            cum = np.zeros((k + 1, len(b)), dtype=np.int32)
-            cum[1:] = np.cumsum(ld, axis=0, dtype=self.dtype) % n1
-            self.ld, self.cum = _read_only(ld), _read_only(cum)
-        return self.ld[:k], self.cum[k]
 
 
 def _read_only(M: np.ndarray) -> np.ndarray:
@@ -663,7 +641,9 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     certificate, its own second method, has no fault.
     ``self_orthogonal_subcode`` reads a zero block off the self-orthogonal
     vector's table, which is never rank-profiled.  Only the prefix route's
-    ``hull_dim_intersection``, within ``budget``, builds the code.
+    ``hull_dim_intersection``, within ``budget``, builds the code and, for
+    ``hull_equality``, the subcode, each by ``GrsSpec.code`` from its spec
+    alone, the second hull measurement beside the Gram rank.
     ``table`` and ``so_table``: the spec's and self_orthogonal's tables.
     The report's verdict is kept as its checks are recorded, and a
     non-FAIL report gets its ``quantum.chain_to_json`` chain.
@@ -696,7 +676,7 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
                     "is not attained at this z")
         rep.check_eq("max_prefix_subcode_dim", sub.k, max_prefix, note=note)
         if F.order ** k <= budget:
-            hull = spec.code(T).hermitian_hull()
+            hull = spec.code().hermitian_hull()
             rep.check_eq("hull_dim_intersection", claim.hull_dim, hull.k)
         else:
             rep.check("hull_dim_intersection", STATUS_SKIPPED,
@@ -717,7 +697,7 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     mds, equal = "n/a", claim.hull_dim == sub.k
     if equal:
         if hull is not None:
-            eq = hull == sub.code(T if prefix else None)
+            eq = hull == sub.code()
             note = "canonical-form equality"
         else:
             eq = ok_gram and contained

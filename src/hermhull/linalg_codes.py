@@ -414,10 +414,10 @@ class LinearCode:
     # -- derived codes -----------------------------------------------------
 
     def puncture(self, coords: Iterable[int]) -> "LinearCode":
-        S = sorted(set(int(i) for i in coords))
-        if S and (S[0] < 0 or S[-1] >= self.n):
+        S = {int(i) for i in coords}
+        if S and (min(S) < 0 or max(S) >= self.n):
             raise IndexError("puncture coordinate out of range")
-        keep = [i for i in range(self.n) if i not in set(S)]
+        keep = [i for i in range(self.n) if i not in S]
         return LinearCode.from_rows(self.field, self.gen[:, keep], n=len(keep))
 
     def monomial_scale(self, a: Sequence[int]) -> "LinearCode":

@@ -126,15 +126,6 @@ class ConstructionReport:
             body["first_failure"] = self.first_failure
         return body
 
-    def to_json(self, include_timings: bool = False, indent: Optional[int] = None) -> str:
-        body = self.to_canonical_dict()
-        if include_timings:
-            payload = {"report": body, "timings": self.timings}
-        else:
-            payload = {"report": body}
-        return json.dumps(payload, sort_keys=True, indent=indent,
-                          separators=(",", ": ") if indent else (",", ":"))
-
 
 @functools.cache
 def report_schema() -> dict:

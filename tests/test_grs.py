@@ -123,19 +123,17 @@ def test_tables_filled_at_a_larger_k_serve_every_smaller_k(q):
         work = collections.Counter()
         table = grs._VectorTable(any_spec, work)
         natural_gram(replace(any_spec, k=n), table)
-        replace(any_spec, k=n).systematic(table)
         grs.gram_rank(replace(any_spec, k=n), table)
-        gram, ld, ranks = table.gram, table.ld, table.ranks
-        assert gram.shape == (n, n) and ld.shape == (n, n)
+        gram, ranks = table.gram, table.ranks
+        assert gram.shape == (n, n)
         for spec in group:
             G = spec.generator()
             R, rank, _ = rref(F, G)
             assert np.array_equal(natural_gram(spec, table), gram_matrix(F, G))
-            assert np.array_equal(spec.systematic(table), R[:rank])
+            assert np.array_equal(spec.systematic(), R[:rank])
             assert grs.gram_rank(spec, table) == rref(
                 F, natural_gram(spec, table))[1]
-        assert table.gram is gram and table.ld is ld
-        assert table.ranks is ranks
+        assert table.gram is gram and table.ranks is ranks
         # one table and one rank profile served every instance
         assert work == {"vector_tables": 1, "rank_profiles": 1}
     assert len(specs) > 1
@@ -148,8 +146,7 @@ def test_tables_grow_with_k_and_stay_read_only():
     for k in (2, 4, 3, 7):
         s = replace(spec, k=k)
         natural_gram(s, table)
-        s.systematic(table)
-    assert table.gram.shape == (7, 7) and table.cum.shape == (8, spec.n)
+    assert table.gram.shape == (7, 7)
     assert natural_gram(replace(spec, k=3), table).shape == (3, 3)
     with pytest.raises(ValueError, match="read-only"):
         natural_gram(replace(spec, k=3), table)[0, 0] = 1
@@ -273,9 +270,8 @@ def test_grs_sweep_builds_each_vector_once(monkeypatch):
     # the grid of every family is grouped by evaluation vector, across
     # families: each vector is solved once and its table built once; the
     # group runs largest k first, so its Gram matrix grows once, at the
-    # first instance, and its Cauchy table at most once, at the first
-    # instance that builds the code; reports come out in grid order, equal
-    # to construct_family + verify_claim one by one
+    # first instance; reports come out in grid order, equal to
+    # construct_family + verify_claim one by one
     q, budgets = 7, dict(budget=10 ** 6, distance_budget=10 ** 4)
     events, built, solved = [], [], []
     init, solve = grs._VectorTable.__init__, grs._evaluation_vector
@@ -290,17 +286,16 @@ def test_grs_sweep_builds_each_vector_once(monkeypatch):
 
     monkeypatch.setattr(grs._VectorTable, "__init__", building)
     monkeypatch.setattr(grs, "_evaluation_vector", solving)
-    for method, held in (("gram_block", "gram"), ("cauchy", "ld")):
-        original = getattr(grs._VectorTable, method)
+    gram_block = grs._VectorTable.gram_block
 
-        def growing(self, k, original=original, held=held):
-            before = len(getattr(self, held))
-            out = original(self, k)
-            if len(getattr(self, held)) > before:
-                events.append(held)
-            return out
+    def growing(self, k):
+        before = len(self.gram)
+        out = gram_block(self, k)
+        if len(self.gram) > before:
+            events.append("gram")
+        return out
 
-        monkeypatch.setattr(grs._VectorTable, method, growing)
+    monkeypatch.setattr(grs._VectorTable, "gram_block", growing)
     construct = grs.construct_family
     calls = []
 
@@ -341,8 +336,7 @@ def test_grs_sweep_builds_each_vector_once(monkeypatch):
             sorted((c[1]["k"] for c in group), reverse=True), key
         assert group[0][2].count("gram") == 1, key
         assert all("gram" not in c[2] for c in group[1:]), key
-        assert sum(c[2].count("ld") for c in group) <= 1, key
-    assert len(calls) == len(grid) and any("ld" in c[2] for c in calls)
+    assert len(calls) == len(grid)
 
     monkeypatch.undo()
     for (family, params), (claim, rep) in zip(grid, swept):
@@ -374,8 +368,8 @@ def test_code_rejects_a_corrupted_systematic_entry(monkeypatch):
     spec = GrsSpec(F, tuple(grs_b_full(F)), (1,) + tuple(range(1, 16)), 5)
     closed_form = GrsSpec.systematic
     for i, j in [(0, 5), (2, 11), (4, 15)]:
-        def corrupted(self, table=None, i=i, j=j):
-            S = closed_form(self, table)
+        def corrupted(self, i=i, j=j):
+            S = closed_form(self)
             S[i, j] = F.add(int(S[i, j]), 1)
             return S
         monkeypatch.setattr(GrsSpec, "systematic", corrupted)
@@ -396,6 +390,31 @@ def test_code_runs_no_elimination(monkeypatch):
         claim = construct_family(family, q, **params)
         assert claim.spec.code().k == claim.spec.k
         assert claim.subcode.code().k == claim.subcode.k
+
+
+def test_closed_form_builds_no_vector_table(monkeypatch):
+    # the closed form needs the spec alone: the vector table holds only
+    # Gram work, so building a code, or verifying a claim whose table is
+    # given, constructs no other table
+    built = []
+    init = grs._VectorTable.__init__
+
+    def counting(self, spec, work=None):
+        built.append(spec)
+        init(self, spec, work)
+
+    claim = construct_family("CON3", 5, k=3)
+    table = grs._VectorTable(claim.spec)
+    monkeypatch.setattr(grs._VectorTable, "__init__", counting)
+    for spec in (claim.spec, claim.subcode):
+        assert spec.systematic().shape == (spec.k, spec.n)
+        assert spec.code().k == spec.k
+    assert built == []
+    rep = verify_claim(claim, budget=10 ** 6, table=table)
+    checks = {c.name: c for c in rep.checks}
+    assert checks["hull_dim_intersection"].status == STATUS_PASS
+    assert checks["hull_equality"].note == "canonical-form equality"
+    assert rep.verdict == "PASS" and built == []
 
 
 def test_generator_is_scaled_vandermonde(F25):

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -23,6 +24,15 @@ def make_report():
     return verify_claim(construct_family("CON1", 3), budget=10 ** 6)
 
 
+def single_report_text(rep, timings=False) -> str:
+    """``rep`` in the payload that ``grs construct`` and ``ag build``
+    print: ``{"report": body}``, plus "timings" under --timings."""
+    payload = {"report": rep.to_canonical_dict()}
+    if timings:
+        payload["timings"] = rep.timings
+    return cli._dump(payload)
+
+
 def test_verdict_logic():
     rep = ConstructionReport(construction={}, field={"p": 3, "m": 2,
                                                      "modulus": [2, 2, 1]})
@@ -35,17 +45,17 @@ def test_verdict_logic():
 
 
 def test_canonical_json_deterministic():
-    r1 = make_report().to_json()
-    r2 = make_report().to_json()
+    r1 = single_report_text(make_report())
+    r2 = single_report_text(make_report())
     assert r1 == r2
     body = json.loads(r1)
     assert "timings" not in body
-    with_t = make_report().to_json(include_timings=True)
+    with_t = single_report_text(make_report(), timings=True)
     assert "timings" in json.loads(with_t)
 
 
 def test_report_validates_against_schema():
-    payload = json.loads(make_report().to_json())
+    payload = json.loads(single_report_text(make_report()))
     jsonschema.validate(payload, report_schema())
 
 
@@ -60,7 +70,7 @@ def test_two_point_report_validates_against_schema():
     F = quadratic_field(5)
     U = ag.evaluation_set("COR1", 5, s=13)
     res = ag.two_point_code(F, U, 1)
-    payload = json.loads(res.report.to_json(include_timings=True))
+    payload = json.loads(single_report_text(res.report, timings=True))
     jsonschema.validate(payload, report_schema())
 
 
@@ -112,6 +122,47 @@ def test_cli_determinism(capsys):
     rc2, out2 = run_cli(capsys, "grs", "construct", "--family", "CON2",
                         "--q", "4", "--k", "2")
     assert rc1 == rc2 == 0 and out1 == out2
+
+
+#: one small invocation of every subcommand that declares --format
+FORMAT_INVOCATIONS = {
+    ("field",): ["--p", "3", "--m", "2"],
+    ("grs", "construct"): ["--family", "CON3", "--q", "5", "--k", "3"],
+    ("grs", "sweep"): ["--q", "3", "--families", "CON3"],
+    ("cyclic", "dkl"): ["--q", "3", "--k", "2", "--l", "1"],
+    ("ag", "build"): ["--family", "COR2", "--q", "5", "--t", "2", "--k", "1"],
+    ("ag", "grow"): ["--q", "3", "--steps", "1"],
+    ("quantum", "params"): ["--q", "3", "--n", "9", "--k", "3",
+                            "--hull-dim", "2"],
+    ("quantum", "tables"): ["--q", "3"],
+    ("verify-all",): ["--q", "2"],
+}
+
+
+def _format_subcommands(parser, path=()) -> list[tuple]:
+    """The command paths of every leaf parser that declares --format."""
+    out = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out += _format_subcommands(sub, path + (name,))
+    if "--format" in parser._option_string_actions:
+        out.append(path)
+    return out
+
+
+def test_cli_every_format_flag_is_honoured(capsys):
+    # --format markdown prints the fenced JSON or the table form, never the
+    # compact JSON of the default
+    commands = _format_subcommands(cli.build_parser())
+    assert sorted(commands) == sorted(FORMAT_INVOCATIONS)
+    for command in commands:
+        rc, out = run_cli(capsys, *command, *FORMAT_INVOCATIONS[command],
+                          "--format", "markdown")
+        assert rc == 0, command
+        text = out.rstrip("\n")
+        fenced = text.startswith("```\n") and text.endswith("\n```")
+        assert fenced or text.startswith("| "), (command, text[:80])
 
 
 def test_cli_verify_all_q3(capsys):
