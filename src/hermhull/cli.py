@@ -115,12 +115,13 @@ def _grs_reports(args, families=grs.FAMILIES
                  ) -> tuple[list[ConstructionReport], Counter]:
     """Verify the grids of ``families`` at ``args.q``; the family names and
     q are checked first, and every instance of a grid is admissible.  Also
-    returns the run's work counters: the tables and rank profiles built."""
+    returns the run's work counters: the tables and rank profiles built and
+    the hulls solved."""
     for family in families:
         if family not in grs.FAMILIES:
             raise ValueError(f"unknown family {family!r}")
     quadratic_field(args.q)
-    work = Counter(vector_tables=0, rank_profiles=0)
+    work = Counter(vector_tables=0, rank_profiles=0, hull_solves=0)
     with _verifying():
         return [rep for _, rep in grs.sweep(
             args.q, families, budget=args.budget,
@@ -150,9 +151,11 @@ def cmd_grs_construct(args) -> int:
     field = (_field_for(args.q, args.field_modulus)
              if args.field_modulus else None)
     claim = grs.construct_family(args.family, args.q, field=field, **params)
+    start = time.perf_counter()
     with _verifying():
         rep = grs.verify_claim(claim, budget=args.budget,
                                distance_budget=args.distance_budget)
+    rep.timings["verify_s"] = round(time.perf_counter() - start, 6)
     if args.include_code:
         rep.code = rep.code | {"detail": code_to_json(claim.spec.code())}
     return _emit_report(rep, args)
@@ -194,11 +197,13 @@ def cmd_ag_build(args) -> int:
     p = F.alpha_pow(args.p_log) if args.p_log is not None else None
     U = ag.evaluation_set(args.family, F.q, field=F, **fam_kwargs)
     p = ag.check_two_point_input(F, U, args.k, p)
+    start = time.perf_counter()
     with _verifying():
         res = ag.labelled(ag.two_point_code(
             F, U, args.k, p=p, distance_budget=args.distance_budget),
             args.family, fam_kwargs)
     rep = res.report
+    rep.timings["verify_s"] = round(time.perf_counter() - start, 6)
     rep.construction["evaluation_set"] = _set_logs(F, res.points)
     if args.include_code:
         rep.code = rep.code | {"detail": code_to_json(res.code)}

@@ -154,8 +154,9 @@ class GrsSpec:
 class _VectorTable:
     """The Gram work GRS_k(b, a) shares across k, for the vector (field, b,
     a) of ``spec``; each group of ``largest_k_first`` holds one per vector.
-    The counter ``work`` of the run gains one ``vector_tables`` here and one
-    ``rank_profiles`` per rank profile.
+    The counter ``work`` of the run gains one ``vector_tables`` here, one
+    ``rank_profiles`` per rank profile and, from ``verify_claim``, one
+    ``hull_solves`` per hull it solves.
 
     Row i of the natural generator does not depend on k, so the Gram matrix
     of GRS_k(b, a) is the leading k x k block of that of GRS_K(b, a) for
@@ -643,7 +644,10 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     vector's table, which is never rank-profiled.  Only the prefix route's
     ``hull_dim_intersection``, within ``budget``, builds the code and, for
     ``hull_equality``, the subcode, each by ``GrsSpec.code`` from its spec
-    alone, the second hull measurement beside the Gram rank.
+    alone: the second hull measurement beside the Gram rank, the left
+    kernel of the closed-form generator's own Gram matrix times that
+    generator (``LinearCode.hermitian_hull``), counted as one
+    ``hull_solves`` in the table's ``work``.
     ``table`` and ``so_table``: the spec's and self_orthogonal's tables.
     The report's verdict is kept as its checks are recorded, and a
     non-FAIL report gets its ``quantum.chain_to_json`` chain.
@@ -677,6 +681,7 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
         rep.check_eq("max_prefix_subcode_dim", sub.k, max_prefix, note=note)
         if F.order ** k <= budget:
             hull = spec.code().hermitian_hull()
+            T.work["hull_solves"] += 1
             rep.check_eq("hull_dim_intersection", claim.hull_dim, hull.k)
         else:
             rep.check("hull_dim_intersection", STATUS_SKIPPED,
@@ -759,7 +764,7 @@ def sweep(q: int, families=FAMILIES, budget: int = DEFAULT_BUDGET,
     """Build and verify every in-range instance of the given families,
     yielding (claim, report) in grid order (``largest_k_first`` on one grid
     of all the families, one group and table per ``_recipe``); ``work``
-    counts the tables and rank profiles."""
+    counts the tables, rank profiles and hull solves."""
     F2 = quadratic_field(q)
 
     def verifier(recipe):

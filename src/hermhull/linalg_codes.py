@@ -37,11 +37,6 @@ _BLAS_CHUNK = 1 << 18
 #: float64 represents every integer below this exactly
 _FLOAT_EXACT = 1 << 53
 
-#: max cells (rows x live identity columns x trailing columns) of one row
-#: chunk of the product tensor with which rref clears a leading identity
-#: block: 512 KB of int32
-_IDENTITY_CHUNK_CELLS = 1 << 17
-
 
 class BudgetExceededError(RuntimeError):
     """Full enumeration would exceed the caller's codeword budget."""
@@ -67,42 +62,15 @@ def rref(F: FieldContext, M: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     columns are cleared above and below.  The elimination works in the log
     domain (see ``FieldContext.zlog``) and only on the columns from the
     pivot onward: the pivot row is zero to their left.
-
-    A leading identity block R[:m, :m] = I holds given pivots: column
-    j < m pivots on row j with no swap or scaling, and its pivot row is zero
-    on the other identity columns, so the m clearings are independent.
-    Rows m onward gain the sum over j of -R[m:, j] R[j, m:] at once: the
-    product tensor of the identity columns nonzero below the block, folded
-    pairwise with ``add_arr``, in row chunks of at most
-    _IDENTITY_CHUNK_CELLS cells (one row at least).
     """
     R = np.array(M, dtype=np.int32, copy=True)
     if R.ndim != 2:
         raise ValueError("matrix must be 2-d")
     rows, cols = R.shape
     n1 = F.order - 1
-    m = _leading_identity(R)
-    if m:
-        below = R[m:]
-        live = np.flatnonzero(below[:, :m].any(axis=0))
-        if live.size and cols > m:
-            lfac = F.zlog[F.neg_arr(below[:, live])][:, :, None]
-            lrow = F.zlog[R[live, m:]]
-            step = max(1, _IDENTITY_CHUNK_CELLS // (live.size * (cols - m)))
-            for i in range(0, rows - m, step):
-                terms = np.take(F.zexp, lfac[i:i + step] + lrow)
-                width = live.size
-                while width > 1:
-                    half = width // 2
-                    terms[:, :half] = F.add_arr(terms[:, :half],
-                                                terms[:, width - half:width])
-                    width -= half
-                below[i:i + step, m:] = F.add_arr(below[i:i + step, m:],
-                                                  terms[:, 0])
-        below[:, :m] = 0
-    pivots = list(range(m))
-    row = m
-    for col in range(m, cols):
+    pivots = []
+    row = 0
+    for col in range(cols):
         if row >= rows:
             break
         nz = np.nonzero(R[row:, col])[0]
@@ -128,35 +96,19 @@ def rref(F: FieldContext, M: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     return R, row, pivots
 
 
-def _leading_identity(R: np.ndarray) -> int:
-    """The largest m with R[:m, :m] the identity, found within the leading
-    run of ones on the diagonal."""
-    if not (min(R.shape) and R[0, 0] == 1):
-        return 0
-    ones = np.diagonal(R) == 1
-    m = ones.size if ones.all() else int(np.argmin(ones))
-    i, j = np.nonzero(R[:m, :m] != np.eye(m, dtype=R.dtype))
-    return int(np.maximum(i, j).min()) if i.size else m
-
-
 def nullspace(F: FieldContext, M: np.ndarray) -> np.ndarray:
     """Basis (as rows) of the right kernel {x : M x^T = 0}."""
     R, rank, pivots = rref(F, M)
     return _kernel_of_rref(F, R[:rank], pivots)
 
 
-def _free_columns(n: int, pivots) -> np.ndarray:
-    """The columns among 0..n-1 that are not pivots, in increasing order."""
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
-    return np.flatnonzero(free)
-
-
 def _kernel_of_rref(F: FieldContext, R: np.ndarray, pivots) -> np.ndarray:
     """Right kernel of a full-rank RREF matrix R with the given pivots: one
     row per free column f, with 1 at f and -R[:, f] at the pivots."""
     n = R.shape[1]
-    free = _free_columns(n, pivots)
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     basis = np.zeros((free.size, n), dtype=np.int32)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = F.neg_arr(R[:, free].T)
@@ -392,24 +344,23 @@ class LinearCode:
                                     n=self.n)
 
     def hermitian_hull(self) -> "LinearCode":
-        """Hull = C intersect C-perp-H: the kernel of the stacked parity
-        system [P; conj(G)], mapped back to the natural coordinates and
-        canonicalised.
+        """Hull = C intersect C-perp-H, read off the Gram matrix
+        M = G G-dagger of the canonical generator G.
 
-        P = [-A^T | I] are the parity rows, whose identity sits on the
-        code's free (non-pivot) columns (x in C <=> P x = 0), and conj(G)
-        x = 0 <=> x in C-perp-H.  With the free columns first, the system
-        opens with an identity block of n - k columns that is already
-        reduced, and ``rref`` clears it from the k rows of conj(G) in one
-        reduction (the fill-reducing order of Markowitz 1957).  Elimination
-        only: no Gram matrix or product is taken, so the hull stays
-        independent of the Gram rank.
+        A codeword u G is Hermitian-orthogonal to every row of G exactly
+        when u M = 0, so the hull is spanned by the rows of X G, X the left
+        kernel of M (``nullspace`` of M^T), and canonicalised; its dimension
+        is k - rank(M) (Guenda, Jitman and Gulliver, Des. Codes Cryptogr.
+        86, 2018).  For a GRS code this is the second hull measurement of
+        ``grs.verify_claim``, beside the Gram rank.  In odd characteristic
+        both take their Gram matrix with ``mat_mul``, but of different
+        generators (there the natural one; here the canonical one, which
+        ``GrsSpec.code`` builds in closed form as [I | Cauchy]) and rank it
+        with different kernels (there ``rank_profile``; here ``rref``).
         """
-        F, pivots = self.field, self._pivots()
-        order = np.concatenate([_free_columns(self.n, pivots), pivots])
-        system = np.vstack([self.parity_rows(), conjugate(F, self.gen)])
-        kernel = nullspace(F, system[:, order])
-        return LinearCode.from_rows(F, kernel[:, np.argsort(order)], n=self.n)
+        F = self.field
+        kernel = nullspace(F, gram_matrix(F, self.gen).T)
+        return LinearCode.from_rows(F, mat_mul(F, kernel, self.gen), n=self.n)
 
     # -- derived codes -----------------------------------------------------
 

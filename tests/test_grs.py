@@ -323,8 +323,10 @@ def test_grs_sweep_builds_each_vector_once(monkeypatch):
             for c, _ in swept] == grid
     vectors = {(c.spec.b, c.spec.a) for c, _ in swept}
     assert sorted(built) == sorted(vectors) and len(vectors) < len(grid)
+    solvable = sum((q * q) ** params["k"] <= budgets["budget"]
+                   for _, params in grid)
     assert work == {"vector_tables": len(vectors),
-                    "rank_profiles": len(vectors)}
+                    "rank_profiles": len(vectors), "hull_solves": solvable}
     assert len(solved) == len(set(solved)) == len(vectors)
     groups = {}
     for call in calls:

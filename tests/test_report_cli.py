@@ -16,6 +16,7 @@ import hermhull
 from conftest import quantum_tables
 from hermhull import ag, cli, grs, quantum, report
 from hermhull.grs import construct_family, verify_claim
+from hermhull.linalg_codes import DEFAULT_BUDGET
 from hermhull.report import (ConstructionReport, code_to_json,
                              logs_to_vector, report_schema, vector_to_logs)
 
@@ -575,6 +576,27 @@ def test_cli_verify_all_golden_bodies_with_fails(capsys, q):
     assert digest == GOLDEN_VERIFY_ALL_WITH_FAILS[q]
 
 
+#: sha256 of the stdout of ``verify-all --q 11 --budget 10**1000``: with no
+#: budget cap every GRS instance (359) runs ``hull_dim_intersection``, and
+#: ``hull_equality`` wherever the claimed hull is the subcode, in one
+#: sub-second run; the 5 CON3E FAIL reports still fail, so it exits 1
+GOLDEN_VERIFY_ALL_Q11_UNBOUNDED = \
+    "30d4da7309279c79f6919e888491b92a57798c6ad7e2327f280ee52a5ae58da9"
+
+
+def test_cli_verify_all_golden_body_with_every_hull_solved(capsys):
+    rc, out = run_cli(capsys, "verify-all", "--q", "11",
+                      "--budget", str(10 ** 1000))
+    assert rc == 1
+    assert_verdicts(out, (579, 0, 5))
+    statuses = [c["status"] for body in json.loads(out)["reports"]
+                for c in body["checks"] if c["name"] == "hull_dim_intersection"]
+    assert len(statuses) == 359
+    assert report.STATUS_SKIPPED not in statuses
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_VERIFY_ALL_Q11_UNBOUNDED
+
+
 @pytest.mark.parametrize("q", [5, 7])
 def test_cli_verify_all_speaks_one_vocabulary(capsys, q):
     # both families report the same six hull keys, and every check name
@@ -795,25 +817,31 @@ def test_cli_timings_envelope_leaves_the_rest_unchanged(capsys, argv):
     payload = json.loads(timed)
     timings = payload.pop("timings")
     assert cli._dump(payload) + "\n" == plain
-    keys = {"grs_s", "emit_s", "vector_tables", "rank_profiles"} | (
+    keys = {"grs_s", "emit_s", "vector_tables", "rank_profiles",
+            "hull_solves"} | (
         {"ag_s", "ag_sets", "ag_instances"} if argv[0] == "verify-all"
         else set())
     assert set(timings) == keys
     assert all(timings[key] >= 0 for key in keys)
     # one table per distinct GRS vector, and two per two-point set (its
     # code vector and its self-orthogonal one); one rank profile per GRS
-    # vector and per set; a second run in the process counts the same
+    # vector and per set; one hull solve per GRS instance with order^k
+    # within the default --budget, and none for two-point instances; a
+    # second run in the process counts the same
     q = int(argv[argv.index("--q") + 1])
-    vectors = len({grs._recipe(family, q, params) for family in grs.FAMILIES
-                   for params in grs.family_parameter_grid(family, q)})
+    grid = [(family, params) for family in grs.FAMILIES
+            for params in grs.family_parameter_grid(family, q)]
+    vectors = len({grs._recipe(family, q, params) for family, params in grid})
     sets = timings.get("ag_sets", 0)
     assert timings["vector_tables"] == vectors + 2 * sets
     assert timings["rank_profiles"] == vectors + sets
+    assert timings["hull_solves"] == sum(
+        (q * q) ** params["k"] <= DEFAULT_BUDGET for _, params in grid)
     rc_t, again = run_cli(capsys, *argv, "--timings")
     again = json.loads(again)["timings"]
     assert all(again[key] == timings[key] for key in
-               ("vector_tables", "rank_profiles", "ag_sets", "ag_instances")
-               if key in keys)
+               ("vector_tables", "rank_profiles", "hull_solves", "ag_sets",
+                "ag_instances") if key in keys)
     if argv[0] == "verify-all":
         assert timings["ag_instances"] == sum(
             len(ag.family_parameter_grid(family, 4))
@@ -821,6 +849,23 @@ def test_cli_timings_envelope_leaves_the_rest_unchanged(capsys, argv):
         assert 0 < timings["ag_sets"] < timings["ag_instances"]
     else:
         assert timings["vector_tables"] < payload["summary"]["total"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["grs", "construct", "--family", "CON1", "--q", "5"],
+    ["ag", "build", "--family", "COR2", "--q", "5", "--t", "2", "--k", "1"],
+], ids=["grs-construct", "ag-build"])
+def test_cli_single_report_timings_time_the_verification(capsys, argv):
+    # the envelope holds the seconds taken to verify the one report, and
+    # the report body is byte for byte the output without it
+    rc, plain = run_cli(capsys, *argv)
+    rc_t, timed = run_cli(capsys, *argv, "--timings")
+    assert rc == rc_t == 0
+    payload = json.loads(timed)
+    jsonschema.validate(payload, report_schema())
+    timings = payload.pop("timings")
+    assert cli._dump(payload) + "\n" == plain
+    assert set(timings) == {"verify_s"} and timings["verify_s"] >= 0
 
 
 def test_no_vector_table_outlives_its_sweep():
