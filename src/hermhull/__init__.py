@@ -7,9 +7,8 @@ every construction, and the derived QECC/EAQECC parameters.
 
 from .gf import (FieldContext, NotPrimitiveError, ReducibleModulusError,
                  conway_polynomial, make_field, quadratic_field)
-from .linalg_codes import (DEFAULT_BUDGET, BudgetExceededError,
-                           FieldMismatchError, LinearCode, gram_matrix,
-                           matrix_rank, nullspace, rref)
+from .linalg_codes import (DEFAULT_BUDGET, BudgetExceededError, LinearCode,
+                           gram_matrix, matrix_rank, nullspace, rref)
 
 __version__ = "0.1.0"
 
@@ -17,6 +16,6 @@ __all__ = [
     "FieldContext", "make_field", "quadratic_field", "conway_polynomial",
     "ReducibleModulusError", "NotPrimitiveError",
     "LinearCode", "rref", "nullspace", "gram_matrix", "matrix_rank",
-    "BudgetExceededError", "FieldMismatchError", "DEFAULT_BUDGET",
+    "BudgetExceededError", "DEFAULT_BUDGET",
     "__version__",
 ]

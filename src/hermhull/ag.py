@@ -425,31 +425,31 @@ class _PairCertificate:
         self.hull = GrsSpec(F, pts, tuple(F.mul_arr(av, shift).tolist()), K)
         self.rows = np.vstack([so.generator(), cv, self.hull.generator()])
         self.rows.setflags(write=False)
-        self.fault = _certify(F, code.generator(), self.rows)
+        self.fault = _certify(F, code.generator(), self.rows, p)
         self.code, self.so = _VectorTable(code, work), _VectorTable(so, work)
 
 
-def _certify(F: FieldContext, G: np.ndarray, rows: np.ndarray) -> str:
+def _certify(F: FieldContext, G: np.ndarray, rows: np.ndarray, p: int) -> str:
     """"" when the 2K + 2 ``rows`` of a ``_PairCertificate`` pass the
     checks that ``two_point_code`` rests on, else the one that failed.
 
-    G = (c u^l)_{l < K+2} is the natural generator of GRS_{K+2}(u, c).  The
-    coefficients X of ``rows`` on G are solved on the first K + 2 columns,
-    where G is an invertible Vandermonde block times diag(c), and X G must
-    give ``rows`` back exactly.  Then X must show the degree pattern, and
-    the cross block of the hull rows with conj(G) must vanish.
+    G = (c u^l)_{l < K+2} is the natural generator of GRS_{K+2}(u, c).  As
+    a = c (u - p) and h = a (u - p), the coefficients X of ``rows`` on G are
+    known: a u^i = c u^(i+1) - p c u^i, the pole row is c, and h u^i =
+    a u^(i+1) - p a u^i.  X is unit-triangular by degree, so X G == rows
+    shows that the first k + 2 rows span GRS_{k+2}(u, c) for every k <= K.
+    Then the cross block of the hull rows with conj(G) must vanish.
     """
     m = len(G)
-    R, _, _ = rref(F, np.hstack([G[:, :m].T, rows[:, :m].T]))
-    X = R[:, m:].T
-    # per row, its degree bound on G; the first m rows attain it
-    deg = np.concatenate([np.arange(1, m), [0], np.arange(2, m)])
-    if not (np.array_equal(R[:, :m], np.eye(m, dtype=R.dtype))
-            and np.array_equal(mat_mul(F, X, G), rows)):
+    E = np.eye(m, dtype=np.int32)
+
+    def shift(B):  # (u - p) f_i = f_(i+1) - p f_i when f_i = f_0 u^i
+        return F.add_arr(B[1:], F.mul_arr(np.int32(F.neg(p)), B[:-1]))
+
+    S = shift(E)
+    if not np.array_equal(mat_mul(F, np.vstack([S, E[:1], shift(S)]), G),
+                          rows):
         return f"the scaled and hull rows are not in GRS_{m}(u, c)"
-    if (X[np.arange(m)[None, :] > deg[:, None]].any()
-            or not X[np.arange(m), deg[:m]].all()):
-        return f"the rows break the degree pattern on GRS_{m}(u, c)"
     if mat_mul(F, rows[m:], conjugate(F, G).T).any():
         return (f"GRS_{m - 2}(u, h) is not Hermitian-orthogonal to "
                 f"GRS_{m}(u, c)")
@@ -528,12 +528,13 @@ def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
     i + 2 <= k + 1, so GRS_k(u, h) lies in the code, and the K x (K + 2)
     cross block of the hull rows with conj of that basis vanishes, so its
     corner for k does: GRS_k(u, h) lies in the Hermitian hull
-    (``_certify``).  The claim (code GRS_{k+2}(u, c), hull dimension k,
-    subcode GRS_k(u, h) on the certificate route, self-orthogonal
-    GRS_{k+1}(u, a)) goes to ``grs.verify_claim``; the hull dimension k
-    read off the Gram rank is the control of Luo, Cao and Chen (IEEE T-IT
-    65(5), 2019), and a self-orthogonal code measures k + 2 and fails.
-    No elimination of the code or its hull runs.
+    (``_certify``, with these coefficients in closed form).  The claim
+    (code GRS_{k+2}(u, c), hull dimension k, subcode GRS_k(u, h) on the
+    certificate route, self-orthogonal GRS_{k+1}(u, a)) goes to
+    ``grs.verify_claim``; the hull dimension k read off the Gram rank is
+    the control of Luo, Cao and Chen (IEEE T-IT 65(5), 2019), and a
+    self-orthogonal code measures k + 2 and fails.  No elimination of the
+    code or its hull runs.
     """
     p = check_two_point_input(F, diff, k, p)
     pts = diff.points
@@ -635,24 +636,9 @@ def _scalings(result: TwoPointResult, ells, alpha: Optional[int]):
         yield a, k + 2 - matrix_rank(F, gram_matrix(F, rows))
 
 
-def scale_for_hull(result: TwoPointResult, ell: int,
-                   alpha: Optional[int] = None) -> tuple[LinearCode, int]:
-    """Monomially rescale ell coordinates of a two-point code; returns the
-    new code and its measured hull dimension.
-
-    The scaled coordinates are the last ell pivot columns of the
-    self-orthogonal part, and the scalar's norm must avoid {1, -1}.
-    Coordinate scaling preserves the [n, k+2, n-k-1] parameters outright;
-    sweeping ell from 0 to k walks the hull dimension from k down to 0.
-    """
-    if not 0 <= ell <= result.k:
-        raise ValueError(f"need 0 <= ell <= {result.k}")
-    a, h = next(_scalings(result, [ell], alpha))
-    return result.code.monomial_scale(a), h
-
-
 def scale_sweep(result: TwoPointResult, alpha: Optional[int] = None) -> dict[int, int]:
-    """Measured hull dimension for every ell in [0, k]."""
+    """Measured hull dimension for every ell in [0, k]: ell counts the last
+    self-orthogonal pivot columns scaled by a scalar of norm not +-1."""
     ells = range(result.k + 1)
     return {ell: h for ell, (_, h) in zip(ells, _scalings(result, ells, alpha))}
 

@@ -20,7 +20,7 @@ from collections import Counter
 from typing import Optional
 
 from . import ag, cyclic, grs, quantum
-from .gf import make_field, prime_power, quadratic_field
+from .gf import is_prime, make_field, prime_power, quadratic_field
 from .linalg_codes import DEFAULT_BUDGET, DEFAULT_DISTANCE_BUDGET
 from .report import ConstructionReport, code_to_json
 
@@ -90,8 +90,8 @@ def _emit_report(rep: ConstructionReport, args) -> int:
 def _emit_reports(reports, args, timings: dict) -> int:
     """Print many reports under a verdict summary; 1 if any is FAIL.  With
     --timings a top-level "timings" object follows, ``timings`` plus
-    ``emit_s``, the seconds taken to build and serialise the rest; the
-    rest is byte for byte the output without it."""
+    ``emit_s``, the seconds taken to build the bodies and the summary; the
+    rest, encoded once with it, is byte for byte the output without it."""
     start = time.perf_counter()
     bodies = [r.to_canonical_dict() for r in reports]
     summary = {
@@ -102,12 +102,10 @@ def _emit_reports(reports, args, timings: dict) -> int:
         "fail": sum(b["verdict"] == "FAIL" for b in bodies),
     }
     payload = {"summary": summary, "reports": bodies}
-    text = _dump(payload, args.format)
     if args.timings:
         payload["timings"] = timings | {
             "emit_s": round(time.perf_counter() - start, 6)}
-        text = _dump(payload, args.format)
-    print(text)
+    print(_dump(payload, args.format))
     return 1 if summary["fail"] else 0
 
 
@@ -245,9 +243,8 @@ def cmd_quantum_params(args) -> int:
                     f"{args.from_report}: report verdict is FAIL (first "
                     f"failure: {body.get('first_failure')}); no parameters "
                     "are derived from a refuted code")
-            q = body["field"]["p"] ** (body["field"]["m"] // 2)
-            n = body["code"]["n"]
-            k = body["code"]["k"]
+            p, m = body["field"]["p"], body["field"]["m"]
+            n, k = body["code"]["n"], body["code"]["k"]
             hull = body["hull"]["dim_gram"]
         except KeyError as exc:
             raise ValueError(f"{args.from_report}: report lacks the key "
@@ -255,6 +252,11 @@ def cmd_quantum_params(args) -> int:
         except TypeError as exc:
             raise ValueError(f"{args.from_report}: malformed report "
                              f"({exc})") from None
+        if not (all(type(v) is int for v in (p, m, n, k, hull))
+                and is_prime(p) and m > 0 and m % 2 == 0):
+            raise ValueError(f"{args.from_report}: malformed report (p, m, n, "
+                             "k and dim_gram must be ints, p prime, m even)")
+        q = p ** (m // 2)
     else:
         if None in (args.n, args.k, args.hull_dim, args.q):
             raise ValueError("quantum params needs --q, --n, --k and "

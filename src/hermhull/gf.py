@@ -411,15 +411,6 @@ class FieldContext:
         """Discrete log base alpha; -1 for the zero element."""
         return int(self.log[x])
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.order)
-
-    def digits(self, x: int) -> tuple[int, ...]:
-        return tuple(int(d) for d in self._digits[x])
-
     # -- vectorised arithmetic on int arrays ----------------------------
 
     def add_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -470,12 +461,6 @@ class FieldContext:
         """Conjugation x -> x^q over the index-2 subfield GF(q)."""
         self._require_quadratic()
         return int(self._powq_t[x])
-
-    def trace_norm(self, x: int) -> tuple[int, int]:
-        """(x + x^q, x^(q+1)); both land in the subfield GF(q)."""
-        self._require_quadratic()
-        xq = int(self._powq_t[x])
-        return self.add(x, xq), self.mul(x, xq)
 
     def in_subfield(self, x: int) -> bool:
         self._require_quadratic()

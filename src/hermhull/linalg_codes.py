@@ -42,15 +42,6 @@ class BudgetExceededError(RuntimeError):
     """Full enumeration would exceed the caller's codeword budget."""
 
 
-class FieldMismatchError(ValueError):
-    """Operands live in different field contexts."""
-
-
-def _check_same_field(a: "LinearCode", b: "LinearCode"):
-    if a.field is not b.field:
-        raise FieldMismatchError("codes live in different field contexts")
-
-
 # ----------------------------------------------------------------------
 # matrix primitives
 # ----------------------------------------------------------------------
@@ -320,12 +311,6 @@ class LinearCode:
     def _pivots(self) -> np.ndarray:
         return np.argmax(self.gen != 0, axis=1)
 
-    def is_subcode_of(self, other: "LinearCode") -> bool:
-        _check_same_field(self, other)
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return other.contains_rows(self.gen)
-
     # -- duals and hulls ---------------------------------------------------
 
     def parity_rows(self) -> np.ndarray:
@@ -363,22 +348,6 @@ class LinearCode:
         return LinearCode.from_rows(F, mat_mul(F, kernel, self.gen), n=self.n)
 
     # -- derived codes -----------------------------------------------------
-
-    def puncture(self, coords: Iterable[int]) -> "LinearCode":
-        S = {int(i) for i in coords}
-        if S and (min(S) < 0 or max(S) >= self.n):
-            raise IndexError("puncture coordinate out of range")
-        keep = [i for i in range(self.n) if i not in S]
-        return LinearCode.from_rows(self.field, self.gen[:, keep], n=len(keep))
-
-    def monomial_scale(self, a: Sequence[int]) -> "LinearCode":
-        a = np.array(a, dtype=np.int32)
-        if a.shape != (self.n,):
-            raise ValueError("scaling vector length mismatch")
-        if np.any(a == 0):
-            raise ValueError("scaling vector has a zero entry")
-        F = self.field
-        return LinearCode.from_rows(F, F.mul_arr(self.gen, a[None, :]), n=self.n)
 
     def extend_sum_zero(self) -> "LinearCode":
         """Append one coordinate making every codeword sum to zero."""

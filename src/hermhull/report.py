@@ -12,7 +12,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
@@ -34,13 +34,6 @@ def vector_to_logs(F: FieldContext, v) -> list[int]:
 
 def matrix_to_logs(F: FieldContext, M) -> list[list[int]]:
     return [vector_to_logs(F, row) for row in np.asarray(M)]
-
-
-def logs_to_vector(F: FieldContext, logs: Sequence[int]) -> np.ndarray:
-    out = np.zeros(len(logs), dtype=np.int32)
-    for i, e in enumerate(logs):
-        out[i] = 0 if e < 0 else F.alpha_pow(e)
-    return out
 
 
 def code_to_json(code) -> dict:

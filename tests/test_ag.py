@@ -9,7 +9,7 @@ from hermhull import ag, grs, polys
 from hermhull.ag import (Divisor, O, RationalFunction, default_extra_point,
                          default_scaling_element, evaluation_code,
                          evaluation_set, extend_evaluation_set, finite,
-                         lbasis, residues, rr_dim, scale_for_hull, scale_sweep,
+                         lbasis, residues, rr_dim, scale_sweep,
                          two_point_code)
 from hermhull.gf import make_field, quadratic_field
 from hermhull.grs import GrsSpec
@@ -260,23 +260,9 @@ def test_scale_for_hull_sweep(F25):
     U = evaluation_set("COR2", 5, t=2)
     res = two_point_code(F25, U, 1)
     sweep = scale_sweep(res)
-    assert sweep == {0: 1, 1: 0}
-    code0, h0 = scale_for_hull(res, 0)
-    assert code0 == res.code and h0 == res.hull.k
+    assert sweep == {0: 1, 1: 0} and sweep[0] == res.hull.k
     with pytest.raises(ValueError):
-        scale_for_hull(res, 2)
-    with pytest.raises(ValueError):
-        scale_for_hull(res, 1, alpha=F25.solve_norm(F25.neg(1)))
-
-
-def test_scale_for_hull_preserves_parameters(F25):
-    U = evaluation_set("COR2", 5, t=4)
-    res = two_point_code(F25, U, 3, distance_budget=10)
-    for ell in range(4):
-        code, hdim = scale_for_hull(res, ell)
-        assert (code.n, code.k) == (20, 5)
-        assert hdim == 3 - ell
-        assert code.min_distance(budget=25 ** 5) == 16  # [20, 5, 16] kept
+        scale_sweep(res, alpha=F25.solve_norm(F25.neg(1)))
 
 
 def test_scale_sweep_reduces_the_pivots_once(F25, monkeypatch):
@@ -707,47 +693,61 @@ def test_sweep_runs_no_elimination_of_a_code_or_hull(monkeypatch):
     monkeypatch.setattr(LinearCode, "hermitian_hull", refuse)
     monkeypatch.setattr(LinearCode, "from_rows", refuse)
     monkeypatch.setattr(linalg_codes, "nullspace", refuse)
+    monkeypatch.setattr(ag, "rref", refuse)
     for q in (4, 5, 7):
         assert all(res.report.verdict == "PASS" for _, res in ag.sweep(q))
 
 
 def _certificate_parts(F, family, **params):
-    """(G, rows) of ``ag._certify`` for the set with the default p."""
+    """(G, rows, K, p) of ``ag._certify`` for the set with the default p."""
     U = evaluation_set(family, F.q, field=F, **params)
-    cert = ag._PairCertificate(F, U.points, U.witnesses,
-                               default_extra_point(F, U.points))
-    return cert.code.spec.generator(), np.array(cert.rows), cert.hull.k
+    p = default_extra_point(F, U.points)
+    cert = ag._PairCertificate(F, U.points, U.witnesses, p)
+    return cert.code.spec.generator(), np.array(cert.rows), cert.hull.k, p
 
 
 def test_certificate_refuses_each_broken_part(F25):
     """Each part of the certificate refuses a row set that the others
-    admit: a moved entry, a wrong code vector, rows out of degree order,
-    and a last hull row inside the code but not orthogonal to it."""
-    G, rows, K = _certificate_parts(F25, "COR2", t=4)
-    assert K == 3 and ag._certify(F25, G, rows) == ""
+    admit: a moved entry, a wrong code vector, rows out of order, a last
+    hull row inside the code but not the closed-form one, a wrong extra
+    place, and a column scaled by a non-norm-1 element, which keeps every
+    product but breaks Hermitian orthogonality."""
+    G, rows, K, p = _certificate_parts(F25, "COR2", t=4)
+    assert K == 3 and ag._certify(F25, G, rows, p) == ""
 
     moved = rows.copy()
     moved[-1, 5] = F25.add(moved[-1, 5], 1)
-    assert "not in GRS_5" in ag._certify(F25, G, moved)
+    assert "not in GRS_5" in ag._certify(F25, G, moved, p)
     other_c = G.copy()
     other_c[:, 7] = F25.mul_arr(other_c[:, 7], F25.alpha)
-    assert "not in GRS_5" in ag._certify(F25, other_c, rows)
+    assert "not in GRS_5" in ag._certify(F25, other_c, rows, p)
 
     swapped = rows.copy()
     swapped[[0, 1]] = swapped[[1, 0]]
-    assert "degree pattern" in ag._certify(F25, G, swapped)
+    assert "not in GRS_5" in ag._certify(F25, G, swapped, p)
 
     # row l of G lies in the code within the bound K + 1 of the last hull
-    # row; a row with a nonzero Gram row is not orthogonal to the code
+    # row, but it is not the hull row h u^(K-1)
     l = int(np.flatnonzero(gram_matrix(F25, G).any(axis=1))[-1])
     late = rows.copy()
     late[-1] = G[l]
-    assert "not Hermitian-orthogonal" in ag._certify(F25, G, late)
+    assert "not in GRS_5" in ag._certify(F25, G, late, p)
+
+    assert "not in GRS_5" in ag._certify(F25, G, rows, F25.add(p, 1))
+
+    # x -> alpha x on one coordinate commutes with X G, and multiplies that
+    # coordinate's Hermitian products by N(alpha) != 1
+    assert F25.pow(F25.alpha, F25.q + 1) != 1
+    scaled_G, scaled_rows = G.copy(), rows.copy()
+    for M in (scaled_G, scaled_rows):
+        M[:, 0] = F25.mul_arr(M[:, 0], F25.alpha)
+    assert "not Hermitian-orthogonal" in ag._certify(F25, scaled_G,
+                                                       scaled_rows, p)
 
 
 def test_a_failed_certificate_fails_every_structural_check(
         F25, monkeypatch):
-    monkeypatch.setattr(ag, "_certify", lambda F, G, rows: "broken")
+    monkeypatch.setattr(ag, "_certify", lambda F, G, rows, p: "broken")
     U = evaluation_set("COR2", 5, t=4)
     for k, budget in ((3, 10), (3, 25 ** 5), (0, 10)):
         rep = two_point_code(F25, U, k, distance_budget=budget).report

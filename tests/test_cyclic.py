@@ -10,6 +10,7 @@ from hermhull.cyclic import (EqtrParams, cyclic_from_defining_set,
                              eqtr_codeword, extended_parity_rows, ht_bound,
                              index_set_T, rains_p, trace_code)
 from hermhull.gf import quadratic_field
+from hermhull.grs import GrsSpec
 from hermhull.linalg_codes import LinearCode, nullspace
 
 from conftest import grs_b_full, is_hermitian_self_orthogonal
@@ -187,6 +188,23 @@ def test_rains_p_matches_extended_cyclic(F9):
     E = cyclic_from_defining_set(8, 3, defining_set_dkl(3, 2, 1)).code.extend_sum_zero()
     assert P == E
     assert P.k == 9 - 2 * 1 * 2 + 1
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11])
+def test_rains_p_matches_extended_cyclic_on_the_whole_grid(q):
+    # the paper's bilinear identity: P(C_k, C_l) of the full-length GRS
+    # codes is the extended cyclic code of D[k, l], of dimension
+    # q^2 - 2lk + l^2, for every 1 <= l <= k <= q
+    F = quadratic_field(q)
+    b = tuple(grs_b_full(F))
+    C = [GrsSpec(F, b, (1,) * len(b), k).code() for k in range(q + 1)]
+    for k in range(1, q + 1):
+        for l in range(1, k + 1):
+            P = rains_p(C[k], C[l])
+            D = defining_set_dkl(q, k, l)
+            assert P == cyclic_from_defining_set(
+                q * q - 1, q, D).code.extend_sum_zero(), (k, l)
+            assert P.k == q * q - 2 * l * k + l * l
 
 
 def test_rains_p_errors(F9):

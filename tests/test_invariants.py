@@ -58,6 +58,66 @@ def test_every_module_level_import_is_used():
     assert found == []
 
 
+#: public top-level functions, classes and methods of the package that
+#: nothing in it loads, each with the reason it stays
+UNCALLED_PUBLIC_KEPT: dict[str, str] = {
+    **dict.fromkeys(
+        ["ag.Divisor.one_point", "ag.Divisor.of", "ag.Divisor.wedge",
+         "ag.Divisor.vee", "ag.evaluation_code", "polys.derivative"],
+        "settled reference layer that tests compare the fast paths against"),
+    **dict.fromkeys(
+        ["cyclic.cyclic_from_defining_set", "cyclic.eqtr_codeword",
+         "cyclic.rains_p", "cyclic.trace_code",
+         "grs.puncture_from_p_codeword"],
+        "the paper's cyclic-code and puncturing tools (ROADMAP items 6, 10)"),
+    **dict.fromkeys(
+        ["linalg_codes.LinearCode.contains",
+         "linalg_codes.LinearCode.min_distance", "gf.FieldContext.embed_arr"],
+        "wrapped by name by perfbench/tracer.py"),
+    **dict.fromkeys(
+        ["ag.GrowthResult.final", "linalg_codes.LinearCode.hermitian_dual",
+         "linalg_codes.LinearCode.extend_sum_zero"],
+        "used by the acceptance tests"),
+    **dict.fromkeys(
+        ["quantum.QuantumParams.label", "report.ConstructionReport.passed",
+         "report.report_schema"],
+        "documented in the README"),
+}
+
+
+def uncalled_public_names(root: pathlib.Path) -> set[str]:
+    """module.name and module.Class.method of every public top-level
+    function, class and method under ``root`` whose name no module loads
+    (as a Name or an Attribute) or exports in ``__all__``."""
+    defined, loaded = [], set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{path.stem}.{node.name}.{sub.name}", sub.name)
+                            for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)]
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                loaded |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+    return {qual for qual, name in defined
+            if not name.startswith("_") and name not in loaded}
+
+
+def test_every_public_name_is_used_or_kept_for_a_reason():
+    root = pathlib.Path(hermhull.__file__).parent
+    assert uncalled_public_names(root) == set(UNCALLED_PUBLIC_KEPT)
+
+
 def load_benchmark_tracer():
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
@@ -213,3 +273,13 @@ def test_benchmark_tracer_sees_one_chain_per_report_and_one_dump_per_run(
     assert counts["report.ConstructionReport.to_canonical_dict"]["calls"] \
         == total
     assert counts["cli._dump"]["calls"] == 1
+
+    # --timings adds its object to the one payload before the one dump
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert cli.run(["verify-all", "--q", "5", "--timings"]) == 0
+    finally:
+        t.uninstall()
+    assert "emit_s" in json.loads(capsys.readouterr().out)["timings"]
+    assert t.counts()["cli._dump"]["calls"] == 1

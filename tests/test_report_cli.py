@@ -17,8 +17,8 @@ from conftest import quantum_tables
 from hermhull import ag, cli, grs, quantum, report
 from hermhull.grs import construct_family, verify_claim
 from hermhull.linalg_codes import DEFAULT_BUDGET
-from hermhull.report import (ConstructionReport, code_to_json,
-                             logs_to_vector, report_schema, vector_to_logs)
+from hermhull.report import (ConstructionReport, code_to_json, report_schema,
+                             vector_to_logs)
 
 
 def make_report():
@@ -79,7 +79,7 @@ def test_log_serialization_round_trip(F9):
     v = np.array([0, 1, F9.alpha, F9.alpha_pow(5)], dtype=np.int32)
     logs = vector_to_logs(F9, v)
     assert logs[0] == -1
-    assert np.array_equal(logs_to_vector(F9, logs), v)
+    assert np.array_equal([F9.alpha_pow(e) if e >= 0 else 0 for e in logs], v)
 
 
 def test_code_to_json(F9):
@@ -393,6 +393,28 @@ def test_cli_quantum_params_malformed_report_exit_2(tmp_path, capsys, body,
     assert rc == 2
     assert captured.out == ""
     assert missing in captured.err
+
+
+@pytest.mark.parametrize("part,key,value", [
+    ("code", "n", "13"), ("hull", "dim_gram", None), ("code", "n", 13.5),
+    ("field", "m", 3), ("code", "k", True),
+])
+def test_cli_quantum_params_refuses_mistyped_report(tmp_path, capsys, part,
+                                                    key, value):
+    # a string n or a null hull once escaped as a TypeError traceback, a
+    # float n gave a fractional kappa, and an odd m a wrong q
+    rc, out = run_cli(capsys, "grs", "construct", "--family", "CON3",
+                      "--q", "5", "--k", "3")
+    payload = json.loads(out)
+    assert rc == 0 and payload["report"]["code"]["n"] == 13
+    payload["report"][part][key] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    rc = cli.run(["quantum", "params", "--from", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "malformed report" in captured.err
 
 
 def test_python_dash_m_runs_the_cli(capsys):
