@@ -573,7 +573,8 @@ def sweep(q: int, distance_budget: int = DEFAULT_DISTANCE_BUDGET,
     """
     F = quadratic_field(q)
 
-    def verifier(evaluation: tuple):
+    def verifier(evaluation: tuple, K: int):
+        # K, the set's largest grid k, is the certificate's (n - 2) // (q + 1)
         family, kwargs = evaluation[0], dict(evaluation[1:])
         diff = evaluation_set(family, q, field=F, **kwargs)
         p = check_two_point_input(F, diff, 0)

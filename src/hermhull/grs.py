@@ -16,12 +16,14 @@ Family tags:
   refuted by the Gram rank on full-grid instances from q = 7 on; those
   reports FAIL, and no quantum table row is read off them.
 
-Every builder returns a claim object, whose code is built only on first
-use; ``verify_claim`` checks the claim by exact linear algebra (Gram rank
-always; hull intersection and distance enumeration within budget) and
-reports per-property verdicts.  It verifies the two-point codes of ``ag``
-too, which are GRS pairs (Fang, Fu, Li and Zhu, IEEE T-IT 66(6), 2020;
-Luo, Cao and Chen, IEEE T-IT 65(5), 2019).
+Every builder returns a claim object, which holds specs and no code;
+``verify_claim`` checks the claim by exact linear algebra (the Gram rank
+always; within budget, distance enumeration and the hull solved as the
+left kernel of the closed-form generator's Gram matrix, a check still
+named ``hull_dim_intersection``) and reports per-property verdicts.  It
+verifies the two-point codes of ``ag`` too, which are GRS pairs (Fang,
+Fu, Li and Zhu, IEEE T-IT 66(6), 2020; Luo, Cao and Chen, IEEE T-IT
+65(5), 2019).
 
 The scaling vectors of CON4 and CON4E are taken from the codeword algebra
 (entry values alpha^{-l(k-1)(q+1)} - alpha^{-l m (q+1)}); collapsing
@@ -152,80 +154,66 @@ class GrsSpec:
 
 
 class _VectorTable:
-    """The Gram work GRS_k(b, a) shares across k, for the vector (field, b,
-    a) of ``spec``; each group of ``largest_k_first`` holds one per vector.
-    The counter ``work`` of the run gains one ``vector_tables`` here, one
-    ``rank_profiles`` per rank profile and, from ``verify_claim``, one
-    ``hull_solves`` per hull it solves.
+    """The Gram work GRS_k(b, a) shares across k <= K = ``spec.k``, for the
+    vector (field, b, a) of ``spec``; each group of ``largest_k_first``
+    holds one per vector, at the group's largest k.  The counter ``work``
+    of the run gains one ``vector_tables`` here, one ``rank_profiles`` for
+    the rank profile and, from ``verify_claim``, one ``hull_solves`` per
+    hull it solves.
 
     Row i of the natural generator does not depend on k, so the Gram matrix
-    of GRS_k(b, a) is the leading k x k block of that of GRS_K(b, a) for
-    K >= k (the power-sum view of Fang, Fu, Li and Zhu, IEEE T-IT 66(6),
-    2020).  ``gram`` is held, read-only, for the largest K asked so far,
-    and rebuilt when a larger k is asked for, with ``first_row[k]``, the
-    first nonzero row of each leading k x k block (k when the block is
-    zero), for k <= K, found on each build; ``ranks[k]`` is the rank of
-    each leading block of the largest one ranked so far, counted in its
-    one ``rank_profile``.  Both per-k arrays are Python lists, so a read at
-    any k <= K is a list lookup.
-
-    In characteristic 2 the Gram entries are the power sums S[t] = sum_j
-    N_j b_j^t over the nonzero points, N_j = a_j^(q+1), t in Z/(q^2 - 1):
-    all of them at once, on the first Gram build, as one DFT over
-    GF(q^2)^* (``_power_sums``).  ``zero_norm`` is N_j of a zero point.
+    of GRS_k(b, a) is the leading k x k block of that of GRS_K(b, a) (the
+    power-sum view of Fang, Fu, Li and Zhu, IEEE T-IT 66(6), 2020).  Each
+    is built once, on its first read: ``gram``, the K x K Gram matrix,
+    read-only; ``first_row[k]``, the first nonzero row of each leading
+    k x k block (k when the block is zero); and ``ranks[k]``, the rank of
+    each leading block, from one ``rank_profile``.  ``_table`` refuses a
+    read above K.
     """
 
     def __init__(self, spec: GrsSpec, work: Optional[Counter] = None):
-        F = spec.field
-        self.spec, self.field = spec, F
+        self.spec, self.field = spec, spec.field
         self.work = Counter() if work is None else work
         self.work["vector_tables"] += 1
-        self.gram = _read_only(np.zeros((0, 0), dtype=np.int32))
-        self.first_row, self.ranks = [0], [0]
-        if F.p == 2:
-            b = np.asarray(spec.b, dtype=np.int64)
-            lnorm = (F.log[np.asarray(spec.a, dtype=np.int64)] * (F.q + 1)
-                     % (F.order - 1))
-            nz = b != 0
-            self.lb, self.ln = F.log[b[nz]], lnorm[nz]
-            self.zero_norm = 0 if nz.all() else int(F.exp[lnorm[~nz][0]])
 
     @functools.cached_property
-    def sums(self) -> np.ndarray:
-        """S[t] for every t in Z/(q^2 - 1), characteristic 2 only."""
-        return _read_only(_power_sums(self.field, self.lb, self.ln))
+    def gram(self) -> np.ndarray:
+        """In characteristic 2 the Gram entries are the power sums S[t] of
+        ``_power_sums`` at t = (i + q l) mod (q^2 - 1), plus N_j of a zero
+        point at (0, 0)."""
+        F, spec = self.field, self.spec
+        if F.p != 2:
+            return _read_only(gram_matrix(F, spec.generator()))
+        b = np.asarray(spec.b, dtype=np.int64)
+        a = np.asarray(spec.a, dtype=np.int64)
+        # i + q l < (q + 1) q^2 < 2^31 for every order <= 2^16
+        i = np.arange(spec.k, dtype=np.int32)
+        g = _power_sums(F, b, a)[(i[:, None] + F.q * i[None, :])
+                                 % (F.order - 1)]
+        if spec.k and not b.all():
+            g[0, 0] ^= F.pow(int(a[b == 0][0]), F.q + 1)
+        return _read_only(g)
 
-    def gram_block(self, k: int) -> np.ndarray:
-        """The k x k Gram matrix of GRS_k(b, a), a read-only view."""
-        if k > len(self.gram):
-            F = self.field
-            if F.p == 2:
-                # i + q l < (q + 1) q^2 < 2^31 for every order <= 2^16
-                i = np.arange(k, dtype=np.int32)
-                g = self.sums[(i[:, None] + F.q * i[None, :])
-                              % (F.order - 1)]
-                g[0, 0] ^= self.zero_norm
-            else:
-                g = gram_matrix(F, self.spec.at(k).generator())
-            self.gram = _read_only(g)
-            self.first_row = _first_nonzero_rows(g)
-        return self.gram[:k, :k]
+    @functools.cached_property
+    def first_row(self) -> list[int]:
+        return _first_nonzero_rows(self.gram)
 
-    def first_nonzero_row(self, k: int) -> int:
-        """The first nonzero row of ``gram_block(k)``, k when it is zero."""
-        if k > len(self.gram):
-            self.gram_block(k)
-        return self.first_row[k]
+    @functools.cached_property
+    def ranks(self) -> list[int]:
+        self.work["rank_profiles"] += 1
+        return _leading_ranks(rank_profile(self.field, self.gram),
+                              self.spec.k)
 
-    def gram_rank(self, k: int) -> int:
-        """The rank of ``gram_block(k)``, ``ranks[k]``; profiled again only
-        when k exceeds the profiled size."""
-        if k >= len(self.ranks):
-            self.gram_block(k)
-            self.ranks = _leading_ranks(rank_profile(self.field, self.gram),
-                                        len(self.gram))
-            self.work["rank_profiles"] += 1
-        return self.ranks[k]
+
+def _table(spec: GrsSpec, table: Optional[_VectorTable]) -> _VectorTable:
+    """``table``, or a new table of ``spec`` when that is None; a ValueError
+    when ``spec.k`` exceeds the table's K."""
+    if table is None:
+        return _VectorTable(spec)
+    if spec.k > table.spec.k:
+        raise ValueError(f"GRS_{spec.k} read off a vector table of "
+                         f"K = {table.spec.k}")
+    return table
 
 
 def _read_only(M: np.ndarray) -> np.ndarray:
@@ -284,11 +272,12 @@ def _dft_plan(n1: int) -> tuple[list, np.ndarray, np.ndarray]:
     return stages[::-1], spread, gather
 
 
-def _power_sums(F: FieldContext, lb: np.ndarray, ln: np.ndarray
+def _power_sums(F: FieldContext, b: np.ndarray, a: np.ndarray
                 ) -> np.ndarray:
-    """S[t] = sum_j exp(ln_j) exp(lb_j t) for every t in Z/(order - 1),
-    characteristic 2: the DFT over GF(order)^* of the vector c, c[lb_j] =
-    exp(ln_j), by the prime-factor algorithm of ``_dft_plan``.
+    """S[t] = sum_j N_j b_j^t over the nonzero points b_j, N_j = a_j^(q+1),
+    for every t in Z/(order - 1), characteristic 2: the DFT over
+    GF(order)^* of the vector c, c[log b_j] = N_j, by the prime-factor
+    algorithm of ``_dft_plan``.
 
     Each stage is in the log domain: the transform along the first axis is
     an XOR reduction of zexp[log x + kernel], in row chunks of at most
@@ -298,8 +287,9 @@ def _power_sums(F: FieldContext, lb: np.ndarray, ln: np.ndarray
     """
     n1 = F.order - 1
     stages, spread, gather = _dft_plan(n1)
+    nz = b != 0
     c = np.zeros(n1, dtype=F.zexp.dtype)
-    c[lb] = F.exp[ln]
+    c[F.log[b[nz]]] = F.exp[F.log[a[nz]] * (F.q + 1) % n1]
     x = c[spread]
     for N, kernel in stages:
         L = F.zlog[x.reshape(N, -1).T]
@@ -325,17 +315,18 @@ def natural_gram(spec: GrsSpec, table: Optional[_VectorTable] = None
     ``add_arr`` folds, measured slower there (about 170 against 155 us per
     table build at q = 11), and the perfbench tracer wraps
     ``grs.gram_matrix`` and ``grs.mat_mul`` by name.  Either way the matrix
-    is the leading block of the one held by ``table``, the ``_VectorTable``
-    of the spec's vector, or by a new table when that is None.
+    is the leading k x k block of the K x K one held by ``table``, the
+    ``_VectorTable`` of the spec's vector at K >= k (a ValueError when
+    k > K), or by a new table of the spec when that is None.
     """
-    return (table or _VectorTable(spec)).gram_block(spec.k)
+    return _table(spec, table).gram[:spec.k, :spec.k]
 
 
 def gram_rank(spec: GrsSpec, table: Optional[_VectorTable] = None) -> int:
-    """The rank of ``natural_gram(spec, table)``, counted in the rank
-    profile that the table holds for its largest Gram matrix, so the
-    instances of one group share one elimination."""
-    return (table or _VectorTable(spec)).gram_rank(spec.k)
+    """The rank of ``natural_gram(spec, table)``, read off the one rank
+    profile of the table's K x K Gram matrix, so the instances of one
+    group share one elimination."""
+    return _table(spec, table).ranks[spec.k]
 
 
 @dataclass
@@ -464,17 +455,15 @@ def family_parameter_grid(family: str, q: int,
 
     With ``conservative`` the tighter z-bounds are enforced; otherwise
     the full verified ranges are used (needed by the parameter tables).
+    The loops visit only candidates that ``claim_arithmetic`` admits; a
+    refused one raises its ValueError.
     """
     out: list[dict] = []
 
     def push(params: dict):
-        try:
-            info = claim_arithmetic(family, q, **params)
-        except ValueError:
-            return
-        if conservative and not in_conservative_range(family, q, params, info):
-            return
-        out.append(params)
+        info = claim_arithmetic(family, q, **params)
+        if not conservative or in_conservative_range(family, q, params, info):
+            out.append(params)
 
     if family == "CON1":
         push({"k": q})
@@ -632,10 +621,11 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     of ``CHECKS``; a mismatch is a failed check, never an exception.
 
     Every Gram-shaped quantity is a per-k read off the ``_VectorTable`` of
-    the spec's vector, whose Gram matrix has the one ``natural_gram`` of
-    the spec as its leading block: its rank (``gram_rank``, ``ranks[k]``)
-    gives ``hull_dim_gram`` and, on the prefix route, its first nonzero row
-    (``first_row[k]``) ``max_prefix_subcode_dim``.  There
+    the spec's vector, whose K x K Gram matrix, K >= k, has the one
+    ``natural_gram`` of the spec as its leading block: its rank
+    (``gram_rank``, ``ranks[k]``) gives ``hull_dim_gram`` and, on the
+    prefix route, its first nonzero row (``first_row[k]``)
+    ``max_prefix_subcode_dim``.  There
     ``subcode_in_hull`` passes when the subcode is the prefix GRS_t(b, c)
     of the spec (same field, b and c, t <= k, hence inside the code) and
     Gram rows 0..t-1 vanish; on the certificate route, when the
@@ -648,7 +638,8 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     kernel of the closed-form generator's own Gram matrix times that
     generator (``LinearCode.hermitian_hull``), counted as one
     ``hull_solves`` in the table's ``work``.
-    ``table`` and ``so_table``: the spec's and self_orthogonal's tables.
+    ``table`` and ``so_table``: the spec's and self_orthogonal's tables
+    (new ones at their own k when None; a ValueError when one is smaller).
     The report's verdict is kept as its checks are recorded, and a
     non-FAIL report gets its ``quantum.chain_to_json`` chain.
     """
@@ -665,7 +656,7 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     d_code = n - k + 1 if status == STATUS_STRUCTURAL else d
     rep.code = {"n": n, "k": k, "d": d_code, "d_kind": _D_KIND[status]}
 
-    T = table or _VectorTable(spec)
+    T = _table(spec, table)
     gram_dim = k - gram_rank(spec, T)
     ok_gram = rep.check_eq("hull_dim_gram", claim.hull_dim, gram_dim)
 
@@ -673,7 +664,7 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     if fault is None:
         # largest t with the first t natural generator rows inside the
         # dual: exactly the first nonzero row of the Gram matrix
-        max_prefix = T.first_nonzero_row(k)
+        max_prefix = T.first_row[k]
         note = ""
         if claim.z1_subcode_dim not in (None, sub.k):
             note = (f"the z = 1 closed form {claim.z1_subcode_dim} "
@@ -721,8 +712,7 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     if claim.self_orthogonal is not None:
         # a zero Gram block: no row is nonzero
         t = claim.self_orthogonal.k
-        so = (so_table or _VectorTable(claim.self_orthogonal)
-              ).first_nonzero_row(t) == t
+        so = _table(claim.self_orthogonal, so_table).first_row[t] == t
         rep.check("self_orthogonal_subcode",
                   STATUS_PASS if so else STATUS_FAIL,
                   expected=True, measured=so)
@@ -743,15 +733,17 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
 def largest_k_first(grid: list[tuple], verifier: Callable) -> list:
     """Verify every (vector, family, params) of ``grid`` and return the
     results in grid order.  The entries of one vector form a group wherever
-    they stand; ``verifier(vector)`` holds its tables and verifies (family,
-    params), largest k first, so the first instance fills the tables."""
+    they stand; ``verifier(vector, K)``, K the group's largest k, holds the
+    group's tables, sized at K, and verifies (family, params), largest k
+    first, so the first instance builds the tables' Gram work."""
     groups: dict = {}
     for i, (vector, _, _) in enumerate(grid):
         groups.setdefault(vector, []).append(i)
     out = [None] * len(grid)
     for vector, group in groups.items():
-        verify = verifier(vector)
-        for i in sorted(group, key=lambda i: -grid[i][2]["k"]):
+        group.sort(key=lambda i: -grid[i][2]["k"])
+        verify = verifier(vector, grid[group[0]][2]["k"])
+        for i in group:
             out[i] = verify(*grid[i][1:])
     return out
 
@@ -763,12 +755,12 @@ def sweep(q: int, families=FAMILIES, budget: int = DEFAULT_BUDGET,
           ) -> Iterator[tuple[GrsHullClaim, ConstructionReport]]:
     """Build and verify every in-range instance of the given families,
     yielding (claim, report) in grid order (``largest_k_first`` on one grid
-    of all the families, one group and table per ``_recipe``); ``work``
-    counts the tables, rank profiles and hull solves."""
+    of all the families, one group and table per ``_recipe``, at its
+    largest k); ``work`` counts the tables, rank profiles and hull solves."""
     F2 = quadratic_field(q)
 
-    def verifier(recipe):
-        T = _VectorTable(_evaluation_vector(F2, q, *recipe), work)
+    def verifier(recipe, K):
+        T = _VectorTable(_evaluation_vector(F2, q, *recipe).at(K), work)
 
         def verify(family, params):
             claim = construct_family(family, q, table=T, **params)

@@ -265,10 +265,6 @@ class LinearCode:
     def zero(cls, field: FieldContext, n: int) -> "LinearCode":
         return cls(field, n, np.zeros((0, n), dtype=np.int32))
 
-    @classmethod
-    def full(cls, field: FieldContext, n: int) -> "LinearCode":
-        return cls(field, n, np.eye(n, dtype=np.int32))
-
     # -- basics ----------------------------------------------------------
 
     @property

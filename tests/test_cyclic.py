@@ -208,7 +208,7 @@ def test_rains_p_matches_extended_cyclic_on_the_whole_grid(q):
 
 
 def test_rains_p_errors(F9):
-    big = LinearCode.full(F9, 9)
+    big = LinearCode(F9, 9, np.eye(9, dtype=np.int32))
     with pytest.raises(ValueError):
         rains_p(big, max_constraints=10)
     from hermhull.gf import make_field

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 import tracemalloc
@@ -73,7 +74,7 @@ def test_generator_matches_row_recursion(q, zero):
 def test_grs_code_edges(F9):
     b = tuple(grs_b_full(F9)[:5])
     full = GrsSpec(F9, b, (1,) * 5, 5).code()
-    assert full == LinearCode.full(F9, 5)
+    assert full == LinearCode(F9, 5, np.eye(5, dtype=np.int32))
     rep = GrsSpec(F9, b, (1,) * 5, 1).code()
     assert rep.min_distance() == 5
     C = GrsSpec(F9, tuple(grs_b_full(F9)), (1,) * 9, 2).code()
@@ -121,7 +122,7 @@ def test_tables_filled_at_a_larger_k_serve_every_smaller_k(q):
         any_spec = next(iter(group))
         F, n = any_spec.field, any_spec.n
         work = collections.Counter()
-        table = grs._VectorTable(any_spec, work)
+        table = grs._VectorTable(replace(any_spec, k=n), work)
         natural_gram(replace(any_spec, k=n), table)
         grs.gram_rank(replace(any_spec, k=n), table)
         gram, ranks = table.gram, table.ranks
@@ -140,13 +141,17 @@ def test_tables_filled_at_a_larger_k_serve_every_smaller_k(q):
 
 
 def test_tables_grow_with_k_and_stay_read_only():
+    # a table sized at K = 7 serves every k <= 7 and refuses k = 8
     claim = construct_family("CON2E", 5, z=1, f=1, k=5)
     spec = claim.spec
-    table = grs._VectorTable(spec)
+    table = grs._VectorTable(replace(spec, k=7))
     for k in (2, 4, 3, 7):
         s = replace(spec, k=k)
-        natural_gram(s, table)
+        assert natural_gram(s, table).shape == (k, k)
     assert table.gram.shape == (7, 7)
+    for read in (natural_gram, grs.gram_rank):
+        with pytest.raises(ValueError, match="K = 7"):
+            read(replace(spec, k=8), table)
     assert natural_gram(replace(spec, k=3), table).shape == (3, 3)
     with pytest.raises(ValueError, match="read-only"):
         natural_gram(replace(spec, k=3), table)[0, 0] = 1
@@ -158,14 +163,15 @@ def test_tables_grow_with_k_and_stay_read_only():
 def _assert_per_k_reads(table):
     """Every leading block of ``table``'s Gram matrix, k = 0..K: the rank,
     first-nonzero-row and zero-block reads against elimination and scans."""
-    F, K = table.field, len(table.gram)
+    F, K = table.field, table.spec.k
     for k in range(K + 1):
-        block = table.gram_block(k)
+        block = natural_gram(table.spec.at(k), table)
         rows = np.nonzero(block.any(axis=1))[0]
-        first = table.first_nonzero_row(k)
+        first = table.first_row[k]
         assert first == (int(rows[0]) if rows.size else k), k
         assert (first == k) is (not block.any()), k
-        assert table.gram_rank(k) == matrix_rank(F, block), k
+        assert grs.gram_rank(table.spec.at(k), table) == matrix_rank(
+            F, block), k
     assert len(table.gram) == K
 
 
@@ -173,7 +179,7 @@ def _assert_per_k_reads(table):
 def test_per_k_table_reads_match_elimination_on_every_grid_vector(q,
                                                                   monkeypatch):
     # the tables the GRS and two-point sweeps build, at the size each
-    # sweep grew it; only the code tables are rank-profiled there, never a
+    # sweep gave it; only the code tables are rank-profiled there, never a
     # two-point set's self-orthogonal table, which reads a zero block
     from hermhull import ag
     tables, init = [], grs._VectorTable.__init__
@@ -192,11 +198,62 @@ def test_per_k_table_reads_match_elimination_on_every_grid_vector(q,
     so_tables = tables[n_grs + 1::2]
     assert work["vector_tables"] == len(tables) == n_grs + 2 * len(so_tables)
     assert work["rank_profiles"] == len(tables) - len(so_tables)
-    assert all(t.ranks == [0] and len(t.gram) for t in so_tables)
+    assert all("ranks" not in vars(t) and len(t.gram) for t in so_tables)
     assert any(c.name == "self_orthogonal_subcode" for r in reports
                for c in r.checks)
     for table in tables:
         _assert_per_k_reads(table)
+
+
+def test_verify_all_sizes_each_table_from_the_grid(capsys, monkeypatch):
+    # verify-all --q 9 sizes every table once, from the grid: a GRS
+    # recipe's at the largest k of its group, and a two-point set's code
+    # and self-orthogonal tables at K + 2 and K + 1, K the set's largest k;
+    # each Gram matrix is built at that size, and none larger
+    import json
+
+    from hermhull import ag, cli
+    q, F = 9, quadratic_field(9)
+    built, init = [], grs._VectorTable.__init__
+
+    def building(self, spec, work=None):
+        init(self, spec, work)
+        built.append(self)
+
+    monkeypatch.setattr(grs._VectorTable, "__init__", building)
+    assert cli.run(["verify-all", "--q", str(q), "--timings"]) == 0
+    timings = json.loads(capsys.readouterr().out)["timings"]
+    monkeypatch.undo()
+    assert timings["vector_tables"] == len(built)
+    # every Gram matrix was built during the run, at its table's size
+    assert all(vars(t)["gram"].shape == (t.spec.k, t.spec.k) for t in built)
+
+    want = collections.Counter()
+    recipes = collections.defaultdict(int)
+    for family in grs.FAMILIES:
+        for params in family_parameter_grid(family, q):
+            recipe = grs._recipe(family, q, params)
+            recipes[recipe] = max(recipes[recipe], params["k"])
+    for recipe, K in recipes.items():
+        vector = grs._evaluation_vector(F, q, *recipe)
+        want[vector.b, vector.a, K] += 1
+    sets = collections.defaultdict(int)
+    for family in ("COR1", "COR2", "COR3"):
+        for g in ag.family_parameter_grid(family, q):
+            key = (family, *((x, g[x]) for x in ("s", "t", "n0") if x in g))
+            sets[key] = max(sets[key], g["k"])
+    for (family, *kwargs), K in sets.items():
+        diff = ag.evaluation_set(family, q, field=F, **dict(kwargs))
+        assert K == (len(diff.points) - 2) // (q + 1)
+        # the code vector c = a / (u - p) at the set's extra place p
+        u, a = (np.asarray(x, dtype=np.int32)
+                for x in (diff.points, diff.witnesses))
+        p = ag.check_two_point_input(F, diff, 0)
+        c = F.mul_arr(a, F.inv_arr(F.add_arr(u, F.neg(p))))
+        want[diff.points, diff.witnesses, K + 1] += 1
+        want[diff.points, tuple(c.tolist()), K + 2] += 1
+    assert collections.Counter((t.spec.b, t.spec.a, t.spec.k)
+                               for t in built) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 11])
@@ -220,16 +277,14 @@ def test_per_k_reads_of_random_matrices(q):
     for n in sorted({1, min(6, F.order), min(30, F.order)}):
         b = tuple(rng.choice(F.order, size=n, replace=False).tolist())
         a = tuple(rng.integers(1, F.order, size=n).tolist())
-        table = grs._VectorTable(GrsSpec(F, b, a, 0))
-        table.gram_block(n)
-        _assert_per_k_reads(table)
+        _assert_per_k_reads(grs._VectorTable(GrsSpec(F, b, a, n)))
 
 
 @pytest.mark.parametrize("q", [4, 5, 7])
 def test_tables_asked_in_either_order_give_the_same_reports(q):
     # grs construct, ag build and puncture_from_p_codeword ask a table for
-    # any k first: a table grown smallest k first gives each instance the
-    # report of one grown largest k first
+    # any k first: a table read smallest k first gives each instance the
+    # report of one read largest k first
     from hermhull import ag
     F = quadratic_field(q)
     groups = collections.defaultdict(list)
@@ -240,7 +295,8 @@ def test_tables_asked_in_either_order_give_the_same_reports(q):
     for recipe, group in groups.items():
         bodies = []
         for reverse in (False, True):
-            table = grs._VectorTable(grs._evaluation_vector(F, q, *recipe))
+            table = grs._VectorTable(grs._evaluation_vector(F, q, *recipe).at(
+                max(params["k"] for _, params in group)))
             got = {}
             for family, params in sorted(group, key=lambda e: e[1]["k"],
                                          reverse=reverse):
@@ -268,16 +324,16 @@ def test_tables_asked_in_either_order_give_the_same_reports(q):
 
 def test_grs_sweep_builds_each_vector_once(monkeypatch):
     # the grid of every family is grouped by evaluation vector, across
-    # families: each vector is solved once and its table built once; the
-    # group runs largest k first, so its Gram matrix grows once, at the
-    # first instance; reports come out in grid order, equal to
-    # construct_family + verify_claim one by one
+    # families: each vector is solved once and its table built once, at
+    # the group's largest k; the group runs largest k first, and the Gram
+    # matrix is built once, at the first instance; reports come out in
+    # grid order, equal to construct_family + verify_claim one by one
     q, budgets = 7, dict(budget=10 ** 6, distance_budget=10 ** 4)
     events, built, solved = [], [], []
     init, solve = grs._VectorTable.__init__, grs._evaluation_vector
 
     def building(self, spec, work=None):
-        built.append((spec.b, spec.a))
+        built.append((spec.b, spec.a, spec.k))
         init(self, spec, work)
 
     def solving(*args):
@@ -286,16 +342,15 @@ def test_grs_sweep_builds_each_vector_once(monkeypatch):
 
     monkeypatch.setattr(grs._VectorTable, "__init__", building)
     monkeypatch.setattr(grs, "_evaluation_vector", solving)
-    gram_block = grs._VectorTable.gram_block
+    build = grs._VectorTable.gram.func
 
-    def growing(self, k):
-        before = len(self.gram)
-        out = gram_block(self, k)
-        if len(self.gram) > before:
-            events.append("gram")
-        return out
+    def building_gram(self):
+        events.append("gram")
+        return build(self)
 
-    monkeypatch.setattr(grs._VectorTable, "gram_block", growing)
+    gram = functools.cached_property(building_gram)
+    gram.__set_name__(grs._VectorTable, "gram")
+    monkeypatch.setattr(grs._VectorTable, "gram", gram)
     construct = grs.construct_family
     calls = []
 
@@ -321,8 +376,12 @@ def test_grs_sweep_builds_each_vector_once(monkeypatch):
             for params in family_parameter_grid(family, q, conservative=False)]
     assert [(c.family, {k: v for k, v in c.params.items() if k != "s"})
             for c, _ in swept] == grid
-    vectors = {(c.spec.b, c.spec.a) for c, _ in swept}
-    assert sorted(built) == sorted(vectors) and len(vectors) < len(grid)
+    vectors = {}
+    for c, _ in swept:
+        key = (c.spec.b, c.spec.a)
+        vectors[key] = max(vectors.get(key, 0), c.spec.k)
+    assert sorted(built) == sorted((*key, K) for key, K in vectors.items())
+    assert len(vectors) < len(grid)
     solvable = sum((q * q) ** params["k"] <= budgets["budget"]
                    for _, params in grid)
     assert work == {"vector_tables": len(vectors),
@@ -547,6 +606,12 @@ def test_natural_gram_in_blocks(monkeypatch, chunk):
                 _assert_gram_matches(family, q, params)
 
 
+def _power_sums(F, b, a):
+    """``grs._power_sums`` of the tuples b and a."""
+    return grs._power_sums(F, np.asarray(b, dtype=np.int64),
+                           np.asarray(a, dtype=np.int64))
+
+
 def _direct_power_sums(F, b, a):
     """S[t] = sum N_j b_j^t over the nonzero points, N_j = a_j^(q+1), one
     t at a time in the log domain, XOR-summed: no transform."""
@@ -570,19 +635,19 @@ def test_dft_power_sums_match_direct_sums(field, zero):
     rng = np.random.default_rng(F.order)
     for n in sorted({1, 3, min(40, F.order - 1), F.order - 1}):
         b, a = _random_vector(F, rng, n, zero)
-        table = grs._VectorTable(GrsSpec(F, b, a, 0))
-        assert np.array_equal(table.sums, _direct_power_sums(F, b, a)), n
-        assert not table.sums.flags.writeable
+        assert np.array_equal(_power_sums(F, b, a),
+                              _direct_power_sums(F, b, a)), n
         k = min(n, 6)
-        assert np.array_equal(table.gram_block(k), gram_matrix(
+        table = grs._VectorTable(GrsSpec(F, b, a, k))
+        assert np.array_equal(table.gram, gram_matrix(
             F, GrsSpec(F, b, a, k).generator())), n
+        assert not table.gram.flags.writeable
     if F.order - 1 > 3:
         b = tuple(F.exp.tolist()) + ((0,) if zero else ())
-        table = grs._VectorTable(GrsSpec(F, b, (1,) * len(b), 0))
         # every nonzero point with N = 1: S[t] = 1 at t = 0 and 0 elsewhere
         want = np.zeros(F.order - 1, dtype=np.int32)
         want[0] = 1
-        assert np.array_equal(table.sums, want)
+        assert np.array_equal(_power_sums(F, b, (1,) * len(b)), want)
 
 
 def test_dft_plan_maps_are_the_crt_bijections():
@@ -645,15 +710,14 @@ def test_natural_gram_table_fills_lazily(q):
     n = min(F.order - 1, 40)
     b, a = _random_vector(F, rng, n, zero=True)
     others = [_random_vector(F, rng, n, zero=bool(j % 2)) for j in range(6)]
-    table = grs._VectorTable(GrsSpec(F, b, a, 0))
+    table = grs._VectorTable(GrsSpec(F, b, a, n))
+    # lazy: nothing is built before the first read, which builds the Gram
+    # matrix at K = n, from every power sum, taken at once by one DFT
+    assert "gram" not in vars(table)
     _assert_natural_gram(GrsSpec(F, b, a, 3), table)
-    # lazy: a k = 3 call holds the Gram matrix at k = 3 only, and every
-    # power sum, taken at once by one DFT
-    assert table.sums.shape == (F.order - 1,)
-    assert table.gram.shape == (3, 3)
-    # a larger k grows the table; a smaller one reads its leading block
+    assert table.gram.shape == (n, n)
+    # every k reads a leading block of that one matrix
     _assert_natural_gram(GrsSpec(F, b, a, 5), table)
-    assert table.gram.shape == (5, 5)
     for k in range(n, -1, -1):
         _assert_natural_gram(GrsSpec(F, b, a, k), table)
         assert table.gram.shape == (n, n)
@@ -674,7 +738,7 @@ def test_natural_gram_tables_of_two_moduli():
     assert other is not conway
     rng = np.random.default_rng(16)
     b, a = _random_vector(conway, rng, 12, zero=True)
-    tables = {F: grs._VectorTable(GrsSpec(F, b, a, 0))
+    tables = {F: grs._VectorTable(GrsSpec(F, b, a, 6))
               for F in (conway, other)}
     grams = []
     for F in (conway, other, conway, other):
@@ -888,26 +952,34 @@ def _filtered_grid(family, q, conservative):
     return out
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_con4e_grid_visits_only_admitted_z(q, monkeypatch):
-    # the grid and claim_arithmetic read one z rule, so the grid keeps
-    # exactly what the filtered loop over every z keeps, with no refusal
+    # the grid and claim_arithmetic read one z rule, so the CON4E grid
+    # keeps exactly what the filtered loop over every z keeps; and no grid
+    # of any family visits a candidate that claim_arithmetic refuses (the
+    # grid lets a refusal raise), with either grid setting
+    calls, refusals = [], []
+    arithmetic = grs.claim_arithmetic
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        try:
+            return arithmetic(*args, **kwargs)
+        except ValueError:
+            refusals.append((args, kwargs))
+            raise
+
+    monkeypatch.setattr(grs, "claim_arithmetic", counted)
     for conservative in (True, False):
         want = _filtered_grid("CON4E", q, conservative)
-        refusals = []
-        arithmetic = grs.claim_arithmetic
-
-        def counted(*args, **kwargs):
-            try:
-                return arithmetic(*args, **kwargs)
-            except ValueError:
-                refusals.append(kwargs)
-                raise
-
-        monkeypatch.setattr(grs, "claim_arithmetic", counted)
         assert family_parameter_grid("CON4E", q, conservative) == want
+        del calls[:]
+        sizes = [len(family_parameter_grid(family, q, conservative))
+                 for family in grs.FAMILIES]
+        if not conservative:
+            # every candidate visited is kept
+            assert len(calls) == sum(sizes)
         assert refusals == []
-        monkeypatch.undo()
 
 
 def test_family_parameter_grid_contents():

@@ -88,10 +88,15 @@ UNCALLED_PUBLIC_KEPT: dict[str, str] = {
 def uncalled_public_names(root: pathlib.Path) -> set[str]:
     """module.name and module.Class.method of every public top-level
     function, class and method under ``root`` whose name no module loads
-    (as a Name or an Attribute) or exports in ``__all__``."""
+    (as a Name or an Attribute) or exports in ``__all__``.  An attribute of
+    a module bound by a top-level ``import`` (``np.full``, ``math.gcd``) is
+    not a load of a package name."""
     defined, loaded = [], set()
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {alias.asname or alias.name.partition(".")[0]
+                    for node in tree.body if isinstance(node, ast.Import)
+                    for alias in node.names}
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((f"{path.stem}.{node.name}", node.name))
@@ -107,7 +112,9 @@ def uncalled_public_names(root: pathlib.Path) -> set[str]:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Load)):
+                  and isinstance(node.ctx, ast.Load)
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id in imported)):
                 loaded.add(node.attr)
     return {qual for qual, name in defined
             if not name.startswith("_") and name not in loaded}

@@ -61,7 +61,7 @@ def test_nullspace(F9):
 
 
 def test_euclidean_dual_extremes(F9):
-    full = LinearCode.full(F9, 4)
+    full = LinearCode(F9, 4, np.eye(4, dtype=np.int32))
     assert euclidean_dual(full) == LinearCode.zero(F9, 4)
     rep = LinearCode.from_rows(F9, [[1] * 6])
     assert euclidean_dual(rep).k == 5
@@ -100,7 +100,8 @@ def test_hermitian_dual_small_exhaustive(F9):
     assert len(sols) == 9
     for u in sols:
         assert H.contains(np.array(u, dtype=np.int32))
-    assert LinearCode.zero(F9, 4).hermitian_dual() == LinearCode.full(F9, 4)
+    assert LinearCode.zero(F9, 4).hermitian_dual() == LinearCode(
+        F9, 4, np.eye(4, dtype=np.int32))
 
 
 def test_hull_extremes(F9):
@@ -710,7 +711,7 @@ def test_contains_rows_zero_code(KF):
     v = np.zeros((2, 5), dtype=np.int32)
     v[1, 4] = 1
     assert not Z.contains_rows(v)
-    assert LinearCode.full(KF, 5).contains_rows(Z.gen)
+    assert LinearCode(KF, 5, np.eye(5, dtype=np.int32)).contains_rows(Z.gen)
     with pytest.raises(ValueError):
         Z.contains_rows(np.zeros((1, 4), dtype=np.int32))
 
@@ -719,7 +720,8 @@ def test_contains_rows_zero_code(KF):
 def test_parity_rows_match_nullspace(p, m):
     F = make_field(p, m)
     rng = np.random.default_rng(p * m)
-    codes = [LinearCode.zero(F, 6), LinearCode.full(F, 6)]
+    codes = [LinearCode.zero(F, 6),
+             LinearCode(F, 6, np.eye(6, dtype=np.int32))]
     codes += [random_code(F, 8, k, rng) for k in (1, 3, 5, 8)]
     # pivots that are not leading: zero and repeated columns before them
     M = sparse_random(F, (3, 9), rng)
@@ -753,7 +755,8 @@ def ref_hermitian_hull(C):
 def codes_for_duality(F, n, rng):
     """Random [n, k] codes for k in {0, 1, n//2, n-1, n}, and codes whose
     pivots are not the leading columns (zero and repeated columns)."""
-    codes = [LinearCode.zero(F, n), LinearCode.full(F, n)]
+    codes = [LinearCode.zero(F, n),
+             LinearCode(F, n, np.eye(n, dtype=np.int32))]
     codes += [random_code(F, n, k, rng) for k in (1, n // 2, n - 1)]
     for k in (1, n // 2, n - 1):
         M = sparse_random(F, (k, n), rng)

@@ -530,6 +530,23 @@ def test_cli_grs_sweep_refuses_an_empty_family_list(capsys, monkeypatch):
     assert captured.err.count("unknown family ''") == 2
 
 
+def test_cli_grs_sweep_refuses_a_repeated_family(capsys, monkeypatch):
+    # a family named twice would be verified, printed and counted twice
+    from hermhull import grs
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran on a repeated family")
+
+    monkeypatch.setattr(grs, "sweep", no_sweep)
+    for families in ("CON1,CON1", "CON1E,CON4E,CON1E"):
+        assert cli.run(["grs", "sweep", "--q", "3",
+                        "--families", families]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("repeated family 'CON1") == 2
+    assert "repeated family 'CON1E'" in captured.err
+
+
 def test_cli_field_modulus_needs_prime_power(capsys):
     rc = cli.run(["ag", "grow", "--q", "6", "--field-modulus", "1,1,1"])
     captured = capsys.readouterr()
