@@ -569,16 +569,19 @@ def sweep(q: int, distance_budget: int = DEFAULT_DISTANCE_BUDGET,
 
     The instances on one evaluation set are one group of
     ``grs.largest_k_first``: one ``evaluation_set`` call and one
-    ``_PairCertificate``, whose two tables ``work`` counts.
+    ``_PairCertificate``, whose two tables ``work`` counts; its K, the
+    set's largest admissible k, must be the set's largest grid k.
     """
     F = quadratic_field(q)
 
     def verifier(evaluation: tuple, K: int):
-        # K, the set's largest grid k, is the certificate's (n - 2) // (q + 1)
         family, kwargs = evaluation[0], dict(evaluation[1:])
         diff = evaluation_set(family, q, field=F, **kwargs)
         p = check_two_point_input(F, diff, 0)
         cert = _PairCertificate(F, diff.points, diff.witnesses, p, work)
+        if cert.hull.k != K:
+            raise RuntimeError(f"{family} {kwargs}: grid K = {K}, but the "
+                               f"certificate's K = {cert.hull.k}")
         return lambda _, g: (g, labelled(two_point_code(
             F, diff, g["k"], p, distance_budget, cert), family, kwargs))
 

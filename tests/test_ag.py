@@ -427,6 +427,23 @@ def test_sweep_builds_each_evaluation_set_once(q, monkeypatch):
                 == ref.report.to_canonical_dict()), (family, params)
 
 
+def test_sweep_refuses_a_grid_k_other_than_the_certificate_k(monkeypatch):
+    """Each set's certificate is built at its largest admissible k, which
+    must be the set's largest grid k; a grid that stops short of it is
+    refused, not verified at the wrong size."""
+    grid = ag.family_parameter_grid
+
+    def short_grid(family, q, **kwargs):
+        gs = grid(family, q, **kwargs)
+        top = max(g["k"] for g in gs)
+        return [g for g in gs if g["k"] < top]
+
+    assert list(ag.sweep(5))
+    monkeypatch.setattr(ag, "family_parameter_grid", short_grid)
+    with pytest.raises(RuntimeError, match="grid K = .*certificate's K"):
+        list(ag.sweep(5))
+
+
 def _hprime_by_polys(F, pts):
     hp = polys.derivative(F, polys.from_roots(F, pts))
     return [polys.evaluate(F, hp, u) for u in pts]
