@@ -16,7 +16,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -273,13 +273,12 @@ def _hprime(F: FieldContext, pts: Sequence[int]) -> np.ndarray:
     return _row_products(F, d)
 
 
-def residues(F: FieldContext, points: Sequence[int],
-             normalize: bool = True) -> DifferentialData:
+def residues(F: FieldContext, points: Sequence[int]) -> DifferentialData:
     """Residues 1/h'(u_i) of dx/h at the simple zeros of h = prod (x - u).
 
     When the raw residues are not all in GF(q)^* but share GF(q) ratios, a
     canonical constant rescale of the differential fixes that (smallest
-    discrete log among the valid constants); with ``normalize=False`` the
+    discrete log among the valid constants); when no constant does, the
     raw residues are returned with no norm witnesses.
     """
     pts = tuple(int(u) for u in points)
@@ -301,7 +300,7 @@ def residues(F: FieldContext, points: Sequence[int],
     lr = F.log[rs].astype(np.int64) % (F.q + 1)
     scale = 1
     if lr.any():
-        if not (normalize and (lr == lr[0]).all()):
+        if not (lr == lr[0]).all():
             return DifferentialData(F, pts, raw, 1, raw, ())
         # the constants are r_0^-1 GF(q)^*, the logs -log r_0 + (q+1)t; the
         # smallest is -log r_0 mod (q+1)
@@ -562,10 +561,9 @@ def labelled(res: TwoPointResult, family: str, params: dict
 
 
 def sweep(q: int, distance_budget: int = DEFAULT_DISTANCE_BUDGET,
-          work: Optional[Counter] = None
-          ) -> Iterator[tuple[dict, TwoPointResult]]:
+          work: Optional[Counter] = None) -> list[tuple[dict, TwoPointResult]]:
     """Build and verify every grid instance of the three two-point
-    families at q, yielding its grid parameters and its result.
+    families at q: its grid parameters and its result, in grid order.
 
     The instances on one evaluation set are one group of
     ``grs.largest_k_first``: one ``evaluation_set`` call and one
@@ -588,7 +586,7 @@ def sweep(q: int, distance_budget: int = DEFAULT_DISTANCE_BUDGET,
     grid = [((family, *((x, g[x]) for x in ("s", "t", "n0") if x in g)),
              family, g) for family in ("COR1", "COR2", "COR3")
             for g in family_parameter_grid(family, q)]
-    yield from largest_k_first(grid, verifier)
+    return largest_k_first(grid, verifier)
 
 
 # ----------------------------------------------------------------------
@@ -617,34 +615,24 @@ def default_scaling_element(F: FieldContext) -> int:
                      f"over GF({q})")
 
 
-def _scalings(result: TwoPointResult, ells, alpha: Optional[int]):
-    """Yield (column scaling, measured hull dimension) for each ell in
-    ``ells``; the pivots of the self-orthogonal part are reduced once, and
-    each hull dimension is k + 2 less the Gram rank of the scaled rows,
-    a basis of the scaled code."""
+def scale_sweep(result: TwoPointResult) -> dict[int, int]:
+    """Measured hull dimension for every ell in [0, k]: ell counts the last
+    self-orthogonal pivot columns scaled by ``default_scaling_element``,
+    whose norm is not +-1 (a ValueError for q = 2, 3, where none is).  The
+    pivots are reduced once, and each hull dimension is k + 2 less the Gram
+    rank of the scaled rows, a basis of the scaled code."""
     F, k = result.field, result.k
-    if alpha is None:
-        alpha = default_scaling_element(F)
-    norm = F.pow(alpha, F.q + 1)
-    if alpha == 0 or norm == F.neg(1):
-        raise ValueError("scaling element must be nonzero with norm != -1")
-    if any(ells) and norm == 1:
-        raise ValueError("norm-1 scaling cannot change the hull")
+    alpha = default_scaling_element(F)
     _, rank, pivots = rref(F, result.scaled_rows[:k + 1])
     if rank != k + 1:
         raise ValueError("self-orthogonal part has unexpected rank")
-    for ell in ells:
+    dims = {}
+    for ell in range(k + 1):
         a = np.ones(len(result.points), dtype=np.int32)
         a[pivots[rank - ell:rank]] = alpha
         rows = F.mul_arr(result.scaled_rows, a[None, :])
-        yield a, k + 2 - matrix_rank(F, gram_matrix(F, rows))
-
-
-def scale_sweep(result: TwoPointResult, alpha: Optional[int] = None) -> dict[int, int]:
-    """Measured hull dimension for every ell in [0, k]: ell counts the last
-    self-orthogonal pivot columns scaled by a scalar of norm not +-1."""
-    ells = range(result.k + 1)
-    return {ell: h for ell, (_, h) in zip(ells, _scalings(result, ells, alpha))}
+        dims[ell] = k + 2 - matrix_rank(F, gram_matrix(F, rows))
+    return dims
 
 
 # ----------------------------------------------------------------------

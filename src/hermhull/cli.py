@@ -115,11 +115,7 @@ def _grs_reports(args, families=grs.FAMILIES
     (known, none repeated) and q are checked first, and every instance of
     a grid is admissible.  Also returns the run's work counters: the
     tables and rank profiles built and the hulls solved."""
-    for i, family in enumerate(families):
-        if family not in grs.FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
-        if family in families[:i]:
-            raise ValueError(f"repeated family {family!r}")
+    grs._check_families(families)
     quadratic_field(args.q)
     work = Counter(vector_tables=0, rank_profiles=0, hull_solves=0)
     with _verifying():

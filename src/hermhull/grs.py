@@ -37,7 +37,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -302,8 +302,7 @@ def _power_sums(F: FieldContext, b: np.ndarray, a: np.ndarray
     return x[gather]
 
 
-def natural_gram(spec: GrsSpec, table: Optional[_VectorTable] = None
-                 ) -> np.ndarray:
+def natural_gram(spec: GrsSpec) -> np.ndarray:
     """The Hermitian Gram matrix of ``spec.generator()``, read-only.
 
     Entry (i, l) is sum_j N_j b_j^(i + q l) with N_j = a_j^(q+1): in
@@ -314,16 +313,15 @@ def natural_gram(spec: GrsSpec, table: Optional[_VectorTable] = None
     ``gram_matrix``: the same DFT, its XOR reductions replaced by
     ``add_arr`` folds, measured slower there (about 170 against 155 us per
     table build at q = 11), and the perfbench tracer wraps
-    ``grs.gram_matrix`` and ``grs.mat_mul`` by name.  Either way the matrix
-    is the leading k x k block of the K x K one held by ``table``, the
-    ``_VectorTable`` of the spec's vector at K >= k (a ValueError when
-    k > K), or by a new table of the spec when that is None.
+    ``grs.gram_matrix`` and ``grs.mat_mul`` by name.  Either way it is the
+    ``gram`` of a new ``_VectorTable`` of the spec; ``verify_claim`` reads
+    it as the leading k x k block of its vector table's K x K one.
     """
-    return _table(spec, table).gram[:spec.k, :spec.k]
+    return _VectorTable(spec).gram
 
 
 def gram_rank(spec: GrsSpec, table: Optional[_VectorTable] = None) -> int:
-    """The rank of ``natural_gram(spec, table)``, read off the one rank
+    """The rank of ``natural_gram(spec)``, read off the one rank
     profile of the table's K x K Gram matrix, so the instances of one
     group share one elimination."""
     return _table(spec, table).ranks[spec.k]
@@ -372,8 +370,9 @@ def claim_arithmetic(family: str, q: int, k: Optional[int] = None,
                      m: Optional[int] = None) -> dict:
     """Length, hull dimension and subcode dimension of a family instance.
 
-    Validates the constraints the membership/rank arguments actually use; the
-    narrower conservative z-bounds are reported separately.
+    Validates the constraints the membership/rank arguments actually use.
+    ``conservative`` reports the narrower z-bounds: is z below the tighter
+    bound that keeps every derived quantum distance inside the n/2 regime?
     """
     if family == "CON1":
         k = q if k is None else k
@@ -401,7 +400,7 @@ def claim_arithmetic(family: str, q: int, k: Optional[int] = None,
         # q - z is the largest valid prefix subcode; the z = 1 closed form
         # q - 1 fails beyond z = 1 (row q - z of the Gram matrix is nonzero)
         out = dict(n=q * q, k=k, hull_dim=k - z * z, subcode_dim=q - z,
-                   z1_subcode_dim=q - 1, s=None)
+                   z1_subcode_dim=q - 1, s=None, conservative=z < q // 2)
     elif family in ("CON2E", "CON3E", "CON4E"):
         _require(z is not None and f is not None and z >= 1 and f >= 1,
                  family, "z >= 1 and f >= 1")
@@ -428,25 +427,15 @@ def claim_arithmetic(family: str, q: int, k: Optional[int] = None,
         sub = q - z - f
         _require(hull >= sub, family, "hull dimension >= subcode dimension")
         out = dict(n=n, k=k, hull_dim=hull, subcode_dim=sub,
-                   z1_subcode_dim=q - f - 1, s=s)
+                   z1_subcode_dim=q - f - 1, s=s,
+                   conservative=z < n // (2 * q))
     else:
         raise ValueError(f"unknown family {family!r}")
     out.setdefault("z1_subcode_dim", out["subcode_dim"])
+    out.setdefault("conservative", True)
     _require(out["k"] <= out["n"], family, "k <= n")
     _require(out["hull_dim"] >= 0, family, "a nonnegative hull dimension")
     return out
-
-
-def in_conservative_range(family: str, q: int, params: dict,
-                          info: dict) -> bool:
-    """Is z below the tighter bound that keeps every derived quantum
-    distance inside the n/2 regime?  The rank analysis itself allows more.
-    ``info`` is ``claim_arithmetic`` of the instance, for its length n."""
-    if family == "CON1E":
-        return params["z"] < q // 2
-    if family in ("CON2E", "CON3E", "CON4E"):
-        return params["z"] < info["n"] // (2 * q)
-    return True
 
 
 def family_parameter_grid(family: str, q: int,
@@ -462,7 +451,7 @@ def family_parameter_grid(family: str, q: int,
 
     def push(params: dict):
         info = claim_arithmetic(family, q, **params)
-        if not conservative or in_conservative_range(family, q, params, info):
+        if info["conservative"] or not conservative:
             out.append(params)
 
     if family == "CON1":
@@ -578,7 +567,7 @@ def construct_family(family: str, q: int, field: Optional[FieldContext] = None,
         spec=spec, hull_dim=info["hull_dim"],
         subcode=vector.at(info["subcode_dim"]), fault=None,
         self_orthogonal=None,
-        conservative_range=in_conservative_range(family, q, params, info),
+        conservative_range=info["conservative"],
         z1_subcode_dim=info["z1_subcode_dim"])
 
 
@@ -748,15 +737,26 @@ def largest_k_first(grid: list[tuple], verifier: Callable) -> list:
     return out
 
 
+def _check_families(families):
+    """A ValueError on a family name that is unknown or repeated."""
+    for i, family in enumerate(families):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if family in families[:i]:
+            raise ValueError(f"repeated family {family!r}")
+
+
 def sweep(q: int, families=FAMILIES, budget: int = DEFAULT_BUDGET,
           distance_budget: int = DEFAULT_DISTANCE_BUDGET,
-          conservative: bool = True,
-          work: Optional[Counter] = None
-          ) -> Iterator[tuple[GrsHullClaim, ConstructionReport]]:
-    """Build and verify every in-range instance of the given families,
-    yielding (claim, report) in grid order (``largest_k_first`` on one grid
-    of all the families, one group and table per ``_recipe``, at its
-    largest k); ``work`` counts the tables, rank profiles and hull solves."""
+          conservative: bool = True, work: Optional[Counter] = None
+          ) -> list[tuple[GrsHullClaim, ConstructionReport]]:
+    """Build and verify every in-range instance of the given families, a
+    ValueError first when one is unknown or repeated (``_check_families``),
+    and return the (claim, report) pairs in grid order (``largest_k_first``
+    on one grid of all the families, one group and table per ``_recipe``,
+    at its largest k); ``work`` counts the tables, rank profiles and hull
+    solves."""
+    _check_families(families)
     F2 = quadratic_field(q)
 
     def verifier(recipe, K):
@@ -771,7 +771,7 @@ def sweep(q: int, families=FAMILIES, budget: int = DEFAULT_BUDGET,
 
     grid = [(_recipe(family, q, params), family, params) for family in families
             for params in family_parameter_grid(family, q, conservative)]
-    yield from largest_k_first(grid, verifier)
+    return largest_k_first(grid, verifier)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ context to carry an index-2 subfield.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -405,26 +407,12 @@ def _enumerate_blocks(F: FieldContext, gen: np.ndarray, offset: np.ndarray):
     for r in range(k - s, k):
         tab = _row_multiples(F, gen[r])
         suffix = F.add_arr(suffix[:, None, :], tab[None, :, :]).reshape(-1, n)
-    prefix_rows = [_row_multiples(F, gen[r]) for r in range(k - s)]
-    if not prefix_rows:
+    prefix = [_row_multiples(F, g) for g in gen[:k - s]]
+    if not prefix:
         yield suffix
         return
-    idx = [0] * len(prefix_rows)
-    partial = [np.zeros(n, dtype=np.int32)]
-    for t, tab in enumerate(prefix_rows):
-        partial.append(F.add_arr(partial[-1], tab[0]))
-    while True:
-        yield F.add_arr(suffix, partial[-1][None, :])
-        d = len(idx) - 1
-        while d >= 0 and idx[d] == order - 1:
-            idx[d] = 0
-            d -= 1
-        if d < 0:
-            return
-        idx[d] += 1
-        partial[d + 1] = F.add_arr(partial[d], prefix_rows[d][idx[d]])
-        for t in range(d + 1, len(idx)):
-            partial[t + 1] = F.add_arr(partial[t], prefix_rows[t][idx[t]])
+    for rows in itertools.product(*prefix):
+        yield F.add_arr(suffix, functools.reduce(F.add_arr, rows)[None, :])
 
 
 def _projective_blocks(F: FieldContext, gen: np.ndarray):

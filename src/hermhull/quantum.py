@@ -254,17 +254,18 @@ def _table2(q: int, grs_runs: list, cor_runs: list) -> list[dict]:
             rows.append({"row": row_no, "q": q, "family": claim.family,
                          "constraints": _grid(claim)} | _view(q, rep).to_json())
     try:
-        alpha = ag.default_scaling_element(quadratic_field(q))
+        ag.default_scaling_element(quadratic_field(q))
+        scalable = True
     except ValueError:  # every norm is +-1 (q = 2, 3): no pivot scaling
-        alpha = None
+        scalable = False
     for params, res in cor_runs:
         rep = res.report
         n, k, family = rep.code["n"], rep.code["k"], rep.construction["family"]
         if k == n:  # the whole space: no delta exists
             continue
         hulls = [rep.hull["dim_gram"]]
-        if alpha is not None:
-            hulls += [h for ell, h in ag.scale_sweep(res, alpha).items() if ell]
+        if scalable:
+            hulls += [h for ell, h in ag.scale_sweep(res).items() if ell]
         rows += [{"row": _TABLE2_ROWS[family], "q": q, "family": family,
                   "constraints": params | {"hull_dim": h}}
                  | eaqecc(q, n, k, h).to_json() for h in hulls]

@@ -171,7 +171,7 @@ def _golden_generator(F):
 def test_criterion_5_residues_as_golden_listed(capsys):
     F = quadratic_field(5)
     U = _golden_points(F)
-    dd = ag.residues(F, U, normalize=False)
+    dd = ag.residues(F, U)
     got = [F.log_of(r) for r in dd.residues]
     assert got == GOLDEN_Q5_RESIDUE_LOGS
 
@@ -188,7 +188,7 @@ def test_criterion_5_twenty_point_golden_example(capsys):
         P = F.alpha_pow(10)
 
         # exact raw residues of dx/h on the listed set (class-constant)
-        dd = ag.residues(F, U, normalize=False)
+        dd = ag.residues(F, U)
         assert [F.log_of(r) for r in dd.residues] == \
             [8, 8, 20, 20, 2, 14, 2, 8, 14, 14, 2, 8, 2, 2, 20, 20, 8, 14, 20, 14]
 
@@ -328,7 +328,7 @@ def test_criterion_9_property_suite(capsys):
             for _ in range(50):
                 size = int(rng.integers(2, min(F.order, 14)))
                 pts = rng.choice(F.order, size=size, replace=False)
-                dd = ag.residues(F, [int(x) for x in pts], normalize=False)
+                dd = ag.residues(F, [int(x) for x in pts])
                 total = 0
                 for r in dd.residues:
                     total = F.add(total, r)

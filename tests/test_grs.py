@@ -123,17 +123,16 @@ def test_tables_filled_at_a_larger_k_serve_every_smaller_k(q):
         F, n = any_spec.field, any_spec.n
         work = collections.Counter()
         table = grs._VectorTable(replace(any_spec, k=n), work)
-        natural_gram(replace(any_spec, k=n), table)
         grs.gram_rank(replace(any_spec, k=n), table)
         gram, ranks = table.gram, table.ranks
         assert gram.shape == (n, n)
         for spec in group:
             G = spec.generator()
             R, rank, _ = rref(F, G)
-            assert np.array_equal(natural_gram(spec, table), gram_matrix(F, G))
+            block = table.gram[:spec.k, :spec.k]
+            assert np.array_equal(block, gram_matrix(F, G))
             assert np.array_equal(spec.systematic(), R[:rank])
-            assert grs.gram_rank(spec, table) == rref(
-                F, natural_gram(spec, table))[1]
+            assert grs.gram_rank(spec, table) == rref(F, block)[1]
         assert table.gram is gram and table.ranks is ranks
         # one table and one rank profile served every instance
         assert work == {"vector_tables": 1, "rank_profiles": 1}
@@ -147,16 +146,16 @@ def test_tables_grow_with_k_and_stay_read_only():
     table = grs._VectorTable(replace(spec, k=7))
     for k in (2, 4, 3, 7):
         s = replace(spec, k=k)
-        assert natural_gram(s, table).shape == (k, k)
+        assert np.array_equal(table.gram[:k, :k], natural_gram(s))
     assert table.gram.shape == (7, 7)
-    for read in (natural_gram, grs.gram_rank):
-        with pytest.raises(ValueError, match="K = 7"):
-            read(replace(spec, k=8), table)
-    assert natural_gram(replace(spec, k=3), table).shape == (3, 3)
+    with pytest.raises(ValueError, match="K = 7"):
+        grs.gram_rank(replace(spec, k=8), table)
+    assert np.array_equal(table.gram[:3, :3],
+                          natural_gram(replace(spec, k=3)))
     with pytest.raises(ValueError, match="read-only"):
-        natural_gram(replace(spec, k=3), table)[0, 0] = 1
-    # with no table, a call builds its own and leaves this one alone
-    assert np.array_equal(natural_gram(spec), natural_gram(spec, table)[:5, :5])
+        table.gram[:3, :3][0, 0] = 1
+    # natural_gram builds a table of its own and leaves this one alone
+    assert np.array_equal(natural_gram(spec), table.gram[:5, :5])
     assert table.gram.shape == (7, 7)
 
 
@@ -165,7 +164,7 @@ def _assert_per_k_reads(table):
     first-nonzero-row and zero-block reads against elimination and scans."""
     F, K = table.field, table.spec.k
     for k in range(K + 1):
-        block = natural_gram(table.spec.at(k), table)
+        block = table.gram[:k, :k]
         rows = np.nonzero(block.any(axis=1))[0]
         first = table.first_row[k]
         assert first == (int(rows[0]) if rows.size else k), k
@@ -697,9 +696,12 @@ def _random_vector(F, rng, n, zero):
 
 
 def _assert_natural_gram(spec, table=None):
+    """``natural_gram(spec)``, or the leading k x k block of ``table``'s
+    Gram matrix when one is given, against the recursion generator's."""
     want = gram_matrix(spec.field, recursion_generator(spec))
-    assert np.array_equal(natural_gram(spec, table), want), \
-        (spec.b, spec.a, spec.k)
+    got = (natural_gram(spec) if table is None
+           else table.gram[:spec.k, :spec.k])
+    assert np.array_equal(got, want), (spec.b, spec.a, spec.k)
 
 
 @pytest.mark.parametrize("q", [4, 8])
@@ -745,7 +747,7 @@ def test_natural_gram_tables_of_two_moduli():
     for F in (conway, other, conway, other):
         spec = GrsSpec(F, b, a, 6)
         _assert_natural_gram(spec, tables[F])
-        grams.append(natural_gram(spec, tables[F]))
+        grams.append(tables[F].gram[:6, :6])
     assert not np.array_equal(grams[0], grams[1])
     assert grams[0] is not grams[2] and np.array_equal(grams[0], grams[2])
 
@@ -947,8 +949,7 @@ def _filtered_grid(family, q, conservative):
                         info = claim_arithmetic(family, q, **params)
                     except ValueError:
                         continue
-                    if not conservative or grs.in_conservative_range(
-                            family, q, params, info):
+                    if not conservative or info["conservative"]:
                         out.append(params)
     return out
 
@@ -1040,6 +1041,23 @@ def test_full_sweep_small_q():
         for claim, rep in grs.sweep(q, budget=10 ** 6, distance_budget=10 ** 4):
             assert rep.verdict in ("PASS", "PARTIAL"), \
                 (claim.family, claim.params, rep.first_failure)
+
+
+def test_sweep_refuses_a_repeated_or_unknown_family(monkeypatch):
+    # a family named twice would verify and return each instance twice;
+    # the refusal comes before any evaluation vector is solved
+    def no_vector(*args):
+        raise AssertionError("a vector was solved for a refused family list")
+
+    monkeypatch.setattr(grs, "_evaluation_vector", no_vector)
+    for families, name in [(("CON1", "CON1"), "repeated family 'CON1'"),
+                           (["CON1E", "CON4E", "CON1E"],
+                            "repeated family 'CON1E'"),
+                           (("CON1", "CON9"), "unknown family 'CON9'")]:
+        with pytest.raises(ValueError, match=name):
+            grs.sweep(3, families)
+    monkeypatch.undo()
+    assert len(grs.sweep(3, ("CON1",))) == 1
 
 
 def test_full_sweep_q5_q7_no_failures():

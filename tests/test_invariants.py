@@ -125,6 +125,74 @@ def test_every_public_name_is_used_or_kept_for_a_reason():
     assert uncalled_public_names(root) == set(UNCALLED_PUBLIC_KEPT)
 
 
+#: defaulted parameters of public functions and methods of the package
+#: that no call in it passes, as ``module.function(parameter, ...)``, each
+#: with the reason it stays
+UNPASSED_OPTIONS_KEPT: dict[str, str] = {
+    "cli.run(argv)": "perfbench/child.py and the tests drive the CLI "
+                     "through it",
+    "cyclic.rains_p(code_ell, max_constraints)":
+        "kept with the function (ROADMAP items 6, 10)",
+    "linalg_codes.LinearCode.min_distance(budget)":
+        "wrapped by name by perfbench/tracer.py",
+}
+
+
+def unpassed_options(root: pathlib.Path) -> set[str]:
+    """``module.function(parameter, ...)`` for every public top-level
+    function and method under ``root`` with defaulted parameters that no
+    call in any module passes, positionally, by keyword or through ``**``.
+    A call is matched by the called name alone (``f(...)``, ``x.f(...)``),
+    and a ``*args`` call passes every positional parameter."""
+    defined, calls = [], []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((f"{path.stem}.{node.name}", node, False))
+            elif isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{path.stem}.{node.name}.{sub.name}", sub,
+                     not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in sub.decorator_list))
+                    for sub in node.body if isinstance(sub, ast.FunctionDef)]
+        calls += [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)]
+    found = set()
+    for qual, fn, bound in defined:
+        if fn.name.startswith("_"):
+            continue
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args][bound:]
+        options = positional[len(positional) - len(args.defaults):]
+        options += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+        passed = set()
+        for call in calls:
+            func = call.func
+            if getattr(func, "id", getattr(func, "attr", None)) != fn.name:
+                continue
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                passed.update(positional)
+            else:
+                passed.update(positional[:len(call.args)])
+            for kw in call.keywords:
+                if kw.arg is None:
+                    passed.update(positional)
+                    passed.update(a.arg for a in args.kwonlyargs)
+                else:
+                    passed.add(kw.arg)
+        unpassed = [p for p in options if p not in passed]
+        if unpassed:
+            found.add(f"{qual}({', '.join(unpassed)})")
+    return found
+
+
+def test_every_option_is_passed_or_kept_for_a_reason():
+    root = pathlib.Path(hermhull.__file__).parent
+    assert unpassed_options(root) == set(UNPASSED_OPTIONS_KEPT)
+
+
 def load_benchmark_tracer():
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
