@@ -12,18 +12,16 @@ controlled dimension.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import polys
 from .gf import FieldContext, quadratic_field
-from .grs import (GrsHullClaim, GrsSpec, _VectorTable, largest_k_first,
-                  verify_claim)
+from .grs import GrsHullClaim, GrsSpec, _VectorTable, by_vector, verify_claim
 from .linalg_codes import (DEFAULT_DISTANCE_BUDGET, LinearCode, conjugate,
                            gram_matrix, mat_mul, matrix_rank, rref)
 from .report import ConstructionReport
@@ -240,6 +238,9 @@ class DifferentialData:
     ``residues`` are the raw values 1/h'(u_i); when they do not all lie in
     GF(q)^* but a common constant fixes that, ``scale`` holds the canonical
     constant and ``witnesses`` solve a_i^(q+1) = scale * residue_i.
+    ``family`` and ``params`` label the set: the family and parameters
+    (s, t, n0) of ``evaluation_set``, or "two_point" and {} from
+    ``residues``.
     """
 
     field: FieldContext
@@ -248,6 +249,8 @@ class DifferentialData:
     scale: int
     scaled_residues: tuple[int, ...]
     witnesses: tuple[int, ...]  # empty when the residues are not norms
+    family: str
+    params: dict
 
 
 def _differences(F: FieldContext, xs: Sequence[int],
@@ -301,13 +304,14 @@ def residues(F: FieldContext, points: Sequence[int]) -> DifferentialData:
     scale = 1
     if lr.any():
         if not (lr == lr[0]).all():
-            return DifferentialData(F, pts, raw, 1, raw, ())
+            return DifferentialData(F, pts, raw, 1, raw, (), "two_point", {})
         # the constants are r_0^-1 GF(q)^*, the logs -log r_0 + (q+1)t; the
         # smallest is -log r_0 mod (q+1)
         scale = int(F.exp[-lr[0] % (F.q + 1)])
     scaled = F.mul_arr(np.int32(scale), rs)
     wits = tuple(F.solve_norm_arr(scaled).tolist())
-    return DifferentialData(F, pts, raw, scale, tuple(scaled.tolist()), wits)
+    return DifferentialData(F, pts, raw, scale, tuple(scaled.tolist()), wits,
+                            "two_point", {})
 
 
 # ----------------------------------------------------------------------
@@ -327,8 +331,9 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
     Every returned set is verified: distinct points whose dx/h residues are
     (up to the canonical constant) in GF(q)^*.  ``field`` overrides the
     default GF(q^2) context, as in ``grs.construct_family``.  Returns the
-    residue data of the set, whose ``points`` are the set; the two-point
-    constructions take it as it is.
+    residue data of the set, whose ``points`` are the set, labelled with
+    ``family`` and the parameters it reads; the two-point constructions
+    take it as it is.
     """
     F = quadratic_field(q, field)
     N = q * q - 1
@@ -337,12 +342,14 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
             raise ValueError("COR1 requires s >= 2, (s-1) | q^2-1, s != q^2")
         step = N // (s - 1)
         pts = [F.alpha_pow(step * i) for i in range(s - 1)] + [0]
+        params = {"s": s}
     elif family == "COR2":
         if t is None or not 1 <= t < q:
             raise ValueError("COR2 requires 1 <= t < q")
         subs = [F.from_subfield(c) for c in range(t)]
         pts = [F.add(F.mul(c, F.alpha), F.from_subfield(v))
                for c in subs for v in range(q)]
+        params = {"t": t}
     elif family == "COR3":
         if n0 is None or N % n0 != 0:
             raise ValueError("COR3 requires n0 | q^2-1")
@@ -357,6 +364,7 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
             rep = F.alpha_pow(j * e)
             pts.extend(F.mul(rep, F.alpha_pow(root_step * i)) for i in range(n0))
         pts.append(0)
+        params = {"t": t, "n0": n0}
     else:
         raise ValueError(f"unknown family {family!r}")
     if len(set(pts)) != len(pts):
@@ -364,7 +372,7 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
     diff = residues(F, pts)
     if not diff.witnesses:
         raise ValueError("residue condition failed on the generated set")
-    return diff
+    return replace(diff, family=family, params=params)
 
 
 def family_parameter_grid(family: str, q: int) -> list[dict]:
@@ -455,42 +463,19 @@ def _certify(F: FieldContext, G: np.ndarray, rows: np.ndarray, p: int) -> str:
     return ""
 
 
-@dataclass
-class TwoPointResult:
-    """A two-point instance, its claim and its report.  ``code`` and
-    ``hull`` are built on first use, in closed form, from the claim's code
-    and subcode specs; they are the code and its Hermitian hull when the
-    report passes."""
+class TwoPointResult(NamedTuple):
+    """A two-point instance: its claim and its report."""
 
-    field: FieldContext
-    points: tuple[int, ...]
-    k: int
-    p: int
-    diff: DifferentialData
-    scaled_rows: np.ndarray       # k+2 natural generator rows, scaled; the
-                                  # first k+1 span the self-orthogonal part
     claim: GrsHullClaim
     report: ConstructionReport
 
-    @functools.cached_property
-    def code(self) -> LinearCode:
-        return self.claim.spec.code()
 
-    @functools.cached_property
-    def hull(self) -> LinearCode:
-        return self.claim.subcode.code()
-
-
-def check_two_point_input(F: FieldContext, diff: DifferentialData, k: int,
+def check_two_point_input(diff: DifferentialData, k: int,
                           p: Optional[int] = None) -> int:
     """Check the inputs of a two-point code on the evaluation set ``diff``
     and return its extra place: p, or ``default_extra_point`` when p is
     None.  Raises ValueError on an input the construction does not admit."""
-    if F.subfield is None:
-        raise ValueError("two-point codes need a quadratic extension")
-    if diff.field is not F:
-        raise ValueError("the evaluation set lies in another field")
-    pts = diff.points
+    F, pts = diff.field, diff.points
     n = len(pts)
     if not 0 <= k <= (n - 2) // (F.q + 1):
         raise ValueError(f"need 0 <= k <= (n-2)/(q+1) = {(n - 2) // (F.q + 1)}")
@@ -504,19 +489,20 @@ def check_two_point_input(F: FieldContext, diff: DifferentialData, k: int,
     return p
 
 
-def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
-                   p: Optional[int] = None,
+def two_point_code(diff: DifferentialData, k: int, p: Optional[int] = None,
                    distance_budget: int = DEFAULT_DISTANCE_BUDGET,
                    cert: Optional[_PairCertificate] = None
                    ) -> TwoPointResult:
     """Scaled evaluation code on G = kO + P with an MDS Hermitian hull.
 
     ``diff`` is the evaluation set with its residues, as ``evaluation_set``
-    or ``residues`` return it.  The scaling solves a_i^(q+1) = Res_i(dx/h)
-    (after the canonical constant rescale when needed).  On the genus-0
-    line C_L(D, kO + P) is GRS_{k+2}(u, 1/(u-p)), so the natural rows are
-    those of GRS_{k+1}(u, a) over the single pole row c = a/(u-p); rows[:k+1]
-    span a.C_L(D, kO) and rows[[0, k+1]] span a.C_L(D, P).
+    or ``residues`` return it; it gives the field, the points and the
+    claim's family and parameters.  The scaling solves a_i^(q+1) =
+    Res_i(dx/h) (after the canonical constant rescale when needed).  On
+    the genus-0 line C_L(D, kO + P) is GRS_{k+2}(u, 1/(u-p)), so the
+    natural rows are those of GRS_{k+1}(u, a) over the single pole row
+    c = a/(u-p); the first k+1 span a.C_L(D, kO) and rows 0 and k+1 span
+    a.C_L(D, P).
 
     One certificate per set and p at its largest K (``cert``, or a new
     ``_PairCertificate``) covers every k <= K.  On the natural basis
@@ -535,38 +521,29 @@ def two_point_code(F: FieldContext, diff: DifferentialData, k: int,
     self-orthogonal code measures k + 2 and fails.  No elimination of the
     code or its hull runs.
     """
-    p = check_two_point_input(F, diff, k, p)
-    pts = diff.points
+    p = check_two_point_input(diff, k, p)
+    F, pts = diff.field, diff.points
     cert = cert or _PairCertificate(F, pts, diff.witnesses, p)
     claim = GrsHullClaim(
-        family="two_point", q=F.q, module="ag",
-        params={"n": len(pts), "k": k, "p": F.log_of(p) if p else -1},
+        family=diff.family, q=F.q, module="ag",
+        params={"n": len(pts), "k": k, "p": F.log_of(p) if p else -1}
+        | diff.params,
         spec=cert.code.spec.at(k + 2), hull_dim=k, subcode=cert.hull.at(k),
         fault=cert.fault, self_orthogonal=cert.so.spec.at(k + 1),
         conservative_range=True, z1_subcode_dim=None)
-    K = cert.hull.k
-    scaled = np.vstack([cert.rows[:k + 1], cert.rows[K + 1:K + 2]])
     rep = verify_claim(claim, distance_budget=distance_budget,
                        table=cert.code, so_table=cert.so)
-    return TwoPointResult(F, pts, k, p, diff, scaled, claim, rep)
-
-
-def labelled(res: TwoPointResult, family: str, params: dict
-             ) -> TwoPointResult:
-    """``res``, its report labelled with the two-point ``family`` and the
-    parameters ``params`` (s, t, n0) of its evaluation set."""
-    res.report.construction["family"] = family
-    res.report.construction["parameters"] |= params
-    return res
+    return TwoPointResult(claim, rep)
 
 
 def sweep(q: int, distance_budget: int = DEFAULT_DISTANCE_BUDGET,
-          work: Optional[Counter] = None) -> list[tuple[dict, TwoPointResult]]:
+          work: Optional[Counter] = None
+          ) -> list[tuple[GrsHullClaim, ConstructionReport]]:
     """Build and verify every grid instance of the three two-point
-    families at q: its grid parameters and its result, in grid order.
+    families at q, and return the (claim, report) pairs in grid order.
 
     The instances on one evaluation set are one group of
-    ``grs.largest_k_first``: one ``evaluation_set`` call and one
+    ``grs.by_vector``: one ``evaluation_set`` call and one
     ``_PairCertificate``, whose two tables ``work`` counts; its K, the
     set's largest admissible k, must be the set's largest grid k.
     """
@@ -575,18 +552,18 @@ def sweep(q: int, distance_budget: int = DEFAULT_DISTANCE_BUDGET,
     def verifier(evaluation: tuple, K: int):
         family, kwargs = evaluation[0], dict(evaluation[1:])
         diff = evaluation_set(family, q, field=F, **kwargs)
-        p = check_two_point_input(F, diff, 0)
+        p = check_two_point_input(diff, 0)
         cert = _PairCertificate(F, diff.points, diff.witnesses, p, work)
         if cert.hull.k != K:
             raise RuntimeError(f"{family} {kwargs}: grid K = {K}, but the "
                                f"certificate's K = {cert.hull.k}")
-        return lambda _, g: (g, labelled(two_point_code(
-            F, diff, g["k"], p, distance_budget, cert), family, kwargs))
+        return lambda _, g: two_point_code(diff, g["k"], p, distance_budget,
+                                           cert)
 
     grid = [((family, *((x, g[x]) for x in ("s", "t", "n0") if x in g)),
              family, g) for family in ("COR1", "COR2", "COR3")
             for g in family_parameter_grid(family, q)]
-    return largest_k_first(grid, verifier)
+    return by_vector(grid, verifier)
 
 
 # ----------------------------------------------------------------------
@@ -615,23 +592,28 @@ def default_scaling_element(F: FieldContext) -> int:
                      f"over GF({q})")
 
 
-def scale_sweep(result: TwoPointResult) -> dict[int, int]:
-    """Measured hull dimension for every ell in [0, k]: ell counts the last
-    self-orthogonal pivot columns scaled by ``default_scaling_element``,
-    whose norm is not +-1 (a ValueError for q = 2, 3, where none is).  The
-    pivots are reduced once, and each hull dimension is k + 2 less the Gram
-    rank of the scaled rows, a basis of the scaled code."""
-    F, k = result.field, result.k
+def scale_sweep(claim: GrsHullClaim) -> dict[int, int]:
+    """Measured hull dimension of a two-point claim's code for every ell
+    in [0, k]: ell counts the last self-orthogonal pivot columns scaled by
+    ``default_scaling_element``, whose norm is not +-1 (a ValueError for
+    q = 2, 3, where none is).  The rows are the generator of
+    ``claim.self_orthogonal``, GRS_{k+1}(u, a), over the pole row c, row 0
+    of ``claim.spec``; their pivots are reduced once, and each hull
+    dimension is k + 2 less the Gram rank of the scaled rows, a basis of
+    the scaled code."""
+    so = claim.self_orthogonal
+    F = so.field
     alpha = default_scaling_element(F)
-    _, rank, pivots = rref(F, result.scaled_rows[:k + 1])
-    if rank != k + 1:
+    rows = np.vstack([so.generator(), claim.spec.at(1).generator()])
+    _, rank, pivots = rref(F, rows[:so.k])
+    if rank != so.k:
         raise ValueError("self-orthogonal part has unexpected rank")
     dims = {}
-    for ell in range(k + 1):
-        a = np.ones(len(result.points), dtype=np.int32)
+    for ell in range(rank):
+        a = np.ones(so.n, dtype=np.int32)
         a[pivots[rank - ell:rank]] = alpha
-        rows = F.mul_arr(result.scaled_rows, a[None, :])
-        dims[ell] = k + 2 - matrix_rank(F, gram_matrix(F, rows))
+        scaled = F.mul_arr(rows, a[None, :])
+        dims[ell] = claim.spec.k - matrix_rank(F, gram_matrix(F, scaled))
     return dims
 
 

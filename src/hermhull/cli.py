@@ -182,27 +182,18 @@ def cmd_cyclic_dkl(args) -> int:
 
 def cmd_ag_build(args) -> int:
     F = _field_for(args.q, args.field_modulus)
-    fam_kwargs = {}
-    if args.family == "COR1":
-        fam_kwargs["s"] = args.s
-    elif args.family == "COR2":
-        fam_kwargs["t"] = args.t
-    else:
-        fam_kwargs["n0"] = args.n0
-        fam_kwargs["t"] = args.t
     p = F.alpha_pow(args.p_log) if args.p_log is not None else None
-    U = ag.evaluation_set(args.family, F.q, field=F, **fam_kwargs)
-    p = ag.check_two_point_input(F, U, args.k, p)
+    U = ag.evaluation_set(args.family, F.q, s=args.s, t=args.t, n0=args.n0,
+                          field=F)
+    p = ag.check_two_point_input(U, args.k, p)
     start = time.perf_counter()
     with _verifying():
-        res = ag.labelled(ag.two_point_code(
-            F, U, args.k, p=p, distance_budget=args.distance_budget),
-            args.family, fam_kwargs)
-    rep = res.report
+        claim, rep = ag.two_point_code(U, args.k, p=p,
+                                       distance_budget=args.distance_budget)
     rep.timings["verify_s"] = round(time.perf_counter() - start, 6)
-    rep.construction["evaluation_set"] = _set_logs(F, res.points)
+    rep.construction["evaluation_set"] = _set_logs(F, U.points)
     if args.include_code:
-        rep.code = rep.code | {"detail": code_to_json(res.code)}
+        rep.code = rep.code | {"detail": code_to_json(claim.spec.code())}
     return _emit_report(rep, args)
 
 
@@ -303,16 +294,14 @@ def cmd_verify_all(args) -> int:
     reports, work = _grs_reports(args)
     mid = time.perf_counter()
     with _verifying():
-        runs = [res for _, res in ag.sweep(
-            args.q, distance_budget=args.distance_budget, work=work)]
+        runs = ag.sweep(args.q, distance_budget=args.distance_budget,
+                        work=work)
     timings = {
         "grs_s": round(mid - start, 6),
         "ag_s": round(time.perf_counter() - mid, 6),
-        "ag_sets": len({(res.report.construction["family"], res.points)
-                        for res in runs}),
+        "ag_sets": len({(claim.family, claim.spec.b) for claim, _ in runs}),
         "ag_instances": len(runs)} | work
-    return _emit_reports(reports + [res.report for res in runs], args,
-                         timings)
+    return _emit_reports(reports + [rep for _, rep in runs], args, timings)
 
 
 # ----------------------------------------------------------------------

@@ -155,7 +155,7 @@ class GrsSpec:
 
 class _VectorTable:
     """The Gram work GRS_k(b, a) shares across k <= K = ``spec.k``, for the
-    vector (field, b, a) of ``spec``; each group of ``largest_k_first``
+    vector (field, b, a) of ``spec``; each group of ``by_vector``
     holds one per vector, at the group's largest k.  The counter ``work``
     of the run gains one ``vector_tables`` here, one ``rank_profiles`` for
     the rank profile and, from ``verify_claim``, one ``hull_solves`` per
@@ -719,19 +719,18 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
     return rep
 
 
-def largest_k_first(grid: list[tuple], verifier: Callable) -> list:
+def by_vector(grid: list[tuple], verifier: Callable) -> list:
     """Verify every (vector, family, params) of ``grid`` and return the
     results in grid order.  The entries of one vector form a group wherever
     they stand; ``verifier(vector, K)``, K the group's largest k, holds the
-    group's tables, sized at K, and verifies (family, params), largest k
-    first, so the first instance builds the tables' Gram work."""
+    group's tables, sized at K, and verifies each (family, params) of the
+    group in grid order."""
     groups: dict = {}
     for i, (vector, _, _) in enumerate(grid):
         groups.setdefault(vector, []).append(i)
     out = [None] * len(grid)
     for vector, group in groups.items():
-        group.sort(key=lambda i: -grid[i][2]["k"])
-        verify = verifier(vector, grid[group[0]][2]["k"])
+        verify = verifier(vector, max(grid[i][2]["k"] for i in group))
         for i in group:
             out[i] = verify(*grid[i][1:])
     return out
@@ -752,7 +751,7 @@ def sweep(q: int, families=FAMILIES, budget: int = DEFAULT_BUDGET,
           ) -> list[tuple[GrsHullClaim, ConstructionReport]]:
     """Build and verify every in-range instance of the given families, a
     ValueError first when one is unknown or repeated (``_check_families``),
-    and return the (claim, report) pairs in grid order (``largest_k_first``
+    and return the (claim, report) pairs in grid order (``by_vector``
     on one grid of all the families, one group and table per ``_recipe``,
     at its largest k); ``work`` counts the tables, rank profiles and hull
     solves."""
@@ -771,7 +770,7 @@ def sweep(q: int, families=FAMILIES, budget: int = DEFAULT_BUDGET,
 
     grid = [(_recipe(family, q, params), family, params) for family in families
             for params in family_parameter_grid(family, q, conservative)]
-    return largest_k_first(grid, verifier)
+    return by_vector(grid, verifier)
 
 
 # ----------------------------------------------------------------------

@@ -182,9 +182,15 @@ def _passed(rep, check: str) -> bool:
     return any(c.name == check and c.status == STATUS_PASS for c in rep.checks)
 
 
+#: the derived parameter of each module's claims: the coset index s of a
+#: GRS family, the extra place p of a two-point code
+_DERIVED = {"grs": "s", "ag": "p"}
+
+
 def _grid(claim) -> dict:
-    """A GRS claim's grid parameters, without the derived ``s``."""
-    return {k: v for k, v in claim.params.items() if k != "s"}
+    """A claim's grid parameters, without its module's derived one."""
+    return {k: v for k, v in claim.params.items()
+            if k != _DERIVED[claim.module]}
 
 
 #: table rows per family; in table2, CON3E and CON4E take the next row
@@ -224,12 +230,11 @@ def _table1(q: int, grs_runs: list, cor_runs: list) -> list[dict]:
                       ladder, _grid(claim)))
     # rows 5-7: two-point [n, k] codes whose one-point part, of dimension
     # k - 1, is self-orthogonal; at k = n there is no 2-ebit code
-    for params, res in cor_runs:
-        rep = res.report
+    for claim, rep in cor_runs:
         n, k = rep.code["n"], rep.code["k"]
         if _passed(rep, "self_orthogonal_subcode"):
-            found.append((_TABLE1_ROWS[rep.construction["family"]], n, k - 1,
-                          _view(q, rep) if k < n else None, [], params))
+            found.append((_TABLE1_ROWS[claim.family], n, k - 1,
+                          _view(q, rep) if k < n else None, [], _grid(claim)))
     rows = []
     for row_no, n, dim, q2, ladder, constraints in found:
         qecc = eaqecc(q, n, dim, dim)
@@ -258,16 +263,16 @@ def _table2(q: int, grs_runs: list, cor_runs: list) -> list[dict]:
         scalable = True
     except ValueError:  # every norm is +-1 (q = 2, 3): no pivot scaling
         scalable = False
-    for params, res in cor_runs:
-        rep = res.report
-        n, k, family = rep.code["n"], rep.code["k"], rep.construction["family"]
+    for claim, rep in cor_runs:
+        n, k = rep.code["n"], rep.code["k"]
         if k == n:  # the whole space: no delta exists
             continue
         hulls = [rep.hull["dim_gram"]]
         if scalable:
-            hulls += [h for ell, h in ag.scale_sweep(res).items() if ell]
-        rows += [{"row": _TABLE2_ROWS[family], "q": q, "family": family,
-                  "constraints": params | {"hull_dim": h}}
+            hulls += [h for ell, h in ag.scale_sweep(claim).items() if ell]
+        rows += [{"row": _TABLE2_ROWS[claim.family], "q": q,
+                  "family": claim.family,
+                  "constraints": _grid(claim) | {"hull_dim": h}}
                  | eaqecc(q, n, k, h).to_json() for h in hulls]
     # stable: each row keeps the sweep order of its instances
     return sorted(rows, key=lambda r: r["row"])
@@ -295,8 +300,8 @@ def emit_tables(q: int) -> dict:
 
     grs_runs = [(claim, rep) for claim, rep in grs.sweep(q, conservative=False)
                 if rep.verdict != FAIL]
-    cor_runs = [(params, res) for params, res in ag.sweep(q)
-                if res.report.verdict != FAIL]
+    cor_runs = [(claim, rep) for claim, rep in ag.sweep(q)
+                if rep.verdict != FAIL]
     return {"table1": _table1(q, grs_runs, cor_runs),
             "table2": _table2(q, grs_runs, cor_runs),
             "table3_new": _table3_new(q, grs_runs)}

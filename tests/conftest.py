@@ -68,6 +68,13 @@ def weight_distribution(C):
     return counts
 
 
+def two_point_rows(claim):
+    """The natural rows of a two-point claim's code: the k + 1 rows of its
+    self-orthogonal GRS_{k+1}(u, a) over the pole row c, row 0 of its code."""
+    return np.vstack([claim.self_orthogonal.generator(),
+                      claim.spec.at(1).generator()])
+
+
 def grs_b_full(F):
     """(alpha^0, ..., alpha^(q^2-2), 0): every field element, zero last."""
     return [F.alpha_pow(i) for i in range(F.order - 1)] + [0]

@@ -12,7 +12,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import euclidean_dual, hull_dim_via_gram, quantum_tables
+from conftest import (euclidean_dual, hull_dim_via_gram, quantum_tables,
+                      two_point_rows)
 from hermhull import ag, cyclic, grs, quantum
 from hermhull.ag import Divisor, O, finite
 from hermhull.gf import quadratic_field
@@ -120,17 +121,17 @@ def test_criterion_4_two_point_families(capsys):
                               if k2 in ("s", "t", "n0")}
                     U = ag.evaluation_set(family, q, **kwargs)
                     k = params["k"]
-                    res = ag.two_point_code(F, U, k,
-                                            distance_budget=10 ** 8)
+                    claim, rep = ag.two_point_code(U, k,
+                                                   distance_budget=10 ** 8)
                     n = len(U.points)
-                    code = LinearCode.from_rows(F, res.scaled_rows)
+                    code = LinearCode.from_rows(F, two_point_rows(claim))
                     assert (code.n, code.k) == (n, k + 2)
-                    assert res.report.verdict == "PASS", \
-                        (family, q, params, res.report.first_failure)
+                    assert rep.verdict == "PASS", \
+                        (family, q, params, rep.first_failure)
                     if (q * q) ** (k + 2) <= 10 ** 8:
                         assert code.min_distance(10 ** 8) == n - k - 1
                     hull = code.hermitian_hull()
-                    assert hull.k == k and hull == res.hull
+                    assert hull.k == k and hull == claim.subcode.code()
                     if 0 < k <= 3:
                         assert hull.min_distance() == n - k + 1
 
@@ -209,12 +210,12 @@ def test_criterion_5_twenty_point_golden_example(capsys):
         assert hull.min_distance() == 18
 
         # canonical norm-witness pipeline on the same twenty points
-        res = ag.two_point_code(F, ag.residues(F, U), 3, p=P,
-                                distance_budget=25 ** 5)
-        own = LinearCode.from_rows(F, res.scaled_rows).hermitian_hull()
-        assert own == res.hull and res.report.hull["dim_gram"] == 3
+        claim, rep = ag.two_point_code(ag.residues(F, U), 3, p=P,
+                                       distance_budget=25 ** 5)
+        own = LinearCode.from_rows(F, two_point_rows(claim)).hermitian_hull()
+        assert own == claim.subcode.code() and rep.hull["dim_gram"] == 3
         assert own.min_distance() == 18
-        assert res.report.verdict == "PASS"
+        assert rep.verdict == "PASS"
 
 
 def test_criterion_6_evaluation_set_growth(capsys):

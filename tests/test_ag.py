@@ -11,13 +11,13 @@ from hermhull.ag import (Divisor, O, RationalFunction, default_extra_point,
                          evaluation_set, extend_evaluation_set, finite,
                          lbasis, residues, rr_dim, scale_sweep,
                          two_point_code)
-from hermhull.gf import make_field, quadratic_field
+from hermhull.gf import quadratic_field
 from hermhull.grs import GrsSpec
 from hermhull.linalg_codes import (DEFAULT_BUDGET, LinearCode, conjugate,
                                    gram_matrix, mat_mul, matrix_rank)
 from hermhull.report import STATUS_FAIL, STATUS_PASS, ConstructionReport
 
-from conftest import is_hermitian_self_orthogonal
+from conftest import is_hermitian_self_orthogonal, two_point_rows
 
 
 def subfield_points(F):
@@ -181,65 +181,64 @@ def test_evaluation_set_cor3(F25):
         evaluation_set("COR3", 5, n0=7, t=1)
 
 
-def eliminated(F, res):
-    """The code of a two-point result and its hull, by elimination from
+def eliminated(F, claim):
+    """The code of a two-point claim and its hull, by elimination from
     the scaled rows: the oracle the closed-form specs are checked against."""
-    code = LinearCode.from_rows(F, res.scaled_rows)
+    code = LinearCode.from_rows(F, two_point_rows(claim))
     return code, code.hermitian_hull()
 
 
 def test_two_point_cor1_q5(F25):
     U = evaluation_set("COR1", 5, s=13)
-    res = two_point_code(F25, U, 1)
-    code, hull = eliminated(F25, res)
-    assert (code.n, code.k) == (13, 3) and code == res.code
+    claim, rep = two_point_code(U, 1)
+    code, hull = eliminated(F25, claim)
+    assert (code.n, code.k) == (13, 3) and code == claim.spec.code()
     assert code.min_distance() == 11
-    assert hull.k == 1 and hull == res.hull
+    assert hull.k == 1 and hull == claim.subcode.code()
     assert hull.min_distance() == 13  # [13, 1] MDS hull
-    assert res.report.verdict == "PASS"
+    assert rep.verdict == "PASS"
 
 
 def test_two_point_cor2_q5(F25):
     U = evaluation_set("COR2", 5, t=2)
-    res = two_point_code(F25, U, 1)
-    code, hull = eliminated(F25, res)
-    assert (code.n, code.k) == (10, 3) and code == res.code
+    claim, rep = two_point_code(U, 1)
+    code, hull = eliminated(F25, claim)
+    assert (code.n, code.k) == (10, 3) and code == claim.spec.code()
     assert code.min_distance() == 8
-    assert hull.k == 1 and res.report.verdict == "PASS"
+    assert hull.k == 1 and rep.verdict == "PASS"
 
 
 def test_two_point_distance_bound_invariant(F25):
     # over the enumeration budget d = n - deg(G) is structural, as the code
     # is GRS_{k+2}(u, a/(u-p)); nothing is skipped
     U = evaluation_set("COR2", 5, t=4)
-    res = two_point_code(F25, U, 3, distance_budget=10)
-    assert res.report.code == {"n": 20, "k": 5, "d": 20 - 3 - 1,
-                               "d_kind": "structural"}
-    assert res.report.hull["mds"] == "structural"
-    assert res.report.verdict == "PASS"
+    rep = two_point_code(U, 3, distance_budget=10).report
+    assert rep.code == {"n": 20, "k": 5, "d": 20 - 3 - 1,
+                        "d_kind": "structural"}
+    assert rep.hull["mds"] == "structural"
+    assert rep.verdict == "PASS"
 
 
 def test_two_point_errors(F25):
     U = evaluation_set("COR1", 5, s=13)
     with pytest.raises(ValueError, match="0 <= k"):
-        two_point_code(F25, U, 2)
+        two_point_code(U, 2)
     with pytest.raises(ValueError, match="extra place"):
-        two_point_code(F25, U, 1, p=U.points[0])
-    with pytest.raises(ValueError, match="another field"):
-        two_point_code(make_field(5, 2, (2, 1, 1)), U, 1)
+        two_point_code(U, 1, p=U.points[0])
     # a set violating the residue-norm condition
     bad = residues(F25, [0, 1, F25.alpha])
     assert not bad.witnesses
     with pytest.raises(ValueError, match="construction hypotheses"):
-        two_point_code(F25, bad, 0)
+        two_point_code(bad, 0)
 
 
 def test_two_point_k0_boundary(F9):
     U = evaluation_set("COR1", 3, s=3)
-    res = two_point_code(F9, U, 0)
-    assert (res.code.n, res.code.k) == (3, 2)
-    assert res.hull.k in (0, res.code.k)
-    assert res.report.verdict == "PASS"
+    claim, rep = two_point_code(U, 0)
+    code = claim.spec.code()
+    assert (code.n, code.k) == (3, 2)
+    assert claim.subcode.code().k in (0, code.k)
+    assert rep.verdict == "PASS"
 
 
 def test_default_scaling_element():
@@ -256,14 +255,14 @@ def test_default_scaling_element():
 
 def test_scale_for_hull_sweep(F25):
     U = evaluation_set("COR2", 5, t=2)
-    res = two_point_code(F25, U, 1)
-    sweep = scale_sweep(res)
-    assert sweep == {0: 1, 1: 0} and sweep[0] == res.hull.k
+    claim = two_point_code(U, 1).claim
+    sweep = scale_sweep(claim)
+    assert sweep == {0: 1, 1: 0} and sweep[0] == claim.subcode.code().k
 
 
 def test_scale_sweep_reduces_the_pivots_once(F25, monkeypatch):
     U = evaluation_set("COR2", 5, t=4)
-    res = two_point_code(F25, U, 3, distance_budget=10)
+    claim = two_point_code(U, 3, distance_budget=10).claim
     blocks, rref = [], ag.rref
 
     def counting_rref(F, M):
@@ -271,7 +270,7 @@ def test_scale_sweep_reduces_the_pivots_once(F25, monkeypatch):
         return rref(F, M)
 
     monkeypatch.setattr(ag, "rref", counting_rref)
-    assert scale_sweep(res) == {0: 3, 1: 2, 2: 1, 3: 0}
+    assert scale_sweep(claim) == {0: 3, 1: 2, 2: 1, 3: 0}
     assert blocks == [(4, 20)]  # the self-orthogonal part, once for all ell
 
 
@@ -357,11 +356,12 @@ def test_scaled_rows_are_scaled_evaluation_rows(q):
             last_free = max(set(range(F.order)) - set(pts))
             for k in range(kmax + 1):
                 for p in (None, last_free):
-                    res = two_point_code(F, diff, k, p, distance_budget=0)
-                    got_p, rows = res.p, res.scaled_rows
-                    assert res.points == pts
-                    assert got_p == (default_extra_point(F, pts)
-                                     if p is None else p)
+                    claim = two_point_code(diff, k, p, distance_budget=0).claim
+                    rows = two_point_rows(claim)
+                    assert claim.spec.b == pts
+                    got_p = default_extra_point(F, pts) if p is None else p
+                    assert claim.params["p"] == (F.log_of(got_p) if got_p
+                                                 else -1)
                     a = np.array(diff.witnesses, dtype=np.int32)[None, :]
                     G = Divisor.of((O, k), (finite(got_p), 1))
                     ref = F.mul_arr(evaluation_code(F, pts, G).rows, a)
@@ -385,16 +385,19 @@ def test_two_point_family_computes_residues_once(monkeypatch):
         return residues(*args, **kwargs)
 
     monkeypatch.setattr(ag, "residues", counted)
-    res = two_point_code(F, evaluation_set("COR2", 5, t=3, field=F), 1)
-    assert len(calls) == 1 and tuple(calls[0]) == res.points
-    U = evaluation_set("COR2", 5, t=3)
-    assert U == residues(F, U.points) == res.diff
+    U = evaluation_set("COR2", 5, t=3, field=F)
+    claim = two_point_code(U, 1).claim
+    assert len(calls) == 1 and tuple(calls[0]) == claim.spec.b
+    assert U == evaluation_set("COR2", 5, t=3)
+    assert (U.family, U.params) == (claim.family, {"t": 3}) == ("COR2", {"t": 3})
+    assert replace(U, family="two_point", params={}) == residues(F, U.points)
+    assert claim.self_orthogonal.a == U.witnesses
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_sweep_builds_each_evaluation_set_once(q, monkeypatch):
     """ag.sweep builds each evaluation set once; it yields the grid in
-    order, with the labelled reports two_point_code gives instance by
+    order, with the claims and reports two_point_code gives instance by
     instance."""
     sets = []
 
@@ -412,14 +415,15 @@ def test_sweep_builds_each_evaluation_set_once(q, monkeypatch):
                 for family, params in grid}
     assert len(sets) == len(set(sets)) == len(distinct)
     assert q != 9 or len(distinct) == 45
-    assert [params for params, _ in swept] == [params for _, params in grid]
+    assert [(claim.family, {k: v for k, v in claim.params.items()
+                            if k != "p"}) for claim, _ in swept] == grid
     F = quadratic_field(q)
-    for (family, params), (_, res) in zip(grid, swept):
+    for (family, params), (claim, rep) in zip(grid, swept):
         kw = {k: v for k, v in params.items() if k in ("s", "t", "n0")}
-        ref = ag.labelled(two_point_code(
-            F, evaluation_set(family, q, field=F, **kw), params["k"]),
-            family, kw)
-        assert (res.report.to_canonical_dict()
+        ref = two_point_code(evaluation_set(family, q, field=F, **kw),
+                             params["k"])
+        assert claim == ref.claim, (family, params)
+        assert (rep.to_canonical_dict()
                 == ref.report.to_canonical_dict()), (family, params)
 
 
@@ -516,8 +520,8 @@ def _extended_two_point(F, U, k, distance_budget=DEFAULT_BUDGET):
     one-point code is a Hermitian self-orthogonal [n+1, k+1, n-k+1] code.
     The budget must admit the distance half of that check: below 49^4 the
     COR2 q = 7, k = 3 precondition goes unchecked and the report reads PASS."""
-    res = two_point_code(F, U, k, distance_budget=0)
-    n, p, scaled = len(res.points), res.p, res.scaled_rows
+    claim = two_point_code(U, k, distance_budget=0).claim
+    n, scaled = claim.spec.n, two_point_rows(claim)
     ext_base = LinearCode.from_rows(F, scaled[:k + 1], n=n).extend_sum_zero()
     problems = []
     if (ext_base.n, ext_base.k) != (n + 1, k + 1):
@@ -532,7 +536,7 @@ def _extended_two_point(F, U, k, distance_budget=DEFAULT_BUDGET):
     rep = ConstructionReport(
         construction={"module": "ag", "family": "extended_two_point",
                       "parameters": {"q": F.q, "n": n + 1, "k": k,
-                                     "p": F.log_of(p) if p else -1}},
+                                     "p": claim.params["p"]}},
         field=F.describe())
     rep.check("base_extension_self_orthogonal",
               STATUS_PASS if not problems else STATUS_FAIL,
@@ -617,8 +621,8 @@ def test_branch_test_reads_the_gram_matrix(q):
     count = 0
     for family, params, U in _grid_instances(F):
         k = params["k"]
-        res = two_point_code(F, U, k, distance_budget=0)
-        gram = gram_matrix(F, res.scaled_rows)
+        claim = two_point_code(U, k, distance_budget=0).claim
+        gram = gram_matrix(F, two_point_rows(claim))
         assert gram[:, 0].any() and gram[:, k + 1].any(), (family, params)
         count += 1
     assert count > 0
@@ -644,7 +648,7 @@ def test_branch_one_follows_zero_gram_columns(q, monkeypatch):
     # through the rank seam as well
     monkeypatch.setattr(grs, "gram_rank", lambda spec, table=None:
                         matrix_rank(F, zeroed(spec)))
-    rep = two_point_code(F, U, k, distance_budget=0).report
+    rep = two_point_code(U, k, distance_budget=0).report
     checks = {c.name: c for c in rep.checks}
     assert rep.verdict == "FAIL" and rep.first_failure == "hull_dim_gram"
     assert (checks["hull_dim_gram"].expected,
@@ -668,7 +672,7 @@ def test_self_orthogonal_check_reads_the_zero_block(q):
     Gram is its norm."""
     F = quadratic_field(q)
     U = evaluation_set("COR2", q, t=q - 1, field=F)
-    claim = two_point_code(F, U, 1, distance_budget=0).claim
+    claim = two_point_code(U, 1, distance_budget=0).claim
     so = claim.self_orthogonal
     table = grs._VectorTable(so.at(so.n))
     point = GrsSpec(F, so.b[:1], so.a[:1], 1)
@@ -691,11 +695,13 @@ def test_two_point_specs_equal_the_elimination(q):
     eliminated code of the scaled rows and its eliminated Hermitian hull,
     and the report passes with no check skipped."""
     F = quadratic_field(q)
-    for params, res in ag.sweep(q):
-        code, hull = eliminated(F, res)
-        assert res.code == code and res.hull == hull, params
-        assert res.report.verdict == "PASS", params
-        assert res.report.hull["dim_gram"] == hull.k == params["k"]
+    for claim, rep in ag.sweep(q):
+        code, hull = eliminated(F, claim)
+        params = claim.params
+        assert claim.spec.code() == code, params
+        assert claim.subcode.code() == hull, params
+        assert rep.verdict == "PASS", params
+        assert rep.hull["dim_gram"] == hull.k == params["k"]
 
 
 def test_sweep_runs_no_elimination_of_a_code_or_hull(monkeypatch):
@@ -709,7 +715,7 @@ def test_sweep_runs_no_elimination_of_a_code_or_hull(monkeypatch):
     monkeypatch.setattr(linalg_codes, "nullspace", refuse)
     monkeypatch.setattr(ag, "rref", refuse)
     for q in (4, 5, 7):
-        assert all(res.report.verdict == "PASS" for _, res in ag.sweep(q))
+        assert all(rep.verdict == "PASS" for _, rep in ag.sweep(q))
 
 
 def _certificate_parts(F, family, **params):
@@ -764,7 +770,7 @@ def test_a_failed_certificate_fails_every_structural_check(
     monkeypatch.setattr(ag, "_certify", lambda F, G, rows, p: "broken")
     U = evaluation_set("COR2", 5, t=4)
     for k, budget in ((3, 10), (3, 25 ** 5), (0, 10)):
-        rep = two_point_code(F25, U, k, distance_budget=budget).report
+        rep = two_point_code(U, k, distance_budget=budget).report
         checks = {c.name: c for c in rep.checks}
         assert rep.verdict == "FAIL" and rep.quantum == []
         assert checks["code_mds"].status == STATUS_FAIL
@@ -775,3 +781,61 @@ def test_a_failed_certificate_fails_every_structural_check(
         if k:
             assert checks["hull_mds"].status == STATUS_FAIL
             assert rep.hull["mds"] == "failed"
+
+
+def _holds(claim, hull):
+    """The oracle of a two-point claim, given the eliminated Hermitian hull
+    of its code: the hull has the claimed dimension and holds the subcode,
+    and the self-orthogonal part has a zero Gram matrix."""
+    so = claim.self_orthogonal
+    return (hull.k == claim.hull_dim
+            and hull.contains_rows(claim.subcode.generator())
+            and not gram_matrix(so.field, so.generator()).any())
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_mutated_two_point_claims_fail(q):
+    """A negative control on every grid instance: a witness multiplied by
+    alpha, whose norm is not 1 (first or last, through a certificate built
+    from the mutated witnesses), or a claimed hull dimension k +- 1 read
+    off the certificate's tables, must give a FAIL report unless the
+    eliminated hull (``ref_hermitian_hull``) shows that the mutated claim
+    holds; and every check a two-point report emits fails on some
+    mutation."""
+    from test_linalg_codes import ref_hermitian_hull
+    F = quadratic_field(q)
+    assert F.pow(F.alpha, q + 1) != 1
+    emitted, failed, mutations = set(), set(), 0
+
+    def control(claim, rep, hull):
+        nonlocal mutations
+        mutations += 1
+        failed.update(c.name for c in rep.checks if c.status == STATUS_FAIL)
+        assert rep.verdict == "FAIL" or _holds(claim, hull), claim
+
+    for family, kw, _ in _cor_sets(q):
+        diff = evaluation_set(family, q, field=F, **kw)
+        p = ag.check_two_point_input(diff, 0)
+        cert = ag._PairCertificate(F, diff.points, diff.witnesses, p)
+        mutated = []
+        for i in (0, -1):
+            a = list(diff.witnesses)
+            a[i] = F.mul(a[i], F.alpha)
+            mutated.append(ag._PairCertificate(F, diff.points, tuple(a), p))
+        for k in range(cert.hull.k + 1):
+            claim, rep = two_point_code(diff, k, p, 0, cert)
+            hull = ref_hermitian_hull(LinearCode.from_rows(
+                F, claim.spec.generator()))
+            assert rep.verdict == "PASS" and _holds(claim, hull), claim
+            emitted.update(c.name for c in rep.checks)
+            for h in (k - 1, k + 1):
+                if h >= 0:
+                    wrong = replace(claim, hull_dim=h)
+                    control(wrong, grs.verify_claim(
+                        wrong, distance_budget=0, table=cert.code,
+                        so_table=cert.so), hull)
+            for bad in mutated:
+                claim, rep = two_point_code(diff, k, p, 0, bad)
+                control(claim, rep, ref_hermitian_hull(LinearCode.from_rows(
+                    F, claim.spec.generator())))
+    assert mutations > 0 and emitted <= failed, emitted - failed

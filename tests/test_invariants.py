@@ -2,6 +2,8 @@ import ast
 import importlib.util
 import pathlib
 
+import pytest
+
 import hermhull
 
 
@@ -193,6 +195,21 @@ def test_every_option_is_passed_or_kept_for_a_reason():
     assert unpassed_options(root) == set(UNPASSED_OPTIONS_KEPT)
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_every_claim_agrees_with_its_report(q):
+    # a report's construction is its claim's module, family and parameters,
+    # in both sweeps: no report is relabelled after verification
+    from hermhull import ag, grs
+    swept = grs.sweep(q) + ag.sweep(q)
+    assert {claim.module for claim, _ in swept} == {"grs", "ag"}
+    for claim, rep in swept:
+        assert rep.construction == {
+            "module": claim.module, "family": claim.family,
+            "parameters": {"q": claim.q} | claim.params}
+        assert claim.module == "grs" or claim.family in ("COR1", "COR2",
+                                                         "COR3")
+
+
 def load_benchmark_tracer():
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
@@ -258,17 +275,17 @@ def test_benchmark_tracer_sees_every_two_point_hull():
     t = tracer.Tracer()
     try:
         t.install()
-        results = [res for _, res in ag.sweep(5)]
+        swept = ag.sweep(5)
     finally:
         t.uninstall()
     assert ag.two_point_code is original
     counts = t.counts()
-    assert len(results) > 1
-    assert counts["ag.two_point_code"]["calls"] == len(results)
+    assert len(swept) > 1
+    assert counts["ag.two_point_code"]["calls"] == len(swept)
     assert counts["linalg_codes.LinearCode.hermitian_hull"]["calls"] == 0
     spans = t.spans()
     names = np.array(t.names)[spans["name"]]
-    assert (names == "ag.two_point_code").sum() == len(results)
+    assert (names == "ag.two_point_code").sum() == len(swept)
     assert "linalg_codes.LinearCode.hermitian_hull" not in set(names)
 
 
@@ -321,7 +338,7 @@ def test_benchmark_tracer_sees_one_chain_per_report_and_one_dump_per_run(
     try:
         t.install()
         reports = [rep for _, rep in grs.sweep(5)]
-        reports += [res.report for _, res in ag.sweep(5)]
+        reports += [rep for _, rep in ag.sweep(5)]
         claim = grs.construct_family("CON2", 5, k=3)
         failed = grs.verify_claim(replace(claim, hull_dim=claim.hull_dim + 1))
     finally:

@@ -9,7 +9,7 @@ from hermhull.linalg_codes import (DEFAULT_BUDGET, BudgetExceededError,
                                    rank_profile, rref)
 
 from conftest import (euclidean_dual, grs_b_full, hull_dim_via_gram,
-                      random_code, weight_distribution)
+                      random_code, two_point_rows, weight_distribution)
 
 
 def enumerate_row_space(F, M):
@@ -834,9 +834,9 @@ def test_hermitian_hull_on_every_two_point_instance(q):
         for params in ag.family_parameter_grid(family, q):
             kw = {n: params[n] for n in ("s", "t", "n0") if n in params}
             diff = ag.evaluation_set(family, q, field=F, **kw)
-            rows = ag.two_point_code(F, diff, params["k"],
-                                     distance_budget=0).scaled_rows
-            C = LinearCode.from_rows(F, rows)
+            claim = ag.two_point_code(diff, params["k"],
+                                      distance_budget=0).claim
+            C = LinearCode.from_rows(F, two_point_rows(claim))
             assert C.hermitian_hull() == ref_hermitian_hull(C), (family, params)
             count += 1
     assert count > 0
@@ -853,8 +853,8 @@ def test_hermitian_hulls_of_the_whole_two_point_grid_in_one_call(q):
         for params in ag.family_parameter_grid(family, q):
             kw = {n: params[n] for n in ("s", "t", "n0") if n in params}
             diff = ag.evaluation_set(family, q, field=F, **kw)
-            codes.append(ag.two_point_code(F, diff, params["k"],
-                                           distance_budget=0).code)
+            codes.append(ag.two_point_code(
+                diff, params["k"], distance_budget=0).claim.spec.code())
     assert len({C.n for C in codes}) > 1
     for C in codes:
         assert C.hermitian_hull() == ref_hermitian_hull(C), (C.n, C.k)
@@ -877,7 +877,7 @@ def test_hermitian_hull_on_every_grs_instance(q):
 def two_point(F, family, k, **params):
     """The code of a two-point grid instance."""
     diff = ag.evaluation_set(family, F.q, field=F, **params)
-    return ag.two_point_code(F, diff, k, distance_budget=0).code
+    return ag.two_point_code(diff, k, distance_budget=0).claim.spec.code()
 
 
 def counting_elements(monkeypatch, *methods):

@@ -67,11 +67,9 @@ def test_schema_names_the_verifier_checks():
 
 def test_two_point_report_validates_against_schema():
     from hermhull import ag
-    from hermhull.gf import quadratic_field
-    F = quadratic_field(5)
     U = ag.evaluation_set("COR1", 5, s=13)
-    res = ag.two_point_code(F, U, 1)
-    payload = json.loads(single_report_text(res.report, timings=True))
+    rep = ag.two_point_code(U, 1).report
+    payload = json.loads(single_report_text(rep, timings=True))
     jsonschema.validate(payload, report_schema())
 
 
@@ -417,10 +415,26 @@ def test_cli_quantum_params_refuses_mistyped_report(tmp_path, capsys, part,
     assert "malformed report" in captured.err
 
 
-def test_python_dash_m_runs_the_cli(capsys):
+def src_env() -> dict:
+    """The environment with the package's source directory first on
+    PYTHONPATH, for a subprocess."""
     src = str(Path(hermhull.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_readme_quickstart_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True,
+                          text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[[20,12,6;2]]_5\n"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    env = src_env()
     proc = subprocess.run([sys.executable, "-m", "hermhull", "field",
                            "--p", "2", "--m", "2"],
                           capture_output=True, text=True, env=env, timeout=120)
@@ -432,9 +446,7 @@ def test_python_dash_m_runs_the_cli(capsys):
 def test_grs_sweep_leaves_numpy_ma_unimported():
     # numpy.unique imports numpy.ma and inspect on its first call (numpy
     # 2.4); the sweep's kernels must not pay that inside a timed run
-    src = str(Path(hermhull.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = src_env()
     probe = ("import sys, numpy; print('numpy.ma' in sys.modules); "
              "from hermhull import cli; "
              "rc = cli.run(['grs', 'sweep', '--q', '4']); "
@@ -598,7 +610,7 @@ def test_cli_verify_all_golden_bodies(capsys, q):
 #: the same for q = 11, 13 and 16, whose grids carry the CON3E FAIL reports
 #: of the refuted hull claims with f < z, so the command exits 1; q = 16 also
 #: covers the CON2E and CON3E grids, whose evaluation vectors recur for each
-#: z, far apart in the grid, and so join one group of ``largest_k_first``
+#: z, far apart in the grid, and so join one group of ``by_vector``
 GOLDEN_VERIFY_ALL_WITH_FAILS = {
     11: "e2b363434b0d224b3f40637fe1bdbc5a897616ead49d37e87698c157260358d1",
     13: "6ce4fc8ed23b5370afc73f75be15a1b1c38f099a79e7ee71dce2f26e523c25ac",
@@ -654,9 +666,7 @@ def test_cli_verify_all_speaks_one_vocabulary(capsys, q):
 def test_cli_verify_all_under_python_dash_o():
     # python -O strips assert statements; the invariant checks must not be
     # among them, so the output is the golden one
-    src = str(Path(hermhull.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = src_env()
     proc = subprocess.run([sys.executable, "-O", "-m", "hermhull",
                            "verify-all", "--q", "5"],
                           capture_output=True, env=env, timeout=300)
@@ -909,7 +919,7 @@ def test_cli_single_report_timings_time_the_verification(capsys, argv):
 
 def test_no_vector_table_outlives_its_sweep():
     # claims and results keep specs, which hold no table; each group of
-    # ``largest_k_first`` drops its tables when its instances are done
+    # ``by_vector`` drops its tables when its instances are done
     def live_tables():
         gc.collect()
         return [o for o in gc.get_objects() if isinstance(o, grs._VectorTable)]
