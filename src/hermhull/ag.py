@@ -328,6 +328,7 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
           elements (needs 1 <= t < q).
     COR3: t+1 multiplicative cosets of the n0-th roots of unity whose
           representative powers land in GF(q)^*, plus 0.
+    A parameter the family does not read is refused (``ValueError``).
     Every returned set is verified: distinct points whose dx/h residues are
     (up to the canonical constant) in GF(q)^*.  ``field`` overrides the
     default GF(q^2) context, as in ``grs.construct_family``.  Returns the
@@ -335,6 +336,15 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
     ``family`` and the parameters it reads; the two-point constructions
     take it as it is.
     """
+    reads = {"COR1": ("s",), "COR2": ("t",), "COR3": ("t", "n0")}.get(family)
+    if reads is None:
+        raise ValueError(f"unknown family {family!r}")
+    given = {"s": s, "t": t, "n0": n0}
+    foreign = [name for name, v in given.items()
+               if v is not None and name not in reads]
+    if foreign:
+        raise ValueError(f"{family} reads no {', '.join(foreign)}")
+    params = {name: given[name] for name in reads}
     F = quadratic_field(q, field)
     N = q * q - 1
     if family == "COR1":
@@ -342,15 +352,13 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
             raise ValueError("COR1 requires s >= 2, (s-1) | q^2-1, s != q^2")
         step = N // (s - 1)
         pts = [F.alpha_pow(step * i) for i in range(s - 1)] + [0]
-        params = {"s": s}
     elif family == "COR2":
         if t is None or not 1 <= t < q:
             raise ValueError("COR2 requires 1 <= t < q")
         subs = [F.from_subfield(c) for c in range(t)]
         pts = [F.add(F.mul(c, F.alpha), F.from_subfield(v))
                for c in subs for v in range(q)]
-        params = {"t": t}
-    elif family == "COR3":
+    else:
         if n0 is None or N % n0 != 0:
             raise ValueError("COR3 requires n0 | q^2-1")
         n2 = n0 // math.gcd(n0, q + 1)
@@ -364,9 +372,6 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
             rep = F.alpha_pow(j * e)
             pts.extend(F.mul(rep, F.alpha_pow(root_step * i)) for i in range(n0))
         pts.append(0)
-        params = {"t": t, "n0": n0}
-    else:
-        raise ValueError(f"unknown family {family!r}")
     if len(set(pts)) != len(pts):
         raise ValueError("internal: generated points collide")
     diff = residues(F, pts)

@@ -9,8 +9,13 @@ conjugation x -> x^q, trace, norm, and the norm-equation solver a^(q+1) = x.
 
 Default moduli are Conway polynomials, computed on demand, so that the
 canonical primitive element matches the one used by computer-algebra
-systems (MAGMA, GAP, Sage).  User-supplied moduli are accepted and are
-verified to be irreducible with a primitive root.
+systems (MAGMA, GAP, Sage).  User-supplied moduli are accepted once they
+pass two checks, each made once: the Rabin irreducibility test, then the
+log-table build, which refuses a root that is not primitive.  A Conway
+polynomial is primitive by its search, which also makes it irreducible.
+All polynomial arithmetic here (the checks, the Conway search, the log
+tables) runs on :mod:`hermhull.polys` over GF(p) as plain ints mod p; the
+subfield embedding is read off the log tables.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+from . import polys
 
 # Pairwise lookup tables (mul, and add in odd characteristic) are built for
 # fields up to this order; larger fields use digit/log arithmetic (still
@@ -39,18 +46,7 @@ class NotPrimitiveError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -82,98 +78,53 @@ def prime_power(q: int) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Polynomials over the prime field GF(p): coefficient tuples, low degree
-# first, no trailing zeros (the zero polynomial is the empty tuple).
-# Only what modulus verification and the Conway search need.
+# Modulus checks and the Conway search, on ``polys`` over GF(p)
 # ----------------------------------------------------------------------
 
-def _pf_trim(c: Sequence[int]) -> tuple[int, ...]:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+class _PrimeInts:
+    """GF(p) as plain ints mod p, with the scalar operations ``polys``
+    reads; the modulus checks and log tables run on it before GF(p)'s own
+    context exists."""
 
+    def __init__(self, p: int):
+        self.p = p
 
-def _pf_add(p: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return _pf_trim([( (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) ) % p
-                     for i in range(n)])
+    def add(self, x: int, y: int) -> int:
+        return (x + y) % self.p
 
+    def sub(self, x: int, y: int) -> int:
+        return (x - y) % self.p
 
-def _pf_mul(p: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pf_trim(out)
+    def neg(self, x: int) -> int:
+        return -x % self.p
 
+    def mul(self, x: int, y: int) -> int:
+        return x * y % self.p
 
-def _pf_mod(p: int, a: Sequence[int], f: Sequence[int]) -> tuple[int, ...]:
-    """a mod f, with f monic."""
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        lead = a[-1] % p
-        if lead:
-            shift = len(a) - 1 - df
-            for i, fi in enumerate(f):
-                a[shift + i] = (a[shift + i] - lead * fi) % p
-        a.pop()
-    return _pf_trim(a)
-
-
-def _pf_mulmod(p, a, b, f):
-    return _pf_mod(p, _pf_mul(p, a, b), f)
-
-
-def _pf_powmod(p: int, a: Sequence[int], e: int, f: Sequence[int]) -> tuple[int, ...]:
-    r: tuple[int, ...] = (1,)
-    a = _pf_mod(p, a, f)
-    while e:
-        if e & 1:
-            r = _pf_mulmod(p, r, a, f)
-        a = _pf_mulmod(p, a, a, f)
-        e >>= 1
-    return r
-
-
-def _pf_gcd(p, a, b):
-    a, b = _pf_trim(a), _pf_trim(b)
-    while b:
-        # make b monic before reduction
-        inv = pow(b[-1], p - 2, p)
-        b = _pf_trim([c * inv % p for c in b])
-        a, b = b, _pf_mod(p, a, b)
-    return a
+    def inv(self, x: int) -> int:
+        return pow(x, -1, self.p)
 
 
 def _is_irreducible(p: int, f: Sequence[int]) -> bool:
     """Rabin test for a monic polynomial f over GF(p)."""
-    m = len(f) - 1
-    if m < 1:
-        return False
-    x = (0, 1)
-    # x^(p^m) == x (mod f)
-    if _pf_powmod(p, x, p ** m, f) != _pf_mod(p, x, f):
+    Z, m = _PrimeInts(p), len(f) - 1
+    if polys.powmod(Z, (0, 1), p ** m, f) != polys.divmod_(Z, (0, 1), f)[1]:
         return False
     for r in prime_factors(m):
-        h = _pf_add(p, _pf_powmod(p, x, p ** (m // r), f), _pf_trim([-c % p for c in x]))
-        if _pf_gcd(p, f, h) != (1,):
+        # x^(p^(m/r)) - x
+        h = polys.add(Z, polys.powmod(Z, (0, 1), p ** (m // r), f), (0, p - 1))
+        if polys.gcd(Z, f, h) != (1,):
             return False
     return True
 
 
 def _root_is_primitive(p: int, f: Sequence[int]) -> bool:
-    """Does x generate the multiplicative group of GF(p)[x]/(f)?"""
-    m = len(f) - 1
-    n = p ** m - 1
-    x = (0, 1)
-    if _pf_powmod(p, x, n, f) != (1,):
-        return False
-    return all(_pf_powmod(p, x, n // r, f) != (1,) for r in prime_factors(n))
+    """Does x have order p^m - 1 modulo f?  Then every nonzero class is a
+    unit, so f is irreducible too."""
+    Z, n = _PrimeInts(p), p ** (len(f) - 1) - 1
+    return (polys.powmod(Z, (0, 1), n, f) == (1,)
+            and all(polys.powmod(Z, (0, 1), n // r, f) != (1,)
+                    for r in prime_factors(n)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,36 +133,26 @@ def conway_polynomial(p: int, m: int) -> tuple[int, ...]:
 
     Candidates x^m + sum (-1)^(m-i) b_i x^i are scanned in lexicographic
     order of the word (b_{m-1}, ..., b_0); the first primitive polynomial
-    compatible with C_{p,d} for every proper divisor d of m wins.
+    compatible with C_{p,d} for every proper divisor d of m wins: C_{p,d}
+    vanishes at x^((p^m - 1)/(p^d - 1)) modulo it.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    divisors = [d for d in range(1, m) if m % d == 0]
-    subs = {d: conway_polynomial(p, d) for d in divisors}
+    Z = _PrimeInts(p)
+    subs = {d: conway_polynomial(p, d) for d in range(1, m) if m % d == 0}
+
+    def compatible(f, d):
+        gamma = polys.powmod(Z, (0, 1), (p ** m - 1) // (p ** d - 1), f)
+        acc: tuple[int, ...] = ()
+        for c in reversed(subs[d]):
+            acc = polys.add(Z, polys.divmod_(Z, polys.mul(Z, acc, gamma), f)[1],
+                            (c,))
+        return not acc
+
     for word in itertools.product(range(p), repeat=m):
-        coeffs = [0] * (m + 1)
-        coeffs[m] = 1
-        for i in range(m):
-            b = word[m - 1 - i]  # word is (b_{m-1}, ..., b_0)
-            coeffs[i] = (b if (m - i) % 2 == 0 else -b) % p
-        f = tuple(coeffs)
-        if not _is_irreducible(p, f):
-            continue
-        if not _root_is_primitive(p, f):
-            continue
-        ok = True
-        for d in divisors:
-            gamma = _pf_powmod(p, (0, 1), (p ** m - 1) // (p ** d - 1), f)
-            # evaluate C_{p,d} at gamma inside GF(p)[x]/(f)
-            acc: tuple[int, ...] = ()
-            for c in reversed(subs[d]):
-                acc = _pf_mulmod(p, acc, gamma, f)
-                if c:
-                    acc = _pf_add(p, acc, (c,))
-            if acc != ():
-                ok = False
-                break
-        if ok:
+        # word is (b_{m-1}, ..., b_0)
+        f = tuple((-1) ** (m - i) * word[m - 1 - i] % p for i in range(m)) + (1,)
+        if _root_is_primitive(p, f) and all(compatible(f, d) for d in subs):
             return f
     raise RuntimeError(f"no Conway polynomial found for ({p}, {m})")  # unreachable
 
@@ -258,23 +199,21 @@ class FieldContext:
     # -- construction helpers ------------------------------------------
 
     def _build_log_tables(self):
-        p, m, f = self.p, self.m, self.modulus
-        order = self.order
+        Z, f, order = _PrimeInts(self.p), self.modulus, self.order
         exp = np.zeros(order - 1, dtype=np.int32)
         log = np.full(order, -1, dtype=np.int32)
         cur = (1,)
-        x = (0, 1) if m > 1 else ((self.alpha,) if self.alpha else ())
         for i in range(order - 1):
             v = self._encode_digits(cur)
-            exp[i] = v
             if log[v] != -1:
-                raise NotPrimitiveError(
-                    f"root of modulus {list(f)} over GF({p}) is not primitive")
-            log[v] = i
-            cur = _pf_mulmod(p, cur, x, f)
-        if cur != (1,):
+                break
+            exp[i], log[v] = v, i
+            cur = polys.divmod_(Z, (0,) + cur, f)[1]  # times x
+        # a repeated power stops the walk with some nonzero element unlogged;
+        # a full walk must also come back to 1, as it does not modulo f = x
+        if cur != (1,) or (log[1:] < 0).any():
             raise NotPrimitiveError(
-                f"root of modulus {list(f)} over GF({p}) is not primitive")
+                f"modulus {list(f)} is irreducible but its root is not primitive")
         self.exp = exp
         self.log = log
 
@@ -326,26 +265,14 @@ class FieldContext:
         sub = make_field(self.p, self.m // 2)
         # embedding image of the subfield's primitive element: a root of the
         # subfield modulus inside this field, preferring alpha^(q+1) (which
-        # is a root whenever both moduli are Conway polynomials)
-        cand = self.alpha_pow(q + 1)
-        gamma = None
-        if self._eval_prime_poly(sub.modulus, cand) == 0:
-            gamma = cand
-        else:
-            roots = [v for v in range(self.order)
-                     if self._eval_prime_poly(sub.modulus, v) == 0]
-            gamma = min(roots, key=lambda v: self.log_of(v) if v else -1)
+        # is a root whenever both moduli are Conway polynomials), else the
+        # root of least log
+        gamma = next(v for v in itertools.chain([self.alpha_pow(q + 1)],
+                                                self.exp.tolist())
+                     if polys.evaluate(self, sub.modulus, v) == 0)
         emb = np.zeros(sub.order, dtype=np.int32)
-        gpow = [1]
-        for _ in range(sub.m - 1):
-            gpow.append(self.mul(gpow[-1], gamma))
-        for s in range(sub.order):
-            acc = 0
-            for i in range(sub.m):
-                d = (s // sub._pp[i]) % self.p
-                if d:
-                    acc = self.add(acc, self.mul(d % self.p, gpow[i]))
-            emb[s] = acc
+        emb[sub.exp] = self.exp[np.arange(sub.order - 1) * self.log_of(gamma)
+                                % (self.order - 1)]
         proj = np.full(self.order, -1, dtype=np.int32)
         proj[emb] = np.arange(sub.order)
         self.subfield = sub
@@ -357,13 +284,6 @@ class FieldContext:
         idx = (np.arange(self.order - 1) * q) % (self.order - 1)
         powq[self.exp] = self.exp[idx]
         self._powq_t = powq
-
-    def _eval_prime_poly(self, coeffs: Sequence[int], v: int) -> int:
-        """Evaluate a GF(p)[x] polynomial at a field element (Horner)."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, v), c % self.p)
-        return acc
 
     # -- scalar arithmetic ---------------------------------------------
 
@@ -570,12 +490,11 @@ def make_field(p: int, m: int, modulus: Optional[Iterable[int]] = None) -> Field
     key = (p, m, mod)
     ctx = _CONTEXT_CACHE.get(key)
     if ctx is None:
-        if not _is_irreducible(p, mod):
+        # a Conway polynomial needs no check; the log-table build refuses a
+        # root that is not primitive
+        if modulus is not None and not _is_irreducible(p, mod):
             raise ReducibleModulusError(
                 f"modulus {list(mod)} is reducible over GF({p})")
-        if not _root_is_primitive(p, mod):
-            raise NotPrimitiveError(
-                f"modulus {list(mod)} is irreducible but its root is not primitive")
         ctx = FieldContext(p, m, mod, _token=_MAKE_TOKEN)
         _CONTEXT_CACHE[key] = ctx
     return ctx

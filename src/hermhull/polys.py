@@ -3,14 +3,17 @@
 Polynomials are tuples of field elements (ints), low degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Everything here is
 exact and small-scale: products of linear factors, derivatives, evaluation,
-root multiplicities.
+root multiplicities, powers modulo a polynomial.  ``gf`` runs its modulus
+checks, Conway search and log tables here too, over GF(p) as plain ints
+mod p, before GF(p)'s own context exists.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .gf import FieldContext
+if TYPE_CHECKING:
+    from .gf import FieldContext
 
 Poly = tuple
 
@@ -71,6 +74,20 @@ def divmod_(F: FieldContext, a: Poly, b: Poly) -> tuple[Poly, Poly]:
         while a and a[-1] == 0:
             a.pop()
     return trim(q), trim(a)
+
+
+def powmod(F: FieldContext, a: Poly, e: int, f: Poly) -> Poly:
+    """a^e modulo f, for e >= 0 and f of degree >= 1.
+
+    Left to right over the bits of e, so each step multiplies by a itself:
+    cheap when a is short, as x is.
+    """
+    r: Poly = (1,)
+    for bit in bin(e)[2:]:
+        r = divmod_(F, mul(F, r, r), f)[1]
+        if bit == "1":
+            r = divmod_(F, mul(F, r, a), f)[1]
+    return r
 
 
 def gcd(F: FieldContext, a: Poly, b: Poly) -> Poly:

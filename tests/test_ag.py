@@ -181,6 +181,21 @@ def test_evaluation_set_cor3(F25):
         evaluation_set("COR3", 5, n0=7, t=1)
 
 
+@pytest.mark.parametrize("family, own, foreign", [
+    ("COR1", {"s": 13}, {"t": 2}), ("COR1", {"s": 13}, {"n0": 7}),
+    ("COR2", {"t": 2}, {"s": 4}), ("COR2", {"t": 2}, {"n0": 6}),
+    ("COR3", {"t": 1, "n0": 6}, {"s": 13})])
+def test_evaluation_set_refuses_parameters_the_family_does_not_read(
+        family, own, foreign):
+    with pytest.raises(ValueError, match=f"^{family} reads no "
+                                         f"{', '.join(foreign)}$"):
+        evaluation_set(family, 5, **own, **foreign)
+    U = evaluation_set(family, 5, **own)
+    assert (U.family, U.params) == (family, own)
+    with pytest.raises(ValueError, match="unknown family 'COR4'"):
+        evaluation_set("COR4", 5, s=13)
+
+
 def eliminated(F, claim):
     """The code of a two-point claim and its hull, by elimination from
     the scaled rows: the oracle the closed-form specs are checked against."""

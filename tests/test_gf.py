@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,97 @@ def test_conway_pinned_values():
     assert conway_polynomial(5, 2) == (2, 4, 1)   # x^2 + 4x + 2
     assert conway_polynomial(3, 1) == (1, 1)      # root 2
     assert conway_polynomial(2, 2) == (1, 1, 1)
+
+
+#: Lübeck's published Conway polynomials of the other GF(q^2), q <= 32
+PUBLISHED_CONWAY = {
+    (2, 4): (1, 1, 0, 0, 1),                      # x^4 + x + 1
+    (2, 6): (1, 1, 0, 1, 1, 0, 1),                # x^6 + x^4 + x^3 + x + 1
+    (2, 8): (1, 0, 1, 1, 1, 0, 0, 0, 1),          # x^8 + x^4 + x^3 + x^2 + 1
+    (2, 10): (1, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1),   # x^10 + x^6 + x^5 + x^3
+                                                  #   + x^2 + x + 1
+    (3, 4): (2, 0, 0, 2, 1),                      # x^4 + 2x^3 + 2
+    (3, 6): (2, 2, 1, 0, 2, 0, 1),                # x^6 + 2x^4 + x^2 + 2x + 2
+    (5, 4): (2, 4, 4, 0, 1),                      # x^4 + 4x^2 + 4x + 2
+    (7, 2): (3, 6, 1),                            # x^2 + 6x + 3
+    (11, 2): (2, 7, 1),                           # x^2 + 7x + 2
+    (13, 2): (2, 12, 1),                          # x^2 + 12x + 2
+    (17, 2): (3, 16, 1),                          # x^2 + 16x + 3
+    (19, 2): (2, 18, 1),                          # x^2 + 18x + 2
+    (23, 2): (5, 21, 1),                          # x^2 + 21x + 5
+    (29, 2): (2, 24, 1),                          # x^2 + 24x + 2
+    (31, 2): (3, 29, 1),                          # x^2 + 29x + 3
+}
+
+
+@pytest.mark.parametrize("p, m", sorted(PUBLISHED_CONWAY))
+def test_conway_matches_published_tables(p, m):
+    assert conway_polynomial(p, m) == PUBLISHED_CONWAY[p, m]
+    assert make_field(p, m).modulus == PUBLISHED_CONWAY[p, m]
+
+
+def _rem(p, a, g):
+    """a mod g over GF(p) for a monic g; coefficient lists, low degree
+    first, the remainder padded to len(g) - 1 entries."""
+    a = list(a) + [0] * max(0, len(g) - 1 - len(a))
+    while len(a) >= len(g):
+        c, shift = a[-1], len(a) - len(g)
+        for i, gi in enumerate(g):
+            a[shift + i] = (a[shift + i] - c * gi) % p
+        a.pop()
+    return a
+
+
+def _monic(p, d):
+    return [list(low) + [1] for low in itertools.product(range(p), repeat=d)]
+
+
+def _brute_force_class(p, f):
+    """"reducible", "not primitive" or "primitive": trial division by the
+    monic polynomials of degree <= m/2, then the order of x modulo f by
+    walking its powers."""
+    m = len(f) - 1
+    if any(not any(_rem(p, f, g)) for d in range(1, m // 2 + 1)
+           for g in _monic(p, d)):
+        return "reducible"
+    one = _rem(p, [1], f)
+    cur, order = _rem(p, [0, 1], f), 1
+    while cur != one:
+        cur, order = _rem(p, [0] + cur, f), order + 1
+    return "primitive" if order == p ** m - 1 else "not primitive"
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+                                  (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_every_modulus_is_classified_as_by_brute_force(p, m):
+    seen = set()
+    for f in _monic(p, m):
+        kind = _brute_force_class(p, f)
+        seen.add(kind)
+        assert gf._is_irreducible(p, f) == (kind != "reducible"), f
+        assert gf._root_is_primitive(p, f) == (kind == "primitive"), f
+        if kind == "reducible":
+            with pytest.raises(ReducibleModulusError, match=r"modulus \[.*\] "
+                               rf"is reducible over GF\({p}\)"):
+                make_field(p, m, f)
+        elif kind == "not primitive":
+            with pytest.raises(NotPrimitiveError, match=r"modulus \[.*\] is "
+                               "irreducible but its root is not primitive"):
+                make_field(p, m, f)
+        else:
+            F = make_field(p, m, f)
+            assert F.modulus == tuple(f)
+            assert sorted(F.exp.tolist()) == list(range(1, F.order))
+    assert seen == ({"reducible", "primitive"} if p ** m - 1 in (3, 7, 31)
+                    else {"reducible", "not primitive", "primitive"})
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = [False, False] + [True] * 1998
+    for i in range(2, 45):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, 2000, i))
+    assert [gf.is_prime(n) for n in range(-3, 2000)] == [False] * 3 + sieve
 
 
 def test_conway_brute_force_irreducible_and_primitive():

@@ -817,6 +817,79 @@ def test_negative_control_corrupted_scale():
     assert rep.first_failure == "hull_dim_gram"
 
 
+def _expected_survivor(kind, claim, base_verdict):
+    """The mutations that are still true claims: scaling one column of a
+    one-row code keeps its hull at 0 when the row's norm sum stays nonzero,
+    and a refuted CON3E instance whose hull is one above its claim is
+    measured right by the claim + 1."""
+    return ((kind in ("first", "last") and claim.spec.k == 1)
+            or (kind == "hull+1" and claim.family == "CON3E"
+                and base_verdict == "FAIL"))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11])
+def test_mutated_grs_claims_fail(q):
+    """A negative control on every full-grid GRS instance: a claimed hull
+    dimension +- 1, a subcode one row longer where it fits in the code, or
+    the first or last column multiplier times alpha (the code and the
+    subcode both, on a table of the mutated vector) must give a FAIL report
+    unless the eliminated hull (``ref_hermitian_hull``) shows that the
+    mutated claim holds, and every such survivor is one the test expects.
+    ``code_mds`` cannot fail (nonzero multipliers keep a GRS code MDS) and
+    ``self_orthogonal_subcode`` is two-point only; every other check fails
+    on some mutation, ``hull_dim_intersection`` within the default budget.
+    """
+    from test_linalg_codes import ref_hermitian_hull
+    F = quadratic_field(q)
+    failed, mutations = set(), 0
+
+    def holds(claim):
+        hull = ref_hermitian_hull(LinearCode.from_rows(
+            F, claim.spec.generator()))
+        return (hull.k == claim.hull_dim
+                and hull.contains_rows(claim.subcode.generator()))
+
+    def verifier(recipe, K):
+        T = grs._VectorTable(grs._evaluation_vector(F, q, *recipe).at(K))
+        scaled = {}
+        for kind, i in (("first", 0), ("last", -1)):
+            a = list(T.spec.a)
+            a[i] = F.mul(a[i], F.alpha)
+            scaled[kind] = grs._VectorTable(GrsSpec(F, T.spec.b, tuple(a), K))
+
+        def verify(family, params):
+            nonlocal mutations
+            claim = construct_family(family, q, table=T, **params)
+            base = verify_claim(claim, distance_budget=0, table=T).verdict
+            k, t, h = claim.spec.k, claim.subcode.k, claim.hull_dim
+            mutants = [(f"hull{d:+d}", replace(claim, hull_dim=h + d), T)
+                       for d in (-1, 1) if h + d >= 0]
+            if t < k:
+                mutants.append(("subcode+1", replace(
+                    claim, subcode=claim.subcode.at(t + 1)), T))
+            mutants += [(kind, replace(claim, spec=S.spec.at(k),
+                                       subcode=S.spec.at(t)), S)
+                        for kind, S in scaled.items()]
+            for kind, wrong, table in mutants:
+                mutations += 1
+                rep = verify_claim(wrong, distance_budget=0, table=table)
+                failed.update(c.name for c in rep.checks
+                              if c.status == STATUS_FAIL)
+                if rep.verdict != "FAIL":
+                    assert holds(wrong), (kind, family, params)
+                    assert _expected_survivor(kind, wrong, base), \
+                        (kind, family, params)
+        return verify
+
+    grs.by_vector([(grs._recipe(family, q, params), family, params)
+                   for family in grs.FAMILIES
+                   for params in family_parameter_grid(family, q,
+                                                       conservative=False)],
+                  verifier)
+    assert mutations > 0
+    assert failed == set(grs.CHECKS) - {"code_mds", "self_orthogonal_subcode"}
+
+
 def _old_subcode_in_hull(code, subcode):
     """The check before it read the Gram matrix: containment plus one
     Hermitian product of the subcode rows against the code."""

@@ -526,6 +526,21 @@ def test_cli_construction_input_errors_exit_2(capsys):
     assert "need 0 <= k" in err and "extra place" in err
 
 
+@pytest.mark.parametrize("own, foreign, unread", [
+    (["COR1", "--q", "5", "--s", "13"], ["--t", "2", "--n0", "7"], "t, n0"),
+    (["COR2", "--q", "5", "--t", "2"], ["--s", "4"], "s"),
+    (["COR3", "--q", "4", "--n0", "5", "--t", "1"], ["--s", "3"], "s"),
+])
+def test_cli_ag_build_refuses_parameters_the_family_does_not_read(
+        capsys, own, foreign, unread):
+    argv = ["ag", "build", "--k", "1", "--family", *own]
+    assert cli.run(argv + foreign) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {own[0]} reads no {unread}\n"
+    assert cli.run(argv) == 0
+
+
 def test_cli_grs_sweep_refuses_an_empty_family_list(capsys, monkeypatch):
     # an explicitly empty --families names the family '', as a trailing
     # comma does; only an absent --families means all eight
