@@ -21,7 +21,8 @@ import numpy as np
 
 from . import polys
 from .gf import FieldContext, quadratic_field
-from .grs import GrsHullClaim, GrsSpec, _VectorTable, by_vector, verify_claim
+from .grs import (GrsHullClaim, GrsSpec, _VectorTable, _check_parameters,
+                  _parameter_dicts, by_vector, verify_claim)
 from .linalg_codes import (DEFAULT_DISTANCE_BUDGET, LinearCode, conjugate,
                            gram_matrix, mat_mul, matrix_rank, rref)
 from .report import ConstructionReport
@@ -318,17 +319,38 @@ def residues(F: FieldContext, points: Sequence[int]) -> DifferentialData:
 # evaluation-set families
 # ----------------------------------------------------------------------
 
+#: each two-point family's set parameters in grid nesting order, as
+#: ``grs._PARAMETERS`` holds the GRS families': name -> (its values as a
+#: function of q and the parameters before it, the rule a refusal names)
+_SET_PARAMETERS = {
+    "COR1": {"s": (lambda q: [s for s in range(2, q * q)
+                              if (q * q - 1) % (s - 1) == 0],
+                   "s >= 2, (s-1) | q^2-1, s != q^2")},
+    "COR2": {"t": (lambda q: range(1, q), "1 <= t < q")},
+    "COR3": {"n0": (lambda q: [n0 for n0 in range(1, q * q)
+                               if (q * q - 1) % n0 == 0], "n0 | q^2-1"),
+             "t": (lambda q, n0: range(1, (q - 1) // (
+                 n0 // math.gcd(n0, q + 1)) - 1),
+                   "1 <= t <= (q-1)/n2 - 2, n2 = n0/gcd(n0, q+1)")},
+}
+
+#: the length of each family's set, from q and its set parameters
+_SET_LENGTH = {"COR1": lambda q, s: s, "COR2": lambda q, t: t * q,
+               "COR3": lambda q, n0, t: (t + 1) * n0 + 1}
+
+
 def evaluation_set(family: str, q: int, s: Optional[int] = None,
                    t: Optional[int] = None, n0: Optional[int] = None,
                    field: Optional[FieldContext] = None) -> DifferentialData:
     """The evaluation sets behind the three two-point families.
 
-    COR1: the (s-1)-th roots of unity plus 0 (needs (s-1) | q^2-1, s != q^2).
+    COR1: the (s-1)-th roots of unity plus 0.
     COR2: t additive cosets c*alpha + GF(q), c over the first t subfield
-          elements (needs 1 <= t < q).
+          elements.
     COR3: t+1 multiplicative cosets of the n0-th roots of unity whose
           representative powers land in GF(q)^*, plus 0.
-    A parameter the family does not read is refused (``ValueError``).
+    A ValueError names a given parameter the family does not read, else
+    the first one out of its range in ``_SET_PARAMETERS``.
     Every returned set is verified: distinct points whose dx/h residues are
     (up to the canonical constant) in GF(q)^*.  ``field`` overrides the
     default GF(q^2) context, as in ``grs.construct_family``.  Returns the
@@ -336,35 +358,20 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
     ``family`` and the parameters it reads; the two-point constructions
     take it as it is.
     """
-    reads = {"COR1": ("s",), "COR2": ("t",), "COR3": ("t", "n0")}.get(family)
-    if reads is None:
-        raise ValueError(f"unknown family {family!r}")
     given = {"s": s, "t": t, "n0": n0}
-    foreign = [name for name, v in given.items()
-               if v is not None and name not in reads]
-    if foreign:
-        raise ValueError(f"{family} reads no {', '.join(foreign)}")
-    params = {name: given[name] for name in reads}
+    _check_parameters(_SET_PARAMETERS, family, q, given)
+    # once checked, the parameters given are those the family reads
+    params = {x: v for x, v in given.items() if v is not None}
     F = quadratic_field(q, field)
     N = q * q - 1
     if family == "COR1":
-        if s is None or s < 2 or s == q * q or N % (s - 1) != 0:
-            raise ValueError("COR1 requires s >= 2, (s-1) | q^2-1, s != q^2")
         step = N // (s - 1)
         pts = [F.alpha_pow(step * i) for i in range(s - 1)] + [0]
     elif family == "COR2":
-        if t is None or not 1 <= t < q:
-            raise ValueError("COR2 requires 1 <= t < q")
         subs = [F.from_subfield(c) for c in range(t)]
         pts = [F.add(F.mul(c, F.alpha), F.from_subfield(v))
                for c in subs for v in range(q)]
     else:
-        if n0 is None or N % n0 != 0:
-            raise ValueError("COR3 requires n0 | q^2-1")
-        n2 = n0 // math.gcd(n0, q + 1)
-        tmax = (q - 1) // n2 - 2
-        if t is None or not 1 <= t <= tmax:
-            raise ValueError(f"COR3 requires 1 <= t <= (q-1)/n2 - 2 = {tmax}")
         e = (q + 1) // math.gcd(n0, q + 1)
         root_step = N // n0
         pts = []
@@ -381,28 +388,13 @@ def evaluation_set(family: str, q: int, s: Optional[int] = None,
 
 
 def family_parameter_grid(family: str, q: int) -> list[dict]:
-    """In-range parameter dicts {.., n, k} for the two-point families."""
+    """In-range parameter dicts {.., n, k} for the two-point families: the
+    set parameters of ``_SET_PARAMETERS``, walked in table order, then the
+    set's length n and every k <= (n - 2)/(q + 1)."""
     out = []
-    if family == "COR1":
-        for s in range(2, q * q):
-            if (q * q - 1) % (s - 1) == 0 and s != q * q:
-                for k in range((s - 2) // (q + 1) + 1):
-                    out.append({"s": s, "n": s, "k": k})
-    elif family == "COR2":
-        for t in range(1, q):
-            for k in range((t * q - 2) // (q + 1) + 1):
-                out.append({"t": t, "n": t * q, "k": k})
-    elif family == "COR3":
-        for n0 in range(1, q * q):
-            if (q * q - 1) % n0 != 0:
-                continue
-            n2 = n0 // math.gcd(n0, q + 1)
-            for t in range(1, (q - 1) // n2 - 1):
-                n = (t + 1) * n0 + 1
-                for k in range((n - 2) // (q + 1) + 1):
-                    out.append({"n0": n0, "t": t, "n": n, "k": k})
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    for g in _parameter_dicts(_SET_PARAMETERS, family, q):
+        n = _SET_LENGTH[family](q, *g.values())
+        out += [g | {"n": n, "k": k} for k in range((n - 2) // (q + 1) + 1)]
     return out
 
 

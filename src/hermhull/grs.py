@@ -358,55 +358,101 @@ def _require(cond: bool, family: str, msg: str):
         raise ValueError(f"{family} requires {msg}")
 
 
+def _parameter_dicts(table: dict, family: str, q: int) -> list[dict]:
+    """Every parameter dict of ``family`` inside the ranges of ``table``
+    at q, in table order: the first parameter varies slowest."""
+    if family not in table:
+        raise ValueError(f"unknown family {family!r}")
+    out = [{}]
+    for name, (values, _) in table[family].items():
+        out = [p | {name: v} for p in out for v in values(q, *p.values())]
+    return out
+
+
+def _check_parameters(table: dict, family: str, q: int, given: dict):
+    """A ValueError naming the parameters of ``given`` (not None) that
+    ``family`` does not read, else the rule of the first range of ``table``
+    at q that the input leaves."""
+    entries = table.get(family)
+    if entries is None:
+        raise ValueError(f"unknown family {family!r}")
+    if not given.keys() <= entries.keys():
+        foreign = [x for x, v in given.items()
+                   if v is not None and x not in entries]
+        if foreign:
+            raise ValueError(f"{family} reads no {', '.join(foreign)}")
+    before = []
+    for name, (values, rule) in entries.items():
+        if given.get(name) not in values(q, *before):
+            raise ValueError(f"{family} requires {rule}")
+        before.append(given[name])
+
+
 #: the z that ``claim_arithmetic`` admits for CON4E, and the grid visits:
 #: the two-offset Gram analysis only survives at z = 1; at z = 2 the
 #: measured rank is 6, not 2z^2 = 8 (e.g. q = 11, f = 2, m = 9, k = 22,
 #: inside every conservative bound)
 _CON4E_Z = range(1, 2)
 
+_Z = (lambda q: range(1, q - 1), "1 <= z < q-1")
+_F = (lambda q, z: range(1, q - z - 1), "f >= 1 and z + f + 1 < q")
+_KZF = (lambda q, z, f, *_: range(z * q, (z + 1) * q - z - f - 1),
+        "zq <= k < (z+1)q - z - f - 1")
 
-def claim_arithmetic(family: str, q: int, k: Optional[int] = None,
-                     z: Optional[int] = None, f: Optional[int] = None,
-                     m: Optional[int] = None) -> dict:
+#: each family's parameters in grid nesting order, also the key order of
+#: its parameter dicts: name -> (its values as a function of q and the
+#: parameters before it, the rule a refusal names); these are the ranges
+#: that the membership and rank arguments use.
+_PARAMETERS = {
+    "CON1": {"k": (lambda q: range(q, q + 1), "k = q")},
+    "CON2": {"k": (lambda q: range(2, q), "1 < k < q")},
+    "CON3": {"k": (lambda q: range(1, q), "1 <= k < q")},
+    "CON4": {"k": (lambda q: range(1, q - 1), "1 <= k < q-1"),
+             "m": (lambda q, k: range(k, q - 1), "k-1 < m < q-1")},
+    "CON1E": {"z": _Z, "k": (lambda q, z: range(z * q, (z + 1) * q - z - 1),
+                             "zq <= k < (z+1)q - z - 1")},
+    "CON2E": {"z": _Z, "f": _F, "k": _KZF},
+    "CON3E": {"z": _Z, "f": _F, "k": _KZF},
+    "CON4E": {"z": (lambda q: _CON4E_Z, "z = 1; the rank formulas are "
+                    "refuted computationally for z >= 2"), "f": _F,
+              "m": (lambda q, z, f: range(q - f, q - 1), "q-f-1 < m < q-1"),
+              "k": _KZF},
+}
+
+
+def claim_arithmetic(family: str, q: int, **params) -> dict:
     """Length, hull dimension and subcode dimension of a family instance.
 
-    Validates the constraints the membership/rank arguments actually use.
-    ``conservative`` reports the narrower z-bounds: is z below the tighter
-    bound that keeps every derived quantum distance inside the n/2 regime?
+    ``params`` are the family's parameters of ``_PARAMETERS`` (CON1's k
+    defaults to q); a ValueError names a given parameter the family does
+    not read, else the first one out of its range, else a failed derived
+    invariant: k <= n, hull dimension >= 0, and in CON2E-CON4E >= the
+    subcode's.  ``conservative`` reports the narrower z-bounds: is z below
+    the tighter bound that keeps every derived quantum distance inside the
+    n/2 regime?
     """
+    if family == "CON1" and params.get("k") is None:
+        params = params | {"k": q}
+    _check_parameters(_PARAMETERS, family, q, params)
+    k, z, f, m = map(params.get, "kzfm")
     if family == "CON1":
-        k = q if k is None else k
-        _require(k == q, family, "k = q")
         out = dict(n=q * q, k=k, hull_dim=q - 1, subcode_dim=q - 1, s=None)
     elif family == "CON2":
-        _require(k is not None and 1 < k < q, family, "1 < k < q")
         out = dict(n=q * q - 1, k=k, hull_dim=k - 1, subcode_dim=k - 1, s=None)
     elif family == "CON3":
-        _require(k is not None and 1 <= k < q, family, "1 <= k < q")
         s = math.gcd(k - 1, q - 1)
         out = dict(n=q * q - s * (q + 1), k=k, hull_dim=k - 1,
                    subcode_dim=k - 1, s=s)
     elif family == "CON4":
-        _require(k is not None and m is not None, family, "both k and m")
-        _require(k - 1 < m < q - 1, family, "k-1 < m < q-1")
-        _require(k >= 1, family, "k >= 1")
         s = math.gcd(m - k + 1, q - 1)
         out = dict(n=(q + 1) * (q - 1 - s), k=k, hull_dim=k - 1,
                    subcode_dim=k - 1, s=s)
     elif family == "CON1E":
-        _require(z is not None and z >= 1, family, "z >= 1")
-        _require(k is not None and z * q <= k < (z + 1) * q - z - 1, family,
-                 "zq <= k < (z+1)q - z - 1")
         # q - z is the largest valid prefix subcode; the z = 1 closed form
         # q - 1 fails beyond z = 1 (row q - z of the Gram matrix is nonzero)
         out = dict(n=q * q, k=k, hull_dim=k - z * z, subcode_dim=q - z,
                    z1_subcode_dim=q - 1, s=None, conservative=z < q // 2)
-    elif family in ("CON2E", "CON3E", "CON4E"):
-        _require(z is not None and f is not None and z >= 1 and f >= 1,
-                 family, "z >= 1 and f >= 1")
-        _require(z + f + 1 < q, family, "z + f + 1 < q")
-        _require(k is not None and z * q <= k < (z + 1) * q - z - f - 1,
-                 family, "zq <= k < (z+1)q - z - f - 1")
+    else:
         if family == "CON2E":
             n, s = q * q - 1, None
             hull = k - z * z
@@ -415,10 +461,6 @@ def claim_arithmetic(family: str, q: int, k: Optional[int] = None,
                 s = math.gcd(q - f - 1, q - 1)
                 n = q * q - s * (q + 1)
             else:
-                _require(m is not None and q - f - 1 < m < q - 1, family,
-                         "q-f-1 < m < q-1")
-                _require(z in _CON4E_Z, family, "z = 1; the rank formulas "
-                         "are refuted computationally for z >= 2")
                 s = math.gcd(m - q + f + 1, q - 1)
                 n = (q + 1) * (q - 1 - s)
             hull = k - 2 * z * z if f >= z else k - z * z - z * f
@@ -429,8 +471,6 @@ def claim_arithmetic(family: str, q: int, k: Optional[int] = None,
         out = dict(n=n, k=k, hull_dim=hull, subcode_dim=sub,
                    z1_subcode_dim=q - f - 1, s=s,
                    conservative=z < n // (2 * q))
-    else:
-        raise ValueError(f"unknown family {family!r}")
     out.setdefault("z1_subcode_dim", out["subcode_dim"])
     out.setdefault("conservative", True)
     _require(out["k"] <= out["n"], family, "k <= n")
@@ -440,50 +480,17 @@ def claim_arithmetic(family: str, q: int, k: Optional[int] = None,
 
 def family_parameter_grid(family: str, q: int,
                           conservative: bool = True) -> list[dict]:
-    """All in-range parameter dicts of a family at a given q.
+    """All in-range parameter dicts of a family at a given q: the ranges
+    of ``_PARAMETERS``, walked in table order.
 
     With ``conservative`` the tighter z-bounds are enforced; otherwise
     the full verified ranges are used (needed by the parameter tables).
-    The loops visit only candidates that ``claim_arithmetic`` admits; a
-    refused one raises its ValueError.
+    Every candidate goes through ``claim_arithmetic``, and one it refuses
+    (a derived invariant that fails) raises its ValueError.
     """
-    out: list[dict] = []
-
-    def push(params: dict):
-        info = claim_arithmetic(family, q, **params)
-        if info["conservative"] or not conservative:
-            out.append(params)
-
-    if family == "CON1":
-        push({"k": q})
-    elif family == "CON2":
-        for k in range(2, q):
-            push({"k": k})
-    elif family == "CON3":
-        for k in range(1, q):
-            push({"k": k})
-    elif family == "CON4":
-        for k in range(1, q - 1):
-            for m in range(k, q - 1):
-                push({"k": k, "m": m})
-    elif family == "CON1E":
-        for z in range(1, q - 1):
-            for k in range(z * q, (z + 1) * q - z - 1):
-                push({"z": z, "k": k})
-    elif family in ("CON2E", "CON3E"):
-        for z in range(1, q - 1):
-            for f in range(1, q - z - 1):
-                for k in range(z * q, (z + 1) * q - z - f - 1):
-                    push({"z": z, "f": f, "k": k})
-    elif family == "CON4E":
-        for z in _CON4E_Z:
-            for f in range(1, q - z - 1):
-                for m in range(q - f, q - 1):
-                    for k in range(z * q, (z + 1) * q - z - f - 1):
-                        push({"z": z, "f": f, "m": m, "k": k})
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return out
+    return [params for params in _parameter_dicts(_PARAMETERS, family, q)
+            if claim_arithmetic(family, q, **params)["conservative"]
+            or not conservative]
 
 
 # ----------------------------------------------------------------------
@@ -665,7 +672,7 @@ def verify_claim(claim: GrsHullClaim, budget: int = DEFAULT_BUDGET,
             rep.check_eq("hull_dim_intersection", claim.hull_dim, hull.k)
         else:
             rep.check("hull_dim_intersection", STATUS_SKIPPED,
-                      note=f"{F.order}^{k} parity solve skipped over "
+                      note=f"{F.order}^{k} hull solve skipped over "
                            f"budget {budget}")
         # natural rows 0..t-1 of the spec: in the code, orthogonal iff
         # the first t Gram rows vanish

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 
@@ -194,6 +195,29 @@ def test_evaluation_set_refuses_parameters_the_family_does_not_read(
     assert (U.family, U.params) == (family, own)
     with pytest.raises(ValueError, match="unknown family 'COR4'"):
         evaluation_set("COR4", 5, s=13)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_evaluation_set_admits_exactly_the_grid_sets(q):
+    # every s and n0 in [-1, q^2 + 1] and t in [-1, q + 1] that a family
+    # reads: the sets admitted are those of the grid, in its order, and
+    # every other candidate (n0 = 0 among them) is a ValueError
+    span = {"s": range(-1, q * q + 2), "n0": range(-1, q * q + 2),
+            "t": range(-1, q + 2)}
+    for family, reads in (("COR1", ("s",)), ("COR2", ("t",)),
+                          ("COR3", ("n0", "t"))):
+        admitted = []
+        for values in itertools.product(*(span[x] for x in reads)):
+            params = dict(zip(reads, values))
+            try:
+                evaluation_set(family, q, **params)
+            except ValueError:
+                continue
+            admitted.append(params)
+        sets = [{x: g[x] for x in reads}
+                for g in ag.family_parameter_grid(family, q)]
+        assert admitted == [g for i, g in enumerate(sets)
+                            if g not in sets[:i]], family
 
 
 def eliminated(F, claim):

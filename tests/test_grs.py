@@ -1,6 +1,8 @@
 import collections
 import functools
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -1067,6 +1069,59 @@ def test_family_parameter_grid_contents():
     assert family_parameter_grid("CON4E", 5) == []
     grid7 = family_parameter_grid("CON2E", 7)
     assert all(p["z"] < 3 for p in grid7)
+
+
+def test_parameter_grids_are_pinned():
+    # sha256 of both modules' grids over ten q, taken before the ranges
+    # moved into one table per module: the tables walk the same grids in
+    # the same order, with the same key order
+    from hermhull import ag
+    Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+    grids = [[q, f, c, family_parameter_grid(f, q, c)]
+             for q in Q for f in grs.FAMILIES for c in (True, False)]
+    sets = [[q, f, ag.family_parameter_grid(f, q)]
+            for q in Q for f in ("COR1", "COR2", "COR3")]
+    assert sum(len(g[3]) for g in grids) == 5915
+    assert sum(len(g[2]) for g in sets) == 1125
+    assert hashlib.sha256(json.dumps(grids).encode()).hexdigest() == \
+        "5756c8f8abd7cbfc012db4d24539c38b738d7bc8c289d11d3cff4f1b0da4f557"
+    assert hashlib.sha256(json.dumps(sets).encode()).hexdigest() == \
+        "7560886894f02bb36c3c35527babb11dac58891b8b246b58b762a0d5dd10dc6b"
+
+
+#: the parameters each GRS family reads, in grid nesting order
+_READS = {"CON1": "k", "CON2": "k", "CON3": "k", "CON4": "km",
+          "CON1E": "zk", "CON2E": "zfk", "CON3E": "zfk", "CON4E": "zfmk"}
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_claim_arithmetic_admits_exactly_the_full_grid(q):
+    # every k in [-1, q^2 + 1] and z, f, m in [-1, q + 1] that a family
+    # reads: the candidates admitted are the full grid, in its order
+    span = {"k": range(-1, q * q + 2)} | dict.fromkeys("zfm", range(-1, q + 2))
+    for family, reads in _READS.items():
+        admitted = []
+        for values in itertools.product(*(span[x] for x in reads)):
+            params = dict(zip(reads, values))
+            try:
+                claim_arithmetic(family, q, **params)
+            except ValueError:
+                continue
+            admitted.append(params)
+        assert admitted == family_parameter_grid(family, q, False), family
+
+
+@pytest.mark.parametrize("family, own, foreign", [
+    ("CON1", {}, {"f": 2}), ("CON2", {"k": 3}, {"z": 7, "m": 1}),
+    ("CON4", {"k": 2, "m": 3}, {"f": 1}),
+    ("CON1E", {"z": 1, "k": 5}, {"m": 3, "f": 1})])
+def test_families_refuse_parameters_they_do_not_read(family, own, foreign):
+    # the parameters a family does not read are named in the order given
+    for build in (claim_arithmetic, construct_family):
+        with pytest.raises(ValueError, match=f"^{family} reads no "
+                                             f"{', '.join(foreign)}$"):
+            build(family, 5, **own, **foreign)
+    assert construct_family(family, 5, **own).params.items() >= own.items()
 
 
 def test_puncture_from_all_ones_recovers_full_length_family():

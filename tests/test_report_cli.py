@@ -541,6 +541,24 @@ def test_cli_ag_build_refuses_parameters_the_family_does_not_read(
     assert cli.run(argv) == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("grs construct --family CON2 --q 5 --k 3 --z 7 --m 1",
+     "CON2 reads no z, m"),
+    ("grs construct --family CON1 --q 5 --f 2", "CON1 reads no f"),
+    ("ag build --family COR3 --q 5 --n0 0 --t 1 --k 0",
+     "COR3 requires n0 | q^2-1"),
+    ("ag build --family COR3 --q 5 --n0 -3 --t 1 --k 0",
+     "COR3 requires n0 | q^2-1"),
+])
+def test_cli_refuses_unread_and_out_of_range_parameters(capsys, argv,
+                                                        message):
+    # no report is printed for a parameter the family does not read, and
+    # an n0 that divides nothing is a user error, not a crash
+    assert cli.run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_cli_grs_sweep_refuses_an_empty_family_list(capsys, monkeypatch):
     # an explicitly empty --families names the family '', as a trailing
     # comma does; only an absent --families means all eight
@@ -606,10 +624,10 @@ def assert_verdicts(out, verdicts):
 GOLDEN_VERIFY_ALL = {
     3: "3cb53e67a93254b9a6d0213475830777466855d7b4526db98b49df5e460b7c10",
     4: "a1c15b032dec3b94ba177812aaa32186129110b8a0d698b29e1557787541560c",
-    5: "1184bdb82fee873ffb8a76222e55f709e0f9b49f492313e26fa1cd903d66ff4e",
-    7: "a4fd55b57cff78695fb62fd6925ec2207670deee29aa7293ab4e58825a7f09d7",
-    8: "134b07ef1b634f1fab46fd3a8db39f6be9a334d39c27d6897d2d815d7cd1b8a9",
-    9: "4247994b215cb0e87b2cd2782a507b2e7e87859fd923b1c272fe7357a90f0a5e",
+    5: "77f3d96e0e34433cfef741b82a2a094586b69fd2a5f901b8680770a75dc36123",
+    7: "e0cd495aa54b2b5ffcfe27e0e8e6c704bad2a523de3d17c51b189f372969dcbf",
+    8: "5908e53c0b9828d6b9eae443d8538f7b252827ca1b36cc933f4ad09cac8bd067",
+    9: "d78a0e9f5bb857cada826ce1d48de73bde80b9b705531e5ede783948ef5c0a3f",
 }
 
 
@@ -627,9 +645,9 @@ def test_cli_verify_all_golden_bodies(capsys, q):
 #: covers the CON2E and CON3E grids, whose evaluation vectors recur for each
 #: z, far apart in the grid, and so join one group of ``by_vector``
 GOLDEN_VERIFY_ALL_WITH_FAILS = {
-    11: "e2b363434b0d224b3f40637fe1bdbc5a897616ead49d37e87698c157260358d1",
-    13: "6ce4fc8ed23b5370afc73f75be15a1b1c38f099a79e7ee71dce2f26e523c25ac",
-    16: "c8c410b6e8d9abb3ce36d5ad9c0459ca2124f323eab5d0788d00239a8584a395",
+    11: "f52725fcc42384a365192955bae065aa9b0a7bf18e4321a34fe7a77f552788b5",
+    13: "45a116d13517387db5bf5336873f90e368391a94a360a3c135e870a2598d4e3f",
+    16: "2cc592b1a3c23b52304323a5b2fbd7e0603c7cfea25663e44093209582934076",
 }
 
 
@@ -769,7 +787,7 @@ def test_cli_quantum_tables_golden_bodies(q, fmt):
 #: sha256 of the stdout of ``grs sweep --q 16 --families CON1E,CON4E``, the
 #: widest characteristic-2 generators (k up to 127, n = 256)
 GOLDEN_SWEEP_Q16_WIDE = \
-    "cbf84a166b0c65e72409e10cb7208934ce53d282f5083bd70a1ac4ca4ace3d6f"
+    "32a78b2d9b27c061fbc293dfe4d248a80ff88bc0c850fa2ac7f018c110c86c92"
 
 
 def test_cli_grs_sweep_q16_wide_golden_body(capsys):
@@ -812,7 +830,7 @@ GOLDEN_INCLUDE_CODE = {
     "grs construct --family CON1 --q 5":
         "b5ae09ea0f5f61f9e7fad1f2aed9ccd43a5e5306314edc7942b84d17b484bed5",
     "grs construct --family CON2E --q 7 --k 8 --z 1 --f 1":
-        "8236031b7744a3e9d4b963945e358009f8e509dddcab56e7932624199515cd37",
+        "ee58511359ba78ae3fbf92b3115984f9f96b4073dd5049fe0c7c2cb5d44e773d",
 }
 
 
